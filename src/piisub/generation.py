@@ -6,10 +6,11 @@ that need semantic substitutes. Model rejections and per-call backend
 failures degrade to the fake generator (recorded on the decision); only an
 unhealthy backend propagates.
 
-`blocked` carries the run-level leak guard: a set of canonicalized strings
-(the corpus ground-truth values) that no surrogate may contain. Fake draws
-redraw past them; an accepted model output that hits one is treated like an
-identity rejection.
+`blocked` carries the run-level leak guard: the set of corpus ground-truth
+values that no surrogate may contain, case-insensitively. It is checked
+through one matcher built once per run (`model.ci_any_matcher`), so a check
+costs the same however many values are blocked. Fake draws redraw past them;
+an accepted model output that hits one is treated like an identity rejection.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .model import (
     Source,
     SurrogateDecision,
     canonicalize,
-    ci_contains,
+    ci_any_matcher,
 )
 from .pools import PoolCatalog
 from .prompting import (
@@ -52,7 +53,7 @@ def redact_placeholder(label: Label, prefix: str = "") -> str:
 
 
 def _is_blocked(value: str, blocked: frozenset[str]) -> bool:
-    return any(ci_contains(b, value) for b in blocked)
+    return ci_any_matcher(blocked)(value)
 
 
 def _clean_fake_draw(

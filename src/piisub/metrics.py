@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import math
 import statistics
-import subprocess
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 from typing import Iterable, Sequence
@@ -258,10 +257,6 @@ def welch_from_samples(xs: Sequence[float], ys: Sequence[float]) -> WelchResult:
     )
 
 
-class ExternalScorerError(RuntimeError):
-    """External perplexity command failed or returned a non-number."""
-
-
 class CharNgramScorer:
     """Character n-gram perplexity with add-one smoothing.
 
@@ -327,32 +322,3 @@ class CharNgramScorer:
             return None
         return math.exp(total / chars)
 
-
-class ExternalScorer:
-    """Scores text by piping it to a command that prints one number."""
-
-    def __init__(self, command: Sequence[str], timeout: float = 60.0) -> None:
-        if not command:
-            raise ValueError("empty scorer command")
-        self._command = list(command)
-        self._timeout = timeout
-
-    def perplexity(self, text: str) -> float:
-        try:
-            proc = subprocess.run(
-                self._command,
-                input=text,
-                capture_output=True,
-                text=True,
-                timeout=self._timeout,
-            )
-        except (OSError, subprocess.TimeoutExpired) as exc:
-            raise ExternalScorerError(str(exc)) from exc
-        if proc.returncode != 0:
-            raise ExternalScorerError(f"scorer exit {proc.returncode}")
-        try:
-            return float(proc.stdout.strip().splitlines()[0])
-        except (IndexError, ValueError) as exc:
-            raise ExternalScorerError(
-                f"scorer output not a number: {proc.stdout!r}"
-            ) from exc

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import re
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import lru_cache
-from typing import Iterator
+from itertools import groupby
+from operator import itemgetter
+from typing import Callable, Iterator
 
 
 class Label(Enum):
@@ -190,3 +193,43 @@ def ci_occurrences(needle: str, haystack: str) -> Iterator[tuple[int, int]]:
 def ci_contains(needle: str, haystack: str) -> bool:
     """True when needle occurs case-insensitively anywhere in haystack."""
     return next(ci_occurrences(needle, haystack), None) is not None
+
+
+def _never(haystack: str) -> bool:
+    return False
+
+
+def _trie_alternation(needles: list[str], depth: int) -> str:
+    """Emit the character trie of sorted needles that share needles[0][:depth].
+
+    The trie is walked, not built: siblings are the runs of equal characters
+    at `depth`. Recursion deepens only where the trie branches. A needle that
+    ends at a node sorts first under it and covers everything below.
+    """
+    stem = os.path.commonprefix([needles[0], needles[-1]])
+    pattern = re.escape(stem[depth:])
+    depth = len(stem)
+    if len(needles[0]) == depth:
+        return pattern
+    branches = (
+        re.escape(ch) + _trie_alternation(list(group), depth + 1)
+        for ch, group in groupby(needles, key=itemgetter(depth))
+    )
+    return pattern + "(?:" + "|".join(branches) + ")"
+
+
+@lru_cache(maxsize=1)
+def ci_any_matcher(needles: frozenset[str]) -> Callable[[str], bool]:
+    """Build a predicate: does a haystack contain any needle (per `ci_contains`)?
+
+    The non-empty needles become one nested alternation shaped like their
+    character trie, compiled once with IGNORECASE. Each character is still
+    matched by `re`'s own case rules, so the predicate equals
+    `any(ci_contains(n, haystack) for n in needles)`, at a cost per call that
+    does not grow with the number of needles. An empty set never matches.
+    """
+    ordered = sorted(n for n in needles if n)
+    if not ordered:
+        return _never
+    search = re.compile(_trie_alternation(ordered, 0), re.IGNORECASE).search
+    return lambda haystack: search(haystack) is not None

@@ -8,6 +8,8 @@ file and never into the compared artifacts.
 The leak guard is corpus-level: every ground-truth value in the input corpus
 is blocked as a substring for every surrogate, no matter which document it
 came from. Entity substitution itself cannot reintroduce someone else's PII.
+The blocked values become one case-insensitive matcher, built once per run,
+whose per-check cost does not depend on how many values it blocks.
 """
 
 from __future__ import annotations
@@ -188,6 +190,7 @@ def _build_detector(
             command=config.detector_command,
             url=config.detector_url,
             timeout=config.detector_timeout,
+            max_inflight=config.parallelism,
         )
         return lambda rec: detect_external(rec.text, adapter)
     raise ValueError(f"unknown detector {config.detector!r}")

@@ -6,7 +6,6 @@ The Welch expectations were computed by hand from the closed-form formulas
 
 import math
 import statistics
-import sys
 
 import pytest
 from hypothesis import given
@@ -16,8 +15,6 @@ from piisub.metrics import (
     CharNgramScorer,
     DegenerateVariance,
     DistinctnessRow,
-    ExternalScorer,
-    ExternalScorerError,
     agg_mean,
     consistency_report,
     distinctness_rows,
@@ -262,29 +259,3 @@ class TestCharNgramScorer:
         with pytest.raises(ValueError):
             CharNgramScorer(order=0)
 
-
-class TestExternalScorer:
-    def test_reads_first_line_number(self, tmp_path):
-        script = tmp_path / "ppl.py"
-        script.write_text(
-            "import sys; text = sys.stdin.read(); print(float(len(text)))\n",
-            encoding="utf-8",
-        )
-        scorer = ExternalScorer([sys.executable, str(script)])
-        assert scorer.perplexity("abcd") == 4.0
-
-    def test_nonzero_exit(self, tmp_path):
-        script = tmp_path / "bad.py"
-        script.write_text("import sys; sys.exit(2)\n", encoding="utf-8")
-        with pytest.raises(ExternalScorerError, match="exit 2"):
-            ExternalScorer([sys.executable, str(script)]).perplexity("x")
-
-    def test_non_numeric_output(self, tmp_path):
-        script = tmp_path / "words.py"
-        script.write_text("print('not a number')\n", encoding="utf-8")
-        with pytest.raises(ExternalScorerError, match="not a number"):
-            ExternalScorer([sys.executable, str(script)]).perplexity("x")
-
-    def test_empty_command(self):
-        with pytest.raises(ValueError):
-            ExternalScorer([])

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piisub.model import (
@@ -13,6 +13,7 @@ from piisub.model import (
     Source,
     SurrogateDecision,
     canonicalize,
+    ci_any_matcher,
     ci_contains,
     ci_occurrences,
 )
@@ -107,6 +108,43 @@ class TestCiSearch:
         for start, end in ci_occurrences(needle, haystack):
             assert end - start == len(needle)
             assert haystack[start:end].casefold() == needle.casefold()
+
+
+# Latin with diacritics, kana, Han, casefold edge cases (sharp s, long s,
+# Kelvin sign, dotted/dotless i), regex metacharacters and whitespace.
+_MATCHER_ALPHABET = "abeksuAEKSUéÉüÜßẞſ\u212aİıiIあアカ山田.(+ \t"
+_matcher_text = st.text(alphabet=_MATCHER_ALPHABET, max_size=30)
+_matcher_needle = st.text(alphabet=_MATCHER_ALPHABET, max_size=6)
+
+
+class TestCiAnyMatcher:
+    def test_empty_set_never_matches(self):
+        assert not ci_any_matcher(frozenset())("anything")
+        assert not ci_any_matcher(frozenset())("")
+        assert not ci_any_matcher(frozenset({""}))("anything")
+
+    def test_shorter_needle_covers_its_extensions(self):
+        match = ci_any_matcher(frozenset({"Abc", "ab", "abd"}))
+        assert match("xAB")
+        assert match("aBd")
+        assert not match("a b")
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_equals_per_needle_scan(self, data):
+        text = data.draw(_matcher_text)
+        needles = data.draw(st.lists(_matcher_needle, max_size=8))
+        # needles that share prefixes with each other and occur in the text
+        for needle in list(needles):
+            needles.append(needle[: data.draw(st.integers(0, len(needle)))])
+        if text:
+            i = data.draw(st.integers(0, len(text) - 1))
+            j = data.draw(st.integers(i, len(text)))
+            recase = data.draw(st.sampled_from([str.upper, str.lower, str]))
+            needles.append(recase(text[i:j]))
+        values = frozenset(needles)
+        expected = any(ci_contains(v, text) for v in values)
+        assert ci_any_matcher(values)(text) == expected
 
 
 def test_gt_values_flatten_in_label_order():

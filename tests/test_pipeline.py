@@ -123,6 +123,34 @@ class TestDeterminismAndLeak:
                 for value in gt_values:
                     assert not ci_contains(value, g.decision.surrogate)
 
+    @pytest.mark.parametrize("mode", [Mode.FAKER, Mode.HYBRID])
+    def test_guard_decides_like_a_per_value_scan(self, mode, monkeypatch):
+        import piisub.generation as generation
+
+        corpus = synth_corpus(200, seed=9)
+        # Synthetic fakes never collide with synthetic ground truth, so plant
+        # some unguarded surrogates, upper-cased, as one more record's values.
+        planted: dict[Label, list[str]] = {}
+        for doc in run(corpus, mode, leak_guard=False).documents:
+            for g in doc.groups[::5]:
+                value = g.decision.surrogate.upper()
+                planted.setdefault(g.group.label, []).append(value)
+        text = "; ".join(v for values in planted.values() for v in values)
+        corpus = [*corpus, CorpusRecord("planted", text, "en_US", "planted", planted)]
+        fast = run(corpus, mode).to_json_dict()
+        hits = []
+
+        def naive_is_blocked(value, blocked):
+            hit = any(ci_contains(b, value) for b in blocked)
+            hits.append(hit)
+            return hit
+
+        monkeypatch.setattr(generation, "_is_blocked", naive_is_blocked)
+        naive = run(corpus, mode).to_json_dict()
+        assert any(hits) and not all(hits)
+        for key in ("documents", "proposals_made", "cache_hits"):
+            assert fast[key] == naive[key]
+
 
 class TestCacheBehavior:
     def test_shared_entities_hit_cache(self):
@@ -208,6 +236,30 @@ class TestDetectors:
         }
         assert Label.EMAIL in labels or Label.ACCOUNT in labels
         assert Label.PERSON not in labels  # names need the oracle
+
+    def test_external_detector_admits_parallelism_calls(self, monkeypatch):
+        import threading
+
+        from piisub.detection import ExternalDetector
+
+        # Each call waits until four are inside the adapter at once; a gate
+        # narrower than the worker count breaks the barrier.
+        barrier = threading.Barrier(4, timeout=10)
+
+        def transport(self, text):
+            barrier.wait()
+            return ""
+
+        monkeypatch.setattr(ExternalDetector, "_transport", transport)
+        records = [CorpusRecord(f"d{i}", "no pii", "en_US", "t") for i in range(4)]
+        results = run(
+            records,
+            Mode.REDACT,
+            detector="external",
+            detector_command="unused",
+            parallelism=4,
+        )
+        assert [d.error for d in results.documents] == [None] * 4
 
     def test_unknown_detector(self, corpus):
         with pytest.raises(ValueError, match="unknown detector"):
