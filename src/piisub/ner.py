@@ -17,6 +17,7 @@ all instead of noise spans.
 from __future__ import annotations
 
 import math
+import operator
 import random
 import re
 import warnings
@@ -114,52 +115,85 @@ def features(words: Sequence[str], i: int, prev_tag: str) -> list[str]:
     return feats
 
 
+# where features() puts prevtag, the one feature that changes between passes
+_PREVTAG_AT = 5
+
+
+def static_features(tokens: Sequence[Token]) -> list[tuple[str, ...]]:
+    """Per token, features() without the prevtag entry, in features() order."""
+    words = [t.text for t in tokens]
+    out = []
+    for i in range(len(words)):
+        feats = features(words, i, "")
+        del feats[_PREVTAG_AT]
+        out.append(tuple(feats))
+    return out
+
+
+def with_prevtag(static: tuple[str, ...], prev_tag: str) -> tuple[str, ...]:
+    """Splice prevtag back in: equals features(words, i, prev_tag)."""
+    return (
+        *static[:_PREVTAG_AT],
+        "prevtag=" + prev_tag,
+        *static[_PREVTAG_AT:],
+    )
+
+
 class AveragedPerceptron:
-    """Multiclass perceptron with weight averaging (lazy-update form)."""
+    """Multiclass perceptron with weight averaging (lazy-update form).
+
+    Weights, running totals and timestamps are rows per feature, indexed
+    like the sorted classes. predict adds rows one feature at a time, in the
+    order given, so the averaged float scores do not depend on the layout.
+    """
 
     def __init__(self, classes: Iterable[str]) -> None:
         self.classes = sorted(set(classes))
-        self._weights: dict[str, dict[str, float]] = {}
-        self._totals: dict[tuple[str, str], float] = {}
-        self._tstamps: dict[tuple[str, str], int] = {}
+        self._index = {c: i for i, c in enumerate(self.classes)}
+        self._weights: dict[str, list[float]] = {}
+        self._totals: dict[str, list[float]] = {}
+        self._tstamps: dict[str, list[int]] = {}
         self._updates = 0
 
     def predict(self, feats: Sequence[str]) -> str:
-        scores = dict.fromkeys(self.classes, 0.0)
-        for f in feats:
-            bucket = self._weights.get(f)
-            if not bucket:
-                continue
-            for cls, weight in bucket.items():
-                scores[cls] += weight
-        # iterate sorted classes: name breaks score ties deterministically
-        return max(self.classes, key=lambda c: scores[c])
-
-    def _bump(self, feature: str, cls: str, delta: float) -> None:
-        key = (feature, cls)
-        weight = self._weights.setdefault(feature, {}).get(cls, 0.0)
-        self._totals[key] = (
-            self._totals.get(key, 0.0)
-            + (self._updates - self._tstamps.get(key, 0)) * weight
-        )
-        self._tstamps[key] = self._updates
-        self._weights[feature][cls] = weight + delta
+        acc: Iterable[float] = [0.0] * len(self.classes)
+        for row in map(self._weights.get, feats):
+            if row is not None:
+                # chained lazily, but each class still sums in feature order
+                acc = map(operator.add, acc, row)
+        scores = list(acc)
+        # first maximum over sorted classes: name breaks score ties
+        return self.classes[scores.index(max(scores))]
 
     def update(self, truth: str, guess: str, feats: Sequence[str]) -> None:
         self._updates += 1
         if truth == guess:
             return
+        now = self._updates
+        bumps = ((self._index[truth], 1.0), (self._index[guess], -1.0))
+        n = len(self.classes)
         for f in feats:
-            self._bump(f, truth, 1.0)
-            self._bump(f, guess, -1.0)
+            weights = self._weights.get(f)
+            if weights is None:
+                weights = self._weights[f] = [0.0] * n
+                totals = self._totals[f] = [0.0] * n
+                tstamps = self._tstamps[f] = [0] * n
+            else:
+                totals = self._totals[f]
+                tstamps = self._tstamps[f]
+            for c, delta in bumps:
+                totals[c] += (now - tstamps[c]) * weights[c]
+                tstamps[c] = now
+                weights[c] += delta
 
     def average_weights(self) -> None:
-        for feature, bucket in self._weights.items():
-            for cls, weight in bucket.items():
-                key = (feature, cls)
-                total = self._totals.get(key, 0.0)
-                total += (self._updates - self._tstamps.get(key, 0)) * weight
-                bucket[cls] = total / self._updates if self._updates else 0.0
+        now = self._updates
+        for feature, weights in self._weights.items():
+            totals = self._totals[feature]
+            tstamps = self._tstamps[feature]
+            for c, weight in enumerate(weights):
+                total = totals[c] + (now - tstamps[c]) * weight
+                weights[c] = total / now if now else 0.0
 
 
 def train_tagger(
@@ -173,14 +207,14 @@ def train_tagger(
         classes.update(tags)
     model = AveragedPerceptron(classes)
     rng = random.Random(seed)
-    data = list(sentences)
+    # only prevtag changes between passes: everything else is computed once
+    data = [(static_features(tokens), tags) for tokens, tags in sentences]
     for _ in range(iterations):
         rng.shuffle(data)
-        for tokens, tags in data:
-            words = [t.text for t in tokens]
+        for statics, tags in data:
             prev = "<s>"
-            for i, gold in enumerate(tags):
-                feats = features(words, i, prev)
+            for static, gold in zip(statics, tags):
+                feats = with_prevtag(static, prev)
                 guess = model.predict(feats)
                 model.update(gold, guess, feats)
                 prev = guess
@@ -189,13 +223,11 @@ def train_tagger(
 
 
 def predict_tags(model: AveragedPerceptron, tokens: Sequence[Token]) -> list[str]:
-    words = [t.text for t in tokens]
     prev = "<s>"
     out: list[str] = []
-    for i in range(len(words)):
-        tag = model.predict(features(words, i, prev))
-        out.append(tag)
-        prev = tag
+    for static in static_features(tokens):
+        prev = model.predict(with_prevtag(static, prev))
+        out.append(prev)
     return out
 
 
@@ -377,6 +409,10 @@ def run_ner_experiment(
     order = list(variants)
     scores = {name: VariantScores() for name in order}
     gaps = 0
+    # a record's annotation does not depend on the seed: project it once.
+    # Its tokens are cheap to rebuild and costly to keep, so only the tags
+    # and gaps are kept.
+    annotated: dict[tuple[str, int], tuple[list[str], int]] = {}
     for seed in seeds:
         train_idx, test_idx = stratified_split(base, train_size, test_size, seed)
         test_records = [base[i] for i in test_idx]
@@ -388,7 +424,13 @@ def run_ner_experiment(
             sentences = []
             train_spans = 0
             for i in train_idx:
-                tokens, tags, rec_gaps = annotate_from_gt(variants[name][i])
+                record = variants[name][i]
+                key = (name, i)
+                if key not in annotated:
+                    _, tags, rec_gaps = annotate_from_gt(record)
+                    annotated[key] = (tags, rec_gaps)
+                tags, rec_gaps = annotated[key]
+                tokens = tokenize(record.text)
                 gaps += rec_gaps
                 train_spans += sum(1 for t in tags if t.startswith("B-"))
                 sentences.append((tokens, tags))

@@ -1,11 +1,15 @@
 """Weak annotation, BIO decoding, span matching, and the tagging probe."""
 
 import math
+import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from piisub.cli import _transformed_records
 from piisub.corpus import synth_corpus
-from piisub.model import CorpusRecord, Label
+from piisub.model import CorpusRecord, Label, Mode
 from piisub.ner import (
     AveragedPerceptron,
     SpanCounts,
@@ -18,10 +22,13 @@ from piisub.ner import (
     match_spans,
     predict_tags,
     run_ner_experiment,
+    static_features,
     stratified_split,
     tokenize,
     train_tagger,
+    with_prevtag,
 )
+from piisub.pipeline import RunConfig, run_corpus
 
 
 def record(text, gt, locale="en_US", rid="r1"):
@@ -194,6 +201,201 @@ class TestPerceptron:
         assert "punctonly" in feats
 
 
+# Latin, digits, punctuation-only, CJK, and letters whose case mapping
+# changes length (ß upper-cases to SS, İ lower-cases to i + combining dot)
+_WORD_CHARS = st.sampled_from(
+    list("aZéÉ09.,;!?-@/()'\"") + list("東京山田太郎はカタ") + list("ßẞİıI")
+)
+_WORDS = st.lists(
+    st.text(_WORD_CHARS, min_size=1, max_size=8), min_size=1, max_size=6
+)
+_PREV_TAGS = st.sampled_from(["<s>", "O", "B-PII", "I-PII"])
+
+
+@settings(max_examples=200, deadline=None)
+@given(words=_WORDS, data=st.data())
+def test_static_features_splice_back_to_features(words, data):
+    tokens = [Token(w, 0, len(w)) for w in words]
+    statics = static_features(tokens)
+    assert len(statics) == len(words)
+    for i, static in enumerate(statics):
+        prev = data.draw(_PREV_TAGS)
+        assert list(with_prevtag(static, prev)) == features(words, i, prev)
+        assert not any(f.startswith("prevtag=") for f in static)
+
+
+class ReferencePerceptron:
+    """The dict-of-dicts averaged perceptron the row layout replaced."""
+
+    def __init__(self, classes):
+        self.classes = sorted(set(classes))
+        self._weights = {}
+        self._totals = {}
+        self._tstamps = {}
+        self._updates = 0
+
+    def predict(self, feats):
+        scores = dict.fromkeys(self.classes, 0.0)
+        for f in feats:
+            bucket = self._weights.get(f)
+            if not bucket:
+                continue
+            for cls, weight in bucket.items():
+                scores[cls] += weight
+        return max(self.classes, key=lambda c: scores[c])
+
+    def _bump(self, feature, cls, delta):
+        key = (feature, cls)
+        weight = self._weights.setdefault(feature, {}).get(cls, 0.0)
+        self._totals[key] = (
+            self._totals.get(key, 0.0)
+            + (self._updates - self._tstamps.get(key, 0)) * weight
+        )
+        self._tstamps[key] = self._updates
+        self._weights[feature][cls] = weight + delta
+
+    def update(self, truth, guess, feats):
+        self._updates += 1
+        if truth == guess:
+            return
+        for f in feats:
+            self._bump(f, truth, 1.0)
+            self._bump(f, guess, -1.0)
+
+    def average_weights(self):
+        for feature, bucket in self._weights.items():
+            for cls, weight in bucket.items():
+                key = (feature, cls)
+                total = self._totals.get(key, 0.0)
+                total += (self._updates - self._tstamps.get(key, 0)) * weight
+                bucket[cls] = total / self._updates if self._updates else 0.0
+
+
+def reference_train(sentences, *, iterations, seed):
+    """train_tagger as it was: features rebuilt for every token on every pass."""
+    classes = {"O"}
+    for _, tags in sentences:
+        classes.update(tags)
+    model = ReferencePerceptron(classes)
+    rng = random.Random(seed)
+    data = list(sentences)
+    for _ in range(iterations):
+        rng.shuffle(data)
+        for tokens, tags in data:
+            words = [t.text for t in tokens]
+            prev = "<s>"
+            for i, gold in enumerate(tags):
+                feats = features(words, i, prev)
+                guess = model.predict(feats)
+                model.update(gold, guess, feats)
+                prev = guess
+    model.average_weights()
+    return model
+
+
+def assert_same_weights(model, reference):
+    assert set(model._weights) == set(reference._weights)
+    for feature, row in model._weights.items():
+        bucket = reference._weights[feature]
+        for cls, weight in zip(model.classes, row):
+            assert weight == bucket.get(cls, 0.0), (feature, cls)
+
+
+_BIO = ["O", "B-PII", "I-PII"]
+_VOCAB = ["Alice", "Bob", "Tōkyō", "山田", "04/12", "x@y.z", "?!", "the", "ran", "ß"]
+
+
+def random_bio_sentences(rng, n):
+    out = []
+    for _ in range(n):
+        words = [rng.choice(_VOCAB) for _ in range(rng.randint(1, 9))]
+        tags = [rng.choice(_BIO) for _ in words]
+        out.append(([Token(w, 0, len(w)) for w in words], tags))
+    return out
+
+
+class TestPerceptronMatchesReference:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_step_by_step(self, seed):
+        rng = random.Random(seed)
+        model, reference = AveragedPerceptron(_BIO), ReferencePerceptron(_BIO)
+        feats_pool = [f"f{i}" for i in range(12)]
+        for _ in range(400):
+            feats = rng.sample(feats_pool, rng.randint(0, 6))
+            guess = model.predict(feats)
+            assert guess == reference.predict(feats)
+            truth = rng.choice(_BIO)
+            model.update(truth, guess, feats)
+            reference.update(truth, guess, feats)
+        model.average_weights()
+        reference.average_weights()
+        assert_same_weights(model, reference)
+        for _ in range(200):
+            feats = rng.sample(feats_pool, rng.randint(0, 6))
+            assert model.predict(feats) == reference.predict(feats)
+
+    def test_rows_add_in_feature_order(self):
+        # 1 + 1e16 rounds back to 1e16, so B scores 0 in this order and 1 in
+        # the reverse one: only a sum taken in feature order matches
+        rows = {"f1": [1.0, 0.0], "f2": [1e16, 0.0], "f3": [-1e16, 0.5]}
+        model, reference = AveragedPerceptron("BO"), ReferencePerceptron("BO")
+        model._weights = rows
+        reference._weights = {
+            f: dict(zip(model.classes, row)) for f, row in rows.items()
+        }
+        for feats, expected in ((["f1", "f2", "f3"], "O"), (["f3", "f2", "f1"], "B")):
+            assert model.predict(feats) == reference.predict(feats) == expected
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_trained_tagger(self, seed):
+        rng = random.Random(seed)
+        sentences = random_bio_sentences(rng, 12)
+        model = train_tagger(sentences, iterations=4, seed=seed)
+        reference = reference_train(sentences, iterations=4, seed=seed)
+        assert model.classes == reference.classes
+        assert_same_weights(model, reference)
+        for tokens, _ in random_bio_sentences(rng, 20):
+            words = [t.text for t in tokens]
+            prev, expected = "<s>", []
+            for i in range(len(words)):
+                prev = reference.predict(features(words, i, prev))
+                expected.append(prev)
+            assert predict_tags(model, tokens) == expected
+
+
+def test_frozen_scores_of_a_small_experiment():
+    # recorded with the dict-of-dicts perceptron and per-pass features; a
+    # change in the order of the float sums would move these values
+    corpus = synth_corpus(40, seed=4)
+    variants = {"original": corpus}
+    for mode in (Mode.FAKER, Mode.REDACT):
+        results = run_corpus(corpus, RunConfig(mode=mode))
+        variants[mode.value] = _transformed_records(corpus, results)
+    report = run_ner_experiment(
+        variants, train_size=32, test_size=8, seeds=(11, 12, 13), iterations=5
+    )
+    frozen = {
+        "original": (
+            [1.0, 0.9583333333333334, 0.9245283018867925],
+            [0.8867924528301887, 0.9019607843137255, 0.9607843137254902],
+            [0.9400000000000001, 0.9292929292929293, 0.9423076923076923],
+        ),
+        "faker": (
+            [1.0, 0.9761904761904762, 0.975],
+            [0.8301886792452831, 0.803921568627451, 0.7647058823529411],
+            [0.9072164948453608, 0.8817204301075269, 0.857142857142857],
+        ),
+        "redact": ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
+    }
+    for name, (precision, recall, f1) in frozen.items():
+        scores = report.scores[name]
+        assert scores.precision_by_seed == precision, name
+        assert scores.recall_by_seed == recall, name
+        assert scores.f1_by_seed == f1, name
+        assert scores.train_spans_by_seed == [206, 208, 208], name
+    assert report.annotation_gaps == 0
+
+
 class TestStratifiedSplit:
     def mixed_records(self):
         recs = []
@@ -272,6 +474,16 @@ class TestExperiment:
 
     def test_original_beats_blank(self, tiny_report):
         assert tiny_report.scores["original"].mean > 0.0
+
+    def test_gaps_count_once_per_seed(self, tiny_report):
+        # the blank variant keeps the original values but none of the text,
+        # so every value of every training record is a gap, on each seed
+        corpus = synth_corpus(30, seed=9)
+        expected = 0
+        for seed in (1, 2):
+            train, _ = stratified_split(corpus, 24, 6, seed)
+            expected += sum(len(v) for i in train for v in corpus[i].pii_gt.values())
+        assert tiny_report.annotation_gaps == expected > 0
 
     def test_comparison_keys(self, tiny_report):
         assert list(tiny_report.comparisons) == ["original_vs_blank"]

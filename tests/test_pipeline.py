@@ -30,6 +30,22 @@ def run(corpus, mode, **overrides):
     return run_corpus(corpus, config)
 
 
+def with_planted_collisions(corpus, mode):
+    """The corpus plus one record whose values collide with its surrogates.
+
+    Synthetic fakes never collide with synthetic ground truth, so the leak
+    guard never fires on a plain synthetic corpus. This plants every fifth
+    unguarded surrogate, upper-cased, as one more record's values.
+    """
+    planted: dict[Label, list[str]] = {}
+    for doc in run(corpus, mode, leak_guard=False).documents:
+        for g in doc.groups[::5]:
+            value = g.decision.surrogate.upper()
+            planted.setdefault(g.group.label, []).append(value)
+    text = "; ".join(v for values in planted.values() for v in values)
+    return [*corpus, CorpusRecord("planted", text, "en_US", "planted", planted)]
+
+
 class TestRunIdentity:
     def test_fingerprint_depends_on_text(self, corpus):
         base = corpus_fingerprint(corpus)
@@ -116,27 +132,28 @@ class TestDeterminismAndLeak:
             assert metrics.consistency.occurrence_discrepancies == 0
 
     def test_surrogates_never_contain_other_documents_pii(self, corpus):
-        results = run(corpus, Mode.FAKER)
+        corpus = with_planted_collisions(corpus, Mode.FAKER)
         gt_values = {v.strip() for r in corpus for v in r.gt_values()}
-        for doc in results.documents:
-            for g in doc.groups:
-                for value in gt_values:
-                    assert not ci_contains(value, g.decision.surrogate)
+
+        def leaks(results):
+            return [
+                (value, g.decision.surrogate)
+                for doc in results.documents
+                for g in doc.groups
+                for value in gt_values
+                if ci_contains(value, g.decision.surrogate)
+            ]
+
+        # the check must be able to fail: without the guard the planted
+        # values come back as surrogates
+        assert leaks(run(corpus, Mode.FAKER, leak_guard=False))
+        assert leaks(run(corpus, Mode.FAKER)) == []
 
     @pytest.mark.parametrize("mode", [Mode.FAKER, Mode.HYBRID])
     def test_guard_decides_like_a_per_value_scan(self, mode, monkeypatch):
         import piisub.generation as generation
 
-        corpus = synth_corpus(200, seed=9)
-        # Synthetic fakes never collide with synthetic ground truth, so plant
-        # some unguarded surrogates, upper-cased, as one more record's values.
-        planted: dict[Label, list[str]] = {}
-        for doc in run(corpus, mode, leak_guard=False).documents:
-            for g in doc.groups[::5]:
-                value = g.decision.surrogate.upper()
-                planted.setdefault(g.group.label, []).append(value)
-        text = "; ".join(v for values in planted.values() for v in values)
-        corpus = [*corpus, CorpusRecord("planted", text, "en_US", "planted", planted)]
+        corpus = with_planted_collisions(synth_corpus(200, seed=9), mode)
         fast = run(corpus, mode).to_json_dict()
         hits = []
 
