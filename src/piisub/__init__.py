@@ -15,13 +15,10 @@ from .detection import (
     DetectorProtocolError,
     DetectorUnavailable,
     ExternalDetector,
-    decode_bioes,
-    detect_external,
     detect_oracle,
     detect_rules,
-    encode_bioes,
 )
-from .fakegen import FakeGenState, StreamPolicy, fake_value
+from .fakegen import fake_value
 from .generation import (
     SpliceOverlap,
     dispatch,
@@ -78,7 +75,6 @@ __all__ = [
     "EmptyCanonical",
     "EntityGroup",
     "ExternalDetector",
-    "FakeGenState",
     "InvalidInput",
     "Label",
     "Locale",
@@ -96,7 +92,6 @@ __all__ = [
     "SlmBackend",
     "Source",
     "SpliceOverlap",
-    "StreamPolicy",
     "SurrogateCache",
     "SurrogateDecision",
     "analyze_regurgitation",
@@ -106,12 +101,9 @@ __all__ = [
     "classify_date_format",
     "classify_locale",
     "compute_metrics",
-    "decode_bioes",
-    "detect_external",
     "detect_oracle",
     "detect_rules",
     "dispatch",
-    "encode_bioes",
     "fake_value",
     "load_corpus",
     "load_pool_file",

@@ -1,37 +1,26 @@
 """Entity resolution and the per-run surrogate cache.
 
 The cache is the consistency mechanism: every mention of an entity resolves
-to one key, and the first decision for that key is reused everywhere. Under
+to one key, and the decision for that key is reused everywhere. Under
 concurrent callers `get_or_propose` guarantees at most one proposer call per
-key; losers block on an event and read the winner's decision. A proposer
-failure wakes the waiters, one of which becomes the new owner, so a transient
-backend error does not poison the key.
+key, so no backend call is made twice; losers block on an event and read the
+winner's decision. A proposer failure wakes the waiters, one of which becomes
+the new owner, so a transient backend error does not poison the key.
 """
 
 from __future__ import annotations
 
-import json
 import threading
-from pathlib import Path
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable
 
 from .model import (
     CacheKey,
     EntityGroup,
     Label,
     PiiSpan,
-    RejectionReason,
-    Source,
     SurrogateDecision,
     canonicalize,
 )
-
-CACHE_FORMAT = "piisub-surrogate-cache"
-CACHE_VERSION = 1
-
-
-class CacheFormatError(ValueError):
-    """Persisted cache file is malformed or from an unknown version."""
 
 
 def resolve_entities(spans: Iterable[PiiSpan]) -> list[EntityGroup]:
@@ -46,26 +35,6 @@ def resolve_entities(spans: Iterable[PiiSpan]) -> list[EntityGroup]:
     ]
 
 
-def key_to_json_dict(key: CacheKey) -> dict:
-    return {
-        "mode": key.mode.value,
-        "family": key.family,
-        "canonical": key.canonical,
-        "label": key.label.name,
-    }
-
-
-def key_from_json_dict(data: dict) -> CacheKey:
-    from .model import Mode
-
-    return CacheKey(
-        mode=Mode(data["mode"]),
-        family=data["family"],
-        canonical=data["canonical"],
-        label=Label.from_name(data["label"]),
-    )
-
-
 def decision_to_json_dict(decision: SurrogateDecision) -> dict:
     return {
         "surrogate": decision.surrogate,
@@ -73,17 +42,6 @@ def decision_to_json_dict(decision: SurrogateDecision) -> dict:
         "demos_used": list(decision.demos_used),
         "rejection_reasons": [r.value for r in decision.rejection_reasons],
     }
-
-
-def decision_from_json_dict(data: dict) -> SurrogateDecision:
-    return SurrogateDecision(
-        surrogate=data["surrogate"],
-        source=Source(data["source"]),
-        demos_used=tuple(data["demos_used"]),
-        rejection_reasons=tuple(
-            RejectionReason(r) for r in data["rejection_reasons"]
-        ),
-    )
 
 
 class SurrogateCache:
@@ -95,7 +53,7 @@ class SurrogateCache:
         self._inflight: dict[CacheKey, threading.Event] = {}
         #: Distinct keys whose decision this process proposed.
         self.proposals_made = 0
-        #: Reads answered from the store (loaded entries count as hits).
+        #: Reads answered from the store.
         self.cache_hits = 0
 
     def __len__(self) -> int:
@@ -108,11 +66,6 @@ class SurrogateCache:
             if decision is not None:
                 self.cache_hits += 1
             return decision
-
-    def items(self) -> Iterator[tuple[CacheKey, SurrogateDecision]]:
-        with self._lock:
-            snapshot = list(self._store.items())
-        return iter(snapshot)
 
     def get_or_propose(
         self, key: CacheKey, proposer: Callable[[], SurrogateDecision]
@@ -153,62 +106,3 @@ class SurrogateCache:
                 self._inflight.pop(key, None)
             event.set()
             return decision
-
-    def save(self, path: str | Path) -> None:
-        """Write the store as line-delimited JSON under a version header."""
-        records = sorted(
-            self.items(),
-            key=lambda kv: (
-                kv[0].mode.value,
-                kv[0].family,
-                kv[0].label.name,
-                kv[0].canonical,
-            ),
-        )
-        lines = [
-            json.dumps(
-                {"format": CACHE_FORMAT, "version": CACHE_VERSION},
-                sort_keys=True,
-                ensure_ascii=False,
-            )
-        ]
-        for key, decision in records:
-            lines.append(
-                json.dumps(
-                    {
-                        "key": key_to_json_dict(key),
-                        "decision": decision_to_json_dict(decision),
-                    },
-                    sort_keys=True,
-                    ensure_ascii=False,
-                )
-            )
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SurrogateCache":
-        """Load a persisted cache; counters start at zero."""
-        cache = cls()
-        text = Path(path).read_text(encoding="utf-8")
-        lines = [line for line in text.splitlines() if line.strip()]
-        if not lines:
-            raise CacheFormatError("cache file is empty")
-        try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise CacheFormatError(f"bad cache header: {exc}") from exc
-        if not isinstance(header, dict) or header.get("format") != CACHE_FORMAT:
-            raise CacheFormatError("not a surrogate cache file")
-        if header.get("version") != CACHE_VERSION:
-            raise CacheFormatError(
-                f"unsupported cache version {header.get('version')!r}"
-            )
-        for i, line in enumerate(lines[1:], start=2):
-            try:
-                record = json.loads(line)
-                key = key_from_json_dict(record["key"])
-                decision = decision_from_json_dict(record["decision"])
-            except (json.JSONDecodeError, KeyError, ValueError) as exc:
-                raise CacheFormatError(f"bad cache record on line {i}: {exc}") from exc
-            cache._store[key] = decision
-        return cache

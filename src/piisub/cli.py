@@ -2,7 +2,8 @@
 
 Settings resolve in order: explicit flag, then config file (--config, JSON),
 then environment (PIISUB_RESULTS_DIR, PIISUB_CORPUS, PIISUB_POOL_FILE), then
-the built-in default.
+the built-in default. The fake-value secret is a credential, so it is read
+from the environment only (PIISUB_FAKE_SECRET, empty when unset).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ from typing import Sequence
 from .backends import DEFAULT_FAILURE_THRESHOLD, DEFAULT_TIMEOUT, BackendUnhealthy
 from .corpus import DEFAULT_LOCALE_MIX, load_corpus, save_corpus, synth_corpus
 from .detection import DetectorUnavailable
-from .fakegen import StreamPolicy
 from .model import CorpusRecord, Label, Mode
 from .ner import run_ner_experiment
 from .pipeline import RunConfig, compute_metrics, persist_run, run_corpus
@@ -32,6 +32,7 @@ from .report import (
 _ENV_RESULTS = "PIISUB_RESULTS_DIR"
 _ENV_CORPUS = "PIISUB_CORPUS"
 _ENV_POOLS = "PIISUB_POOL_FILE"
+_ENV_FAKE_SECRET = "PIISUB_FAKE_SECRET"
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -58,6 +59,10 @@ def _setting(
     if env and os.environ.get(env):
         return os.environ[env]
     return default
+
+
+def _fake_secret() -> bytes:
+    return os.environ.get(_ENV_FAKE_SECRET, "").encode("utf-8")
 
 
 def _parse_locale_mix(text: str) -> dict[str, float]:
@@ -116,9 +121,6 @@ def _run_config(
         placeholder_prefix=_setting(
             args.placeholder_prefix, config, "placeholder_prefix", default=""
         ),
-        stream_policy=StreamPolicy(
-            _setting(args.fake_stream, config, "fake_stream", default="per_document")
-        ),
         detector=_setting(args.detector, config, "detector", default="oracle"),
         detector_command=_setting(args.detector_command, config, "detector_command"),
         detector_url=_setting(args.detector_url, config, "detector_url"),
@@ -156,7 +158,6 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-inflight", type=int)
     sub.add_argument("--demo-strategy", choices=[s.value for s in DemoStrategy])
     sub.add_argument("--placeholder-prefix")
-    sub.add_argument("--fake-stream", choices=[p.value for p in StreamPolicy])
     sub.add_argument("--detector", choices=["oracle", "rules", "external"])
     sub.add_argument("--detector-command")
     sub.add_argument("--detector-url")
@@ -188,7 +189,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             # an explicit id must not make the modes clobber one run directory
             run_id = f"{run_id}-{mode.value}"
         run_config = _run_config(args, config, mode, run_id=run_id)
-        results = run_corpus(records, run_config)
+        results = run_corpus(records, run_config, fake_secret=_fake_secret())
         metrics = compute_metrics(results, with_perplexity=not args.no_ppl)
         run_dir = persist_run(results, out_dir, metrics=metrics)
         metrics_by_mode[mode.value] = metrics.to_json_dict()
@@ -231,7 +232,7 @@ def _cmd_ner(args: argparse.Namespace) -> int:
     variants: dict[str, list] = {"original": list(records)}
     for mode in _parse_modes(args.mode):
         run_config = _run_config(args, config, mode)
-        results = run_corpus(records, run_config)
+        results = run_corpus(records, run_config, fake_secret=_fake_secret())
         variants[mode.value] = _transformed_records(records, results)
     # drop any index that failed in any variant so corpora stay parallel
     bad = {

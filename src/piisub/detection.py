@@ -28,119 +28,6 @@ class DetectorProtocolError(ValueError):
     """The external detector responded outside the span protocol."""
 
 
-@dataclass(frozen=True, slots=True)
-class TaggedToken:
-    """A tokenizer output token carrying a BIOES tag ("O" or "{B|I|E|S}-{LABEL}")."""
-
-    text: str
-    start: int
-    end: int
-    tag: str
-
-
-def _parse_tag(tag: str) -> tuple[str, Label | None]:
-    if tag == "O":
-        return "O", None
-    prefix, _, name = tag.partition("-")
-    if prefix not in ("B", "I", "E", "S") or not name:
-        raise ValueError(f"malformed BIOES tag {tag!r}")
-    return prefix, Label.from_name(name)
-
-
-def _span_from_tokens(tokens: list[TaggedToken], label: Label) -> PiiSpan:
-    # Inter-token gaps are reconstructed as spaces; tokenizers split on
-    # whitespace, so this matches the source text wherever it matters.
-    parts: list[str] = []
-    for i, tok in enumerate(tokens):
-        if i:
-            parts.append(" " * (tok.start - tokens[i - 1].end))
-        parts.append(tok.text)
-    return PiiSpan(tokens[0].start, tokens[-1].end, label, "".join(parts))
-
-
-def decode_bioes(tokens: list[TaggedToken]) -> list[PiiSpan]:
-    """Decode BIOES token tags into character spans.
-
-    Malformed sequences are repaired rather than rejected: an orphan I starts
-    a new span, an orphan E emits a single-token span, and a span left open
-    at a boundary is closed at the last token seen. Detectors are noisy; the
-    decoder must accept whatever they emit.
-    """
-    spans: list[PiiSpan] = []
-    open_label: Label | None = None
-    open_tokens: list[TaggedToken] = []
-    last_end = -1
-
-    def close() -> None:
-        nonlocal open_label
-        if open_label is not None:
-            spans.append(_span_from_tokens(open_tokens, open_label))
-        open_label = None
-        open_tokens.clear()
-
-    for tok in tokens:
-        if tok.start < last_end:
-            raise ValueError("tokens must be ordered with increasing offsets")
-        last_end = tok.end
-        prefix, label = _parse_tag(tok.tag)
-        if prefix == "O" or label is None:
-            close()
-        elif prefix == "B":
-            close()
-            open_label = label
-            open_tokens.append(tok)
-        elif prefix == "S":
-            close()
-            spans.append(_span_from_tokens([tok], label))
-        elif prefix == "I":
-            if open_label is label:
-                open_tokens.append(tok)
-            else:
-                close()
-                open_label = label
-                open_tokens.append(tok)
-        else:  # "E"
-            if open_label is label:
-                open_tokens.append(tok)
-                close()
-            else:
-                close()
-                spans.append(_span_from_tokens([tok], label))
-    close()
-    return spans
-
-
-def encode_bioes(text: str, spans: list[PiiSpan]) -> list[TaggedToken]:
-    """Tag the whitespace tokens of text with BIOES for the given spans.
-
-    Inverse of decode_bioes for spans that align with token boundaries;
-    raises ValueError when a span boundary falls inside a token.
-    """
-    ordered = sorted(spans, key=lambda s: s.start)
-    tokens = [(m.group(), m.start(), m.end()) for m in re.finditer(r"\S+", text)]
-    tagged: list[TaggedToken] = []
-    for word, start, end in tokens:
-        covering = [s for s in ordered if s.start < end and start < s.end]
-        if not covering:
-            tagged.append(TaggedToken(word, start, end, "O"))
-            continue
-        span = covering[0]
-        if len(covering) > 1 or start < span.start or end > span.end:
-            raise ValueError("span boundaries must align with token boundaries")
-        first = start == span.start or not text[span.start:start].strip()
-        last = end == span.end or not text[end:span.end].strip()
-        if first and last:
-            prefix = "S"
-        elif first:
-            prefix = "B"
-        elif last:
-            prefix = "E"
-        else:
-            prefix = "I"
-        tagged.append(TaggedToken(word, start, end, f"{prefix}-{span.label.name}"))
-    return tagged
-
-
 def validate_spans(text: str, spans: list[PiiSpan]) -> list[PiiSpan]:
     """Assert the shared detector post-condition; returns the spans unchanged."""
     prev_end = 0
@@ -298,7 +185,3 @@ class ExternalDetector:
             candidates.append(PiiSpan(start, end, label, text[start:end]))
         return validate_spans(text, resolve_overlaps(candidates))
 
-
-def detect_external(text: str, adapter: ExternalDetector) -> list[PiiSpan]:
-    """Run the configured external detector on one document."""
-    return adapter.detect(text)

@@ -1,9 +1,14 @@
 """Deterministic fake-value generation for the non-model substitution path.
 
-Values are composed from fixed word tables via a seeded PRNG, so reruns are
-byte-identical. The default policy shares one stream per document (draw order
-matters, a documented artifact); the independent policy gives each label
-family its own stream so adding a draw for one label cannot shift another's.
+Values are composed from fixed word tables via a seeded PRNG. Each cache key
+seeds its own stream (`draw_seed`), so a key's value is a pure function of
+the key and the fake-value secret: it does not depend on which document
+proposes it first, on the order of the records, or on how many workers run
+them. With a secret the seed is an HMAC keyed by it, so without the secret
+a fake value says nothing about the real value it replaced. With the empty
+secret the seed is a plain hash: anyone holding this code can recompute the
+fake of a guessed real value, and one real value gets the same fake in every
+run.
 
 The tables are chosen to be disjoint from both the demonstration pools and
 the synthetic-corpus source pools: fake date years sit in 2020-2039, name
@@ -13,47 +18,34 @@ the guard in the pipeline is still the hard enforcement.
 
 from __future__ import annotations
 
+import hmac
+import json
 import random
-from collections import Counter
-from dataclasses import dataclass, field
-from enum import Enum
 
 from .locales import DateFormat, Locale
-from .model import Label
+from .model import CacheKey, Label
 from .prompting import stable_seed
 
 
-class StreamPolicy(str, Enum):
-    PER_DOCUMENT = "per_document"
-    INDEPENDENT = "independent"
+# json.dumps(..., ensure_ascii=False) would build a new encoder per call
+_KEY_ENCODER = json.JSONEncoder(ensure_ascii=False)
 
 
-@dataclass
-class FakeGenState:
-    """Seeded draw state: one stream, or one per label family."""
+def draw_seed(key: CacheKey, secret: bytes = b"") -> int:
+    """Seed of the fake-draw stream for one cache key.
 
-    seed: int
-    policy: StreamPolicy = StreamPolicy.PER_DOCUMENT
-    counters: Counter = field(default_factory=Counter)
-    _streams: dict[str, random.Random] = field(default_factory=dict)
-
-    @classmethod
-    def for_record(
-        cls, record_id: str, policy: StreamPolicy = StreamPolicy.PER_DOCUMENT
-    ) -> "FakeGenState":
-        return cls(seed=stable_seed(f"fake:{record_id}"), policy=policy)
-
-    def rng_for(self, label: Label) -> random.Random:
-        name = "shared" if self.policy is StreamPolicy.PER_DOCUMENT else label.name
-        rng = self._streams.get(name)
-        if rng is None:
-            rng = random.Random(stable_seed(f"{self.seed:016x}:{name}"))
-            self._streams[name] = rng
-        return rng
-
-    def next(self, label: Label) -> random.Random:
-        self.counters[label] += 1
-        return self.rng_for(label)
+    The key's fields are JSON-encoded so that no two keys share a message,
+    whatever text a family or canonical form holds. The seed is the
+    big-endian head of the message's HMAC-SHA256 keyed by `secret`, or,
+    with no secret, the project's unkeyed `stable_seed` of it.
+    """
+    message = _KEY_ENCODER.encode(
+        ["fake", key.mode.value, key.family, key.label.name, key.canonical]
+    )
+    if not secret:
+        return stable_seed(message)
+    digest = hmac.digest(secret, message.encode("utf-8"), "sha256")
+    return int.from_bytes(digest[:8], "big")
 
 
 _FIRST = {
@@ -196,12 +188,11 @@ def _fake_date(rng: random.Random, fmt: DateFormat) -> str:
 def fake_value(
     label: Label,
     locale: Locale,
-    state: FakeGenState,
+    rng: random.Random,
     *,
     date_format: DateFormat | None = None,
 ) -> str:
     """Draw one fake value shaped like the label (and locale, where it applies)."""
-    rng = state.next(label)
     if label is Label.PERSON:
         return _fake_person(rng, locale)
     if label is Label.ADDRESS:

@@ -1,10 +1,13 @@
 """Surrogate generation: mode routing, model proposals, text splicing.
 
-`dispatch` is the single entry point: given one entity surface and the run
-mode it produces a SurrogateDecision, calling the model only for the labels
-that need semantic substitutes. Model rejections and per-call backend
-failures degrade to the fake generator (recorded on the decision); only an
-unhealthy backend propagates.
+`dispatch` is the single entry point: given one entity surface and its
+cache key (which carries the run mode and label) it produces a
+SurrogateDecision, calling the model only for the labels that need semantic
+substitutes. Model rejections and per-call backend failures degrade to the
+fake generator (recorded on the decision); only an unhealthy backend
+propagates. Fake values come from one stream seeded by the cache key and the
+run's fake-value secret, and every redraw reads on from that stream, so a
+key's fake value never depends on draws made for other keys.
 
 `blocked` carries the run-level leak guard: the set of corpus ground-truth
 values that no surrogate may contain, case-insensitively. It is checked
@@ -15,13 +18,15 @@ an accepted model output that hits one is treated like an identity rejection.
 
 from __future__ import annotations
 
+import random
 from typing import Iterable, Sequence
 
 from .backends import BackendInvocationError, SlmBackend
-from .fakegen import FakeGenState, fake_value
+from .fakegen import draw_seed, fake_value
 from .locales import DateFormat, Locale, classify_date_format, classify_locale
 from .model import (
     SLM_LABELS,
+    CacheKey,
     Label,
     Mode,
     PiiSpan,
@@ -58,15 +63,17 @@ def _is_blocked(value: str, blocked: frozenset[str]) -> bool:
 
 def _clean_fake_draw(
     surface: str,
-    label: Label,
+    key: CacheKey,
     locale: Locale,
-    state: FakeGenState,
     blocked: frozenset[str],
     date_format: DateFormat | None,
+    fake_secret: bytes,
 ) -> str:
     """Draw a fake value that neither echoes the input nor hits the guard."""
+    label = key.label
+    rng = random.Random(draw_seed(key, fake_secret))
     for _ in range(_MAX_FAKE_REDRAWS):
-        value = fake_value(label, locale, state, date_format=date_format)
+        value = fake_value(label, locale, rng, date_format=date_format)
         if canonicalize(value) == canonicalize(surface):
             continue
         if _is_blocked(value, blocked):
@@ -79,13 +86,13 @@ def _clean_fake_draw(
 
 def slm_propose(
     surface: str,
-    label: Label,
+    key: CacheKey,
     *,
     backend: SlmBackend,
     catalog: PoolCatalog,
-    state: FakeGenState,
     strategy: DemoStrategy = DemoStrategy.ROTATING_LOCALE,
     blocked: frozenset[str] = frozenset(),
+    fake_secret: bytes = b"",
 ) -> SurrogateDecision:
     """Ask the model for a surrogate, falling back to a fake value on rejection.
 
@@ -93,11 +100,14 @@ def slm_propose(
     sample from or a failed backend call both surface as `empty` (no usable
     completion existed), a guard hit as `identity`.
     """
+    label = key.label
     locale = classify_locale(surface)
     date_format = classify_date_format(surface) if label is Label.DATE else None
 
     def fallback(*reasons: RejectionReason) -> SurrogateDecision:
-        value = _clean_fake_draw(surface, label, locale, state, blocked, date_format)
+        value = _clean_fake_draw(
+            surface, key, locale, blocked, date_format, fake_secret
+        )
         return SurrogateDecision(
             surrogate=value,
             source=Source.FALLBACK_FAKE,
@@ -132,37 +142,37 @@ def slm_propose(
 
 def dispatch(
     surface: str,
-    label: Label,
-    mode: Mode,
+    key: CacheKey,
     *,
-    state: FakeGenState,
     backend: SlmBackend | None = None,
     catalog: PoolCatalog | None = None,
     strategy: DemoStrategy = DemoStrategy.ROTATING_LOCALE,
     placeholder_prefix: str = "",
     blocked: frozenset[str] = frozenset(),
+    fake_secret: bytes = b"",
 ) -> SurrogateDecision:
-    """Produce the surrogate decision for one entity under the given mode."""
-    if mode is Mode.REDACT:
+    """Produce the surrogate decision for one entity under its key's mode."""
+    label = key.label
+    if key.mode is Mode.REDACT:
         return SurrogateDecision(
             surrogate=redact_placeholder(label, placeholder_prefix),
             source=Source.REDACT,
         )
-    if mode is Mode.HYBRID and label in SLM_LABELS:
+    if key.mode is Mode.HYBRID and label in SLM_LABELS:
         if backend is None or catalog is None:
             raise ValueError("hybrid mode needs a backend and a pool catalog")
         return slm_propose(
             surface,
-            label,
+            key,
             backend=backend,
             catalog=catalog,
-            state=state,
             strategy=strategy,
             blocked=blocked,
+            fake_secret=fake_secret,
         )
     locale = classify_locale(surface)
     date_format = classify_date_format(surface) if label is Label.DATE else None
-    value = _clean_fake_draw(surface, label, locale, state, blocked, date_format)
+    value = _clean_fake_draw(surface, key, locale, blocked, date_format, fake_secret)
     return SurrogateDecision(surrogate=value, source=Source.FAKE)
 
 

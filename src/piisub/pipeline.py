@@ -2,8 +2,14 @@
 
 A run is identified by a short hash over its configuration and the corpus
 fingerprint, so rerunning the same setup lands in the same directory with
-byte-identical result files. Wall-clock timings are written to their own
-file and never into the compared artifacts.
+byte-identical result files. The worker count and the in-flight limit
+change how a run executes, not what it computes: fake draws are seeded by
+the cache key, not by the document, so a serial and a parallel run of the
+same work share one run id and the same bytes. Those two settings are
+written with the wall-clock timings to their own file and never into the
+compared artifacts. Timeouts and the failure threshold stay in the run id:
+with a slow backend or detector they decide which calls fail. The
+fake-value secret is in neither file nor the run id.
 
 The leak guard is corpus-level: every ground-truth value in the input corpus
 is blocked as a substring for every surrogate, no matter which document it
@@ -18,7 +24,8 @@ import hashlib
 import json
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
+from enum import Enum
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -34,11 +41,9 @@ from .detection import (
     DetectorProtocolError,
     DetectorUnavailable,
     ExternalDetector,
-    detect_external,
     detect_oracle,
     detect_rules,
 )
-from .fakegen import FakeGenState, StreamPolicy
 from .generation import dispatch, splice
 from .metrics import (
     ConsistencyReport,
@@ -55,6 +60,10 @@ from .prompting import DemoStrategy, analyze_regurgitation
 
 RESULTS_VERSION = 1
 
+#: RunConfig fields that shape how a run executes but not its outputs; they
+#: stay out of the run id and results.json and are recorded in timings.json.
+EXECUTION_FIELDS = frozenset({"parallelism", "max_inflight"})
+
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -67,7 +76,6 @@ class RunConfig:
     max_inflight: int = 1
     demo_strategy: DemoStrategy = DemoStrategy.ROTATING_LOCALE
     placeholder_prefix: str = ""
-    stream_policy: StreamPolicy = StreamPolicy.PER_DOCUMENT
     detector: str = "oracle"
     detector_command: str | None = None
     detector_url: str | None = None
@@ -78,25 +86,16 @@ class RunConfig:
     run_id: str | None = None
 
     def to_json_dict(self) -> dict:
+        """The settings that decide the outputs: the run-id fingerprint."""
         return {
-            "mode": self.mode.value,
-            "backend_kind": self.backend_kind,
-            "backend_command": self.backend_command,
-            "prompt_via": self.prompt_via,
-            "backend_timeout": self.backend_timeout,
-            "failure_threshold": self.failure_threshold,
-            "max_inflight": self.max_inflight,
-            "demo_strategy": self.demo_strategy.value,
-            "placeholder_prefix": self.placeholder_prefix,
-            "stream_policy": self.stream_policy.value,
-            "detector": self.detector,
-            "detector_command": self.detector_command,
-            "detector_url": self.detector_url,
-            "detector_timeout": self.detector_timeout,
-            "pool_file": self.pool_file,
-            "leak_guard": self.leak_guard,
-            "parallelism": self.parallelism,
+            f.name: _json_value(getattr(self, f.name))
+            for f in fields(self)
+            if f.name != "run_id" and f.name not in EXECUTION_FIELDS
         }
+
+
+def _json_value(value):
+    return value.value if isinstance(value, Enum) else value
 
 
 def corpus_fingerprint(records: Sequence[CorpusRecord]) -> str:
@@ -192,7 +191,7 @@ def _build_detector(
             timeout=config.detector_timeout,
             max_inflight=config.parallelism,
         )
-        return lambda rec: detect_external(rec.text, adapter)
+        return lambda rec: adapter.detect(rec.text)
     raise ValueError(f"unknown detector {config.detector!r}")
 
 
@@ -208,10 +207,14 @@ def run_corpus(
     *,
     catalog: PoolCatalog | None = None,
     cache: SurrogateCache | None = None,
+    fake_secret: bytes = b"",
 ) -> RunResults:
     """Transform every record under the config; per-document errors are
     recorded on the result instead of aborting the run. Only an unhealthy
-    backend or an unavailable external detector stops everything."""
+    backend or an unavailable external detector stops everything.
+
+    `fake_secret` keys the fake-draw seeds (`fakegen.draw_seed`); it is
+    kept out of the run id and every written file."""
     if catalog is None:
         catalog = (
             load_pool_file(config.pool_file) if config.pool_file else builtin_catalog()
@@ -244,7 +247,6 @@ def run_corpus(
 
     def process(record: CorpusRecord) -> tuple[DocumentResult, dict[str, float]]:
         spent = {"detect": 0.0, "surrogate": 0.0, "splice": 0.0}
-        state = FakeGenState.for_record(record.id, config.stream_policy)
         try:
             t0 = time.perf_counter()
             spans = detector(record)
@@ -262,16 +264,15 @@ def run_corpus(
                 )
                 decision = cache.get_or_propose(
                     key,
-                    lambda s=surface, lb=group.label: dispatch(
+                    lambda s=surface, k=key: dispatch(
                         s,
-                        lb,
-                        config.mode,
-                        state=state,
+                        k,
                         backend=backend,
                         catalog=catalog,
                         strategy=config.demo_strategy,
                         placeholder_prefix=config.placeholder_prefix,
                         blocked=blocked,
+                        fake_secret=fake_secret,
                     ),
                 )
                 group_results.append(GroupResult(group=group, decision=decision))
@@ -430,7 +431,8 @@ def persist_run(
     metrics: MetricsReport | None = None,
     with_perplexity: bool = True,
 ) -> Path:
-    """Write results, metrics, regurgitation and timings under the run id."""
+    """Write results, metrics, regurgitation and timings (with the execution
+    settings) under the run id."""
     from .report import distinctness_table, primary_table, regurgitation_table
 
     run_dir = Path(out_dir) / results.run_id
@@ -450,7 +452,15 @@ def persist_run(
         regurg_dict = regurgitation_for_results(results).to_json_dict()
         _dump_json(run_dir / "regurgitation.json", regurg_dict)
         sections.append(regurgitation_table(regurg_dict))
-    _dump_json(run_dir / "timings.json", {"seconds": results.timings})
+    _dump_json(
+        run_dir / "timings.json",
+        {
+            "execution": {
+                name: getattr(results.config, name) for name in EXECUTION_FIELDS
+            },
+            "seconds": results.timings,
+        },
+    )
     (run_dir / "report.txt").write_text(
         "\n\n".join(sections) + "\n", encoding="utf-8"
     )

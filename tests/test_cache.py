@@ -5,19 +5,12 @@ import time
 
 import pytest
 
-from piisub.cache import (
-    CacheFormatError,
-    SurrogateCache,
-    decision_from_json_dict,
-    decision_to_json_dict,
-    resolve_entities,
-)
+from piisub.cache import SurrogateCache, resolve_entities
 from piisub.model import (
     CacheKey,
     Label,
     Mode,
     PiiSpan,
-    RejectionReason,
     Source,
     SurrogateDecision,
 )
@@ -161,85 +154,3 @@ class TestGetOrPropose:
         assert cache.get(_key()) is None
         # the key is usable again
         assert cache.get_or_propose(_key(), _decision).surrogate == "Daniel Foster"
-
-
-class TestPersistence:
-    def test_round_trip(self, tmp_path):
-        cache = SurrogateCache()
-        cache.get_or_propose(_key("walter abernathy"), _decision)
-        cache.get_or_propose(
-            _key("04/12/1975", mode=Mode.FAKER),
-            lambda: SurrogateDecision("07/19/2031", Source.FAKE),
-        )
-        cache.get_or_propose(
-            _key("edith goodwin"),
-            lambda: SurrogateDecision(
-                "Fallback Person",
-                Source.FALLBACK_FAKE,
-                rejection_reasons=(RejectionReason.EMPTY,),
-            ),
-        )
-        path = tmp_path / "cache.jsonl"
-        cache.save(path)
-
-        loaded = SurrogateCache.load(path)
-        assert len(loaded) == 3
-        assert dict(loaded.items()) == dict(cache.items())
-        assert loaded.proposals_made == 0
-
-    def test_header_line(self, tmp_path):
-        cache = SurrogateCache()
-        path = tmp_path / "cache.jsonl"
-        cache.save(path)
-        first = path.read_text(encoding="utf-8").splitlines()[0]
-        assert '"format": "piisub-surrogate-cache"' in first
-        assert '"version": 1' in first
-
-    def test_save_is_sorted_and_stable(self, tmp_path):
-        a, b = SurrogateCache(), SurrogateCache()
-        a.get_or_propose(_key("zeta q"), lambda: _decision("A B"))
-        a.get_or_propose(_key("alpha q"), lambda: _decision("C D"))
-        b.get_or_propose(_key("alpha q"), lambda: _decision("C D"))
-        b.get_or_propose(_key("zeta q"), lambda: _decision("A B"))
-        pa, pb = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-        a.save(pa)
-        b.save(pb)
-        assert pa.read_bytes() == pb.read_bytes()
-
-    def test_load_rejects_empty(self, tmp_path):
-        path = tmp_path / "empty.jsonl"
-        path.write_text("", encoding="utf-8")
-        with pytest.raises(CacheFormatError, match="empty"):
-            SurrogateCache.load(path)
-
-    def test_load_rejects_wrong_format(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text('{"format": "something-else", "version": 1}\n', encoding="utf-8")
-        with pytest.raises(CacheFormatError, match="not a surrogate cache"):
-            SurrogateCache.load(path)
-
-    def test_load_rejects_unknown_version(self, tmp_path):
-        path = tmp_path / "bad.jsonl"
-        path.write_text(
-            '{"format": "piisub-surrogate-cache", "version": 99}\n', encoding="utf-8"
-        )
-        with pytest.raises(CacheFormatError, match="version"):
-            SurrogateCache.load(path)
-
-    def test_load_reports_bad_record_line(self, tmp_path):
-        cache = SurrogateCache()
-        cache.get_or_propose(_key(), _decision)
-        path = tmp_path / "cache.jsonl"
-        cache.save(path)
-        path.write_text(path.read_text(encoding="utf-8") + "{not json}\n", encoding="utf-8")
-        with pytest.raises(CacheFormatError, match="line 3"):
-            SurrogateCache.load(path)
-
-
-def test_decision_json_round_trip():
-    decision = SurrogateDecision(
-        "Fallback Person",
-        Source.FALLBACK_FAKE,
-        rejection_reasons=(RejectionReason.IDENTITY, RejectionReason.EMPTY),
-    )
-    assert decision_from_json_dict(decision_to_json_dict(decision)) == decision

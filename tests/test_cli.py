@@ -98,6 +98,18 @@ class TestRun:
         assert main(["run", "--mode", "redact", "--no-ppl"]) == 0
         assert run_dirs(tmp_path / "env-results")
 
+    def test_fake_secret_from_environment(self, corpus_file, tmp_path, monkeypatch):
+        args = ["run", "--mode", "faker", "--corpus", str(corpus_file), "--no-ppl"]
+        assert main([*args, "--out", str(tmp_path / "plain")]) == 0
+        monkeypatch.setenv("PIISUB_FAKE_SECRET", "env-secret-91c2")
+        assert main([*args, "--out", str(tmp_path / "keyed")]) == 0
+        [plain] = run_dirs(tmp_path / "plain")
+        [keyed] = run_dirs(tmp_path / "keyed")
+        assert keyed.name == plain.name
+        assert (keyed / "results.json").read_bytes() != (plain / "results.json").read_bytes()
+        for path in keyed.iterdir():
+            assert b"env-secret-91c2" not in path.read_bytes()
+
     def test_config_file_supplies_defaults(self, corpus_file, tmp_path):
         config = tmp_path / "config.json"
         config.write_text(

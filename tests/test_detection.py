@@ -1,18 +1,13 @@
 import sys
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from piisub.detection import (
     DetectorProtocolError,
     DetectorUnavailable,
     ExternalDetector,
-    TaggedToken,
-    decode_bioes,
     detect_oracle,
     detect_rules,
-    encode_bioes,
     resolve_overlaps,
     validate_spans,
 )
@@ -95,82 +90,6 @@ class TestValidateSpans:
     def test_surface_mismatch_rejected(self):
         with pytest.raises(ValueError, match="mismatch"):
             validate_spans("abcd", [PiiSpan(0, 3, Label.PERSON, "xyz")])
-
-
-class TestBioes:
-    def test_decode_simple(self):
-        tokens = [
-            TaggedToken("Walter", 0, 6, "B-PERSON"),
-            TaggedToken("Abernathy", 7, 16, "E-PERSON"),
-            TaggedToken("called", 17, 23, "O"),
-        ]
-        (span,) = decode_bioes(tokens)
-        assert (span.start, span.end, span.label) == (0, 16, Label.PERSON)
-        assert span.surface == "Walter Abernathy"
-
-    def test_orphan_inside_starts_span(self):
-        tokens = [TaggedToken("x", 0, 1, "I-DATE")]
-        (span,) = decode_bioes(tokens)
-        assert span.label is Label.DATE
-
-    def test_orphan_end_is_single(self):
-        tokens = [
-            TaggedToken("a", 0, 1, "O"),
-            TaggedToken("b", 2, 3, "E-PHONE"),
-        ]
-        (span,) = decode_bioes(tokens)
-        assert (span.start, span.end) == (2, 3)
-
-    def test_label_switch_mid_span_closes(self):
-        tokens = [
-            TaggedToken("a", 0, 1, "B-PERSON"),
-            TaggedToken("b", 2, 3, "I-DATE"),
-        ]
-        spans = decode_bioes(tokens)
-        assert [(s.label, s.start) for s in spans] == [
-            (Label.PERSON, 0),
-            (Label.DATE, 2),
-        ]
-
-    def test_unordered_tokens_rejected(self):
-        tokens = [
-            TaggedToken("b", 5, 6, "O"),
-            TaggedToken("a", 0, 1, "O"),
-        ]
-        with pytest.raises(ValueError):
-            decode_bioes(tokens)
-
-    def test_malformed_tag_rejected(self):
-        with pytest.raises(ValueError):
-            decode_bioes([TaggedToken("a", 0, 1, "Q-PERSON")])
-
-    @settings(max_examples=60)
-    @given(st.data())
-    def test_encode_decode_round_trip(self, data):
-        words = data.draw(
-            st.lists(st.text("abcdef", min_size=1, max_size=5), min_size=1, max_size=12)
-        )
-        text = " ".join(words)
-        # token offsets
-        offsets, pos = [], 0
-        for w in words:
-            offsets.append((pos, pos + len(w)))
-            pos += len(w) + 1
-        # pick non-overlapping token-aligned spans
-        n = len(words)
-        spans = []
-        i = 0
-        while i < n:
-            if data.draw(st.booleans()):
-                j = data.draw(st.integers(min_value=i, max_value=min(n - 1, i + 2)))
-                label = data.draw(st.sampled_from(list(Label)))
-                start, end = offsets[i][0], offsets[j][1]
-                spans.append(PiiSpan(start, end, label, text[start:end]))
-                i = j + 1
-            else:
-                i += 1
-        decoded = decode_bioes(encode_bioes(text, spans))
-        assert decoded == spans
 
 
 class TestRules:

@@ -1,5 +1,6 @@
 """Shape and determinism of the seeded fake-value generator."""
 
+import random
 import re
 
 import pytest
@@ -7,64 +8,73 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from piisub.detection import detect_rules
-from piisub.fakegen import FakeGenState, StreamPolicy, fake_value
+from piisub.fakegen import draw_seed, fake_value
 from piisub.locales import DateFormat, Locale, classify_date_format, classify_locale
-from piisub.model import Label
+from piisub.model import CacheKey, Label, Mode
+from piisub.prompting import stable_seed
 
 ALL_LOCALES = list(Locale)
 
 
-def fresh(record_id="doc-1", policy=StreamPolicy.PER_DOCUMENT):
-    return FakeGenState.for_record(record_id, policy)
+def fresh(name="doc-1"):
+    return random.Random(stable_seed(name))
+
+
+def key(canonical="walter abernathy", label=Label.PERSON, mode=Mode.FAKER, family="faker"):
+    return CacheKey(mode=mode, family=family, canonical=canonical, label=label)
+
+
+def draw(k, locale=Locale.EN):
+    return fake_value(k.label, locale, random.Random(draw_seed(k)))
 
 
 class TestDeterminism:
-    def test_same_record_same_sequence(self):
-        seq_a = [fake_value(Label.PERSON, Locale.EN, fresh()) for _ in range(1)]
-        state_a, state_b = fresh(), fresh()
-        for _ in range(20):
-            assert fake_value(Label.PERSON, Locale.EN, state_a) == fake_value(
-                Label.PERSON, Locale.EN, state_b
+    def test_same_key_same_value(self):
+        assert draw_seed(key()) == draw_seed(key())
+        assert draw(key()) == draw(key())
+        for label in Label:
+            assert draw(key(label=label)) == draw(key(label=label))
+
+    def test_different_keys_diverge(self):
+        seeds = {
+            draw_seed(k)
+            for k in (
+                key(),
+                key(canonical="walter abernathy."),
+                key(label=Label.ADDRESS),
+                key(mode=Mode.HYBRID),
+                key(family="mock-pool"),
+                # the fields are kept apart, not joined into one string
+                key(family="command:x", canonical="y"),
+                key(family="command", canonical="x:y"),
             )
-        assert seq_a[0] == fake_value(Label.PERSON, Locale.EN, fresh())
+        }
+        assert len(seeds) == 7
+        values = [draw(key(canonical=f"person {i}")) for i in range(20)]
+        assert len(set(values)) > 10
 
-    def test_different_records_diverge(self):
-        draws_a = [fake_value(Label.PERSON, Locale.EN, fresh("a")) for _ in range(5)]
-        draws_b = [fake_value(Label.PERSON, Locale.EN, fresh("b")) for _ in range(5)]
-        assert draws_a != draws_b
+    def test_secret_keys_every_seed(self):
+        keys = [key(canonical=f"person {i}") for i in range(20)]
+        unkeyed = {draw_seed(k) for k in keys}
+        assert {draw_seed(k, b"") for k in keys} == unkeyed
+        seen = set(unkeyed)
+        for secret in (b"s3cret", b"s3creT", b"\0"):
+            keyed = [draw_seed(k, secret) for k in keys]
+            assert keyed == [draw_seed(k, secret) for k in keys]
+            assert not seen & set(keyed)
+            seen.update(keyed)
 
-    def test_per_document_policy_shares_one_stream(self):
-        state = fresh()
-        assert state.rng_for(Label.PERSON) is state.rng_for(Label.PHONE)
-        # a PHONE draw must advance the stream PERSON reads from; compare
-        # generator states because offset readers of the same word sequence
-        # can coalesce back to identical values
-        plain = fresh()
-        shifted = fresh()
-        fake_value(Label.PERSON, Locale.EN, plain)
-        fake_value(Label.PERSON, Locale.EN, shifted)
-        person_rng = plain.rng_for(Label.PERSON)
-        assert person_rng.getstate() == shifted.rng_for(Label.PERSON).getstate()
-        fake_value(Label.PHONE, Locale.EN, shifted)
-        assert person_rng.getstate() != shifted.rng_for(Label.PERSON).getstate()
-
-    def test_independent_policy_isolates_labels(self):
-        plain = fresh(policy=StreamPolicy.INDEPENDENT)
-        shifted = fresh(policy=StreamPolicy.INDEPENDENT)
-        fake_value(Label.PERSON, Locale.EN, plain)
-        fake_value(Label.PERSON, Locale.EN, shifted)
-        fake_value(Label.PHONE, Locale.EN, shifted)
-        assert fake_value(Label.PERSON, Locale.EN, plain) == fake_value(
-            Label.PERSON, Locale.EN, shifted
-        )
-
-    def test_draw_counters(self):
-        state = fresh()
-        fake_value(Label.PERSON, Locale.EN, state)
-        fake_value(Label.PERSON, Locale.EN, state)
-        fake_value(Label.DATE, Locale.EN, state)
-        assert state.counters[Label.PERSON] == 2
-        assert state.counters[Label.DATE] == 1
+    @given(st.permutations(range(12)))
+    def test_value_does_not_depend_on_other_keys_draws(self, order):
+        keys = [key(canonical=f"entity {i}", label=list(Label)[i % 8]) for i in range(12)]
+        alone = [draw(k) for k in keys]
+        # one shared pass in another order, with extra draws between keys
+        shared = {}
+        noise = fresh("noise")
+        for i in order:
+            fake_value(Label.PHONE, Locale.EN, noise)
+            shared[i] = draw(keys[i])
+        assert [shared[i] for i in range(12)] == alone
 
 
 class TestShapes:

@@ -1,11 +1,13 @@
 """Mode dispatch, model fallback paths, and the text splicer."""
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piisub.backends import BackendInvocationError, SlmBackend
-from piisub.fakegen import FakeGenState
+from piisub.fakegen import draw_seed, fake_value
 from piisub.generation import (
     SpliceOverlap,
     dispatch,
@@ -13,13 +15,14 @@ from piisub.generation import (
     slm_propose,
     splice,
 )
-from piisub.model import Label, Mode, PiiSpan, RejectionReason, Source
+from piisub.locales import Locale
+from piisub.model import CacheKey, Label, Mode, PiiSpan, RejectionReason, Source
 from piisub.pools import builtin_catalog
 from piisub.prompting import DemoStrategy
 
 
-def state():
-    return FakeGenState.for_record("test-doc")
+def key(label, mode=Mode.HYBRID):
+    return CacheKey(mode=mode, family="test", canonical="test entity", label=label)
 
 
 class ScriptedBackend(SlmBackend):
@@ -54,10 +57,9 @@ class TestSlmPropose:
         backend = ScriptedBackend([" Maria Lind"])
         decision = slm_propose(
             "Walter Abernathy",
-            Label.PERSON,
+            key(Label.PERSON),
             backend=backend,
             catalog=builtin_catalog(),
-            state=state(),
         )
         assert decision.surrogate == "Maria Lind"
         assert decision.source is Source.SLM
@@ -68,10 +70,9 @@ class TestSlmPropose:
         backend = ScriptedBackend([" Maria Lind"])
         slm_propose(
             "Walter Abernathy",
-            Label.PERSON,
+            key(Label.PERSON),
             backend=backend,
             catalog=builtin_catalog(),
-            state=state(),
         )
         prompt = backend.prompts[0]
         assert prompt.endswith("Real: Walter Abernathy\nFake:")
@@ -90,10 +91,9 @@ class TestSlmPropose:
         backend = ScriptedBackend([completion])
         decision = slm_propose(
             "Walter Abernathy",
-            Label.PERSON,
+            key(Label.PERSON),
             backend=backend,
             catalog=builtin_catalog(),
-            state=state(),
         )
         assert decision.source is Source.FALLBACK_FAKE
         assert decision.rejection_reasons == (reason,)
@@ -104,10 +104,9 @@ class TestSlmPropose:
         backend = ScriptedBackend([BackendInvocationError("boom")])
         decision = slm_propose(
             "Walter Abernathy",
-            Label.PERSON,
+            key(Label.PERSON),
             backend=backend,
             catalog=builtin_catalog(),
-            state=state(),
         )
         assert decision.source is Source.FALLBACK_FAKE
         assert decision.rejection_reasons == (RejectionReason.EMPTY,)
@@ -116,10 +115,9 @@ class TestSlmPropose:
         backend = ScriptedBackend([])
         decision = slm_propose(
             "line\nbreak",
-            Label.PERSON,
+            key(Label.PERSON),
             backend=backend,
             catalog=builtin_catalog(),
-            state=state(),
         )
         assert decision.source is Source.FALLBACK_FAKE
         assert backend.prompts == []
@@ -128,10 +126,9 @@ class TestSlmPropose:
         backend = ScriptedBackend([" Leaky Name"])
         decision = slm_propose(
             "Walter Abernathy",
-            Label.PERSON,
+            key(Label.PERSON),
             backend=backend,
             catalog=builtin_catalog(),
-            state=state(),
             blocked=frozenset(["Leaky Name"]),
         )
         assert decision.source is Source.FALLBACK_FAKE
@@ -143,18 +140,16 @@ class TestSlmPropose:
         catalog = builtin_catalog()
         first = slm_propose(
             "Walter Abernathy",
-            Label.PERSON,
+            key(Label.PERSON),
             backend=backend,
             catalog=catalog,
-            state=state(),
             strategy=DemoStrategy.FIXED_THREE,
         )
         slm_propose(
             "佐藤健",
-            Label.PERSON,
+            key(Label.PERSON),
             backend=backend,
             catalog=catalog,
-            state=state(),
             strategy=DemoStrategy.FIXED_THREE,
         )
         pilot_ids = tuple(d.id for d in catalog.pilot_demos(Label.PERSON))
@@ -166,33 +161,30 @@ class TestSlmPropose:
         backend = ScriptedBackend([" 高橋一郎"])
         decision = slm_propose(
             "田中さくら",
-            Label.PERSON,
+            key(Label.PERSON),
             backend=backend,
             catalog=builtin_catalog(),
-            state=state(),
         )
         assert all(did.startswith("person/ja/") for did in decision.demos_used)
 
 
 class TestDispatch:
     def test_redact_mode_never_touches_backend(self):
-        decision = dispatch("Walter Abernathy", Label.PERSON, Mode.REDACT, state=state())
+        decision = dispatch("Walter Abernathy", key(Label.PERSON, Mode.REDACT))
         assert decision.surrogate == "[PERSON]"
         assert decision.source is Source.REDACT
         assert decision.demos_used == ()
 
     def test_faker_mode_all_fake(self):
         for label in Label:
-            decision = dispatch("some value", label, Mode.FAKER, state=state())
+            decision = dispatch("some value", key(label, Mode.FAKER))
             assert decision.source is Source.FAKE
 
     def test_hybrid_routes_slm_labels_to_model(self):
         backend = ScriptedBackend([" Maria Lind"])
         decision = dispatch(
             "Walter Abernathy",
-            Label.PERSON,
-            Mode.HYBRID,
-            state=state(),
+            key(Label.PERSON, Mode.HYBRID),
             backend=backend,
             catalog=builtin_catalog(),
         )
@@ -202,9 +194,7 @@ class TestDispatch:
         backend = ScriptedBackend([])
         decision = dispatch(
             "walter@example.com",
-            Label.EMAIL,
-            Mode.HYBRID,
-            state=state(),
+            key(Label.EMAIL, Mode.HYBRID),
             backend=backend,
             catalog=builtin_catalog(),
         )
@@ -213,20 +203,54 @@ class TestDispatch:
 
     def test_hybrid_requires_backend_and_catalog(self):
         with pytest.raises(ValueError, match="hybrid"):
-            dispatch("Walter A", Label.PERSON, Mode.HYBRID, state=state())
+            dispatch("Walter A", key(Label.PERSON, Mode.HYBRID))
 
     def test_fake_draw_avoids_identity_and_guard(self):
-        # force the guard to exclude early draws; the draw must keep going
-        s = state()
-        probe = dispatch("x", Label.PERSON, Mode.FAKER, state=FakeGenState.for_record("test-doc"))
+        # force the guard to exclude the first draw; the redraw reads on
+        # from the same seeded stream
+        probe = dispatch("x", key(Label.PERSON, Mode.FAKER))
         decision = dispatch(
             "x",
-            Label.PERSON,
-            Mode.FAKER,
-            state=s,
+            key(Label.PERSON, Mode.FAKER),
             blocked=frozenset([probe.surrogate]),
         )
-        assert decision.surrogate != probe.surrogate
+        rng = random.Random(draw_seed(key(Label.PERSON, Mode.FAKER)))
+        draws = [fake_value(Label.PERSON, Locale.EN, rng) for _ in range(2)]
+        assert probe.surrogate == draws[0]
+        assert decision.surrogate == draws[1] != probe.surrogate
+
+    def test_every_fake_path_draws_from_the_keyed_stream(self):
+        secret = b"k3y"
+
+        def keyed_first_draw(k):
+            rng = random.Random(draw_seed(k, secret))
+            return fake_value(k.label, Locale.EN, rng)
+
+        direct = dispatch("x", key(Label.PERSON, Mode.FAKER), fake_secret=secret)
+        assert direct.surrogate == keyed_first_draw(key(Label.PERSON, Mode.FAKER))
+        structured = dispatch(
+            "x",
+            key(Label.EMAIL),
+            backend=ScriptedBackend([]),
+            catalog=builtin_catalog(),
+            fake_secret=secret,
+        )
+        assert structured.surrogate == keyed_first_draw(key(Label.EMAIL))
+        fallback = dispatch(
+            "Walter Abernathy",
+            key(Label.PERSON),
+            backend=ScriptedBackend([BackendInvocationError("down")]),
+            catalog=builtin_catalog(),
+            fake_secret=secret,
+        )
+        assert fallback.source is Source.FALLBACK_FAKE
+        assert fallback.surrogate == keyed_first_draw(key(Label.PERSON))
+        assert fallback.surrogate != dispatch(
+            "Walter Abernathy",
+            key(Label.PERSON),
+            backend=ScriptedBackend([BackendInvocationError("down")]),
+            catalog=builtin_catalog(),
+        ).surrogate
 
     def test_fake_redraw_exhaustion(self, monkeypatch):
         import piisub.generation as generation
@@ -238,9 +262,7 @@ class TestDispatch:
         with pytest.raises(RuntimeError, match="no clean fake value"):
             dispatch(
                 "x",
-                Label.PERSON,
-                Mode.FAKER,
-                state=state(),
+                key(Label.PERSON, Mode.FAKER),
                 blocked=frozenset(["Constant Name"]),
             )
 

@@ -364,8 +364,8 @@ class TestPerceptronMatchesReference:
 
 
 def test_frozen_scores_of_a_small_experiment():
-    # recorded with the dict-of-dicts perceptron and per-pass features; a
-    # change in the order of the float sums would move these values
+    # a change in the order of the float sums, or in the fake values the
+    # faker variant trains on, would move these values
     corpus = synth_corpus(40, seed=4)
     variants = {"original": corpus}
     for mode in (Mode.FAKER, Mode.REDACT):
@@ -381,9 +381,9 @@ def test_frozen_scores_of_a_small_experiment():
             [0.9400000000000001, 0.9292929292929293, 0.9423076923076923],
         ),
         "faker": (
-            [1.0, 0.9761904761904762, 0.975],
-            [0.8301886792452831, 0.803921568627451, 0.7647058823529411],
-            [0.9072164948453608, 0.8817204301075269, 0.857142857142857],
+            [1.0, 0.975, 0.9487179487179487],
+            [0.660377358490566, 0.7647058823529411, 0.7254901960784313],
+            [0.7954545454545454, 0.857142857142857, 0.8222222222222223],
         ),
         "redact": ([0.0, 0.0, 0.0], [0.0, 0.0, 0.0], [0.0, 0.0, 0.0]),
     }

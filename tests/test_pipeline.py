@@ -9,6 +9,7 @@ from piisub.corpus import synth_corpus
 from piisub.metrics import CharNgramScorer
 from piisub.model import CorpusRecord, Label, Mode, Source, ci_contains
 from piisub.pipeline import (
+    EXECUTION_FIELDS,
     RunConfig,
     compute_metrics,
     corpus_fingerprint,
@@ -63,6 +64,29 @@ class TestRunIdentity:
         assert a == b
         assert a != c
         assert len(a) == 12
+
+    def test_run_id_ignores_execution_settings(self, corpus):
+        base = derive_run_id(RunConfig(mode=Mode.HYBRID), corpus)
+        tuned = RunConfig(mode=Mode.HYBRID, parallelism=8, max_inflight=4)
+        assert derive_run_id(tuned, corpus) == base
+        recorded = tuned.to_json_dict()
+        assert not EXECUTION_FIELDS & set(recorded)
+        assert recorded["mode"] == "hybrid"
+        assert recorded["demo_strategy"] == "rotating_locale"
+        assert "run_id" not in recorded
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"backend_timeout": 1.5}, {"failure_threshold": 2}, {"detector_timeout": 2.5}],
+        ids=lambda s: next(iter(s)),
+    )
+    def test_run_id_keeps_settings_that_can_change_outputs(self, corpus, setting):
+        # with a slow backend or detector these decide which calls fail
+        config = RunConfig(mode=Mode.HYBRID, **setting)
+        assert set(setting) <= set(config.to_json_dict())
+        assert derive_run_id(config, corpus) != derive_run_id(
+            RunConfig(mode=Mode.HYBRID), corpus
+        )
 
     def test_explicit_run_id_wins(self, corpus):
         config = RunConfig(mode=Mode.REDACT, run_id="my-run")
@@ -204,14 +228,93 @@ class TestCacheBehavior:
         assert all(len(s) == 1 for s in by_key.values())
 
 
-class TestParallelism:
-    def test_parallel_matches_serial(self, corpus):
-        # run ids differ (worker count is part of the config fingerprint);
-        # the documents and cache traffic must not
-        serial = run(corpus, Mode.HYBRID).to_json_dict()
-        parallel = run(corpus, Mode.HYBRID, parallelism=4).to_json_dict()
-        for key in ("documents", "proposals_made", "cache_hits"):
-            assert serial[key] == parallel[key]
+@pytest.fixture(scope="module")
+def shared_corpus():
+    # large enough that many entities recur across documents
+    return synth_corpus(300, seed=3)
+
+
+def documents_by_id(results):
+    return {d.record.id: d.to_json_dict() for d in results.documents}
+
+
+class TestOrderIndependence:
+    """Every decision is a pure function of its cache key, so neither the
+    worker count, nor the record order, nor sharding can change a document."""
+
+    @pytest.fixture(scope="class")
+    def serial_dirs(self, shared_corpus, tmp_path_factory):
+        out = tmp_path_factory.mktemp("serial")
+        return {
+            mode: persist_run(run(shared_corpus, mode), out, with_perplexity=False)
+            for mode in Mode
+        }
+
+    @pytest.mark.parametrize("parallelism", [2, 8])
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_parallel_equals_serial(
+        self, shared_corpus, serial_dirs, mode, parallelism, tmp_path
+    ):
+        results = run(shared_corpus, mode, parallelism=parallelism)
+        run_dir = persist_run(results, tmp_path, with_perplexity=False)
+        serial_dir = serial_dirs[mode]
+        assert run_dir.name == serial_dir.name
+        for name in ("results.json", "metrics.json"):
+            assert (run_dir / name).read_bytes() == (serial_dir / name).read_bytes()
+        timings = json.loads((run_dir / "timings.json").read_text(encoding="utf-8"))
+        assert timings["execution"]["parallelism"] == parallelism
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_reversed_order_keeps_each_document(self, mode):
+        corpus = synth_corpus(100, seed=3)
+        forward = documents_by_id(run(corpus, mode))
+        backward = documents_by_id(run(corpus[::-1], mode))
+        assert backward == forward
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_shards_equal_the_whole_run(self, mode):
+        # the leak guard blocks the whole input corpus, so a shard's guard
+        # differs from the whole run's; with it off nothing else may
+        corpus = synth_corpus(100, seed=3)
+        whole = documents_by_id(run(corpus, mode, leak_guard=False))
+        shards = {}
+        for shard in (corpus[:50], corpus[50:]):
+            shards.update(documents_by_id(run(shard, mode, leak_guard=False)))
+        assert shards == whole
+
+
+class TestFakeSecret:
+    """The secret keys every fake draw but stays out of the run's identity
+    and files, and a keyed run is as order-independent as an unkeyed one."""
+
+    SECRET = b"test-secret-7f3a"
+
+    def test_secret_changes_the_fakes_only(self, corpus, tmp_path):
+        plain = run(corpus, Mode.FAKER)
+        keyed = run_corpus(corpus, RunConfig(mode=Mode.FAKER), fake_secret=self.SECRET)
+        assert keyed.run_id == plain.run_id
+        pairs = [
+            (a.decision.surrogate, b.decision.surrogate)
+            for da, db in zip(plain.documents, keyed.documents)
+            for a, b in zip(da.groups, db.groups)
+        ]
+        assert pairs
+        assert sum(a != b for a, b in pairs) > len(pairs) // 2
+        run_dir = persist_run(keyed, tmp_path, with_perplexity=False)
+        for path in run_dir.iterdir():
+            assert self.SECRET not in path.read_bytes()
+        redact = run_corpus(corpus, RunConfig(mode=Mode.REDACT), fake_secret=self.SECRET)
+        assert documents_by_id(redact) == documents_by_id(run(corpus, Mode.REDACT))
+
+    @pytest.mark.parametrize("mode", [Mode.FAKER, Mode.HYBRID], ids=lambda m: m.value)
+    def test_keyed_parallel_equals_keyed_serial(self, shared_corpus, mode):
+        serial = run_corpus(shared_corpus, RunConfig(mode=mode), fake_secret=self.SECRET)
+        parallel = run_corpus(
+            shared_corpus[::-1],
+            RunConfig(mode=mode, parallelism=4),
+            fake_secret=self.SECRET,
+        )
+        assert documents_by_id(parallel) == documents_by_id(serial)
 
 
 class TestErrorIsolation:
