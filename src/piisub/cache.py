@@ -3,9 +3,10 @@
 The cache is the consistency mechanism: every mention of an entity resolves
 to one key, and the decision for that key is reused everywhere. Under
 concurrent callers `get_or_propose` guarantees at most one proposer call per
-key, so no backend call is made twice; losers block on an event and read the
-winner's decision. A proposer failure wakes the waiters, one of which becomes
-the new owner, so a transient backend error does not poison the key.
+key, so no backend call is made twice; losers wait on the cache's one
+condition until the key leaves the in-flight set, then read the winner's
+decision. A proposer failure wakes the waiters, one of which becomes the new
+owner, so a transient backend error does not poison the key.
 """
 
 from __future__ import annotations
@@ -49,23 +50,14 @@ class SurrogateCache:
 
     def __init__(self) -> None:
         self._lock = threading.Lock()
+        #: Notified whenever a key leaves the in-flight set.
+        self._changed = threading.Condition(self._lock)
         self._store: dict[CacheKey, SurrogateDecision] = {}
-        self._inflight: dict[CacheKey, threading.Event] = {}
-        #: Distinct keys whose decision this process proposed.
+        self._inflight: set[CacheKey] = set()
+        #: Distinct keys whose decision this cache proposed.
         self.proposals_made = 0
         #: Reads answered from the store.
         self.cache_hits = 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._store)
-
-    def get(self, key: CacheKey) -> SurrogateDecision | None:
-        with self._lock:
-            decision = self._store.get(key)
-            if decision is not None:
-                self.cache_hits += 1
-            return decision
 
     def get_or_propose(
         self, key: CacheKey, proposer: Callable[[], SurrogateDecision]
@@ -77,32 +69,26 @@ class SurrogateCache:
         nothing is cached, the error propagates to the owning caller, and a
         waiter retries as the new owner.
         """
-        while True:
-            with self._lock:
+        with self._lock:
+            while True:
                 cached = self._store.get(key)
                 if cached is not None:
                     self.cache_hits += 1
                     return cached
-                event = self._inflight.get(key)
-                if event is None:
-                    event = threading.Event()
-                    self._inflight[key] = event
-                    is_owner = True
-                else:
-                    is_owner = False
-            if not is_owner:
-                event.wait()
-                continue
-            try:
-                decision = proposer()
-            except BaseException:
-                with self._lock:
-                    self._inflight.pop(key, None)
-                event.set()
-                raise
+                if key not in self._inflight:
+                    break
+                self._changed.wait()
+            self._inflight.add(key)
+        try:
+            decision = proposer()
+        except BaseException:
             with self._lock:
-                self._store[key] = decision
-                self.proposals_made += 1
-                self._inflight.pop(key, None)
-            event.set()
-            return decision
+                self._inflight.discard(key)
+                self._changed.notify_all()
+            raise
+        with self._lock:
+            self._store[key] = decision
+            self.proposals_made += 1
+            self._inflight.discard(key)
+            self._changed.notify_all()
+        return decision

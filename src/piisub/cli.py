@@ -1,9 +1,15 @@
 """Command-line interface.
 
-Settings resolve in order: explicit flag, then config file (--config, JSON),
-then environment (PIISUB_RESULTS_DIR, PIISUB_CORPUS, PIISUB_POOL_FILE), then
-the built-in default. The fake-value secret is a credential, so it is read
-from the environment only (PIISUB_FAKE_SECRET, empty when unset).
+Every long option of `run` and `ner` except --config resolves the same way:
+the flag, else the config-file key of the same name (--config, a JSON
+object whose keys are the option names with underscores), else the
+environment for the corpus, results and pool-file options
+(PIISUB_CORPUS, PIISUB_RESULTS_DIR, PIISUB_POOL_FILE), else the default of
+the RunConfig field or experiment parameter it sets. Config and environment
+values are parsed as the option's own argument, so they go through its type
+and choices; a config key that names no option is an error. The fake-value
+secret is a credential, so it is read from the environment only
+(PIISUB_FAKE_SECRET, empty when unset).
 """
 
 from __future__ import annotations
@@ -12,10 +18,11 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 from typing import Sequence
 
-from .backends import DEFAULT_FAILURE_THRESHOLD, DEFAULT_TIMEOUT, BackendUnhealthy
+from .backends import BackendUnhealthy
 from .corpus import DEFAULT_LOCALE_MIX, load_corpus, save_corpus, synth_corpus
 from .detection import DetectorUnavailable
 from .model import CorpusRecord, Label, Mode
@@ -29,10 +36,26 @@ from .report import (
     regurgitation_table,
 )
 
-_ENV_RESULTS = "PIISUB_RESULTS_DIR"
-_ENV_CORPUS = "PIISUB_CORPUS"
-_ENV_POOLS = "PIISUB_POOL_FILE"
 _ENV_FAKE_SECRET = "PIISUB_FAKE_SECRET"
+
+#: Options the environment supplies when neither a flag nor the config does.
+_ENV_OPTIONS = {
+    "corpus": "PIISUB_CORPUS",
+    "out": "PIISUB_RESULTS_DIR",
+    "pool_file": "PIISUB_POOL_FILE",
+}
+
+#: The options whose RunConfig field has another name.
+_FIELD_OF_OPTION = {
+    "slm_backend": "backend_kind",
+    "slm_command": "backend_command",
+    "slm_timeout": "backend_timeout",
+}
+
+#: RunConfig fields an option sets under its own or a mapped name.
+_OPTION_FIELDS = {f.name for f in fields(RunConfig)} - {"mode", "run_id"}
+
+_NER_OPTIONS = ("train_size", "test_size", "seeds", "iterations")
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -44,21 +67,39 @@ def _load_config_file(path: str | None) -> dict:
     return data
 
 
-def _setting(
-    flag_value,
-    config: dict,
-    key: str,
-    *,
-    env: str | None = None,
-    default=None,
-):
-    if flag_value is not None:
-        return flag_value
-    if key in config:
-        return config[key]
-    if env and os.environ.get(env):
-        return os.environ[env]
-    return default
+def _fallback_args(
+    subparser: argparse.ArgumentParser, config_path: str | None
+) -> list[str]:
+    """Environment and config-file settings as `--option=value` arguments,
+    environment first, so that argparse lets the config override the
+    environment and any flag that follows override both."""
+    options = {
+        action.dest: action
+        for action in subparser._actions
+        if action.option_strings and action.dest not in ("help", "config")
+    }
+    out = [
+        f"--{name.replace('_', '-')}={os.environ[var]}"
+        for name, var in _ENV_OPTIONS.items()
+        if os.environ.get(var)
+    ]
+    for key, value in _load_config_file(config_path).items():
+        action = options.get(key)
+        if action is None:
+            raise SystemExit(
+                f"config key {key!r} names no option of {subparser.prog}"
+            )
+        flag = action.option_strings[0]
+        if action.nargs == 0:
+            if not isinstance(value, bool):
+                raise SystemExit(f"config key {key!r} must be true or false")
+            if value:
+                out.append(flag)
+        elif isinstance(value, (str, int, float)) and not isinstance(value, bool):
+            out.append(f"{flag}={value}")
+        else:
+            raise SystemExit(f"config key {key!r} must be a string or a number")
+    return out
 
 
 def _fake_secret() -> bytes:
@@ -90,64 +131,34 @@ def _parse_modes(text: str) -> list[Mode]:
         raise SystemExit(str(exc)) from None
 
 
+def _parse_seeds(text: str) -> list[int]:
+    return [int(part) for part in text.split(",") if part.strip()]
+
+
 def _run_config(
-    args: argparse.Namespace,
-    config: dict,
-    mode: Mode,
-    run_id: str | None = None,
+    args: argparse.Namespace, mode: Mode, run_id: str | None = None
 ) -> RunConfig:
-    return RunConfig(
-        mode=mode,
-        backend_kind=_setting(args.slm_backend, config, "slm_backend", default="mock-pool"),
-        backend_command=_setting(args.slm_command, config, "slm_command"),
-        prompt_via=_setting(args.prompt_via, config, "prompt_via", default="arg"),
-        backend_timeout=float(
-            _setting(args.slm_timeout, config, "slm_timeout", default=DEFAULT_TIMEOUT)
-        ),
-        failure_threshold=int(
-            _setting(
-                args.failure_threshold,
-                config,
-                "failure_threshold",
-                default=DEFAULT_FAILURE_THRESHOLD,
-            )
-        ),
-        max_inflight=int(_setting(args.max_inflight, config, "max_inflight", default=1)),
-        demo_strategy=DemoStrategy(
-            _setting(
-                args.demo_strategy, config, "demo_strategy", default="rotating_locale"
-            )
-        ),
-        placeholder_prefix=_setting(
-            args.placeholder_prefix, config, "placeholder_prefix", default=""
-        ),
-        detector=_setting(args.detector, config, "detector", default="oracle"),
-        detector_command=_setting(args.detector_command, config, "detector_command"),
-        detector_url=_setting(args.detector_url, config, "detector_url"),
-        detector_timeout=float(
-            _setting(args.detector_timeout, config, "detector_timeout", default=30.0)
-        ),
-        pool_file=_setting(args.pool_file, config, "pool_file", env=_ENV_POOLS),
-        leak_guard=not args.no_leak_guard,
-        parallelism=int(_setting(args.parallelism, config, "parallelism", default=1)),
-        run_id=run_id if run_id is not None else args.run_id,
-    )
+    """The RunConfig of the settings that were given; the rest keep the
+    field defaults."""
+    given = {}
+    for name, value in vars(args).items():
+        field_name = _FIELD_OF_OPTION.get(name, name)
+        if field_name in _OPTION_FIELDS and value is not None:
+            given[field_name] = value
+    if args.no_leak_guard:
+        given["leak_guard"] = False
+    return RunConfig(mode=mode, run_id=run_id, **given)
 
 
-def _corpus_path(args: argparse.Namespace, config: dict) -> str:
-    path = _setting(args.corpus, config, "corpus", env=_ENV_CORPUS)
-    if not path:
+def _corpus_path(args: argparse.Namespace) -> str:
+    if not args.corpus:
         raise SystemExit("no corpus given (use --corpus, config, or PIISUB_CORPUS)")
-    return path
-
-
-def _out_dir(args: argparse.Namespace, config: dict) -> str:
-    return _setting(args.out, config, "out", env=_ENV_RESULTS, default="results")
+    return args.corpus
 
 
 def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--corpus", help="corpus file (line-delimited JSON)")
-    sub.add_argument("--config", help="JSON config file with defaults")
+    sub.add_argument("--config", help="JSON config file; keys are option names")
     sub.add_argument(
         "--slm-backend", choices=["mock-pool", "mock-echo-demo", "command"]
     )
@@ -156,7 +167,11 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--slm-timeout", type=float)
     sub.add_argument("--failure-threshold", type=int)
     sub.add_argument("--max-inflight", type=int)
-    sub.add_argument("--demo-strategy", choices=[s.value for s in DemoStrategy])
+    sub.add_argument(
+        "--demo-strategy",
+        type=DemoStrategy,
+        metavar="{" + ",".join(s.value for s in DemoStrategy) + "}",
+    )
     sub.add_argument("--placeholder-prefix")
     sub.add_argument("--detector", choices=["oracle", "rules", "external"])
     sub.add_argument("--detector-command")
@@ -166,7 +181,8 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--no-leak-guard", action="store_true")
     sub.add_argument("--parallelism", type=int)
     sub.add_argument("--run-id")
-    sub.add_argument("--out", help="results directory")
+    sub.add_argument("--out", default="results", help="results directory")
+    sub.set_defaults(subparser=sub)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
@@ -178,9 +194,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    records = load_corpus(_corpus_path(args, config))
-    out_dir = _out_dir(args, config)
+    records = load_corpus(_corpus_path(args))
     metrics_by_mode: dict[str, dict] = {}
     modes = _parse_modes(args.mode)
     for mode in modes:
@@ -188,10 +202,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
         if run_id and len(modes) > 1:
             # an explicit id must not make the modes clobber one run directory
             run_id = f"{run_id}-{mode.value}"
-        run_config = _run_config(args, config, mode, run_id=run_id)
+        run_config = _run_config(args, mode, run_id)
         results = run_corpus(records, run_config, fake_secret=_fake_secret())
         metrics = compute_metrics(results, with_perplexity=not args.no_ppl)
-        run_dir = persist_run(results, out_dir, metrics=metrics)
+        run_dir = persist_run(results, args.out, metrics=metrics)
         metrics_by_mode[mode.value] = metrics.to_json_dict()
         print(f"{mode.value}: run {results.run_id} -> {run_dir}")
         if results.failed_documents:
@@ -227,11 +241,10 @@ def _transformed_records(records, results) -> list[CorpusRecord]:
 
 
 def _cmd_ner(args: argparse.Namespace) -> int:
-    config = _load_config_file(args.config)
-    records = load_corpus(_corpus_path(args, config))
+    records = load_corpus(_corpus_path(args))
     variants: dict[str, list] = {"original": list(records)}
     for mode in _parse_modes(args.mode):
-        run_config = _run_config(args, config, mode)
+        run_config = _run_config(args, mode)
         results = run_corpus(records, run_config, fake_secret=_fake_secret())
         variants[mode.value] = _transformed_records(records, results)
     # drop any index that failed in any variant so corpora stay parallel
@@ -245,16 +258,14 @@ def _cmd_ner(args: argparse.Namespace) -> int:
         for name, docs in variants.items():
             variants[name] = [d for i, d in enumerate(docs) if i not in bad]
         print(f"dropped {len(bad)} failed document(s)", file=sys.stderr)
-    seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
-    report = run_ner_experiment(
-        variants,
-        train_size=args.train_size,
-        test_size=args.test_size,
-        seeds=seeds,
-        iterations=args.iterations,
-    )
+    experiment = {
+        name: getattr(args, name)
+        for name in _NER_OPTIONS
+        if getattr(args, name) is not None
+    }
+    report = run_ner_experiment(variants, **experiment)
     payload = report.to_json_dict()
-    out_dir = Path(_out_dir(args, config))
+    out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_file = out_dir / "ner.json"
     out_file.write_text(
@@ -327,10 +338,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ner = sub.add_parser("ner", help="train/test the tagger on mode variants")
     p_ner.add_argument("--mode", default="all")
-    p_ner.add_argument("--train-size", type=int, default=160)
-    p_ner.add_argument("--test-size", type=int, default=40)
-    p_ner.add_argument("--seeds", default="11,12,13,14,15")
-    p_ner.add_argument("--iterations", type=int, default=30)
+    p_ner.add_argument("--train-size", type=int)
+    p_ner.add_argument("--test-size", type=int)
+    p_ner.add_argument("--seeds", type=_parse_seeds, help="e.g. 11,12,13,14,15")
+    p_ner.add_argument("--iterations", type=int)
     _add_run_options(p_ner)
     p_ner.set_defaults(func=_cmd_ner)
 
@@ -351,7 +362,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
+    argv = list(sys.argv[1:] if argv is None else argv)
     args = parser.parse_args(argv)
+    if hasattr(args, "subparser"):
+        # The top-level parser takes no options, so argv[0] is the
+        # subcommand; the fallbacks go right after it, before every flag.
+        args = parser.parse_args(
+            [argv[0], *_fallback_args(args.subparser, args.config), *argv[1:]]
+        )
     try:
         return args.func(args)
     except (BackendUnhealthy, DetectorUnavailable) as exc:

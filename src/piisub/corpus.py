@@ -458,22 +458,19 @@ TEMPLATES: dict[str, _Template] = {
 }
 
 
-def _allocate(n: int, mix: dict[str, float]) -> list[str]:
-    """Largest-remainder allocation of n records over the locale mix."""
-    total = sum(mix.values())
-    if total <= 0:
-        raise ValueError("locale mix weights must sum to a positive value")
-    locales = sorted(mix)
-    shares = {loc: n * mix[loc] / total for loc in locales}
-    counts = {loc: int(shares[loc]) for loc in locales}
+def largest_remainder(n: int, weights: dict[str, float]) -> dict[str, int]:
+    """Split n into whole counts in proportion to the weights: every key gets
+    the floor of its share, and the units left over go to the largest
+    remainders, ties broken by key. Keys come out sorted."""
+    total = sum(weights.values())
+    keys = sorted(weights)
+    shares = {key: n * weights[key] / total for key in keys}
+    counts = {key: int(shares[key]) for key in keys}
     shortfall = n - sum(counts.values())
-    by_remainder = sorted(locales, key=lambda loc: (-(shares[loc] - counts[loc]), loc))
-    for loc in by_remainder[:shortfall]:
-        counts[loc] += 1
-    out: list[str] = []
-    for loc in locales:
-        out.extend([loc] * counts[loc])
-    return out
+    by_remainder = sorted(keys, key=lambda key: (-(shares[key] - counts[key]), key))
+    for key in by_remainder[:shortfall]:
+        counts[key] += 1
+    return counts
 
 
 def synth_corpus(
@@ -487,8 +484,12 @@ def synth_corpus(
     unknown = set(mix) - set(_PHONE_CC)
     if unknown:
         raise ValueError(f"unsupported locales in mix: {sorted(unknown)}")
+    if sum(mix.values()) <= 0:
+        raise ValueError("locale mix weights must sum to a positive value")
     rng = random.Random(seed)
-    locales = _allocate(n, mix)
+    locales = [
+        loc for loc, count in largest_remainder(n, mix).items() for _ in range(count)
+    ]
     rng.shuffle(locales)
     template_names = sorted(TEMPLATES)
     records: list[CorpusRecord] = []

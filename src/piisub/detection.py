@@ -12,10 +12,9 @@ import json
 import re
 import shlex
 import subprocess
-import threading
 import urllib.error
 import urllib.request
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .model import CorpusRecord, Label, PiiSpan, ci_occurrences
 
@@ -122,13 +121,10 @@ class ExternalDetector:
     command: str | None = None
     url: str | None = None
     timeout: float = 30.0
-    max_inflight: int = 1
-    _gate: threading.Semaphore = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if bool(self.command) == bool(self.url):
             raise ValueError("configure exactly one of command or url")
-        self._gate = threading.Semaphore(max(1, self.max_inflight))
 
     def _transport(self, text: str) -> str:
         if self.command:
@@ -157,8 +153,7 @@ class ExternalDetector:
             raise DetectorUnavailable(f"detector endpoint failed: {exc}") from exc
 
     def detect(self, text: str) -> list[PiiSpan]:
-        with self._gate:
-            body = self._transport(text)
+        body = self._transport(text)
         candidates: list[PiiSpan] = []
         for line_no, line in enumerate(body.splitlines(), start=1):
             if not line.strip():

@@ -26,6 +26,7 @@ from itertools import combinations
 from statistics import fmean, pstdev, stdev
 from typing import Iterable, Sequence
 
+from .corpus import largest_remainder
 from .detection import detect_oracle
 from .metrics import DegenerateVariance, WelchResult, welch_from_samples
 from .model import CorpusRecord, ci_contains
@@ -367,18 +368,12 @@ def stratified_split(
     by_locale: dict[str, list[int]] = {}
     for idx, rec in enumerate(records):
         by_locale.setdefault(rec.locale, []).append(idx)
-    locales = sorted(by_locale)
-    shares = {
-        loc: test_size * len(by_locale[loc]) / len(records) for loc in locales
-    }
-    take = {loc: int(shares[loc]) for loc in locales}
-    shortfall = test_size - sum(take.values())
-    by_remainder = sorted(locales, key=lambda loc: (-(shares[loc] - take[loc]), loc))
-    for loc in by_remainder[:shortfall]:
-        take[loc] += 1
+    take = largest_remainder(
+        test_size, {loc: len(idxs) for loc, idxs in by_locale.items()}
+    )
     test_idx: list[int] = []
     rest: list[int] = []
-    for loc in locales:
+    for loc in take:
         idxs = list(by_locale[loc])
         rng.shuffle(idxs)
         k = min(take[loc], len(idxs))

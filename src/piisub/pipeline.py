@@ -161,6 +161,9 @@ class RunResults:
     proposals_made: int
     cache_hits: int
     timings: dict[str, float]
+    #: The demo pools the run used, so the regurgitation analysis judges
+    #: the decisions against the same pools; not serialized.
+    catalog: PoolCatalog
 
     @property
     def failed_documents(self) -> list[DocumentResult]:
@@ -189,7 +192,6 @@ def _build_detector(
             command=config.detector_command,
             url=config.detector_url,
             timeout=config.detector_timeout,
-            max_inflight=config.parallelism,
         )
         return lambda rec: adapter.detect(rec.text)
     raise ValueError(f"unknown detector {config.detector!r}")
@@ -205,8 +207,6 @@ def run_corpus(
     records: Sequence[CorpusRecord],
     config: RunConfig,
     *,
-    catalog: PoolCatalog | None = None,
-    cache: SurrogateCache | None = None,
     fake_secret: bytes = b"",
 ) -> RunResults:
     """Transform every record under the config; per-document errors are
@@ -215,12 +215,10 @@ def run_corpus(
 
     `fake_secret` keys the fake-draw seeds (`fakegen.draw_seed`); it is
     kept out of the run id and every written file."""
-    if catalog is None:
-        catalog = (
-            load_pool_file(config.pool_file) if config.pool_file else builtin_catalog()
-        )
-    if cache is None:
-        cache = SurrogateCache()
+    catalog = (
+        load_pool_file(config.pool_file) if config.pool_file else builtin_catalog()
+    )
+    cache = SurrogateCache()
     backend: SlmBackend | None = None
     if config.mode is Mode.HYBRID:
         backend = make_backend(
@@ -310,6 +308,7 @@ def run_corpus(
         proposals_made=cache.proposals_made,
         cache_hits=cache.cache_hits,
         timings=timings,
+        catalog=catalog,
     )
 
 
@@ -399,22 +398,14 @@ def compute_metrics(results: RunResults, *, with_perplexity: bool = True) -> Met
     )
 
 
-def regurgitation_for_results(
-    results: RunResults, catalog: PoolCatalog | None = None
-):
-    if catalog is None:
-        catalog = (
-            load_pool_file(results.config.pool_file)
-            if results.config.pool_file
-            else builtin_catalog()
-        )
+def regurgitation_for_results(results: RunResults):
     samples = (
         (g.group.members[0].surface, g.group.label, g.decision)
         for d in results.documents
         if d.error is None
         for g in d.groups
     )
-    return analyze_regurgitation(samples, catalog)
+    return analyze_regurgitation(samples, results.catalog)
 
 
 def _dump_json(path: Path, payload: dict) -> None:

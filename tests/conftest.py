@@ -2,12 +2,26 @@ import pytest
 
 from piisub import builtin_catalog, synth_corpus
 
+pytest_plugins = ["pytester"]
 
-@pytest.fixture(autouse=True)
-def _clean_env(monkeypatch):
-    # CLI settings fall back to these; tests must not inherit them from the host.
-    for var in ("PIISUB_RESULTS_DIR", "PIISUB_CORPUS", "PIISUB_POOL_FILE"):
-        monkeypatch.delenv(var, raising=False)
+#: Every environment variable piisub reads.
+PIISUB_ENV = (
+    "PIISUB_RESULTS_DIR",
+    "PIISUB_CORPUS",
+    "PIISUB_POOL_FILE",
+    "PIISUB_FAKE_SECRET",
+)
+
+
+@pytest.fixture(autouse=True, scope="session")
+def _clean_env():
+    # CLI settings fall back to these; tests must not inherit them from the
+    # host. Session scope, because module- and class-scoped fixtures run the
+    # CLI too, and they are set up before any function-scoped fixture.
+    with pytest.MonkeyPatch.context() as patch:
+        for var in PIISUB_ENV:
+            patch.delenv(var, raising=False)
+        yield
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,8 @@
 """Entity grouping and the at-most-once surrogate cache."""
 
+import os
+import random
+import sys
 import threading
 import time
 
@@ -69,14 +72,15 @@ class TestGetOrPropose:
         assert calls == [1]
         assert cache.proposals_made == 1
         assert cache.cache_hits == 1
-        assert len(cache) == 1
 
     def test_distinct_keys_propose_independently(self):
         cache = SurrogateCache()
         cache.get_or_propose(_key("a b"), lambda: _decision("X Y"))
         cache.get_or_propose(_key("c d"), lambda: _decision("Z W"))
         assert cache.proposals_made == 2
-        assert len(cache) == 2
+        assert cache.get_or_propose(_key("a b"), _decision).surrogate == "X Y"
+        assert cache.get_or_propose(_key("c d"), _decision).surrogate == "Z W"
+        assert cache.cache_hits == 2
 
     def test_at_most_once_under_contention(self):
         cache = SurrogateCache()
@@ -130,7 +134,7 @@ class TestGetOrPropose:
             time.sleep(0.001)
         t2 = threading.Thread(target=worker)
         t2.start()
-        time.sleep(0.05)  # let t2 block on the inflight event
+        time.sleep(0.05)  # let t2 block while the key is in flight
         gate.set()
         t1.join()
         t2.join()
@@ -150,7 +154,59 @@ class TestGetOrPropose:
 
         with pytest.raises(RuntimeError):
             cache.get_or_propose(_key(), boom)
-        assert len(cache) == 0
-        assert cache.get(_key()) is None
-        # the key is usable again
+        assert (cache.proposals_made, cache.cache_hits) == (0, 0)
+        # the key is usable again: the next caller proposes
         assert cache.get_or_propose(_key(), _decision).surrogate == "Daniel Foster"
+        assert (cache.proposals_made, cache.cache_hits) == (1, 0)
+
+    def test_stress_many_workers_many_keys(self):
+        # more workers than cores, switching threads as often as possible
+        cache = SurrogateCache()
+        keys = [_key(f"name {i}") for i in range(40)]
+        flaky = set(keys[::7])  # each fails on its first proposal only
+        calls = {key: 0 for key in keys}
+        calls_lock = threading.Lock()
+        wrong = []
+
+        def proposer_for(key):
+            def propose():
+                with calls_lock:
+                    calls[key] += 1
+                    first = calls[key] == 1
+                time.sleep(0.001)  # let other workers ask for the key meanwhile
+                if key in flaky and first:
+                    raise RuntimeError("transient")
+                return _decision(key.canonical)
+
+            return propose
+
+        def worker(seed):
+            order = keys * 3
+            random.Random(seed).shuffle(order)
+            for key in order:
+                try:
+                    decision = cache.get_or_propose(key, proposer_for(key))
+                except RuntimeError:
+                    continue
+                if decision.surrogate != key.canonical:
+                    wrong.append((key, decision))
+
+        workers = [
+            threading.Thread(target=worker, args=(seed,))
+            for seed in range(2 * (os.cpu_count() or 1) + 6)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in workers:
+                t.start()
+            for t in workers:
+                t.join(timeout=30)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in workers)
+        assert wrong == []
+        assert calls == {key: 2 if key in flaky else 1 for key in keys}
+        assert cache.proposals_made == len(keys)
+        served = len(workers) * len(keys) * 3 - len(flaky)
+        assert cache.cache_hits == served - len(keys)

@@ -4,8 +4,29 @@ import json
 
 import pytest
 
-from piisub.cli import main
+from piisub.cli import build_parser, main
 from piisub.corpus import load_corpus
+
+#: A value for every option that sets a RunConfig field. `slm_timeout` is a
+#: JSON integer on purpose: the config must record the float the flag does.
+RUN_SETTINGS = {
+    "slm_backend": "mock-echo-demo",
+    "slm_command": "unused {prompt}",
+    "prompt_via": "stdin",
+    "slm_timeout": 60,
+    "failure_threshold": 2,
+    "max_inflight": 2,
+    "demo_strategy": "fixed_three",
+    "placeholder_prefix": "PII_",
+    "detector": "rules",
+    "detector_command": "unused",
+    "detector_url": "http://localhost:1/unused",
+    "detector_timeout": 2.5,
+    "pool_file": "<written by the test>",
+    "no_leak_guard": True,
+    "parallelism": 2,
+    "run_id": "pinned",
+}
 
 
 @pytest.fixture
@@ -17,6 +38,27 @@ def corpus_file(tmp_path):
 
 def run_dirs(out_dir):
     return sorted(p for p in out_dir.iterdir() if p.is_dir())
+
+
+def write_config(path, settings):
+    path.write_text(json.dumps(settings), encoding="utf-8")
+    return str(path)
+
+
+def write_pool_file(path):
+    # plain-ASCII romaji names classify EN, so they replace the en pool
+    pairs = [
+        {"real": "Kenji Tanaka", "fake": "Hiro Yamamoto"},
+        {"real": "Aiko Suzuki", "fake": "Mei Kobayashi"},
+        {"real": "Ren Watanabe", "fake": "Yuna Ito"},
+    ]
+    path.write_text(json.dumps({"person": {"en": pairs}}), encoding="utf-8")
+    return str(path)
+
+
+def only_results(out_dir):
+    (run_dir,) = run_dirs(out_dir)
+    return json.loads((run_dir / "results.json").read_text(encoding="utf-8"))
 
 
 class TestSynth:
@@ -119,6 +161,108 @@ class TestRun:
         assert main(["run", "--mode", "redact", "--config", str(config), "--no-ppl"]) == 0
         assert run_dirs(tmp_path / "cfg-results")
 
+    def test_config_mode_is_read(self, corpus_file, tmp_path):
+        config = write_config(tmp_path / "config.json", {"mode": "redact"})
+        out = tmp_path / "results"
+        main(["run", "--corpus", str(corpus_file), "--config", config, "--out", str(out)])
+        assert only_results(out)["config"]["mode"] == "redact"
+
+    def test_config_no_leak_guard_is_read(self, corpus_file, tmp_path):
+        config = write_config(tmp_path / "config.json", {"no_leak_guard": True})
+        out = tmp_path / "results"
+        main(
+            [
+                "run",
+                "--mode", "faker",
+                "--corpus", str(corpus_file),
+                "--config", config,
+                "--out", str(out),
+                "--no-ppl",
+            ]
+        )
+        assert only_results(out)["config"]["leak_guard"] is False
+
+    def test_config_no_ppl_is_read(self, corpus_file, tmp_path):
+        config = write_config(tmp_path / "config.json", {"no_ppl": True})
+        out = tmp_path / "results"
+        main(
+            [
+                "run",
+                "--mode", "redact",
+                "--corpus", str(corpus_file),
+                "--config", config,
+                "--out", str(out),
+            ]
+        )
+        (run_dir,) = run_dirs(out)
+        metrics = json.loads((run_dir / "metrics.json").read_text(encoding="utf-8"))
+        assert metrics["perplexity_original"] is None
+
+    @pytest.mark.parametrize("key", ["slm_backnd", "config", "seeds"])
+    def test_unknown_config_key_is_an_error(self, corpus_file, tmp_path, key):
+        # `seeds` is an option of `ner`, not of `run`
+        config = write_config(tmp_path / "config.json", {key: "command"})
+        with pytest.raises(SystemExit, match=f"config key '{key}' names no option"):
+            main(["run", "--corpus", str(corpus_file), "--config", config])
+        assert not (tmp_path / "results").exists()
+
+    def test_config_value_goes_through_choices(self, corpus_file, tmp_path, capsys):
+        config = write_config(tmp_path / "config.json", {"detector": "psychic"})
+        with pytest.raises(SystemExit):
+            main(["run", "--corpus", str(corpus_file), "--config", config])
+        assert "invalid choice: 'psychic'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "settings, message",
+        [
+            ({"no_ppl": "yes"}, "'no_ppl' must be true or false"),
+            ({"parallelism": [2]}, "'parallelism' must be a string or a number"),
+            ({"slm_timeout": True}, "'slm_timeout' must be a string or a number"),
+        ],
+    )
+    def test_config_value_shape(self, corpus_file, tmp_path, settings, message):
+        config = write_config(tmp_path / "config.json", settings)
+        with pytest.raises(SystemExit, match=message):
+            main(["run", "--corpus", str(corpus_file), "--config", config])
+
+    def test_flag_beats_config_beats_environment(self, corpus_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("PIISUB_RESULTS_DIR", str(tmp_path / "env"))
+        config = write_config(tmp_path / "config.json", {"out": str(tmp_path / "cfg")})
+        run = ["run", "--mode", "redact", "--corpus", str(corpus_file), "--no-ppl"]
+        main(run)
+        main([*run, "--config", config])
+        main([*run, "--config", config, "--out", str(tmp_path / "flag")])
+        for name in ("env", "cfg", "flag"):
+            assert len(run_dirs(tmp_path / name)) == 1, name
+
+    def test_every_run_setting_is_covered(self):
+        args = build_parser().parse_args(["run"])
+        options = {a.dest for a in args.subparser._actions if a.option_strings}
+        not_settings = {"help", "config", "corpus", "out", "mode", "no_ppl"}
+        assert options - not_settings == set(RUN_SETTINGS)
+
+    @pytest.mark.parametrize("option", sorted(RUN_SETTINGS))
+    def test_config_key_equals_its_flag(self, corpus_file, tmp_path, option):
+        value = RUN_SETTINGS[option]
+        if option == "pool_file":
+            value = write_pool_file(tmp_path / "pools.json")
+        flag = "--" + option.replace("_", "-")
+        run = ["run", "--mode", "hybrid", "--corpus", str(corpus_file), "--no-ppl"]
+        by_flag = [flag] if value is True else [flag, str(value)]
+        config = write_config(tmp_path / "config.json", {option: value})
+        main([*run, *by_flag, "--out", str(tmp_path / "flag")])
+        main([*run, "--config", config, "--out", str(tmp_path / "config")])
+        (flag_dir,) = run_dirs(tmp_path / "flag")
+        (config_dir,) = run_dirs(tmp_path / "config")
+        assert config_dir.name == flag_dir.name
+        for name in ("results.json", "metrics.json"):
+            assert (config_dir / name).read_bytes() == (flag_dir / name).read_bytes()
+        timings = [
+            json.loads((d / "timings.json").read_text(encoding="utf-8"))["execution"]
+            for d in (flag_dir, config_dir)
+        ]
+        assert timings[0] == timings[1]
+
     def test_unknown_mode(self, corpus_file, tmp_path):
         with pytest.raises(SystemExit, match="unknown mode"):
             main(
@@ -197,6 +341,31 @@ class TestNer:
         stdout = capsys.readouterr().out
         assert "variant" in stdout
         assert "original" in stdout
+
+
+    def test_config_keys_equal_their_flags(self, corpus_file, tmp_path):
+        settings = {
+            "mode": "redact",
+            "train_size": 8,
+            "test_size": 3,
+            "seeds": "1,2",
+            "iterations": 3,
+        }
+        by_flag = []
+        for key, value in settings.items():
+            by_flag += ["--" + key.replace("_", "-"), str(value)]
+        config = write_config(tmp_path / "config.json", settings)
+        ner = ["ner", "--corpus", str(corpus_file)]
+        assert main([*ner, *by_flag, "--out", str(tmp_path / "flag")]) == 0
+        assert main([*ner, "--config", config, "--out", str(tmp_path / "cfg")]) == 0
+        assert (tmp_path / "cfg" / "ner.json").read_bytes() == (
+            tmp_path / "flag" / "ner.json"
+        ).read_bytes()
+
+    def test_run_only_option_is_an_unknown_key(self, corpus_file, tmp_path):
+        config = write_config(tmp_path / "config.json", {"no_ppl": True})
+        with pytest.raises(SystemExit, match="'no_ppl' names no option of piisub ner"):
+            main(["ner", "--corpus", str(corpus_file), "--config", config])
 
 
 class TestRunArtifactCommands:

@@ -4,7 +4,6 @@ import json
 
 import pytest
 
-from piisub.cache import SurrogateCache
 from piisub.corpus import synth_corpus
 from piisub.metrics import CharNgramScorer
 from piisub.model import CorpusRecord, Label, Mode, Source, ci_contains
@@ -209,14 +208,6 @@ class TestCacheBehavior:
             for g in d.groups
         }
         assert results.proposals_made == len(unique_groups)
-
-    def test_caller_supplied_cache_is_reused(self, corpus):
-        cache = SurrogateCache()
-        config = RunConfig(mode=Mode.FAKER)
-        first = run_corpus(corpus, config, cache=cache)
-        assert first.proposals_made > 0
-        second = run_corpus(corpus, config, cache=cache)
-        assert second.proposals_made == first.proposals_made  # nothing new proposed
 
     def test_same_entity_same_surrogate_across_documents(self, corpus):
         results = run(corpus, Mode.FAKER)
@@ -426,6 +417,32 @@ class TestRegurgitationAnalysis:
         assert report.novel == 0  # the mock can only ever echo a demo fake
         assert report.output_copies == report.slm_decisions
         assert report.cross_pool_copies == 0
+
+    def test_analysis_uses_the_pools_the_run_used(self, corpus, tmp_path):
+        def write_pools(names):
+            pairs = [{"real": real, "fake": fake} for real, fake in names]
+            path.write_text(json.dumps({"person": {"en": pairs}}), encoding="utf-8")
+
+        path = tmp_path / "pools.json"
+        write_pools(
+            [
+                ("Kenji Tanaka", "Hiro Yamamoto"),
+                ("Aiko Suzuki", "Mei Kobayashi"),
+                ("Ren Watanabe", "Yuna Ito"),
+            ]
+        )
+        results = run(corpus, Mode.HYBRID, pool_file=str(path))
+        analysed = regurgitation_for_results(results).to_json_dict()
+        assert analysed["output_copies"] == analysed["slm_decisions"] > 0
+        # editing the file after the run must not change what is analysed
+        write_pools(
+            [
+                ("Sora Nakamura", "Kaito Mori"),
+                ("Yui Hayashi", "Riku Saito"),
+                ("Nao Kimura", "Emi Ogawa"),
+            ]
+        )
+        assert regurgitation_for_results(results).to_json_dict() == analysed
 
     def test_faker_run_has_no_slm_decisions(self, corpus):
         results = run(corpus, Mode.FAKER)
