@@ -371,10 +371,17 @@ def main(argv: Sequence[str] | None = None) -> int:
             [argv[0], *_fallback_args(args.subparser, args.config), *argv[1:]]
         )
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
     except (BackendUnhealthy, DetectorUnavailable) as exc:
         # operational aborts surface as one line, not a traceback
         print(f"aborted: {exc}", file=sys.stderr)
+        return 1
+    except BrokenPipeError:
+        # the reader went away (`piisub run ... | head`): stop quietly, and
+        # point stdout at devnull so the interpreter's last flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
 
 

@@ -9,17 +9,16 @@ propagates. Fake values come from one stream seeded by the cache key and the
 run's fake-value secret, and every redraw reads on from that stream, so a
 key's fake value never depends on draws made for other keys.
 
-`blocked` carries the run-level leak guard: the set of corpus ground-truth
-values that no surrogate may contain, case-insensitively. It is checked
-through one matcher built once per run (`model.ci_any_matcher`), so a check
-costs the same however many values are blocked. Fake draws redraw past them;
-an accepted model output that hits one is treated like an identity rejection.
+`blocked` is the run-level leak guard: a predicate, built once per run by
+`model.ci_any_matcher`, that is true when a value contains a corpus
+ground-truth value, case-insensitively. Fake draws redraw past a hit; an
+accepted model output that hits one is treated like an identity rejection.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .backends import BackendInvocationError, SlmBackend
 from .fakegen import draw_seed, fake_value
@@ -47,6 +46,7 @@ from .prompting import (
 )
 
 _MAX_FAKE_REDRAWS = 64
+_NOTHING_BLOCKED = ci_any_matcher(())
 
 
 class SpliceOverlap(ValueError):
@@ -57,15 +57,11 @@ def redact_placeholder(label: Label, prefix: str = "") -> str:
     return f"[{prefix}{label.name}]"
 
 
-def _is_blocked(value: str, blocked: frozenset[str]) -> bool:
-    return ci_any_matcher(blocked)(value)
-
-
 def _clean_fake_draw(
     surface: str,
     key: CacheKey,
     locale: Locale,
-    blocked: frozenset[str],
+    blocked: Callable[[str], bool],
     date_format: DateFormat | None,
     fake_secret: bytes,
 ) -> str:
@@ -76,7 +72,7 @@ def _clean_fake_draw(
         value = fake_value(label, locale, rng, date_format=date_format)
         if canonicalize(value) == canonicalize(surface):
             continue
-        if _is_blocked(value, blocked):
+        if blocked(value):
             continue
         return value
     raise RuntimeError(
@@ -91,7 +87,7 @@ def slm_propose(
     backend: SlmBackend,
     catalog: PoolCatalog,
     strategy: DemoStrategy = DemoStrategy.ROTATING_LOCALE,
-    blocked: frozenset[str] = frozenset(),
+    blocked: Callable[[str], bool] = _NOTHING_BLOCKED,
     fake_secret: bytes = b"",
 ) -> SurrogateDecision:
     """Ask the model for a surrogate, falling back to a fake value on rejection.
@@ -131,7 +127,7 @@ def slm_propose(
     if reason is not None:
         return fallback(reason)
     assert value is not None
-    if _is_blocked(value, blocked):
+    if blocked(value):
         return fallback(RejectionReason.IDENTITY)
     return SurrogateDecision(
         surrogate=value,
@@ -148,7 +144,7 @@ def dispatch(
     catalog: PoolCatalog | None = None,
     strategy: DemoStrategy = DemoStrategy.ROTATING_LOCALE,
     placeholder_prefix: str = "",
-    blocked: frozenset[str] = frozenset(),
+    blocked: Callable[[str], bool] = _NOTHING_BLOCKED,
     fake_secret: bytes = b"",
 ) -> SurrogateDecision:
     """Produce the surrogate decision for one entity under its key's mode."""

@@ -2,14 +2,15 @@
 
 from __future__ import annotations
 
-import os
-import re
+import _sre
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import lru_cache
-from itertools import groupby
-from operator import itemgetter
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
+
+try:
+    from re._casefix import _EXTRA_CASES
+except ImportError:  # Python 3.10
+    from sre_compile import _ignorecase_fixes as _EXTRA_CASES
 
 
 class Label(Enum):
@@ -72,9 +73,6 @@ class EmptyCanonical(ValueError):
     """Raised when canonicalize receives a whitespace-only string."""
 
 
-_WS_RUN = re.compile(r"\s+")
-
-
 def canonicalize(text: str) -> str:
     """Normalize an entity surface for grouping.
 
@@ -85,10 +83,10 @@ def canonicalize(text: str) -> str:
     Raises:
         EmptyCanonical: if the input contains nothing but whitespace.
     """
-    folded = text.casefold().strip()
-    if not folded:
+    words = text.casefold().split()
+    if not words:
         raise EmptyCanonical("cannot canonicalize a whitespace-only string")
-    return _WS_RUN.sub(" ", folded)
+    return " ".join(words)
 
 
 @dataclass(frozen=True, slots=True)
@@ -172,64 +170,64 @@ class CacheKey:
     label: Label
 
 
-@lru_cache(maxsize=4096)
-def _ci_pattern(needle: str) -> re.Pattern[str]:
-    return re.compile(re.escape(needle), re.IGNORECASE)
+class _CiFold(dict):
+    """`str.translate` table of `ci_fold`, filled in on first use."""
+
+    def __missing__(self, cp: int) -> int:
+        lower = _sre.unicode_tolower(cp)
+        folded = self[cp] = min((lower, *_EXTRA_CASES.get(lower, ())))
+        return folded
+
+
+_CI_FOLD = _CiFold()
+
+
+def ci_fold(text: str) -> str:
+    """Map each character to the smallest lower-case form of its
+    `re.IGNORECASE` class: its own, or an extra case `re` lists (`ı`/`i`,
+    `ſ`/`s`, ...). The length never changes, so offsets carry over."""
+    return text.translate(_CI_FOLD)
 
 
 def ci_occurrences(needle: str, haystack: str) -> Iterator[tuple[int, int]]:
     """Yield (start, end) of each case-insensitive occurrence of needle.
 
-    Matching is offset-safe (no case transformation of the haystack). This is
-    the single definition of "appears verbatim, case-insensitively" shared by
-    detection and the leak metric, so the two can never disagree.
+    Occurrences do not overlap and are found left to right, as
+    `re.finditer` finds them. This is the single definition of "appears
+    verbatim, case-insensitively" shared by detection and the leak metric,
+    so the two can never disagree.
     """
     if not needle:
         return
-    for match in _ci_pattern(needle).finditer(haystack):
-        yield match.span()
+    needle, haystack = ci_fold(needle), ci_fold(haystack)
+    start = haystack.find(needle)
+    while start != -1:
+        yield start, start + len(needle)
+        start = haystack.find(needle, start + len(needle))
 
 
 def ci_contains(needle: str, haystack: str) -> bool:
     """True when needle occurs case-insensitively anywhere in haystack."""
-    return next(ci_occurrences(needle, haystack), None) is not None
+    return bool(needle) and ci_fold(needle) in ci_fold(haystack)
 
 
-def _never(haystack: str) -> bool:
-    return False
-
-
-def _trie_alternation(needles: list[str], depth: int) -> str:
-    """Emit the character trie of sorted needles that share needles[0][:depth].
-
-    The trie is walked, not built: siblings are the runs of equal characters
-    at `depth`. Recursion deepens only where the trie branches. A needle that
-    ends at a node sorts first under it and covers everything below.
-    """
-    stem = os.path.commonprefix([needles[0], needles[-1]])
-    pattern = re.escape(stem[depth:])
-    depth = len(stem)
-    if len(needles[0]) == depth:
-        return pattern
-    branches = (
-        re.escape(ch) + _trie_alternation(list(group), depth + 1)
-        for ch, group in groupby(needles, key=itemgetter(depth))
-    )
-    return pattern + "(?:" + "|".join(branches) + ")"
-
-
-@lru_cache(maxsize=1)
-def ci_any_matcher(needles: frozenset[str]) -> Callable[[str], bool]:
+def ci_any_matcher(needles: Iterable[str]) -> Callable[[str], bool]:
     """Build a predicate: does a haystack contain any needle (per `ci_contains`)?
 
-    The non-empty needles become one nested alternation shaped like their
-    character trie, compiled once with IGNORECASE. Each character is still
-    matched by `re`'s own case rules, so the predicate equals
-    `any(ci_contains(n, haystack) for n in needles)`, at a cost per call that
-    does not grow with the number of needles. An empty set never matches.
+    The non-empty needles are kept folded in one set. A check folds the
+    haystack once and looks up its slice at every offset for each distinct
+    needle length, so its cost is bounded by the haystack's length, not by
+    the number of needles. An empty set never matches.
     """
-    ordered = sorted(n for n in needles if n)
-    if not ordered:
-        return _never
-    search = re.compile(_trie_alternation(ordered, 0), re.IGNORECASE).search
-    return lambda haystack: search(haystack) is not None
+    folded = frozenset(ci_fold(n) for n in needles if n)
+    lengths = sorted({len(n) for n in folded})
+
+    def contains_any(haystack: str) -> bool:
+        text = ci_fold(haystack)
+        return any(
+            text[i : i + n] in folded
+            for n in lengths
+            for i in range(len(text) - n + 1)
+        )
+
+    return contains_any

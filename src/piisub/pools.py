@@ -94,11 +94,6 @@ def validate_pool(pool: DemoPool) -> None:
         raise ValueError(
             f"pool {pool.name}: {len(pool)} demos, need at least {MIN_POOL_SIZE}"
         )
-    if not exempt and len(pool) < 4:
-        warnings.warn(
-            f"pool {pool.name} has only {len(pool)} demos; rotation is weak",
-            stacklevel=2,
-        )
     for demo in pool.demos:
         for side, text in (("real", demo.real), ("fake", demo.fake)):
             got = _classify_for(pool.family, text)
@@ -322,7 +317,10 @@ def load_pool_file(path: str | Path) -> PoolCatalog:
 
     The file maps family -> pool key -> list of {real, fake}. Pools present
     in the file replace the built-in pool for that key; everything else is
-    kept. Every replacement pool is re-validated for closure and size.
+    kept. Every replacement pool is re-validated for closure and size, and
+    a sampled one with fewer than 4 demos draws a warning: every prompt
+    would show the same three. (Some shipped pools have 3 demos; growing
+    them would change hybrid outputs.)
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
@@ -353,6 +351,11 @@ def load_pool_file(path: str | Path) -> PoolCatalog:
                     )
                 pairs.append((str(entry["real"]), str(entry["fake"])))
             pool = _build_pool(family, key, pairs)
+            if len(pool) < 4 and key is not DateFormat.UNKNOWN:
+                warnings.warn(
+                    f"pool {pool.name} has only {len(pool)} demos; rotation is weak",
+                    stacklevel=2,
+                )
             if family == FAMILY_PERSON:
                 person[key] = pool  # type: ignore[index]
             elif family == FAMILY_ADDRESS:

@@ -1,9 +1,14 @@
 """CLI subcommands exercised in-process through main()."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import piisub
 from piisub.cli import build_parser, main
 from piisub.corpus import load_corpus
 
@@ -424,3 +429,16 @@ class TestRunArtifactCommands:
     def test_distinct_missing_artifact(self, tmp_path):
         with pytest.raises(SystemExit, match="no metrics.json"):
             main(["distinct", "--run", str(tmp_path)])
+
+
+def test_closed_stdout_exits_without_a_traceback(corpus_file, tmp_path):
+    env = {**os.environ, "PYTHONPATH": str(Path(piisub.__file__).parents[1])}
+    command = [sys.executable, "-m", "piisub.cli", "run", "--mode", "all"]
+    command += ["--no-ppl", "--corpus", str(corpus_file), "--out", str(tmp_path)]
+    proc = subprocess.Popen(
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+    )
+    proc.stdout.close()  # the reader is gone before the first print
+    stderr = proc.stderr.read().decode()
+    assert proc.wait(timeout=120) == 1
+    assert "Traceback" not in stderr and "BrokenPipeError" not in stderr

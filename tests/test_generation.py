@@ -16,7 +16,15 @@ from piisub.generation import (
     splice,
 )
 from piisub.locales import Locale
-from piisub.model import CacheKey, Label, Mode, PiiSpan, RejectionReason, Source
+from piisub.model import (
+    CacheKey,
+    Label,
+    Mode,
+    PiiSpan,
+    RejectionReason,
+    Source,
+    ci_any_matcher,
+)
 from piisub.pools import builtin_catalog
 from piisub.prompting import DemoStrategy
 
@@ -129,7 +137,7 @@ class TestSlmPropose:
             key(Label.PERSON),
             backend=backend,
             catalog=builtin_catalog(),
-            blocked=frozenset(["Leaky Name"]),
+            blocked=ci_any_matcher(["Leaky Name"]),
         )
         assert decision.source is Source.FALLBACK_FAKE
         assert decision.rejection_reasons == (RejectionReason.IDENTITY,)
@@ -212,7 +220,7 @@ class TestDispatch:
         decision = dispatch(
             "x",
             key(Label.PERSON, Mode.FAKER),
-            blocked=frozenset([probe.surrogate]),
+            blocked=ci_any_matcher([probe.surrogate]),
         )
         rng = random.Random(draw_seed(key(Label.PERSON, Mode.FAKER)))
         draws = [fake_value(Label.PERSON, Locale.EN, rng) for _ in range(2)]
@@ -263,7 +271,7 @@ class TestDispatch:
             dispatch(
                 "x",
                 key(Label.PERSON, Mode.FAKER),
-                blocked=frozenset(["Constant Name"]),
+                blocked=ci_any_matcher(["Constant Name"]),
             )
 
 

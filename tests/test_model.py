@@ -1,3 +1,6 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -15,6 +18,7 @@ from piisub.model import (
     canonicalize,
     ci_any_matcher,
     ci_contains,
+    ci_fold,
     ci_occurrences,
 )
 
@@ -89,6 +93,39 @@ class TestSurrogateDecision:
         SurrogateDecision("x", Source.FAKE)
 
 
+def re_spans(needle, haystack):
+    """The reference: `re`'s own case-insensitive literal search."""
+    if not needle:
+        return []
+    return [m.span() for m in re.finditer(re.escape(needle), haystack, re.I)]
+
+
+# Every character that str.lower or str.upper changes, below U+20000: a
+# superset of what re.IGNORECASE treats as cased.
+_CASED = "".join(
+    ch for ch in map(chr, range(0x20000)) if ch.lower() != ch or ch.upper() != ch
+)
+
+
+class TestCiFold:
+    def test_fold_classes_equal_re_ignorecase(self):
+        # per cased character, re.IGNORECASE matches exactly the characters
+        # that fold alike; this reads the running interpreter's tables
+        folded = ci_fold(_CASED)
+        assert len(folded) == len(_CASED)
+        classes: dict[str, set[str]] = {}
+        for ch, f in zip(_CASED, folded):
+            classes.setdefault(f, set()).add(ch)
+        for ch, f in zip(_CASED, folded):
+            matched = {m.group() for m in re.finditer(re.escape(ch), _CASED, re.I)}
+            assert matched == classes[f], (hex(ord(ch)), sys.version)
+
+    def test_uncased_characters_fold_to_themselves(self):
+        cased = set(_CASED)
+        uncased = "".join(ch for ch in map(chr, range(0x20000)) if ch not in cased)
+        assert ci_fold(uncased) == uncased
+
+
 class TestCiSearch:
     def test_case_insensitive(self):
         assert list(ci_occurrences("walter", "Walter met WALTER")) == [(0, 6), (11, 17)]
@@ -99,6 +136,10 @@ class TestCiSearch:
         assert ci_contains("a.b", "xa.by")
         assert ci_contains("(403)", "call (403) now")
 
+    def test_occurrences_do_not_overlap(self):
+        assert list(ci_occurrences("aA", "aAaaA")) == [(0, 2), (2, 4)]
+        assert list(ci_occurrences("ſs", "SSSS")) == re_spans("ſs", "SSSS")
+
     def test_empty_needle_matches_nothing(self):
         assert list(ci_occurrences("", "anything")) == []
         assert not ci_contains("", "anything")
@@ -107,7 +148,22 @@ class TestCiSearch:
     def test_spans_cover_needle_length(self, needle, haystack):
         for start, end in ci_occurrences(needle, haystack):
             assert end - start == len(needle)
-            assert haystack[start:end].casefold() == needle.casefold()
+            # not casefold: re.IGNORECASE matches ı with i, casefold does not
+            assert re.fullmatch(re.escape(needle), haystack[start:end], re.I)
+
+    @settings(max_examples=300)
+    @given(st.data())
+    def test_occurrences_equal_re_finditer(self, data):
+        text = data.draw(_occurrence_text)
+        needle = data.draw(_occurrence_needle)
+        if text and data.draw(st.booleans()):
+            # a needle cut from the text, so that most examples do match
+            i = data.draw(st.integers(0, len(text) - 1))
+            j = data.draw(st.integers(i, min(len(text), i + 4)))
+            recase = data.draw(st.sampled_from([str.upper, str.lower, str]))
+            needle = recase(text[i:j])
+        assert list(ci_occurrences(needle, text)) == re_spans(needle, text)
+        assert ci_contains(needle, text) == bool(re_spans(needle, text))
 
 
 # Latin with diacritics, kana, Han, casefold edge cases (sharp s, long s,
@@ -115,9 +171,17 @@ class TestCiSearch:
 _MATCHER_ALPHABET = "abeksuAEKSUéÉüÜßẞſ\u212aİıiIあアカ山田.(+ \t"
 _matcher_text = st.text(alphabet=_MATCHER_ALPHABET, max_size=30)
 _matcher_needle = st.text(alphabet=_MATCHER_ALPHABET, max_size=6)
+# plus the characters whose re.IGNORECASE class holds more than one lower
+# case form (final sigma, iota with dialytika and tonos, the s-t ligatures)
+# and Cherokee, whose lower case letters sort after the upper case ones
+_OCCURRENCE_ALPHABET = _MATCHER_ALPHABET + "σςΣ\u0390\u1fd3\ufb05\ufb06ᎠꭰᏸᏰ"
+_occurrence_text = st.text(alphabet=_OCCURRENCE_ALPHABET, max_size=30)
+_occurrence_needle = st.text(alphabet=_OCCURRENCE_ALPHABET, max_size=4)
 
 
 class TestCiAnyMatcher:
+    """Reference: one `re.search` per needle, the scan the matcher replaces."""
+
     def test_empty_set_never_matches(self):
         assert not ci_any_matcher(frozenset())("anything")
         assert not ci_any_matcher(frozenset())("")
@@ -143,7 +207,7 @@ class TestCiAnyMatcher:
             recase = data.draw(st.sampled_from([str.upper, str.lower, str]))
             needles.append(recase(text[i:j]))
         values = frozenset(needles)
-        expected = any(ci_contains(v, text) for v in values)
+        expected = any(re_spans(v, text) for v in values)
         assert ci_any_matcher(values)(text) == expected
 
 

@@ -1,12 +1,20 @@
 """End-to-end run behavior: determinism, caching, metrics, artifacts."""
 
 import json
+import re
 
 import pytest
 
 from piisub.corpus import synth_corpus
 from piisub.metrics import CharNgramScorer
-from piisub.model import CorpusRecord, Label, Mode, Source, ci_contains
+from piisub.model import (
+    CorpusRecord,
+    Label,
+    Mode,
+    Source,
+    ci_any_matcher,
+    ci_contains,
+)
 from piisub.pipeline import (
     EXECUTION_FIELDS,
     RunConfig,
@@ -174,22 +182,42 @@ class TestDeterminismAndLeak:
 
     @pytest.mark.parametrize("mode", [Mode.FAKER, Mode.HYBRID])
     def test_guard_decides_like_a_per_value_scan(self, mode, monkeypatch):
-        import piisub.generation as generation
+        import piisub.pipeline as pipeline
 
         corpus = with_planted_collisions(synth_corpus(200, seed=9), mode)
         fast = run(corpus, mode).to_json_dict()
         hits = []
 
-        def naive_is_blocked(value, blocked):
-            hit = any(ci_contains(b, value) for b in blocked)
-            hits.append(hit)
-            return hit
+        def re_scan_matcher(values):
+            patterns = [re.compile(re.escape(v), re.IGNORECASE) for v in values if v]
 
-        monkeypatch.setattr(generation, "_is_blocked", naive_is_blocked)
+            def blocked(value):
+                hit = any(p.search(value) for p in patterns)
+                hits.append(hit)
+                return hit
+
+            return blocked
+
+        monkeypatch.setattr(pipeline, "ci_any_matcher", re_scan_matcher)
         naive = run(corpus, mode).to_json_dict()
         assert any(hits) and not all(hits)
         for key in ("documents", "proposals_made", "cache_hits"):
             assert fast[key] == naive[key]
+
+    @pytest.mark.parametrize("mode", [Mode.FAKER, Mode.HYBRID])
+    def test_guarded_run_builds_its_matcher_once(self, corpus, mode, monkeypatch):
+        import piisub.pipeline as pipeline
+
+        built = []
+
+        def counting_matcher(values):
+            built.append(list(values))
+            return ci_any_matcher(built[-1])
+
+        monkeypatch.setattr(pipeline, "ci_any_matcher", counting_matcher)
+        run(corpus, mode, parallelism=4)
+        assert len(built) == 1
+        assert set(built[0]) == {v.strip() for r in corpus for v in r.gt_values()}
 
 
 class TestCacheBehavior:

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import pytest
 
@@ -93,19 +94,11 @@ def test_validate_pool_rejects_undersized():
         validate_pool(DemoPool("person", Locale.DE, demos))
 
 
-def test_validate_pool_warns_on_weak_rotation():
-    demos = tuple(
-        Demo(r, f, f"person/de/{i}")
-        for i, (r, f) in enumerate(
-            [
-                ("Hans Müller", "Karl Schmidt"),
-                ("Anna Becker", "Lena Hoffmann"),
-                ("Ingrid Weber", "Petra Neumann"),
-            ]
-        )
-    )
-    with pytest.warns(UserWarning, match="rotation is weak"):
-        validate_pool(DemoPool("person", Locale.DE, demos))
+def test_builtin_catalog_does_not_warn_about_itself():
+    builtin_catalog.cache_clear()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        builtin_catalog()
 
 
 def test_date_unknown_pool_exempt_from_size(catalog):
@@ -133,6 +126,18 @@ class TestLoadPoolFile:
         ]
         assert loaded.person[Locale.DE] == catalog.person[Locale.DE]
         assert loaded.date == catalog.date
+
+    def test_weak_rotation_warns(self, tmp_path):
+        pairs = [
+            ("Hans Müller", "Karl Schmidt"),
+            ("Anna Becker", "Lena Hoffmann"),
+            ("Ingrid Weber", "Petra Neumann"),
+        ]
+        path = self._write(
+            tmp_path, {"person": {"de": [{"real": r, "fake": f} for r, f in pairs]}}
+        )
+        with pytest.warns(UserWarning, match="person/de has only 3 demos"):
+            load_pool_file(path)
 
     def test_closure_enforced_on_override(self, tmp_path):
         path = self._write(
