@@ -27,7 +27,7 @@ from .corpus import DEFAULT_LOCALE_MIX, load_corpus, save_corpus, synth_corpus
 from .detection import DetectorUnavailable
 from .model import CorpusRecord, Label, Mode
 from .ner import run_ner_experiment
-from .pipeline import RunConfig, compute_metrics, persist_run, run_corpus
+from .pipeline import RunConfig, compute_metrics, persist_run, run_corpus, write_json
 from .prompting import DemoStrategy
 from .report import (
     distinctness_table,
@@ -132,7 +132,18 @@ def _parse_modes(text: str) -> list[Mode]:
 
 
 def _parse_seeds(text: str) -> list[int]:
-    return [int(part) for part in text.split(",") if part.strip()]
+    seeds = [int(part) for part in text.split(",") if part.strip()]
+    if len(seeds) < 2:
+        # the variant comparisons are Welch tests over the per-seed scores
+        raise argparse.ArgumentTypeError("need at least two seeds")
+    return seeds
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _run_config(
@@ -166,7 +177,7 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--prompt-via", choices=["arg", "stdin"])
     sub.add_argument("--slm-timeout", type=float)
     sub.add_argument("--failure-threshold", type=int)
-    sub.add_argument("--max-inflight", type=int)
+    sub.add_argument("--max-inflight", type=_positive_int)
     sub.add_argument(
         "--demo-strategy",
         type=DemoStrategy,
@@ -179,7 +190,7 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--detector-timeout", type=float)
     sub.add_argument("--pool-file")
     sub.add_argument("--no-leak-guard", action="store_true")
-    sub.add_argument("--parallelism", type=int)
+    sub.add_argument("--parallelism", type=_positive_int)
     sub.add_argument("--run-id")
     sub.add_argument("--out", default="results", help="results directory")
     sub.set_defaults(subparser=sub)
@@ -268,10 +279,7 @@ def _cmd_ner(args: argparse.Namespace) -> int:
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     out_file = out_dir / "ner.json"
-    out_file.write_text(
-        json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+    write_json(out_file, payload)
     print(ner_table(payload))
     print(f"\nwrote {out_file}")
     return 0

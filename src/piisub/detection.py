@@ -171,7 +171,8 @@ class ExternalDetector:
                 label = Label.from_name(entry["label"])
             except (KeyError, TypeError, ValueError) as exc:
                 raise DetectorProtocolError(f"line {line_no}: {exc}") from exc
-            if not (isinstance(start, int) and isinstance(end, int)):
+            # bool is an int subclass, but `true` is not an offset
+            if not all(type(v) is int for v in (start, end)):
                 raise DetectorProtocolError(f"line {line_no}: offsets must be integers")
             if not (0 <= start < end <= len(text)):
                 raise DetectorProtocolError(

@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 from .backends import BackendInvocationError, SlmBackend
 from .fakegen import draw_seed, fake_value
-from .locales import DateFormat, Locale, classify_date_format, classify_locale
+from .locales import classify_date_format, classify_locale
 from .model import (
     SLM_LABELS,
     CacheKey,
@@ -60,13 +60,14 @@ def redact_placeholder(label: Label, prefix: str = "") -> str:
 def _clean_fake_draw(
     surface: str,
     key: CacheKey,
-    locale: Locale,
     blocked: Callable[[str], bool],
-    date_format: DateFormat | None,
     fake_secret: bytes,
 ) -> str:
-    """Draw a fake value that neither echoes the input nor hits the guard."""
+    """Draw a fake value, in the surface's locale and date format, that
+    neither echoes the input nor hits the guard."""
     label = key.label
+    locale = classify_locale(surface)
+    date_format = classify_date_format(surface) if label is Label.DATE else None
     rng = random.Random(draw_seed(key, fake_secret))
     for _ in range(_MAX_FAKE_REDRAWS):
         value = fake_value(label, locale, rng, date_format=date_format)
@@ -97,22 +98,17 @@ def slm_propose(
     completion existed), a guard hit as `identity`.
     """
     label = key.label
-    locale = classify_locale(surface)
-    date_format = classify_date_format(surface) if label is Label.DATE else None
 
     def fallback(*reasons: RejectionReason) -> SurrogateDecision:
-        value = _clean_fake_draw(
-            surface, key, locale, blocked, date_format, fake_secret
-        )
         return SurrogateDecision(
-            surrogate=value,
+            surrogate=_clean_fake_draw(surface, key, blocked, fake_secret),
             source=Source.FALLBACK_FAKE,
             rejection_reasons=tuple(reasons),
         )
 
     try:
         if strategy is DemoStrategy.FIXED_THREE:
-            demos = catalog.pilot_demos(label)
+            demos = catalog.pilot[label]
         else:
             pool = catalog.pool_for(label, surface)
             demos = sample_demos(pool.demos, surface, pool_name=pool.name)
@@ -166,9 +162,7 @@ def dispatch(
             blocked=blocked,
             fake_secret=fake_secret,
         )
-    locale = classify_locale(surface)
-    date_format = classify_date_format(surface) if label is Label.DATE else None
-    value = _clean_fake_draw(surface, key, locale, blocked, date_format, fake_secret)
+    value = _clean_fake_draw(surface, key, blocked, fake_secret)
     return SurrogateDecision(surrogate=value, source=Source.FAKE)
 
 

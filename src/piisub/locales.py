@@ -1,10 +1,12 @@
 """Script- and keyword-based locale routing for demonstration pools.
 
-The classifier is a fixed-precedence heuristic over character ranges and
-keyword hits, not a language identifier. Known consequence: Japanese written
-without any kana (kanji-only names) routes to zh; callers treat that as the
-documented behavior, and the shipped Japanese pools carry kana so they route
-to themselves.
+The classifier is a fixed-precedence heuristic, not a language identifier:
+four compiled searches run in order (kana, Han, German characters and
+keywords, Spanish characters and keywords) and the first that finds
+anything names the locale; English is the fallback. Known consequence:
+Japanese written without any kana (kanji-only names) routes to zh; callers
+treat that as the documented behavior, and the shipped Japanese pools carry
+kana so they route to themselves.
 """
 
 from __future__ import annotations
@@ -29,13 +31,6 @@ class DateFormat(Enum):
     UNKNOWN = "unknown"
 
 
-_HIRAGANA = (0x3040, 0x309F)
-_KATAKANA = (0x30A0, 0x30FF)
-_HAN = (0x4E00, 0x9FFF)
-
-_DE_CHARS = frozenset("äöüßÄÖÜ")
-_ES_CHARS = frozenset("áéíóúñÑ¿¡")
-
 # Case-sensitive substrings. Address terms use substring matching on purpose:
 # German street words are compound suffixes (Hauptstraße, Marienplatz). The
 # surname tokens are the smallest additions under which every built-in demo
@@ -50,9 +45,14 @@ _ES_KEYWORDS = (
     "Ortiz", "Castillo", "Morales", "Aguilar",
 )
 
-
-def _in_range(ch: str, bounds: tuple[int, int]) -> bool:
-    return bounds[0] <= ord(ch) <= bounds[1]
+#: (search, locale) in precedence order: the first search that finds
+#: anything in a string names its locale.
+_LOCALE_SEARCHES = (
+    (re.compile("[\u3040-\u30ff]"), Locale.JA),  # hiragana and katakana
+    (re.compile("[\u4e00-\u9fff]"), Locale.ZH),  # CJK unified ideographs
+    (re.compile("|".join(["[äöüßÄÖÜ]", *map(re.escape, _DE_KEYWORDS)])), Locale.DE),
+    (re.compile("|".join(["[áéíóúñÑ¿¡]", *map(re.escape, _ES_KEYWORDS)])), Locale.ES),
+)
 
 
 def classify_locale(text: str) -> Locale:
@@ -61,18 +61,9 @@ def classify_locale(text: str) -> Locale:
     Precedence is literal and ordered: kana beats Han beats German beats
     Spanish beats the English fallback. Total over all strings.
     """
-    has_han = False
-    for ch in text:
-        if _in_range(ch, _HIRAGANA) or _in_range(ch, _KATAKANA):
-            return Locale.JA
-        if not has_han and _in_range(ch, _HAN):
-            has_han = True
-    if has_han:
-        return Locale.ZH
-    if any(ch in _DE_CHARS for ch in text) or any(k in text for k in _DE_KEYWORDS):
-        return Locale.DE
-    if any(ch in _ES_CHARS for ch in text) or any(k in text for k in _ES_KEYWORDS):
-        return Locale.ES
+    for search, locale in _LOCALE_SEARCHES:
+        if search.search(text):
+            return locale
     return Locale.EN
 
 

@@ -48,8 +48,9 @@ class Mode(Enum):
             raise ValueError(f"unknown mode {name!r}") from None
 
 
-#: Labels routed to the language-model proposer in hybrid mode.
-SLM_LABELS = frozenset({Label.PERSON, Label.ADDRESS, Label.DATE})
+#: Labels routed to the language-model proposer in hybrid mode, in the
+#: order their demonstration pools are listed.
+SLM_LABELS = (Label.PERSON, Label.ADDRESS, Label.DATE)
 
 
 class Source(Enum):

@@ -16,7 +16,6 @@ all instead of noise spans.
 
 from __future__ import annotations
 
-import math
 import operator
 import random
 import re
@@ -315,7 +314,7 @@ class VariantScores:
 
     @property
     def sd_sample(self) -> float:
-        return stdev(self.f1_by_seed) if len(self.f1_by_seed) > 1 else math.nan
+        return stdev(self.f1_by_seed)
 
     def to_json_dict(self) -> dict:
         return {
@@ -401,6 +400,9 @@ def run_ner_experiment(
             a.id != b.id for a, b in zip(records, base)
         ):
             raise ValueError(f"variant {name!r} is not parallel to {original!r}")
+    if len(seeds) < 2:
+        # the variant comparisons are Welch tests over the per-seed scores
+        raise ValueError(f"need at least two seeds, got {len(seeds)}")
     order = list(variants)
     scores = {name: VariantScores() for name in order}
     gaps = 0

@@ -238,9 +238,10 @@ def run_corpus(
         )
     detector = _build_detector(config)
     family = _decision_family(config, backend)
+    # redact writes placeholders only, so it never reads the guard
     blocked = ci_any_matcher(
         (v.strip() for rec in records for v in rec.gt_values())
-        if config.leak_guard
+        if config.leak_guard and config.mode is not Mode.REDACT
         else ()
     )
     timings = {"detect": 0.0, "surrogate": 0.0, "splice": 0.0}
@@ -410,11 +411,12 @@ def regurgitation_for_results(results: RunResults):
     return analyze_regurgitation(samples, results.catalog)
 
 
-def _dump_json(path: Path, payload: dict) -> None:
-    path.write_text(
-        json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n",
-        encoding="utf-8",
-    )
+def write_json(path: str | Path, payload: dict) -> None:
+    """Write one artifact: sorted keys, UTF-8, two-space indent, newline at
+    the end. Streamed to the file, so no copy of the whole text is built."""
+    with open(path, "w", encoding="utf-8") as out:
+        json.dump(payload, out, sort_keys=True, ensure_ascii=False, indent=2)
+        out.write("\n")
 
 
 def persist_run(
@@ -430,11 +432,11 @@ def persist_run(
 
     run_dir = Path(out_dir) / results.run_id
     run_dir.mkdir(parents=True, exist_ok=True)
-    _dump_json(run_dir / "results.json", results.to_json_dict())
+    write_json(run_dir / "results.json", results.to_json_dict())
     if metrics is None:
         metrics = compute_metrics(results, with_perplexity=with_perplexity)
     metrics_dict = metrics.to_json_dict()
-    _dump_json(run_dir / "metrics.json", metrics_dict)
+    write_json(run_dir / "metrics.json", metrics_dict)
     mode_name = results.config.mode.value
     sections = [
         primary_table({mode_name: metrics_dict}),
@@ -443,9 +445,9 @@ def persist_run(
     # Regurgitation only makes sense when a model produced the surrogates.
     if results.config.mode is Mode.HYBRID:
         regurg_dict = regurgitation_for_results(results).to_json_dict()
-        _dump_json(run_dir / "regurgitation.json", regurg_dict)
+        write_json(run_dir / "regurgitation.json", regurg_dict)
         sections.append(regurgitation_table(regurg_dict))
-    _dump_json(
+    write_json(
         run_dir / "timings.json",
         {
             "execution": {

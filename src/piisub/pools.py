@@ -1,16 +1,18 @@
 """Demonstration pools: built-in per-locale data, override loading, validation.
 
-Each pool is an ordered list of (real, fake) demonstration pairs keyed by the
-classifier output for its family: PERSON and ADDRESS pools by Locale, DATE
-pools by DateFormat. Every string in a pool must classify back to the pool's
-own key, so a sampled demonstration always matches the input it is shown
-with. The Japanese pools deliberately carry kana: kanji-only Japanese routes
-to zh (a documented classifier limit), so kanji-only entries could never
-satisfy that closure.
+Pools are keyed by model label (`model.SLM_LABELS`) and then by the pool
+key that `pool_key` gives a surface of that label: its Locale for PERSON and
+ADDRESS, its DateFormat for DATE. A label's family name, used in pool files
+and demo ids (`person/en/0`), is its name in lower case. Every string in a
+pool must classify back to the pool's own key, so a sampled demonstration
+always matches the input it is shown with. The Japanese pools deliberately
+carry kana: kanji-only Japanese routes to zh (a documented classifier
+limit), so kanji-only entries could never satisfy that closure.
 
-A separate three-demo "pilot" set per family backs the fixed-demonstration
+A separate three-demo "pilot" set per label backs the fixed-demonstration
 strategy used to reproduce the naive-prompting failure mode; it is exempt
-from closure and size rules.
+from closure and size rules. No demo may contain a line break: a demo is a
+prompt line, so one that could not be rendered is refused when it is built.
 """
 
 from __future__ import annotations
@@ -18,16 +20,12 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Iterator
 
 from .locales import DateFormat, Locale, classify_date_format, classify_locale
-from .model import Label
-
-FAMILY_PERSON = "person"
-FAMILY_ADDRESS = "address"
-FAMILY_DATE = "date"
+from .model import SLM_LABELS, Label
 
 #: Pools with fewer demos than this cannot be sampled from.
 MIN_POOL_SIZE = 3
@@ -46,38 +44,46 @@ class Demo:
             raise ValueError(f"demo {self.id}: real and fake must be non-empty")
         if self.real == self.fake:
             raise ValueError(f"demo {self.id}: real and fake must differ")
+        if any(brk in text for text in (self.real, self.fake) for brk in "\n\r"):
+            raise ValueError(f"demo {self.id}: contains a line break")
+
+
+def _family(label: Label) -> str:
+    """The label's name in pool files, pool names and demo ids."""
+    return label.name.lower()
 
 
 @dataclass(frozen=True)
 class DemoPool:
-    """An ordered, closed set of demonstrations for one (family, key)."""
+    """An ordered, closed set of demonstrations for one (label, key)."""
 
-    family: str
+    label: Label
     key: Locale | DateFormat
     demos: tuple[Demo, ...]
 
-    @property
+    @cached_property
     def name(self) -> str:
-        return f"{self.family}/{self.key.value}"
+        return f"{_family(self.label)}/{self.key.value}"
 
     def __len__(self) -> int:
         return len(self.demos)
 
 
-def _classify_for(family: str, text: str) -> Locale | DateFormat:
-    if family == FAMILY_DATE:
+def pool_key(label: Label, text: str) -> Locale | DateFormat:
+    """The key of the pool that a surface of this label routes to."""
+    if label is Label.DATE:
         return classify_date_format(text)
     return classify_locale(text)
 
 
 def _build_pool(
-    family: str, key: Locale | DateFormat, pairs: list[tuple[str, str]]
+    label: Label, key: Locale | DateFormat, pairs: list[tuple[str, str]]
 ) -> DemoPool:
     demos = tuple(
-        Demo(real, fake, f"{family}/{key.value}/{i}")
+        Demo(real, fake, f"{_family(label)}/{key.value}/{i}")
         for i, (real, fake) in enumerate(pairs)
     )
-    pool = DemoPool(family, key, demos)
+    pool = DemoPool(label, key, demos)
     validate_pool(pool)
     return pool
 
@@ -89,14 +95,13 @@ def validate_pool(pool: DemoPool) -> None:
     data parity but is never sampled (unknown-format inputs fall back to the
     fake generator).
     """
-    exempt = pool.family == FAMILY_DATE and pool.key is DateFormat.UNKNOWN
-    if not exempt and len(pool) < MIN_POOL_SIZE:
+    if pool.key is not DateFormat.UNKNOWN and len(pool) < MIN_POOL_SIZE:
         raise ValueError(
             f"pool {pool.name}: {len(pool)} demos, need at least {MIN_POOL_SIZE}"
         )
     for demo in pool.demos:
         for side, text in (("real", demo.real), ("fake", demo.fake)):
-            got = _classify_for(pool.family, text)
+            got = pool_key(pool.label, text)
             if got is not pool.key:
                 raise ValueError(
                     f"pool {pool.name}: {side} string {text!r} classifies "
@@ -226,20 +231,20 @@ _DATE_PAIRS: dict[DateFormat, list[tuple[str, str]]] = {
 }
 
 # Fixed demonstrations for the naive single-template strategy: one English,
-# one Japanese, one Spanish pair per family, shown to every input regardless
+# one Japanese, one Spanish pair per label, shown to every input regardless
 # of its script or format.
-_PILOT_PAIRS: dict[str, list[tuple[str, str]]] = {
-    FAMILY_PERSON: [
+_PILOT_PAIRS: dict[Label, list[tuple[str, str]]] = {
+    Label.PERSON: [
         ("John Smith", "Alice Johnson"),
         ("山田花子", "佐藤由美"),
         ("José Martínez", "Luis Delgado"),
     ],
-    FAMILY_ADDRESS: [
+    Label.ADDRESS: [
         ("45 Oak Avenue, Denver CO 80203", "123 Main Street, Boston MA 02101"),
         ("東京都新宿区西新宿2-8-1", "大阪市北区梅田1-1-3"),
         ("Calle Juárez 45, 44100 Guadalajara", "Avenida Reforma 222, 06600 CDMX"),
     ],
-    FAMILY_DATE: [
+    Label.DATE: [
         ("12/25/2002", "03/15/1985"),
         ("2003-05-20", "1982-08-14"),
         ("14/07/2004", "23/10/1994"),
@@ -247,67 +252,52 @@ _PILOT_PAIRS: dict[str, list[tuple[str, str]]] = {
 }
 
 
+_PAIRS: dict[Label, dict] = {
+    Label.PERSON: _PERSON_PAIRS,
+    Label.ADDRESS: _ADDRESS_PAIRS,
+    Label.DATE: _DATE_PAIRS,
+}
+
+
 @dataclass(frozen=True)
 class PoolCatalog:
     """All demonstration pools for one run, plus the fixed pilot demos."""
 
-    person: dict[Locale, DemoPool]
-    address: dict[Locale, DemoPool]
-    date: dict[DateFormat, DemoPool]
-    pilot: dict[str, tuple[Demo, ...]]
+    pools: dict[Label, dict[Locale | DateFormat, DemoPool]]
+    pilot: dict[Label, tuple[Demo, ...]]
 
     def pool_for(self, label: Label, surface: str) -> DemoPool:
         """Route an entity surface to its demonstration pool."""
-        if label is Label.PERSON:
-            return self.person[classify_locale(surface)]
-        if label is Label.ADDRESS:
-            return self.address[classify_locale(surface)]
-        if label is Label.DATE:
-            return self.date[classify_date_format(surface)]
-        raise ValueError(f"no demonstration pools for label {label.name}")
-
-    def pilot_demos(self, label: Label) -> tuple[Demo, ...]:
-        family = {
-            Label.PERSON: FAMILY_PERSON,
-            Label.ADDRESS: FAMILY_ADDRESS,
-            Label.DATE: FAMILY_DATE,
-        }[label]
-        return self.pilot[family]
+        if label not in self.pools:
+            raise ValueError(f"no demonstration pools for label {label.name}")
+        return self.pools[label][pool_key(label, surface)]
 
     def iter_named_demo_sets(self) -> Iterator[tuple[str, tuple[Demo, ...]]]:
         """Every demo set under its name, pilot sets included."""
-        for pools in (self.person, self.address, self.date):
-            for pool in pools.values():
+        for by_key in self.pools.values():
+            for pool in by_key.values():
                 yield pool.name, pool.demos
-        for family, demos in self.pilot.items():
-            yield f"{family}/pilot", demos
-
-
-def _pilot_set(family: str, pairs: list[tuple[str, str]]) -> tuple[Demo, ...]:
-    return tuple(
-        Demo(real, fake, f"{family}/pilot/{i}") for i, (real, fake) in enumerate(pairs)
-    )
+        for label, demos in self.pilot.items():
+            yield f"{_family(label)}/pilot", demos
 
 
 @lru_cache(maxsize=1)
 def builtin_catalog() -> PoolCatalog:
     """The shipped pools; validated on first use."""
     return PoolCatalog(
-        person={
-            loc: _build_pool(FAMILY_PERSON, loc, pairs)
-            for loc, pairs in _PERSON_PAIRS.items()
-        },
-        address={
-            loc: _build_pool(FAMILY_ADDRESS, loc, pairs)
-            for loc, pairs in _ADDRESS_PAIRS.items()
-        },
-        date={
-            fmt: _build_pool(FAMILY_DATE, fmt, pairs)
-            for fmt, pairs in _DATE_PAIRS.items()
+        pools={
+            label: {
+                key: _build_pool(label, key, pairs)
+                for key, pairs in _PAIRS[label].items()
+            }
+            for label in SLM_LABELS
         },
         pilot={
-            family: _pilot_set(family, pairs)
-            for family, pairs in _PILOT_PAIRS.items()
+            label: tuple(
+                Demo(real, fake, f"{_family(label)}/pilot/{i}")
+                for i, (real, fake) in enumerate(_PILOT_PAIRS[label])
+            )
+            for label in SLM_LABELS
         },
     )
 
@@ -317,32 +307,30 @@ def load_pool_file(path: str | Path) -> PoolCatalog:
 
     The file maps family -> pool key -> list of {real, fake}. Pools present
     in the file replace the built-in pool for that key; everything else is
-    kept. Every replacement pool is re-validated for closure and size, and
-    a sampled one with fewer than 4 demos draws a warning: every prompt
-    would show the same three. (Some shipped pools have 3 demos; growing
-    them would change hybrid outputs.)
+    kept. Every replacement pool is re-validated for closure, size and line
+    breaks, and a sampled one with fewer than 4 demos draws a warning: every
+    prompt would show the same three. (Some shipped pools have 3 demos;
+    growing them would change hybrid outputs.)
     """
     data = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(data, dict):
         raise ValueError("pool file must be an object mapping families to pools")
     base = builtin_catalog()
-    person = dict(base.person)
-    address = dict(base.address)
-    date = dict(base.date)
-    for family, pools in data.items():
-        if family not in (FAMILY_PERSON, FAMILY_ADDRESS, FAMILY_DATE):
+    pools = {label: dict(by_key) for label, by_key in base.pools.items()}
+    labels = {_family(label): label for label in pools}
+    for family, entries_by_key in data.items():
+        if family not in labels:
             raise ValueError(f"unknown pool family {family!r}")
-        if not isinstance(pools, dict):
+        if not isinstance(entries_by_key, dict):
             raise ValueError(f"family {family!r} must map keys to demo lists")
-        for key_name, entries in pools.items():
-            try:
-                key: Locale | DateFormat = (
-                    DateFormat(key_name) if family == FAMILY_DATE else Locale(key_name)
-                )
-            except ValueError:
+        by_key = pools[labels[family]]
+        # the shipped catalog has a pool for every key, so it names them all
+        keys = {key.value: key for key in by_key}
+        for key_name, entries in entries_by_key.items():
+            if key_name not in keys:
                 raise ValueError(
                     f"unknown pool key {key_name!r} for family {family!r}"
-                ) from None
+                )
             pairs = []
             for i, entry in enumerate(entries):
                 if not isinstance(entry, dict) or "real" not in entry or "fake" not in entry:
@@ -350,16 +338,11 @@ def load_pool_file(path: str | Path) -> PoolCatalog:
                         f"pool {family}/{key_name} entry {i} needs real and fake"
                     )
                 pairs.append((str(entry["real"]), str(entry["fake"])))
-            pool = _build_pool(family, key, pairs)
-            if len(pool) < 4 and key is not DateFormat.UNKNOWN:
+            pool = _build_pool(labels[family], keys[key_name], pairs)
+            if len(pool) < 4 and pool.key is not DateFormat.UNKNOWN:
                 warnings.warn(
                     f"pool {pool.name} has only {len(pool)} demos; rotation is weak",
                     stacklevel=2,
                 )
-            if family == FAMILY_PERSON:
-                person[key] = pool  # type: ignore[index]
-            elif family == FAMILY_ADDRESS:
-                address[key] = pool  # type: ignore[index]
-            else:
-                date[key] = pool  # type: ignore[index]
-    return PoolCatalog(person=person, address=address, date=date, pilot=base.pilot)
+            by_key[pool.key] = pool
+    return PoolCatalog(pools=pools, pilot=base.pilot)

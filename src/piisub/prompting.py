@@ -79,7 +79,11 @@ def sample_demos(
 
 
 def build_prompt(demos: Sequence[Demo], input_text: str) -> str:
-    """Render the substitution prompt. Byte-exact: callers may cache on it."""
+    """Render the substitution prompt. Byte-exact: callers may cache on it.
+
+    Demos are line-free by construction (`Demo` refuses a line break), so
+    only the input is checked here.
+    """
     if len(demos) != SAMPLE_SIZE:
         raise InvalidInput(f"expected {SAMPLE_SIZE} demos, got {len(demos)}")
     trimmed = input_text.strip()
@@ -87,10 +91,6 @@ def build_prompt(demos: Sequence[Demo], input_text: str) -> str:
         raise InvalidInput("input is empty after trimming")
     if "\n" in trimmed or "\r" in trimmed:
         raise InvalidInput("input contains a line break")
-    for demo in demos:
-        for text in (demo.real, demo.fake):
-            if "\n" in text or "\r" in text:
-                raise InvalidInput(f"demo {demo.id} contains a line break")
     parts = [f"Real: {d.real}\nFake: {d.fake}\n" for d in demos]
     parts.append(f"Real: {trimmed}\nFake:")
     return "".join(parts)
@@ -200,10 +200,15 @@ def analyze_regurgitation(
     labels routed through the model are considered. A surrogate equal to any
     demo's fake side (after trimming) is an output copy, equal to a real side
     an input copy; a copy matched in a pool other than the input's own pool
-    counts as cross-pool.
+    counts as cross-pool. A string on both sides counts as a fake side, and a
+    string in several sets is matched in the first set listed.
     """
     report = RegurgitationReport()
-    named_sets = list(catalog.iter_named_demo_sets())
+    copies: dict[str, tuple[str, str]] = {}
+    for side in ("fake", "real"):
+        for name, demos in catalog.iter_named_demo_sets():
+            for demo in demos:
+                copies.setdefault(getattr(demo, side).strip(), (side, name))
     seen: set[tuple[str, Label]] = set()
     for surface, label, decision in samples:
         if label not in SLM_LABELS:
@@ -228,21 +233,11 @@ def analyze_regurgitation(
             report.by_input_pool[own_pool.name] = stats
         stats.slm_decisions += 1
         stats.surrogates.add(decision.surrogate)
-        trimmed = decision.surrogate.strip()
-        matched_pool: str | None = None
-        side: str | None = None
-        for name, demos in named_sets:
-            if any(d.fake.strip() == trimmed for d in demos):
-                matched_pool, side = name, "fake"
-                break
-        if matched_pool is None:
-            for name, demos in named_sets:
-                if any(d.real.strip() == trimmed for d in demos):
-                    matched_pool, side = name, "real"
-                    break
-        if matched_pool is None:
+        copy = copies.get(decision.surrogate.strip())
+        if copy is None:
             report.novel += 1
             continue
+        side, matched_pool = copy
         if side == "fake":
             report.output_copies += 1
             stats.output_copies += 1

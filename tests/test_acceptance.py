@@ -96,7 +96,7 @@ def test_c03_fixed_demos_echo_but_rotation_stays_clean(
     assert copies / slm >= 0.95
 
     # the copies are specifically the first fixed demo's fake side
-    first_fake = catalog.pilot_demos(Label.PERSON)[0].fake
+    first_fake = catalog.pilot[Label.PERSON][0].fake
     echoed = total = 0
     for doc in _load(echo_dir, "results.json")["documents"]:
         if doc["locale"] not in ("zh_CN", "ja_JP", "de_DE"):
@@ -137,7 +137,7 @@ def test_c04_copying_backend_hits_the_2x_pool_ceiling(catalog):
             if g.group.label is Label.PERSON
         })
 
-    ceiling = 2 * len(catalog.person[Locale.EN])
+    ceiling = 2 * len(catalog.pools[Label.PERSON][Locale.EN])
     assert ceiling == 16
     hybrid_unique = unique_person_surrogates(hybrid)
     assert 0 < hybrid_unique <= ceiling
@@ -260,7 +260,7 @@ def test_c10_reruns_are_byte_identical_and_sampling_is_stable(
             second = (out_dirs[1] / run_name / artifact).read_bytes()
             assert first == second, f"{run_name}/{artifact} differs between reruns"
 
-    demos = catalog.person[Locale.EN].demos
+    demos = catalog.pools[Label.PERSON][Locale.EN].demos
     rng = random.Random(123)
     for _ in range(10_000):
         s = "".join(chr(rng.randint(32, 0x2FA0)) for _ in range(rng.randint(0, 24)))
@@ -270,15 +270,15 @@ def test_c10_reruns_are_byte_identical_and_sampling_is_stable(
 
 
 def test_c11_builtin_demos_classify_back_to_their_own_pool(catalog):
-    for locale, pool in catalog.person.items():
+    for locale, pool in catalog.pools[Label.PERSON].items():
         for demo in pool.demos:
             assert classify_locale(demo.real) is locale, demo.id
             assert classify_locale(demo.fake) is locale, demo.id
-    for locale, pool in catalog.address.items():
+    for locale, pool in catalog.pools[Label.ADDRESS].items():
         for demo in pool.demos:
             assert classify_locale(demo.real) is locale, demo.id
             assert classify_locale(demo.fake) is locale, demo.id
-    for fmt, pool in catalog.date.items():
+    for fmt, pool in catalog.pools[Label.DATE].items():
         for demo in pool.demos:
             assert classify_date_format(demo.real) is fmt, demo.id
             assert classify_date_format(demo.fake) is fmt, demo.id

@@ -211,6 +211,25 @@ class TestRun:
             main(["run", "--corpus", str(corpus_file), "--config", config])
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("mode", ["redact", "faker", "hybrid"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("option", ["parallelism", "max_inflight"])
+    def test_execution_setting_below_one_is_a_usage_error(
+        self, corpus_file, tmp_path, capsys, option, given, mode
+    ):
+        flag = "--" + option.replace("_", "-")
+        out = tmp_path / "results"
+        argv = ["run", "--mode", mode, "--corpus", str(corpus_file), "--out", str(out)]
+        if given == "flag":
+            argv += [flag, "0"]
+        else:
+            argv += ["--config", write_config(tmp_path / "config.json", {option: 0})]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_value_goes_through_choices(self, corpus_file, tmp_path, capsys):
         config = write_config(tmp_path / "config.json", {"detector": "psychic"})
         with pytest.raises(SystemExit):
@@ -347,6 +366,29 @@ class TestNer:
         assert "variant" in stdout
         assert "original" in stdout
 
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("seeds", ["11", "11,"])
+    def test_fewer_than_two_seeds_is_a_usage_error(
+        self, corpus_file, tmp_path, capsys, monkeypatch, seeds, given
+    ):
+        import piisub.ner as ner
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the seeds were checked")
+
+        monkeypatch.setattr(ner, "train_tagger", no_training)
+        out = tmp_path / "ner-out"
+        argv = ["ner", "--mode", "redact", "--corpus", str(corpus_file), "--out", str(out)]
+        if given == "flag":
+            argv += ["--seeds", seeds]
+        else:
+            argv += ["--config", write_config(tmp_path / "config.json", {"seeds": seeds})]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "argument --seeds: need at least two seeds" in capsys.readouterr().err
+        assert not (out / "ner.json").exists()
 
     def test_config_keys_equal_their_flags(self, corpus_file, tmp_path):
         settings = {

@@ -167,6 +167,7 @@ class TestExternalDetector:
             ("[1, 2]", "expected an object"),
             ('{"start": 0, "end": 99, "label": "PERSON"}', "out of bounds"),
             ('{"start": "0", "end": 4, "label": "PERSON"}', "integers"),
+            ('{"start": true, "end": 4, "label": "PERSON"}', "integers"),
             ('{"start": 0, "end": 4, "label": "NOPE"}', "unknown label"),
             ('{"end": 4, "label": "PERSON"}', "line 1"),
         ],

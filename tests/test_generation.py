@@ -160,7 +160,7 @@ class TestSlmPropose:
             catalog=catalog,
             strategy=DemoStrategy.FIXED_THREE,
         )
-        pilot_ids = tuple(d.id for d in catalog.pilot_demos(Label.PERSON))
+        pilot_ids = tuple(d.id for d in catalog.pilot[Label.PERSON])
         assert first.demos_used == pilot_ids
         # same demos regardless of input locale
         assert backend.prompts[0].splitlines()[:6] == backend.prompts[1].splitlines()[:6]

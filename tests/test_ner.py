@@ -517,6 +517,22 @@ class TestExperiment:
                 seeds=(1,),
             )
 
+    @pytest.mark.parametrize("seeds", [(), (1,)])
+    def test_rejects_fewer_than_two_seeds_before_training(self, seeds, monkeypatch):
+        import piisub.ner as ner
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the seeds were checked")
+
+        monkeypatch.setattr(ner, "train_tagger", no_training)
+        corpus = synth_corpus(10, seed=3)
+        with pytest.raises(ValueError, match="at least two seeds"):
+            run_ner_experiment(
+                {"original": corpus, "copy": list(corpus)},
+                train_size=6,
+                test_size=2,
+                seeds=seeds,
+            )
 
 def test_variant_scores_sd_definitions():
     scores = VariantScores(f1_by_seed=[0.4, 0.6])

@@ -24,6 +24,7 @@ from piisub.pipeline import (
     persist_run,
     regurgitation_for_results,
     run_corpus,
+    write_json,
 )
 from piisub.prompting import DemoStrategy
 
@@ -204,7 +205,7 @@ class TestDeterminismAndLeak:
         for key in ("documents", "proposals_made", "cache_hits"):
             assert fast[key] == naive[key]
 
-    @pytest.mark.parametrize("mode", [Mode.FAKER, Mode.HYBRID])
+    @pytest.mark.parametrize("mode", [Mode.REDACT, Mode.FAKER, Mode.HYBRID])
     def test_guarded_run_builds_its_matcher_once(self, corpus, mode, monkeypatch):
         import piisub.pipeline as pipeline
 
@@ -217,7 +218,11 @@ class TestDeterminismAndLeak:
         monkeypatch.setattr(pipeline, "ci_any_matcher", counting_matcher)
         run(corpus, mode, parallelism=4)
         assert len(built) == 1
-        assert set(built[0]) == {v.strip() for r in corpus for v in r.gt_values()}
+        if mode is Mode.REDACT:
+            # placeholders never reach the guard, so it blocks nothing
+            assert built[0] == []
+        else:
+            assert set(built[0]) == {v.strip() for r in corpus for v in r.gt_values()}
 
 
 class TestCacheBehavior:
@@ -514,6 +519,21 @@ class TestPersistRun:
         payload = json.loads((run_dir / "results.json").read_text(encoding="utf-8"))
         assert "timings" not in payload
         assert payload["run_id"] == run_dir.name
+
+    def test_write_json_streams_the_same_bytes_as_dumps(self, tmp_path):
+        payload = {
+            "zeta": [1, 2.5, [0.1, 1e-07, -0.0], {"b": None, "a": True}],
+            "名前": "Müller 山田さくら ¿qué?",
+            "empty": {},
+            "floats": [1 / 3, 1e300, 12.0],
+            "nested": {"lists": [[], [[]], ["x"]]},
+        }
+        path = tmp_path / "out.json"
+        write_json(path, payload)
+        expected = (
+            json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+        )
+        assert path.read_bytes() == expected.encode("utf-8")
 
 
 def test_scorer_trained_on_non_pii_only(corpus):

@@ -4,36 +4,36 @@ import warnings
 import pytest
 
 from piisub.locales import DateFormat, Locale, classify_date_format, classify_locale
-from piisub.model import Label
+from piisub.model import SLM_LABELS, Label
 from piisub.pools import (
-    FAMILY_DATE,
     MIN_POOL_SIZE,
     Demo,
     DemoPool,
     builtin_catalog,
     load_pool_file,
+    pool_key,
     validate_pool,
 )
 
 
 def test_every_builtin_demo_classifies_to_its_own_pool(catalog):
     """Closure: both sides of every pair route back to the pool they live in."""
-    for pools in (catalog.person, catalog.address):
+    for pools in (catalog.pools[Label.PERSON], catalog.pools[Label.ADDRESS]):
         for key, pool in pools.items():
             for demo in pool.demos:
                 assert classify_locale(demo.real) is key, demo.id
                 assert classify_locale(demo.fake) is key, demo.id
-    for key, pool in catalog.date.items():
+    for key, pool in catalog.pools[Label.DATE].items():
         for demo in pool.demos:
             assert classify_date_format(demo.real) is key, demo.id
             assert classify_date_format(demo.fake) is key, demo.id
 
 
 def test_builtin_pool_sizes(catalog):
-    for pools in (catalog.person, catalog.address):
+    for pools in (catalog.pools[Label.PERSON], catalog.pools[Label.ADDRESS]):
         for pool in pools.values():
             assert len(pool) >= MIN_POOL_SIZE
-    for key, pool in catalog.date.items():
+    for key, pool in catalog.pools[Label.DATE].items():
         if key is not DateFormat.UNKNOWN:
             assert len(pool) >= MIN_POOL_SIZE
 
@@ -60,13 +60,29 @@ def test_pool_for_rejects_non_slm_labels(catalog):
         catalog.pool_for(Label.EMAIL, "a@b.com")
 
 
+def test_catalog_is_keyed_by_the_model_labels(catalog):
+    assert tuple(catalog.pools) == SLM_LABELS
+    assert tuple(catalog.pilot) == SLM_LABELS
+    for label, pools in catalog.pools.items():
+        for key, pool in pools.items():
+            assert pool.label is label and pool.key is key
+            assert pool.name == f"{label.name.lower()}/{key.value}"
+
+
+def test_pool_key_reads_locale_or_date_format():
+    assert pool_key(Label.PERSON, "Hans Müller") is Locale.DE
+    assert pool_key(Label.ADDRESS, "東京都渋谷区さくら通り") is Locale.JA
+    assert pool_key(Label.DATE, "1975-04-12") is DateFormat.YMD_DASH
+    assert pool_key(Label.DATE, "Hans Müller") is DateFormat.UNKNOWN
+
+
 def test_pilot_demos_fixed_per_family(catalog):
-    person = catalog.pilot_demos(Label.PERSON)
+    person = catalog.pilot[Label.PERSON]
     assert len(person) == 3
     assert person[0].real == "John Smith"
     assert person[0].fake == "Alice Johnson"
-    assert len(catalog.pilot_demos(Label.ADDRESS)) == 3
-    assert len(catalog.pilot_demos(Label.DATE)) == 3
+    assert len(catalog.pilot[Label.ADDRESS]) == 3
+    assert len(catalog.pilot[Label.DATE]) == 3
 
 
 def test_demo_pair_validation():
@@ -76,6 +92,13 @@ def test_demo_pair_validation():
         Demo("same", "same", "d/1")
 
 
+def test_demo_with_line_break_rejected():
+    # a demo is one prompt line; build_prompt relies on this check
+    for real, fake in (("a\nb", "c"), ("a", "b\rc")):
+        with pytest.raises(ValueError, match="line break"):
+            Demo(real, fake, "p/x/0")
+
+
 def test_validate_pool_rejects_closure_break():
     # an English name inside the de pool breaks closure
     demos = (
@@ -83,7 +106,7 @@ def test_validate_pool_rejects_closure_break():
         Demo("Anna Becker", "Lena Hoffmann", "person/de/1"),
         Demo("Plain Name", "Other Name", "person/de/2"),
     )
-    pool = DemoPool("person", Locale.DE, demos)
+    pool = DemoPool(Label.PERSON, Locale.DE, demos)
     with pytest.raises(ValueError, match="closure"):
         validate_pool(pool)
 
@@ -91,7 +114,7 @@ def test_validate_pool_rejects_closure_break():
 def test_validate_pool_rejects_undersized():
     demos = (Demo("Hans Müller", "Karl Schmidt", "person/de/0"),)
     with pytest.raises(ValueError, match="need at least"):
-        validate_pool(DemoPool("person", Locale.DE, demos))
+        validate_pool(DemoPool(Label.PERSON, Locale.DE, demos))
 
 
 def test_builtin_catalog_does_not_warn_about_itself():
@@ -102,7 +125,7 @@ def test_builtin_catalog_does_not_warn_about_itself():
 
 
 def test_date_unknown_pool_exempt_from_size(catalog):
-    assert len(catalog.date[DateFormat.UNKNOWN]) == 2  # parity data, never sampled
+    assert len(catalog.pools[Label.DATE][DateFormat.UNKNOWN]) == 2  # parity data, never sampled
 
 
 class TestLoadPoolFile:
@@ -121,11 +144,12 @@ class TestLoadPoolFile:
         # plain-ASCII romaji names classify EN, so override the en pool
         path = self._write(tmp_path, {"person": {"en": pairs}})
         loaded = load_pool_file(path)
-        assert [d.real for d in loaded.person[Locale.EN].demos] == [
-            p["real"] for p in pairs
-        ]
-        assert loaded.person[Locale.DE] == catalog.person[Locale.DE]
-        assert loaded.date == catalog.date
+        person = loaded.pools[Label.PERSON]
+        assert [d.real for d in person[Locale.EN].demos] == [p["real"] for p in pairs]
+        assert list(person) == list(catalog.pools[Label.PERSON])
+        assert person[Locale.DE] == catalog.pools[Label.PERSON][Locale.DE]
+        assert loaded.pools[Label.DATE] == catalog.pools[Label.DATE]
+        assert loaded.pilot == catalog.pilot
 
     def test_weak_rotation_warns(self, tmp_path):
         pairs = [
@@ -153,9 +177,41 @@ class TestLoadPoolFile:
             load_pool_file(path)
 
     def test_unknown_key_rejected(self, tmp_path):
-        path = self._write(tmp_path, {FAMILY_DATE: {"roman": []}})
+        path = self._write(tmp_path, {"date": {"roman": []}})
         with pytest.raises(ValueError, match="unknown pool key"):
             load_pool_file(path)
+
+    def test_line_break_demo_fails_at_load(self, tmp_path):
+        pairs = [
+            {"real": "Kenji\nTanaka", "fake": "Hiro Yamamoto"},
+            {"real": "Aiko Suzuki", "fake": "Mei Kobayashi"},
+            {"real": "Ren Watanabe", "fake": "Yuna Ito"},
+            {"real": "Sora Nakamura", "fake": "Kaito Mori"},
+        ]
+        path = self._write(tmp_path, {"person": {"en": pairs}})
+        with pytest.raises(ValueError, match="person/en/0: contains a line break"):
+            load_pool_file(path)
+
+    def test_every_label_loads_through_one_path(self, tmp_path, catalog):
+        # one replacement per family: its first shipped pool with the sides
+        # swapped, which keeps closure
+        payload = {
+            label.name.lower(): {
+                pool.key.value: [{"real": d.fake, "fake": d.real} for d in pool.demos]
+            }
+            for label, pools in catalog.pools.items()
+            for pool in list(pools.values())[:1]
+        }
+        loaded = load_pool_file(self._write(tmp_path, payload))
+        for label, pools in catalog.pools.items():
+            first = next(iter(pools.values()))
+            swapped = loaded.pools[label][first.key]
+            assert swapped.name == first.name
+            assert [d.id for d in swapped.demos] == [d.id for d in first.demos]
+            assert [(d.real, d.fake) for d in swapped.demos] == [
+                (d.fake, d.real) for d in first.demos
+            ]
+            assert list(loaded.pools[label]) == list(pools)
 
     def test_entry_shape_enforced(self, tmp_path):
         path = self._write(tmp_path, {"person": {"en": [{"real": "only real"}]}})

@@ -5,6 +5,7 @@ a hand-rolled splitmix64 step), so a regression in either primitive shows up
 as a value mismatch, not just as self-consistency.
 """
 
+import json
 from collections import Counter
 
 import pytest
@@ -12,13 +13,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piisub.locales import Locale
-from piisub.model import Label, RejectionReason, Source, SurrogateDecision
-from piisub.pools import Demo
+from piisub.model import (
+    SLM_LABELS,
+    Label,
+    RejectionReason,
+    Source,
+    SurrogateDecision,
+    canonicalize,
+)
+from piisub.pools import Demo, load_pool_file
 from piisub.prompting import (
     SAMPLE_SIZE,
     DemoStrategy,
     InvalidInput,
+    PoolRegurgStats,
     PoolTooSmall,
+    RegurgitationReport,
     analyze_regurgitation,
     build_prompt,
     sample_demos,
@@ -131,15 +141,6 @@ class TestBuildPrompt:
         with pytest.raises(InvalidInput):
             build_prompt(_pool(3), bad)
 
-    def test_demo_with_line_break_rejected(self):
-        demos = (
-            Demo("a\nb", "c", "p/x/0"),
-            Demo("r1", "f1", "p/x/1"),
-            Demo("r2", "f2", "p/x/2"),
-        )
-        with pytest.raises(InvalidInput):
-            build_prompt(demos, "x")
-
 
 class TestValidateResponse:
     def test_accepts_clean_value(self):
@@ -187,8 +188,8 @@ class TestAnalyzeRegurgitation:
         return SurrogateDecision(value, Source.SLM, demos_used=("a", "b", "c"))
 
     def test_copy_classification(self, catalog):
-        en_fake = catalog.person[Locale.EN].demos[0].fake  # "Marcus Chen"
-        en_real = catalog.person[Locale.EN].demos[1].real  # "Linda Vasquez"
+        en_fake = catalog.pools[Label.PERSON][Locale.EN].demos[0].fake  # "Marcus Chen"
+        en_real = catalog.pools[Label.PERSON][Locale.EN].demos[1].real  # "Linda Vasquez"
         samples = [
             ("Walter A", Label.PERSON, self.slm(en_fake)),  # output copy
             ("Edith G", Label.PERSON, self.slm(en_real)),  # input copy
@@ -217,7 +218,7 @@ class TestAnalyzeRegurgitation:
         assert stats.ceiling == 16  # both sides of the 8-pair en pool
 
     def test_cross_pool_copy_detected(self, catalog):
-        ja_fake = catalog.person[Locale.JA].demos[0].fake
+        ja_fake = catalog.pools[Label.PERSON][Locale.JA].demos[0].fake
         report = analyze_regurgitation(
             [("Walter A", Label.PERSON, self.slm(ja_fake))], catalog
         )
@@ -225,7 +226,7 @@ class TestAnalyzeRegurgitation:
         assert report.cross_pool_copies == 1
 
     def test_dedupe_by_canonical_surface(self, catalog):
-        fake = catalog.person[Locale.EN].demos[0].fake
+        fake = catalog.pools[Label.PERSON][Locale.EN].demos[0].fake
         samples = [
             ("Walter A", Label.PERSON, self.slm(fake)),
             ("walter  a", Label.PERSON, self.slm(fake)),
@@ -237,6 +238,154 @@ class TestAnalyzeRegurgitation:
         samples = [("x@y.com", Label.EMAIL, SurrogateDecision("z@w.com", Source.FAKE))]
         report = analyze_regurgitation(samples, catalog)
         assert report.total_unique == 0
+
+
+def reference_analyze_regurgitation(samples, catalog):
+    """The scanning analysis that the copy index replaced, kept verbatim: it
+    searches every demo set, fake sides first, for each decision."""
+    report = RegurgitationReport()
+    named_sets = list(catalog.iter_named_demo_sets())
+    seen = set()
+    for surface, label, decision in samples:
+        if label not in SLM_LABELS:
+            continue
+        key = (canonicalize(surface), label)
+        if key in seen:
+            continue
+        seen.add(key)
+        report.total_unique += 1
+        if decision.source is Source.FALLBACK_FAKE:
+            report.fallback_decisions += 1
+            for reason in decision.rejection_reasons:
+                report.fallback_reasons[reason.value] += 1
+            continue
+        if decision.source is not Source.SLM:
+            continue
+        report.slm_decisions += 1
+        own_pool = catalog.pool_for(label, surface)
+        stats = report.by_input_pool.get(own_pool.name)
+        if stats is None:
+            stats = PoolRegurgStats(ceiling=2 * len(own_pool))
+            report.by_input_pool[own_pool.name] = stats
+        stats.slm_decisions += 1
+        stats.surrogates.add(decision.surrogate)
+        trimmed = decision.surrogate.strip()
+        matched_pool = None
+        side = None
+        for name, demos in named_sets:
+            if any(d.fake.strip() == trimmed for d in demos):
+                matched_pool, side = name, "fake"
+                break
+        if matched_pool is None:
+            for name, demos in named_sets:
+                if any(d.real.strip() == trimmed for d in demos):
+                    matched_pool, side = name, "real"
+                    break
+        if matched_pool is None:
+            report.novel += 1
+            continue
+        if side == "fake":
+            report.output_copies += 1
+            stats.output_copies += 1
+        else:
+            report.input_copies += 1
+            stats.input_copies += 1
+        if matched_pool != own_pool.name:
+            report.cross_pool_copies += 1
+    return report
+
+
+@pytest.fixture(scope="module")
+def overlapping_catalog(tmp_path_factory):
+    """The shipped pools plus an address/en pool whose real sides are fake
+    sides of person/en ("Marcus Chen", "Olivia Brennan") and whose fake
+    sides include a real side of person/en ("Linda Vasquez")."""
+    pairs = [
+        ("Marcus Chen", "88 Commerce Street, Austin TX 78701"),
+        ("Olivia Brennan", "964 Harper Road, Nashville TN 37210"),
+        ("Theo Pemberton", "Linda Vasquez"),
+        ("450 Cedar Hollow, Boise ID 83702", "Maya Iyer"),
+    ]
+    path = tmp_path_factory.mktemp("pools") / "pools.json"
+    path.write_text(
+        json.dumps({"address": {"en": [{"real": r, "fake": f} for r, f in pairs]}}),
+        encoding="utf-8",
+    )
+    return load_pool_file(path)
+
+
+def _demo_strings(catalog):
+    return sorted(
+        {text for _, demos in catalog.iter_named_demo_sets()
+         for d in demos for text in (d.real, d.fake)}
+    )
+
+
+class TestCopyIndexEqualsTheScan:
+    def test_overlap_is_present(self, overlapping_catalog):
+        report = analyze_regurgitation(
+            [
+                ("Walter A", Label.ADDRESS, _decision("Marcus Chen", Source.SLM)),
+                ("Edith G", Label.PERSON, _decision("Linda Vasquez", Source.SLM)),
+            ],
+            overlapping_catalog,
+        )
+        # fake sides win over the input's own pool: both strings are output
+        # copies matched in the other pool
+        assert report.output_copies == 2 and report.input_copies == 0
+        assert report.cross_pool_copies == 2
+
+    def test_every_demo_string_from_every_pool(self, overlapping_catalog):
+        surfaces = ["Walter A", "Hans Müller", "Calle Luna 3", "山田さくら", "李伟",
+                    "04/12/1975", "1975-04-12", "spring"]
+        samples = [
+            # distinct surfaces, so no sample is folded into another
+            (f"{surface} {i} {len(pad)}", label, _decision(pad + text + pad, Source.SLM))
+            for i, text in enumerate(_demo_strings(overlapping_catalog) + ["Novel"])
+            for surface in surfaces
+            for label in SLM_LABELS
+            for pad in ("", " ")
+        ]
+        expected = reference_analyze_regurgitation(samples, overlapping_catalog)
+        got = analyze_regurgitation(samples, overlapping_catalog)
+        assert got == expected
+        assert got.output_copies and got.input_copies and got.cross_pool_copies
+
+    @settings(max_examples=150)
+    @given(st.data())
+    def test_drawn_samples(self, overlapping_catalog, data):
+        strings = _demo_strings(overlapping_catalog) + ["Novel Name"]
+        surfaces = ["Walter A", "walter  a", "Hans Müller", "山田さくら", "李伟",
+                    "12-Apr-1975", "13/01/1975", "x@y.com"]
+        drawn = data.draw(
+            st.lists(
+                st.tuples(
+                    st.sampled_from(surfaces),
+                    st.sampled_from(list(Label)),
+                    st.sampled_from(strings),
+                    st.sampled_from(["", " ", "\t"]),
+                    st.sampled_from([Source.SLM, Source.FALLBACK_FAKE, Source.FAKE]),
+                ),
+                max_size=30,
+            )
+        )
+        samples = [
+            (surface, label, _decision(pad + text + pad, source))
+            for surface, label, text, pad, source in drawn
+        ]
+        assert analyze_regurgitation(samples, overlapping_catalog) == (
+            reference_analyze_regurgitation(samples, overlapping_catalog)
+        )
+
+
+def _decision(surrogate, source):
+    if source is Source.SLM:
+        return SurrogateDecision(surrogate, source, demos_used=("a", "b", "c"))
+    if source is Source.FALLBACK_FAKE:
+        return SurrogateDecision(
+            surrogate, source, rejection_reasons=(RejectionReason.EMPTY,)
+        )
+    return SurrogateDecision(surrogate, source)
 
 
 def test_demo_strategy_values():
