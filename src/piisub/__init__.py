@@ -46,6 +46,7 @@ from .pipeline import (
     RunConfig,
     RunResults,
     compute_metrics,
+    perplexity_reference,
     persist_run,
     run_corpus,
 )
@@ -108,6 +109,7 @@ __all__ = [
     "load_corpus",
     "load_pool_file",
     "make_backend",
+    "perplexity_reference",
     "persist_run",
     "redact_placeholder",
     "resolve_entities",

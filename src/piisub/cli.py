@@ -27,7 +27,14 @@ from .corpus import DEFAULT_LOCALE_MIX, load_corpus, save_corpus, synth_corpus
 from .detection import DetectorUnavailable
 from .model import CorpusRecord, Label, Mode
 from .ner import run_ner_experiment
-from .pipeline import RunConfig, compute_metrics, persist_run, run_corpus, write_json
+from .pipeline import (
+    RunConfig,
+    compute_metrics,
+    perplexity_reference,
+    persist_run,
+    run_corpus,
+    write_json,
+)
 from .prompting import DemoStrategy
 from .report import (
     distinctness_table,
@@ -208,6 +215,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
     records = load_corpus(_corpus_path(args))
     metrics_by_mode: dict[str, dict] = {}
     modes = _parse_modes(args.mode)
+    scorer = None if args.no_ppl else perplexity_reference(records)
     for mode in modes:
         run_id = args.run_id
         if run_id and len(modes) > 1:
@@ -215,8 +223,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
             run_id = f"{run_id}-{mode.value}"
         run_config = _run_config(args, mode, run_id)
         results = run_corpus(records, run_config, fake_secret=_fake_secret())
-        metrics = compute_metrics(results, with_perplexity=not args.no_ppl)
-        run_dir = persist_run(results, args.out, metrics=metrics)
+        metrics = compute_metrics(results, scorer=scorer)
+        run_dir = persist_run(results, args.out, metrics)
         metrics_by_mode[mode.value] = metrics.to_json_dict()
         print(f"{mode.value}: run {results.run_id} -> {run_dir}")
         if results.failed_documents:

@@ -14,9 +14,13 @@ from __future__ import annotations
 
 import math
 import statistics
+from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
-from typing import Iterable, Sequence
+from functools import reduce
+from itertools import chain
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
 from .model import Label, ci_contains, ci_occurrences
 
@@ -257,11 +261,34 @@ def welch_from_samples(xs: Sequence[float], ys: Sequence[float]) -> WelchResult:
     )
 
 
+class _GramNLL(dict):
+    """Gram -> NLL for the grams seen in training. A gram never seen costs
+    the unseen NLL of its context, looked up and not stored, so the table
+    stays the size of the training table."""
+
+    def __init__(
+        self, seen: dict[str, float], unseen: dict[str, float], default: float
+    ) -> None:
+        super().__init__(seen)
+        self._unseen = unseen
+        self._default = default
+
+    def __missing__(self, gram: str) -> float:
+        return self._unseen.get(gram[:-1], self._default)
+
+
 class CharNgramScorer:
     """Character n-gram perplexity with add-one smoothing.
 
     Contexts reset at chunk boundaries; texts are scored in fixed-size
     chunks so pathological lengths cannot skew a single context chain.
+
+    Each (context, character) pair is one gram string, the character with
+    up to `order - 1` characters before it in its chunk, so the gram's
+    last character is the one predicted and the rest is its context.
+    Training counts grams and precomputes every NLL the scorer can return;
+    scoring maps a text's grams through that table and adds the NLLs left
+    to right from 0.0.
     """
 
     def __init__(self, order: int = 5, chunk_size: int = 1024) -> None:
@@ -269,40 +296,53 @@ class CharNgramScorer:
             raise ValueError("order must be >= 1")
         self.order = order
         self.chunk_size = chunk_size
-        self._counts: dict[str, dict[str, int]] = {}
-        self._context_totals: dict[str, int] = {}
+        self._counts: Counter[str] = Counter()
         self._vocab: set[str] = set()
+        self._nll = _GramNLL({}, {}, 0.0)
 
     def train(self, texts: Iterable[str]) -> None:
-        ctx_len = self.order - 1
         for text in texts:
-            for chunk in self._chunks(text):
-                for i, ch in enumerate(chunk):
-                    self._vocab.add(ch)
-                    ctx = chunk[max(0, i - ctx_len) : i]
-                    bucket = self._counts.setdefault(ctx, {})
-                    bucket[ch] = bucket.get(ch, 0) + 1
-                    self._context_totals[ctx] = self._context_totals.get(ctx, 0) + 1
+            self._vocab.update(text)
+            self._counts.update(self._grams(text))
+        if not self._vocab:
+            return
+        totals: Counter[str] = Counter()
+        for gram, count in self._counts.items():
+            totals[gram[:-1]] += count
+        vocab_size = len(self._vocab)
+
+        def nll(count: int, total: int) -> float:
+            return -math.log((count + 1) / (total + vocab_size))
+
+        self._nll = _GramNLL(
+            {g: nll(c, totals[g[:-1]]) for g, c in self._counts.items()},
+            {ctx: nll(0, total) for ctx, total in totals.items()},
+            nll(0, 0),
+        )
 
     def _chunks(self, text: str) -> Iterable[str]:
         for i in range(0, len(text), self.chunk_size):
             yield text[i : i + self.chunk_size]
 
+    def _grams(self, text: str) -> Iterator[str]:
+        """Every gram of the text, in text order."""
+        return chain.from_iterable(map(self._chunk_grams, self._chunks(text)))
+
+    def _chunk_grams(self, chunk: str) -> Iterator[str]:
+        # the first order-1 grams are the chunk's prefixes, the rest are
+        # full-length windows
+        prefixes = range(1, min(self.order - 1, len(chunk)) + 1)
+        return chain(
+            map(chunk.__getitem__, map(slice, prefixes)),
+            map("".join, zip(*(chunk[j:] for j in range(self.order)))),
+        )
+
     def _nll_and_chars(self, text: str) -> tuple[float, int]:
         if not self._vocab:
             raise ValueError("scorer has not been trained")
-        ctx_len = self.order - 1
-        vocab_size = len(self._vocab)
-        total = 0.0
-        chars = 0
-        for chunk in self._chunks(text):
-            for i, ch in enumerate(chunk):
-                ctx = chunk[max(0, i - ctx_len) : i]
-                count = self._counts.get(ctx, {}).get(ch, 0)
-                denom = self._context_totals.get(ctx, 0) + vocab_size
-                total += -math.log((count + 1) / denom)
-                chars += 1
-        return total, chars
+        # a left fold from 0.0: sum() compensates float error on 3.12+
+        nll = reduce(add, map(self._nll.__getitem__, self._grams(text)), 0.0)
+        return nll, len(text)
 
     def perplexity(self, text: str) -> float | None:
         """exp of the mean per-character negative log likelihood."""
@@ -321,4 +361,3 @@ class CharNgramScorer:
         if chars == 0:
             return None
         return math.exp(total / chars)
-

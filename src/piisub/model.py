@@ -215,20 +215,29 @@ def ci_contains(needle: str, haystack: str) -> bool:
 def ci_any_matcher(needles: Iterable[str]) -> Callable[[str], bool]:
     """Build a predicate: does a haystack contain any needle (per `ci_contains`)?
 
-    The non-empty needles are kept folded in one set. A check folds the
-    haystack once and looks up its slice at every offset for each distinct
-    needle length, so its cost is bounded by the haystack's length, not by
-    the number of needles. An empty set never matches.
+    The non-empty needles are kept folded in one set and indexed by their
+    head, their first `h` characters, where `h` is the shortest needle's
+    length; each head maps to the lengths of the needles that start with
+    it. A check folds the haystack once, looks up the head at every offset
+    and slices only the lengths listed there, so its cost is bounded by the
+    haystack's length, not by the number of needles. An empty set never
+    matches.
     """
     folded = frozenset(ci_fold(n) for n in needles if n)
-    lengths = sorted({len(n) for n in folded})
+    if not folded:
+        return lambda haystack: False
+    h = min(map(len, folded))
+    heads: dict[str, set[int]] = {}
+    for needle in folded:
+        heads.setdefault(needle[:h], set()).add(len(needle))
+    lengths_by_head = {head: sorted(lengths) for head, lengths in heads.items()}
 
     def contains_any(haystack: str) -> bool:
         text = ci_fold(haystack)
         return any(
             text[i : i + n] in folded
-            for n in lengths
-            for i in range(len(text) - n + 1)
+            for i in range(len(text) - h + 1)
+            for n in lengths_by_head.get(text[i : i + h], ())
         )
 
     return contains_any

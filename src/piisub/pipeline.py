@@ -16,6 +16,10 @@ is blocked as a substring for every surrogate, no matter which document it
 came from. Entity substitution itself cannot reintroduce someone else's PII.
 `run_corpus` folds the blocked values into one matcher once per run; a check
 costs time in the candidate's length, not in the number of blocked values.
+
+Perplexity is judged by one reference per corpus: `perplexity_reference`
+trains the scorer on the non-PII portions of every record, once, and
+`compute_metrics` scores each mode's documents with it.
 """
 
 from __future__ import annotations
@@ -46,6 +50,7 @@ from .detection import (
 )
 from .generation import dispatch, splice
 from .metrics import (
+    CharNgramScorer,
     ConsistencyReport,
     LeakReport,
     agg_mean,
@@ -91,6 +96,12 @@ class RunConfig:
     leak_guard: bool = True
     parallelism: int = 1
     run_id: str | None = None
+
+    def __post_init__(self) -> None:
+        for name in ("parallelism", "max_inflight"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
 
     def to_json_dict(self) -> dict:
         """The settings that decide the outputs: the run-id fingerprint."""
@@ -355,7 +366,19 @@ def _non_pii_portions(record: CorpusRecord) -> list[str]:
     return [p for p in pieces if p]
 
 
-def compute_metrics(results: RunResults, *, with_perplexity: bool = True) -> MetricsReport:
+def perplexity_reference(records: Sequence[CorpusRecord]) -> CharNgramScorer:
+    """The one perplexity scorer of a corpus: trained on the non-PII
+    portions of every record, so every mode is scored by the same model."""
+    scorer = CharNgramScorer()
+    scorer.train(portion for rec in records for portion in _non_pii_portions(rec))
+    return scorer
+
+
+def compute_metrics(
+    results: RunResults, *, scorer: CharNgramScorer | None = None
+) -> MetricsReport:
+    """The run's metrics; perplexity only when a reference `scorer` (see
+    `perplexity_reference`) is given, over the documents that succeeded."""
     ok_docs = [d for d in results.documents if d.error is None and d.output is not None]
     leak = leak_report((d.record.gt_values(), d.output) for d in ok_docs)
     consistency = consistency_report(
@@ -381,13 +404,7 @@ def compute_metrics(results: RunResults, *, with_perplexity: bool = True) -> Met
     )
     ppl_orig: float | None = None
     ppl_out: float | None = None
-    if with_perplexity and ok_docs:
-        from .metrics import CharNgramScorer
-
-        scorer = CharNgramScorer()
-        scorer.train(
-            portion for d in ok_docs for portion in _non_pii_portions(d.record)
-        )
+    if scorer is not None and ok_docs:
         ppl_orig = scorer.corpus_perplexity(d.record.text for d in ok_docs)
         ppl_out = scorer.corpus_perplexity(d.output for d in ok_docs)
     return MetricsReport(
@@ -422,19 +439,15 @@ def write_json(path: str | Path, payload: dict) -> None:
 def persist_run(
     results: RunResults,
     out_dir: str | Path,
-    *,
-    metrics: MetricsReport | None = None,
-    with_perplexity: bool = True,
+    metrics: MetricsReport,
 ) -> Path:
-    """Write results, metrics, regurgitation and timings (with the execution
-    settings) under the run id."""
+    """Write results, the given metrics, regurgitation and timings (with the
+    execution settings) under the run id."""
     from .report import distinctness_table, primary_table, regurgitation_table
 
     run_dir = Path(out_dir) / results.run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     write_json(run_dir / "results.json", results.to_json_dict())
-    if metrics is None:
-        metrics = compute_metrics(results, with_perplexity=with_perplexity)
     metrics_dict = metrics.to_json_dict()
     write_json(run_dir / "metrics.json", metrics_dict)
     mode_name = results.config.mode.value

@@ -169,7 +169,7 @@ def test_c07_leak_floor_identical_across_modes():
         blobs = {}
         for mode in Mode:
             results = run_corpus(records, RunConfig(mode=mode))
-            leak = compute_metrics(results, with_perplexity=False).leak
+            leak = compute_metrics(results).leak
             blobs[mode] = json.dumps(leak.to_json_dict(), sort_keys=True)
         return blobs
 
@@ -184,7 +184,7 @@ def test_c07_leak_floor_identical_across_modes():
 def test_c08_consistency_is_always_perfect(small_corpus):
     for mode in Mode:
         results = run_corpus(small_corpus, RunConfig(mode=mode))
-        report = compute_metrics(results, with_perplexity=False).consistency
+        report = compute_metrics(results).consistency
         assert report.multi_mention_groups > 0
         assert report.rate == 1.0
         # occurrence counting in the spliced text found every mention

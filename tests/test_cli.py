@@ -116,6 +116,36 @@ class TestRun:
         )
         assert len(run_dirs(out)) == 3
 
+    @pytest.mark.parametrize("parallelism", ["1", "4"])
+    def test_modes_share_only_the_perplexity_reference(
+        self, corpus_file, tmp_path, parallelism
+    ):
+        # every mode is scored by the one reference of the corpus, so a mode
+        # run among all three writes the bytes it writes when run alone
+        def metrics_by_mode(out, mode):
+            main(
+                [
+                    "run",
+                    "--mode", mode,
+                    "--corpus", str(corpus_file),
+                    "--out", str(out),
+                    "--parallelism", parallelism,
+                ]
+            )
+            return {
+                json.loads((d / "results.json").read_text(encoding="utf-8"))[
+                    "config"
+                ]["mode"]: (d / "metrics.json").read_bytes()
+                for d in run_dirs(out)
+            }
+
+        together = metrics_by_mode(tmp_path / "all", "all")
+        assert sorted(together) == ["faker", "hybrid", "redact"]
+        for mode, metrics in together.items():
+            assert json.loads(metrics)["perplexity_original"] is not None
+            alone = metrics_by_mode(tmp_path / mode, mode)
+            assert alone == {mode: metrics}
+
     def test_demo_strategy_and_backend_flags(self, corpus_file, tmp_path):
         out = tmp_path / "results"
         main(

@@ -8,7 +8,7 @@ import math
 import statistics
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piisub.metrics import (
@@ -242,6 +242,18 @@ class TestCharNgramScorer:
         with pytest.raises(ValueError, match="trained"):
             CharNgramScorer().perplexity("abc")
 
+    @pytest.mark.parametrize("training", [[], [""], ["", ""]])
+    def test_training_on_no_characters_leaves_it_untrained(self, training):
+        scorer = CharNgramScorer()
+        scorer.train(training)
+        for score in (scorer.perplexity, scorer._nll_and_chars):
+            with pytest.raises(ValueError, match="trained"):
+                score("abc")
+            with pytest.raises(ValueError, match="trained"):
+                score("")
+        with pytest.raises(ValueError, match="trained"):
+            scorer.corpus_perplexity(["abc"])
+
     def test_empty_text(self):
         scorer = CharNgramScorer()
         scorer.train(["abc"])
@@ -259,3 +271,114 @@ class TestCharNgramScorer:
         with pytest.raises(ValueError):
             CharNgramScorer(order=0)
 
+
+
+class LoopScorer:
+    """The per-character scorer the gram table replaced, kept as the
+    reference: a dict of counts per context, one NLL per character."""
+
+    def __init__(self, order: int = 5, chunk_size: int = 1024) -> None:
+        self.order = order
+        self.chunk_size = chunk_size
+        self._counts: dict[str, dict[str, int]] = {}
+        self._context_totals: dict[str, int] = {}
+        self._vocab: set[str] = set()
+
+    def train(self, texts):
+        ctx_len = self.order - 1
+        for text in texts:
+            for chunk in self._chunks(text):
+                for i, ch in enumerate(chunk):
+                    self._vocab.add(ch)
+                    ctx = chunk[max(0, i - ctx_len) : i]
+                    bucket = self._counts.setdefault(ctx, {})
+                    bucket[ch] = bucket.get(ch, 0) + 1
+                    self._context_totals[ctx] = self._context_totals.get(ctx, 0) + 1
+
+    def _chunks(self, text):
+        for i in range(0, len(text), self.chunk_size):
+            yield text[i : i + self.chunk_size]
+
+    def _nll_and_chars(self, text):
+        if not self._vocab:
+            raise ValueError("scorer has not been trained")
+        ctx_len = self.order - 1
+        vocab_size = len(self._vocab)
+        total = 0.0
+        chars = 0
+        for chunk in self._chunks(text):
+            for i, ch in enumerate(chunk):
+                ctx = chunk[max(0, i - ctx_len) : i]
+                count = self._counts.get(ctx, {}).get(ch, 0)
+                denom = self._context_totals.get(ctx, 0) + vocab_size
+                total += -math.log((count + 1) / denom)
+                chars += 1
+        return total, chars
+
+    def perplexity(self, text):
+        nll, chars = self._nll_and_chars(text)
+        if chars == 0:
+            return None
+        return math.exp(nll / chars)
+
+    def corpus_perplexity(self, texts):
+        total = 0.0
+        chars = 0
+        for text in texts:
+            nll, n = self._nll_and_chars(text)
+            total += nll
+            chars += n
+        if chars == 0:
+            return None
+        return math.exp(total / chars)
+
+
+# ASCII, Latin diacritics, kana and Han; a small alphabet, so contexts repeat
+# and texts share grams with the training set
+_SCORER_ALPHABET = "ab e.Zéüßñかなカナ山田東京"
+_scorer_texts = st.lists(st.text(alphabet=_SCORER_ALPHABET, max_size=30), max_size=6)
+
+
+class TestCharNgramScorerEqualsTheLoop:
+    @settings(max_examples=200)
+    @given(
+        order=st.integers(1, 5),
+        chunk_size=st.sampled_from([1, 3, 7, 1024]),
+        first=_scorer_texts,
+        second=_scorer_texts,
+        scored=_scorer_texts,
+    )
+    def test_bit_identical(self, order, chunk_size, first, second, scored):
+        table = CharNgramScorer(order=order, chunk_size=chunk_size)
+        loop = LoopScorer(order=order, chunk_size=chunk_size)
+        # train twice: the second call adds to the first one's counts
+        for training in (first, second):
+            table.train(training)
+            loop.train(training)
+            if not loop._vocab:
+                continue
+            for text in [*scored, *first, *second, ""]:
+                assert repr(table._nll_and_chars(text)) == repr(
+                    loop._nll_and_chars(text)
+                )
+                assert repr(table.perplexity(text)) == repr(loop.perplexity(text))
+            assert repr(table.corpus_perplexity(scored)) == repr(
+                loop.corpus_perplexity(scored)
+            )
+
+    def test_bit_identical_on_a_corpus(self):
+        from piisub.corpus import synth_corpus
+        from piisub.pipeline import _non_pii_portions
+
+        records = synth_corpus(60, seed=2)
+        portions = [p for rec in records for p in _non_pii_portions(rec)]
+        texts = [rec.text for rec in records]
+        table, loop = CharNgramScorer(chunk_size=64), LoopScorer(chunk_size=64)
+        table.train(portions)
+        loop.train(portions)
+        assert repr([table._nll_and_chars(t) for t in texts]) == repr(
+            [loop._nll_and_chars(t) for t in texts]
+        )
+        assert repr(table.corpus_perplexity(texts)) == repr(
+            loop.corpus_perplexity(texts)
+        )

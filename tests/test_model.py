@@ -193,6 +193,50 @@ class TestCiAnyMatcher:
         assert match("aBd")
         assert not match("a b")
 
+    @pytest.mark.parametrize(
+        "needles",
+        [
+            ["k"],  # one character: the head is the whole needle
+            ["K", "ab"],
+            ["ab", "Ab", "ı"],
+            ["ab", "abc", "abé", "abcde"],  # one head, several lengths
+            ["ab", "aB山", "ba", "ßa"],  # a needle that is exactly a head
+            ["abc", "abd", "abcd", "xy"],
+            ["abc", "abde", "xy"],  # the longer needle behind a shared head
+            ["山田", "山田さ", "アカ"],
+        ],
+        ids=",".join,
+    )
+    def test_short_needles_and_shared_heads(self, needles):
+        match = ci_any_matcher(needles)
+        texts = [
+            "", "a", "k", "K", "\u212a", "xab", "XAB.", "zabc", "zABÉ", "b a",
+            "ba", "aB", "zzßA", "ssa", "ᴋ", "İ", "i", "山", "田山田", "あ山田さ",
+            "アカ", "abcdx", "x y", "xY", "zABDE", "abd",
+        ]
+        for text in texts:
+            expected = any(re_spans(v, text) for v in needles)
+            assert match(text) == expected, text
+
+    @settings(max_examples=300)
+    @given(
+        text=_matcher_text,
+        short=st.lists(
+            st.text(alphabet=_MATCHER_ALPHABET, min_size=1, max_size=2), max_size=3
+        ),
+        tails=st.lists(_matcher_needle, max_size=4),
+        keep_short=st.booleans(),
+    )
+    def test_heads_shared_by_longer_needles(self, text, short, tails, keep_short):
+        # every long needle starts with a short string, so heads are shared;
+        # without the short strings themselves, a head can lead only to
+        # longer needles
+        needles = {head + tail for head in short for tail in tails}
+        if keep_short:
+            needles |= set(short)
+        expected = any(re_spans(v, text) for v in needles)
+        assert ci_any_matcher(needles)(text) == expected
+
     @settings(max_examples=300)
     @given(st.data())
     def test_equals_per_needle_scan(self, data):

@@ -21,6 +21,7 @@ from piisub.pipeline import (
     compute_metrics,
     corpus_fingerprint,
     derive_run_id,
+    perplexity_reference,
     persist_run,
     regurgitation_for_results,
     run_corpus,
@@ -37,6 +38,11 @@ def corpus():
 def run(corpus, mode, **overrides):
     config = RunConfig(mode=mode, **overrides)
     return run_corpus(corpus, config)
+
+
+def persist(results, out_dir):
+    """Persist a run with its metrics, perplexity off."""
+    return persist_run(results, out_dir, compute_metrics(results))
 
 
 def with_planted_collisions(corpus, mode):
@@ -146,20 +152,20 @@ class TestDeterminismAndLeak:
     def test_leak_zero_all_modes(self, corpus):
         for mode in (Mode.REDACT, Mode.FAKER, Mode.HYBRID):
             results = run(corpus, mode)
-            metrics = compute_metrics(results, with_perplexity=False)
+            metrics = compute_metrics(results)
             assert metrics.leak.rate == 0.0, mode
 
     def test_leak_totals_match_across_modes(self, corpus):
         totals = set()
         for mode in (Mode.REDACT, Mode.FAKER, Mode.HYBRID):
-            metrics = compute_metrics(run(corpus, mode), with_perplexity=False)
+            metrics = compute_metrics(run(corpus, mode))
             totals.add(metrics.leak.total)
         assert len(totals) == 1
 
     def test_consistency_is_one(self, corpus):
         for mode in (Mode.REDACT, Mode.FAKER, Mode.HYBRID):
             results = run(corpus, mode)
-            metrics = compute_metrics(results, with_perplexity=False)
+            metrics = compute_metrics(results)
             assert metrics.consistency.rate == 1.0
             assert metrics.consistency.occurrence_discrepancies == 0
 
@@ -270,7 +276,7 @@ class TestOrderIndependence:
     def serial_dirs(self, shared_corpus, tmp_path_factory):
         out = tmp_path_factory.mktemp("serial")
         return {
-            mode: persist_run(run(shared_corpus, mode), out, with_perplexity=False)
+            mode: persist(run(shared_corpus, mode), out)
             for mode in Mode
         }
 
@@ -280,7 +286,7 @@ class TestOrderIndependence:
         self, shared_corpus, serial_dirs, mode, parallelism, tmp_path
     ):
         results = run(shared_corpus, mode, parallelism=parallelism)
-        run_dir = persist_run(results, tmp_path, with_perplexity=False)
+        run_dir = persist(results, tmp_path)
         serial_dir = serial_dirs[mode]
         assert run_dir.name == serial_dir.name
         for name in ("results.json", "metrics.json"):
@@ -324,7 +330,7 @@ class TestFakeSecret:
         ]
         assert pairs
         assert sum(a != b for a, b in pairs) > len(pairs) // 2
-        run_dir = persist_run(keyed, tmp_path, with_perplexity=False)
+        run_dir = persist(keyed, tmp_path)
         for path in run_dir.iterdir():
             assert self.SECRET not in path.read_bytes()
         redact = run_corpus(corpus, RunConfig(mode=Mode.REDACT), fake_secret=self.SECRET)
@@ -367,9 +373,44 @@ class TestErrorIsolation:
         assert len(ok) == len(corpus) - 1
 
     def test_metrics_skip_failed_documents(self, corpus, failing_detector):
-        metrics = compute_metrics(run(corpus, Mode.REDACT), with_perplexity=False)
+        metrics = compute_metrics(run(corpus, Mode.REDACT))
         assert metrics.documents_failed == 1
         assert metrics.leak.rate == 0.0  # scored over the surviving documents
+
+    def test_perplexity_of_a_failed_run_uses_the_corpus_reference(
+        self, corpus, monkeypatch
+    ):
+        # the failure is raised at the splice, not by the detector, which
+        # the reference calls too
+        import piisub.pipeline as pipeline
+        from piisub.generation import splice
+
+        bad = corpus[3]
+
+        def splice_with_one_failure(text, replacements):
+            if text == bad.text:
+                raise RuntimeError("induced failure")
+            return splice(text, replacements)
+
+        monkeypatch.setattr(pipeline, "splice", splice_with_one_failure)
+        results = run(corpus, Mode.FAKER)
+        ok = [d for d in results.documents if d.error is None]
+        assert [d.record.id for d in results.failed_documents] == [bad.id]
+
+        reference = perplexity_reference(corpus)
+        metrics = compute_metrics(results, scorer=reference)
+        # the means run over the documents that succeeded ...
+        assert metrics.perplexity_original == reference.corpus_perplexity(
+            d.record.text for d in ok
+        )
+        assert metrics.perplexity_transformed == reference.corpus_perplexity(
+            d.output for d in ok
+        )
+        # ... under the model trained on every record, the failed one too
+        survivors_only = perplexity_reference([d.record for d in ok])
+        assert metrics.perplexity_original != survivors_only.corpus_perplexity(
+            d.record.text for d in ok
+        )
 
 
 class TestDetectors:
@@ -410,30 +451,41 @@ class TestDetectors:
             run(corpus, Mode.FAKER, detector="psychic")
 
 
+class TestRunConfig:
+    @pytest.mark.parametrize("mode", [Mode.FAKER, Mode.HYBRID], ids=lambda m: m.value)
+    @pytest.mark.parametrize("name", ["parallelism", "max_inflight"])
+    @pytest.mark.parametrize("value", [0, -1])
+    def test_execution_setting_below_one_is_rejected(self, corpus, mode, name, value):
+        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
+            run(corpus, mode, **{name: value})
+
+
 class TestComputeMetrics:
     def test_length_preservation_high_for_faker(self, corpus):
-        metrics = compute_metrics(run(corpus, Mode.FAKER), with_perplexity=False)
+        metrics = compute_metrics(run(corpus, Mode.FAKER))
         assert metrics.length_preservation_mean is not None
         assert metrics.length_preservation_mean > 0.85
 
     def test_distinctness_lists_labels(self, corpus):
-        metrics = compute_metrics(run(corpus, Mode.FAKER), with_perplexity=False)
+        metrics = compute_metrics(run(corpus, Mode.FAKER))
         assert {row.label for row in metrics.distinctness} >= {Label.PERSON, Label.DATE}
 
     def test_redact_distinctness_is_degenerate(self, corpus):
-        metrics = compute_metrics(run(corpus, Mode.REDACT), with_perplexity=False)
+        metrics = compute_metrics(run(corpus, Mode.REDACT))
         for row in metrics.distinctness:
             assert row.unique_surrogates == 1  # one placeholder per label
 
     def test_perplexity_optional(self, corpus):
-        with_ppl = compute_metrics(run(corpus, Mode.FAKER), with_perplexity=True)
-        without = compute_metrics(run(corpus, Mode.FAKER), with_perplexity=False)
+        with_ppl = compute_metrics(
+            run(corpus, Mode.FAKER), scorer=perplexity_reference(corpus)
+        )
+        without = compute_metrics(run(corpus, Mode.FAKER))
         assert with_ppl.perplexity_original is not None
         assert with_ppl.perplexity_transformed is not None
         assert without.perplexity_original is None
 
     def test_aggregate_is_mean_of_defined_rates(self, corpus):
-        metrics = compute_metrics(run(corpus, Mode.FAKER), with_perplexity=False)
+        metrics = compute_metrics(run(corpus, Mode.FAKER))
         expected = (
             metrics.leak.rate
             + metrics.consistency.rate
@@ -487,7 +539,7 @@ class TestRegurgitationAnalysis:
 class TestPersistRun:
     def test_artifact_set_for_hybrid(self, corpus, tmp_path):
         results = run(corpus, Mode.HYBRID)
-        run_dir = persist_run(results, tmp_path, with_perplexity=False)
+        run_dir = persist(results, tmp_path)
         names = sorted(p.name for p in run_dir.iterdir())
         assert names == [
             "metrics.json",
@@ -499,23 +551,23 @@ class TestPersistRun:
 
     def test_no_regurgitation_for_redact(self, corpus, tmp_path):
         results = run(corpus, Mode.REDACT)
-        run_dir = persist_run(results, tmp_path, with_perplexity=False)
+        run_dir = persist(results, tmp_path)
         assert not (run_dir / "regurgitation.json").exists()
         assert (run_dir / "metrics.json").exists()
 
     def test_rerun_byte_identical(self, corpus, tmp_path):
-        first_dir = persist_run(run(corpus, Mode.HYBRID), tmp_path / "a", with_perplexity=False)
-        second_dir = persist_run(run(corpus, Mode.HYBRID), tmp_path / "b", with_perplexity=False)
+        first_dir = persist(run(corpus, Mode.HYBRID), tmp_path / "a")
+        second_dir = persist(run(corpus, Mode.HYBRID), tmp_path / "b")
         for name in ("results.json", "metrics.json", "regurgitation.json", "report.txt"):
             assert (first_dir / name).read_bytes() == (second_dir / name).read_bytes(), name
 
     def test_timings_have_stage_names(self, corpus, tmp_path):
-        run_dir = persist_run(run(corpus, Mode.REDACT), tmp_path, with_perplexity=False)
+        run_dir = persist(run(corpus, Mode.REDACT), tmp_path)
         timings = json.loads((run_dir / "timings.json").read_text(encoding="utf-8"))
         assert sorted(timings["seconds"]) == ["detect", "splice", "surrogate"]
 
     def test_results_json_excludes_timings(self, corpus, tmp_path):
-        run_dir = persist_run(run(corpus, Mode.REDACT), tmp_path, with_perplexity=False)
+        run_dir = persist(run(corpus, Mode.REDACT), tmp_path)
         payload = json.loads((run_dir / "results.json").read_text(encoding="utf-8"))
         assert "timings" not in payload
         assert payload["run_id"] == run_dir.name
