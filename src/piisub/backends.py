@@ -26,7 +26,7 @@ DEFAULT_FAILURE_THRESHOLD = 5
 
 
 class BackendInvocationError(RuntimeError):
-    """One call failed: transport error, timeout, or nonzero exit."""
+    """One call failed: transport error, timeout, nonzero exit or non-text reply."""
 
 
 class BackendUnhealthy(RuntimeError):
@@ -177,7 +177,7 @@ class CommandBackend(SlmBackend):
                 text=True,
                 timeout=self._timeout,
             )
-        except (OSError, subprocess.TimeoutExpired) as exc:
+        except (OSError, subprocess.TimeoutExpired, UnicodeDecodeError) as exc:
             raise BackendInvocationError(f"{self.id}: {exc}") from exc
         if proc.returncode != 0:
             detail = proc.stderr.strip().splitlines()

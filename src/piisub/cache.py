@@ -1,17 +1,15 @@
 """Entity resolution and the per-run surrogate cache.
 
 The cache is the consistency mechanism: every mention of an entity resolves
-to one key, and the decision for that key is reused everywhere. Under
-concurrent callers `get_or_propose` guarantees at most one proposer call per
-key, so no backend call is made twice; losers wait on the cache's one
-condition until the key leaves the in-flight set, then read the winner's
-decision. A proposer failure wakes the waiters, one of which becomes the new
-owner, so a transient backend error does not poison the key.
+to one key, and the outcome for that key is reused everywhere. Its one
+caller is the record walk of `pipeline.run_corpus`, so each key is proposed
+once, by its first mention in record order, however many workers run the
+proposals. An outcome is the key's decision, the error that fails every
+document holding the key, or the pending task that yields one of them.
 """
 
 from __future__ import annotations
 
-import threading
 from typing import Callable, Iterable
 
 from .model import (
@@ -46,49 +44,23 @@ def decision_to_json_dict(decision: SurrogateDecision) -> dict:
 
 
 class SurrogateCache:
-    """Keyed decision store with an at-most-once proposal guarantee."""
+    """Keyed outcome store: a key is proposed on its first lookup, and every
+    later lookup reads what that proposal stored."""
 
     def __init__(self) -> None:
-        self._lock = threading.Lock()
-        #: Notified whenever a key leaves the in-flight set.
-        self._changed = threading.Condition(self._lock)
-        self._store: dict[CacheKey, SurrogateDecision] = {}
-        self._inflight: set[CacheKey] = set()
-        #: Distinct keys whose decision this cache proposed.
+        self._store: dict[CacheKey, object] = {}
+        #: Distinct keys this cache proposed.
         self.proposals_made = 0
-        #: Reads answered from the store.
+        #: Lookups answered from the store.
         self.cache_hits = 0
 
-    def get_or_propose(
-        self, key: CacheKey, proposer: Callable[[], SurrogateDecision]
-    ) -> SurrogateDecision:
-        """Return the cached decision, proposing it first if absent.
-
-        Concurrent callers on the same key serialize: exactly one runs the
-        proposer; the rest wait and get its result. If the proposer raises,
-        nothing is cached, the error propagates to the owning caller, and a
-        waiter retries as the new owner.
-        """
-        with self._lock:
-            while True:
-                cached = self._store.get(key)
-                if cached is not None:
-                    self.cache_hits += 1
-                    return cached
-                if key not in self._inflight:
-                    break
-                self._changed.wait()
-            self._inflight.add(key)
-        try:
-            decision = proposer()
-        except BaseException:
-            with self._lock:
-                self._inflight.discard(key)
-                self._changed.notify_all()
-            raise
-        with self._lock:
-            self._store[key] = decision
-            self.proposals_made += 1
-            self._inflight.discard(key)
-            self._changed.notify_all()
-        return decision
+    def get_or_propose(self, key: CacheKey, proposer: Callable[[], object]) -> object:
+        """The key's stored outcome, storing `proposer()` first if the key
+        is new (a proposer that raises stores nothing; None is no outcome)."""
+        outcome = self._store.get(key)
+        if outcome is not None:
+            self.cache_hits += 1
+            return outcome
+        outcome = self._store[key] = proposer()
+        self.proposals_made += 1
+        return outcome

@@ -18,7 +18,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 from typing import Sequence
 
@@ -236,26 +236,17 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _transformed_records(records, results) -> list[CorpusRecord]:
+def _transformed_records(records, results) -> list[CorpusRecord | None]:
+    """Each output as a record whose ground truth is its surrogates; None
+    where the document failed."""
     out = []
     for rec, doc in zip(records, results.documents):
-        if doc.error is not None or doc.output is None:
-            out.append(None)
-            continue
         gt: dict[Label, list[str]] = {}
         for g in doc.groups:
             values = gt.setdefault(g.group.label, [])
             if g.decision.surrogate not in values:
                 values.append(g.decision.surrogate)
-        out.append(
-            CorpusRecord(
-                id=rec.id,
-                text=doc.output,
-                locale=rec.locale,
-                template=rec.template,
-                pii_gt=gt,
-            )
-        )
+        out.append(replace(rec, text=doc.output, pii_gt=gt) if doc.ok else None)
     return out
 
 

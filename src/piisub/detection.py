@@ -127,11 +127,17 @@ class ExternalDetector:
             raise ValueError("configure exactly one of command or url")
 
     def _transport(self, text: str) -> str:
+        try:
+            return self._exchange(text.encode("utf-8")).decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise DetectorProtocolError(f"response is not UTF-8: {exc}") from exc
+
+    def _exchange(self, body: bytes) -> bytes:
         if self.command:
             try:
                 proc = subprocess.run(
                     shlex.split(self.command),
-                    input=text.encode("utf-8"),
+                    input=body,
                     capture_output=True,
                     timeout=self.timeout,
                 )
@@ -141,14 +147,12 @@ class ExternalDetector:
                 raise DetectorUnavailable(
                     f"detector command exited {proc.returncode}"
                 )
-            return proc.stdout.decode("utf-8")
+            return proc.stdout
         assert self.url is not None
-        req = urllib.request.Request(
-            self.url, data=text.encode("utf-8"), method="POST"
-        )
+        req = urllib.request.Request(self.url, data=body, method="POST")
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.read().decode("utf-8")
+                return resp.read()
         except (urllib.error.URLError, OSError, TimeoutError) as exc:
             raise DetectorUnavailable(f"detector endpoint failed: {exc}") from exc
 

@@ -299,8 +299,11 @@ class CharNgramScorer:
         self._counts: Counter[str] = Counter()
         self._vocab: set[str] = set()
         self._nll = _GramNLL({}, {}, 0.0)
+        #: Text -> (NLL, characters) of the texts scored with `remember`.
+        self._memo: dict[str, tuple[float, int]] = {}
 
     def train(self, texts: Iterable[str]) -> None:
+        self._memo.clear()
         for text in texts:
             self._vocab.update(text)
             self._counts.update(self._grams(text))
@@ -344,18 +347,19 @@ class CharNgramScorer:
         nll = reduce(add, map(self._nll.__getitem__, self._grams(text)), 0.0)
         return nll, len(text)
 
-    def perplexity(self, text: str) -> float | None:
-        """exp of the mean per-character negative log likelihood."""
-        nll, chars = self._nll_and_chars(text)
-        if chars == 0:
-            return None
-        return math.exp(nll / chars)
-
-    def corpus_perplexity(self, texts: Iterable[str]) -> float | None:
+    def corpus_perplexity(
+        self, texts: Iterable[str], *, remember: bool = False
+    ) -> float | None:
+        """exp of the mean per-character negative log likelihood, pooled
+        over the texts. With `remember`, a text's score is kept until the
+        next training and reused whenever it is scored with `remember`."""
+        memo = self._memo if remember else {}
         total = 0.0
         chars = 0
         for text in texts:
-            nll, n = self._nll_and_chars(text)
+            if text not in memo:
+                memo[text] = self._nll_and_chars(text)
+            nll, n = memo[text]
             total += nll
             chars += n
         if chars == 0:

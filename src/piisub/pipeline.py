@@ -3,13 +3,16 @@
 A run is identified by a short hash over its configuration and the corpus
 fingerprint, so rerunning the same setup lands in the same directory with
 byte-identical result files. The worker count and the in-flight limit
-change how a run executes, not what it computes: fake draws are seeded by
-the cache key, not by the document, so a serial and a parallel run of the
-same work share one run id and the same bytes. Those two settings are
-written with the wall-clock timings to their own file and never into the
-compared artifacts. Timeouts and the failure threshold stay in the run id:
-with a slow backend or detector they decide which calls fail. The
-fake-value secret is in neither file nor the run id.
+change how a run executes, not what it computes. `run_corpus` walks the
+records in order in the calling thread, the surrogate cache's only caller,
+so the first mention in record order proposes each key; detection, the
+proposals and the splices are tasks, on a pool at `parallelism` > 1. Fake
+draws are seeded by the cache key, not by the document. So a serial and a
+parallel run of the same work share one run id and the same bytes. Those
+two settings are written with the wall-clock timings to their own file and
+never into the compared artifacts. Timeouts and the failure threshold stay
+in the run id: with a slow backend or detector they decide which calls
+fail. The fake-value secret is in neither file nor the run id.
 
 The leak guard is corpus-level: every ground-truth value in the input corpus
 is blocked as a substring for every surrogate, no matter which document it
@@ -19,7 +22,8 @@ costs time in the candidate's length, not in the number of blocked values.
 
 Perplexity is judged by one reference per corpus: `perplexity_reference`
 trains the scorer on the non-PII portions of every record, once, and
-`compute_metrics` scores each mode's documents with it.
+`compute_metrics` scores each mode's documents with it, and each original
+once per reference.
 """
 
 from __future__ import annotations
@@ -30,8 +34,9 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from enum import Enum
+from functools import partial
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Any, Callable, NamedTuple, Sequence
 
 from .backends import (
     DEFAULT_FAILURE_THRESHOLD,
@@ -155,10 +160,17 @@ class GroupResult:
 
 @dataclass
 class DocumentResult:
+    """One document's outcome. `ok` is the one test of success: `output` is
+    None exactly when `error` is set."""
+
     record: CorpusRecord
     output: str | None
     groups: list[GroupResult] = field(default_factory=list)
     error: str | None = None
+
+    @property
+    def ok(self) -> bool:
+        return self.error is None
 
     def to_json_dict(self) -> dict:
         return {
@@ -185,7 +197,7 @@ class RunResults:
 
     @property
     def failed_documents(self) -> list[DocumentResult]:
-        return [d for d in self.documents if d.error is not None]
+        return [d for d in self.documents if not d.ok]
 
     def to_json_dict(self) -> dict:
         return {
@@ -215,10 +227,30 @@ def _build_detector(
     raise ValueError(f"unknown detector {config.detector!r}")
 
 
-def _decision_family(config: RunConfig, backend: SlmBackend | None) -> str:
-    if backend is not None:
-        return backend.id
-    return config.mode.value
+class _Outcome(NamedTuple):
+    """A task's value, or the error that fails the documents that need it,
+    and its seconds; `result()` reads it like a pool task's Future."""
+
+    value: Any
+    error: str | None
+    seconds: float
+
+    def result(self) -> _Outcome:
+        return self
+
+
+def _attempt(task: Callable, *args) -> _Outcome:
+    t0 = time.perf_counter()
+    value = error = None
+    try:
+        value = task(*args)
+    except (BackendUnhealthy, DetectorUnavailable):
+        raise
+    except DetectorProtocolError as exc:
+        error = f"detector: {exc}"
+    except (ValueError, RuntimeError) as exc:
+        error = str(exc)
+    return _Outcome(value, error, time.perf_counter() - t0)
 
 
 def run_corpus(
@@ -229,7 +261,8 @@ def run_corpus(
 ) -> RunResults:
     """Transform every record under the config; per-document errors are
     recorded on the result instead of aborting the run. Only an unhealthy
-    backend or an unavailable external detector stops everything.
+    backend or an unavailable external detector stops everything; a key
+    whose proposal fails fails every document that holds it.
 
     `fake_secret` keys the fake-draw seeds (`fakegen.draw_seed`); it is
     kept out of the run id and every written file."""
@@ -248,73 +281,65 @@ def run_corpus(
             failure_threshold=config.failure_threshold,
         )
     detector = _build_detector(config)
-    family = _decision_family(config, backend)
+    family = backend.id if backend is not None else config.mode.value
     # redact writes placeholders only, so it never reads the guard
     blocked = ci_any_matcher(
         (v.strip() for rec in records for v in rec.gt_values())
         if config.leak_guard and config.mode is not Mode.REDACT
         else ()
     )
+    propose = partial(
+        dispatch,
+        backend=backend,
+        catalog=catalog,
+        strategy=config.demo_strategy,
+        placeholder_prefix=config.placeholder_prefix,
+        blocked=blocked,
+        fake_secret=fake_secret,
+    )
+    pool = ThreadPoolExecutor(config.parallelism) if config.parallelism > 1 else None
+    submit = pool.submit if pool else lambda task, *args: task(*args)
+    proposed = []  # each key's task: its outcome or that outcome's Future
+
+    def detect(record: CorpusRecord) -> list[EntityGroup]:
+        return resolve_entities(detector(record))
+
+    def propose_once(surface: str, key: CacheKey):
+        proposed.append(submit(_attempt, propose, surface, key))
+        return proposed[-1]
+
+    def finish(record: CorpusRecord, found: _Outcome, tasks: list) -> _Outcome:
+        """The document from its groups and its keys' outcomes, which the
+        first error among them fails; the seconds are its splice's."""
+        decided = [task.result() for task in tasks]
+        failed = next((o for o in (found, *decided) if o.error is not None), None)
+        if failed is not None:
+            return _Outcome(DocumentResult(record, None, error=failed.error), None, 0.0)
+        groups = [GroupResult(g, o.value) for g, o in zip(found.value, decided)]
+        pairs = [(s, r.decision.surrogate) for r in groups for s in r.group.members]
+        spliced = _attempt(splice, record.text, pairs)
+        ok = spliced.error is None
+        doc = DocumentResult(record, spliced.value, groups if ok else [], spliced.error)
+        return _Outcome(doc, None, spliced.seconds)
+
     timings = {"detect": 0.0, "surrogate": 0.0, "splice": 0.0}
-
-    def process(record: CorpusRecord) -> tuple[DocumentResult, dict[str, float]]:
-        spent = {"detect": 0.0, "surrogate": 0.0, "splice": 0.0}
-        try:
-            t0 = time.perf_counter()
-            spans = detector(record)
-            groups = resolve_entities(spans)
-            t1 = time.perf_counter()
-            group_results: list[GroupResult] = []
-            replacements = []
-            for group in groups:
-                surface = group.members[0].surface
-                key = CacheKey(
-                    mode=config.mode,
-                    family=family,
-                    canonical=group.canonical,
-                    label=group.label,
-                )
-                decision = cache.get_or_propose(
-                    key,
-                    lambda s=surface, k=key: dispatch(
-                        s,
-                        k,
-                        backend=backend,
-                        catalog=catalog,
-                        strategy=config.demo_strategy,
-                        placeholder_prefix=config.placeholder_prefix,
-                        blocked=blocked,
-                        fake_secret=fake_secret,
-                    ),
-                )
-                group_results.append(GroupResult(group=group, decision=decision))
-                replacements.extend(
-                    (span, decision.surrogate) for span in group.members
-                )
-            t2 = time.perf_counter()
-            output = splice(record.text, replacements)
-            t3 = time.perf_counter()
-            spent["detect"] = t1 - t0
-            spent["surrogate"] = t2 - t1
-            spent["splice"] = t3 - t2
-            return DocumentResult(record, output, group_results), spent
-        except (BackendUnhealthy, DetectorUnavailable):
-            raise
-        except DetectorProtocolError as exc:
-            return DocumentResult(record, None, error=f"detector: {exc}"), spent
-        except (ValueError, RuntimeError) as exc:
-            return DocumentResult(record, None, error=str(exc)), spent
-
-    if config.parallelism > 1:
-        with ThreadPoolExecutor(max_workers=config.parallelism) as pool:
-            outcomes = list(pool.map(process, records))
-    else:
-        outcomes = [process(rec) for rec in records]
-    documents = []
-    for doc, spent in outcomes:
-        documents.append(doc)
-        for stage, seconds in spent.items():
-            timings[stage] += seconds
+    try:
+        finished = []
+        detected = (pool.map if pool else map)(partial(_attempt, detect), records)
+        for record, found in zip(records, detected):
+            timings["detect"] += found.seconds
+            tasks = []
+            for group in found.value or ():
+                key = CacheKey(config.mode, family, group.canonical, group.label)
+                first = partial(propose_once, group.members[0].surface, key)
+                tasks.append(cache.get_or_propose(key, first))
+            finished.append(submit(finish, record, found, tasks))
+        documents = [task.result().value for task in finished]
+        timings["splice"] = sum(task.result().seconds for task in finished)
+        timings["surrogate"] = sum(task.result().seconds for task in proposed)
+    finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
     return RunResults(
         run_id=derive_run_id(config, records),
         config=config,
@@ -379,7 +404,7 @@ def compute_metrics(
 ) -> MetricsReport:
     """The run's metrics; perplexity only when a reference `scorer` (see
     `perplexity_reference`) is given, over the documents that succeeded."""
-    ok_docs = [d for d in results.documents if d.error is None and d.output is not None]
+    ok_docs = [d for d in results.documents if d.ok]
     leak = leak_report((d.record.gt_values(), d.output) for d in ok_docs)
     consistency = consistency_report(
         (
@@ -405,7 +430,10 @@ def compute_metrics(
     ppl_orig: float | None = None
     ppl_out: float | None = None
     if scorer is not None and ok_docs:
-        ppl_orig = scorer.corpus_perplexity(d.record.text for d in ok_docs)
+        # the originals are the same in every mode: score each once per scorer
+        ppl_orig = scorer.corpus_perplexity(
+            (d.record.text for d in ok_docs), remember=True
+        )
         ppl_out = scorer.corpus_perplexity(d.output for d in ok_docs)
     return MetricsReport(
         leak=leak,
@@ -422,7 +450,7 @@ def regurgitation_for_results(results: RunResults):
     samples = (
         (g.group.members[0].surface, g.group.label, g.decision)
         for d in results.documents
-        if d.error is None
+        if d.ok
         for g in d.groups
     )
     return analyze_regurgitation(samples, results.catalog)

@@ -148,6 +148,19 @@ class TestCommandBackend:
         with pytest.raises(BackendInvocationError):
             backend.propose(PROMPT)
 
+    def test_undecodable_reply_is_a_counted_call_failure(self, tmp_path):
+        # stdout that is not text fails the call like any other bad reply:
+        # the caller can fall back, and the failure counts toward the threshold
+        script = tmp_path / "binary.py"
+        script.write_text("import sys; sys.stdout.buffer.write(b'\\377')\n")
+        backend = CommandBackend(
+            f"{sys.executable} {script} '{{prompt}}'", failure_threshold=2
+        )
+        with pytest.raises(BackendInvocationError, match="can't decode"):
+            backend.propose(PROMPT)
+        with pytest.raises(BackendUnhealthy, match="2 consecutive failures"):
+            backend.propose(PROMPT)
+
 
 class FlakyBackend(SlmBackend):
     id = "flaky"

@@ -233,36 +233,34 @@ class TestCharNgramScorer:
     def test_training_lowers_perplexity_on_seen_text(self):
         scorer = CharNgramScorer()
         scorer.train(["the quick brown fox jumps over the lazy dog"] * 3)
-        seen = scorer.perplexity("the quick brown fox")
-        unseen = scorer.perplexity("zxqj vvwk yyzzq")
+        seen = scorer.corpus_perplexity(["the quick brown fox"])
+        unseen = scorer.corpus_perplexity(["zxqj vvwk yyzzq"])
         assert seen is not None and unseen is not None
         assert seen < unseen
 
     def test_untrained_raises(self):
         with pytest.raises(ValueError, match="trained"):
-            CharNgramScorer().perplexity("abc")
+            CharNgramScorer().corpus_perplexity(["abc"])
 
     @pytest.mark.parametrize("training", [[], [""], ["", ""]])
     def test_training_on_no_characters_leaves_it_untrained(self, training):
         scorer = CharNgramScorer()
         scorer.train(training)
-        for score in (scorer.perplexity, scorer._nll_and_chars):
+        for text in ("abc", ""):
             with pytest.raises(ValueError, match="trained"):
-                score("abc")
+                scorer._nll_and_chars(text)
             with pytest.raises(ValueError, match="trained"):
-                score("")
-        with pytest.raises(ValueError, match="trained"):
-            scorer.corpus_perplexity(["abc"])
+                scorer.corpus_perplexity([text])
 
     def test_empty_text(self):
         scorer = CharNgramScorer()
         scorer.train(["abc"])
-        assert scorer.perplexity("") is None
+        assert scorer.corpus_perplexity([""]) is None
 
     def test_corpus_perplexity_pools_characters(self):
         scorer = CharNgramScorer()
         scorer.train(["aaaa bbbb"])
-        single = scorer.perplexity("aaaa bbbb")
+        single = scorer.corpus_perplexity(["aaaa bbbb"])
         pooled = scorer.corpus_perplexity(["aaaa", " bbbb"])
         assert single is not None and pooled is not None
         assert pooled > 1.0
@@ -270,6 +268,24 @@ class TestCharNgramScorer:
     def test_bad_order(self):
         with pytest.raises(ValueError):
             CharNgramScorer(order=0)
+
+    def test_remembered_scores_are_bit_identical_and_scored_once(self, monkeypatch):
+        scorer = CharNgramScorer()
+        scorer.train(["the quick brown fox", "jumps over the lazy dog"])
+        texts = ["the lazy fox", "a quick dog", "the lazy fox", ""]
+        fresh = scorer.corpus_perplexity(texts)
+        scored = []
+        score = scorer._nll_and_chars
+        monkeypatch.setattr(
+            scorer, "_nll_and_chars", lambda text: scored.append(text) or score(text)
+        )
+        for _ in range(3):
+            assert repr(scorer.corpus_perplexity(texts, remember=True)) == repr(fresh)
+        assert scored == ["the lazy fox", "a quick dog", ""]
+        # training again forgets every remembered score
+        scorer.train(["zzz"])
+        assert scorer.corpus_perplexity(texts, remember=True) != fresh
+        assert len(scored) == 6
 
 
 
@@ -315,12 +331,6 @@ class LoopScorer:
                 chars += 1
         return total, chars
 
-    def perplexity(self, text):
-        nll, chars = self._nll_and_chars(text)
-        if chars == 0:
-            return None
-        return math.exp(nll / chars)
-
     def corpus_perplexity(self, texts):
         total = 0.0
         chars = 0
@@ -361,7 +371,9 @@ class TestCharNgramScorerEqualsTheLoop:
                 assert repr(table._nll_and_chars(text)) == repr(
                     loop._nll_and_chars(text)
                 )
-                assert repr(table.perplexity(text)) == repr(loop.perplexity(text))
+                assert repr(table.corpus_perplexity([text])) == repr(
+                    loop.corpus_perplexity([text])
+                )
             assert repr(table.corpus_perplexity(scored)) == repr(
                 loop.corpus_perplexity(scored)
             )

@@ -2,16 +2,19 @@
 
 import json
 import re
+import sys
 
 import pytest
 
 from piisub.corpus import synth_corpus
 from piisub.metrics import CharNgramScorer
 from piisub.model import (
+    SLM_LABELS,
     CorpusRecord,
     Label,
     Mode,
     Source,
+    canonicalize,
     ci_any_matcher,
     ci_contains,
 )
@@ -313,6 +316,150 @@ class TestOrderIndependence:
         assert shards == whole
 
 
+#: Ten names, each written eight ways that differ only in case and spacing:
+#: one key each, but a proposal reads the surface of the mention it is given.
+PLANTED_NAMES = [
+    "Walter Abernathy", "Edith Goodwin", "Marisol Ibarra", "Kenji Watanabe",
+    "Fatima Okafor", "Lars Henriksen", "Priya Raman", "Tomasz Nowak",
+    "Ingrid Solberg", "Diego Paredes",
+]
+SPELLINGS = [
+    str,
+    str.upper,
+    str.lower,
+    str.swapcase,
+    lambda name: name.replace(" ", "  "),
+    lambda name: name.upper().replace(" ", "   "),
+    lambda name: name.lower().replace(" ", "\t"),
+    lambda name: " ".join(w[0] + w[1:].upper() for w in name.split()),
+]
+
+
+def planted_spellings():
+    records = []
+    for i, spell in enumerate(SPELLINGS):
+        names = [spell(name) for name in PLANTED_NAMES]
+        text = "Present: " + "; ".join(names) + ". Minutes follow."
+        records.append(
+            CorpusRecord(f"v{i}", text, "en_US", "planted", {Label.PERSON: names})
+        )
+    return records
+
+
+class TestRecordWalk:
+    """The calling thread walks the records in order and alone asks the
+    cache, so the first mention in record order proposes every key."""
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_parallel_equals_serial_when_the_first_document_is_slow(
+        self, mode, monkeypatch
+    ):
+        import time
+
+        import piisub.pipeline as pipeline
+        from piisub.detection import detect_oracle
+
+        records = planted_spellings()
+        serial = run(records, mode)
+
+        def slow_first(record):
+            if record.id == "v0":
+                time.sleep(0.3)  # every other worker reaches the names first
+            return detect_oracle(record)
+
+        monkeypatch.setattr(pipeline, "detect_oracle", slow_first)
+        parallel = run(records, mode, parallelism=8)
+        assert documents_by_id(parallel) == documents_by_id(serial)
+        assert (parallel.proposals_made, parallel.cache_hits) == (
+            serial.proposals_made,
+            serial.cache_hits,
+        )
+
+    @pytest.mark.parametrize("mode", [Mode.FAKER, Mode.HYBRID], ids=lambda m: m.value)
+    def test_a_failed_proposal_fails_its_documents_alike_at_any_parallelism(
+        self, shared_corpus, mode, monkeypatch
+    ):
+        import piisub.pipeline as pipeline
+        from piisub.generation import dispatch
+
+        corpus = shared_corpus[:120]
+        mentions = {}
+        for doc in run(corpus, mode).documents:
+            for g in doc.groups:
+                mentions.setdefault(g.group.canonical, set()).add(doc.record.id)
+        doomed = max(mentions, key=lambda c: (len(mentions[c]), c))
+        assert len(mentions[doomed]) > 1
+        tries = []
+
+        def dispatch_failing_one_key(surface, key, **kwargs):
+            if key.canonical == doomed:
+                tries.append(key)
+                raise RuntimeError(f"no surrogate for {key.canonical}")
+            return dispatch(surface, key, **kwargs)
+
+        monkeypatch.setattr(pipeline, "dispatch", dispatch_failing_one_key)
+        runs = []
+        for parallelism in (1, 4):
+            tries.clear()
+            results = run(corpus, mode, parallelism=parallelism)
+            # proposed once, by its first mention; the others read its error
+            assert len(tries) == len(set(tries))
+            assert {d.record.id for d in results.failed_documents} == mentions[doomed]
+            assert {d.error for d in results.failed_documents} == {
+                f"no surrogate for {doomed}"
+            }
+            assert all(d.output is None and not d.groups for d in results.failed_documents)
+            runs.append(results)
+        serial, parallel = runs
+        assert documents_by_id(parallel) == documents_by_id(serial)
+        assert (parallel.proposals_made, parallel.cache_hits) == (
+            serial.proposals_made,
+            serial.cache_hits,
+        )
+
+    @pytest.mark.parametrize("parallelism", [1, 4])
+    def test_an_unhealthy_backend_stops_the_run(self, parallelism):
+        from piisub.backends import BackendUnhealthy
+
+        with pytest.raises(BackendUnhealthy, match="consecutive failures"):
+            run(
+                synth_corpus(50, seed=1),
+                Mode.HYBRID,
+                backend_kind="command",
+                backend_command=f"{sys.executable} -c 'raise SystemExit(1)' '{{prompt}}'",
+                failure_threshold=3,
+                parallelism=parallelism,
+            )
+
+    def test_the_model_is_asked_once_per_key_at_parallelism_eight(
+        self, shared_corpus, monkeypatch
+    ):
+        import threading
+        from collections import Counter
+
+        from piisub.backends import SlmBackend, parse_prompt
+
+        asked = Counter()
+        lock = threading.Lock()
+        propose = SlmBackend.propose
+
+        def counting_propose(self, prompt):
+            with lock:
+                asked[canonicalize(parse_prompt(prompt)[1])] += 1
+            return propose(self, prompt)
+
+        monkeypatch.setattr(SlmBackend, "propose", counting_propose)
+        results = run(shared_corpus, Mode.HYBRID, parallelism=8)
+        model_keys = {
+            (g.group.canonical, g.group.label)
+            for d in results.documents
+            for g in d.groups
+            if g.group.label in SLM_LABELS
+        }
+        assert sum(asked.values()) == len(model_keys)
+        assert set(asked) == {canonical for canonical, _ in model_keys}
+
+
 class TestFakeSecret:
     """The secret keys every fake draw but stays out of the run's identity
     and files, and a keyed run is as order-independent as an unkeyed one."""
@@ -446,6 +593,22 @@ class TestDetectors:
         )
         assert [d.error for d in results.documents] == [None] * 4
 
+    def test_undecodable_detector_reply_is_a_protocol_error(self, tmp_path):
+        script = tmp_path / "binary.py"
+        script.write_text(
+            "import sys; sys.stdin.read(); sys.stdout.buffer.write(b'\\377')\n"
+        )
+        records = [CorpusRecord("d0", "no pii", "en_US", "t")]
+        results = run(
+            records,
+            Mode.REDACT,
+            detector="external",
+            detector_command=f"{sys.executable} {script}",
+        )
+        (doc,) = results.failed_documents
+        assert doc.output is None
+        assert doc.error.startswith("detector: response is not UTF-8: ")
+
     def test_unknown_detector(self, corpus):
         with pytest.raises(ValueError, match="unknown detector"):
             run(corpus, Mode.FAKER, detector="psychic")
@@ -483,6 +646,20 @@ class TestComputeMetrics:
         assert with_ppl.perplexity_original is not None
         assert with_ppl.perplexity_transformed is not None
         assert without.perplexity_original is None
+
+    def test_originals_are_scored_once_per_reference(self, corpus, monkeypatch):
+        reference = perplexity_reference(corpus)
+        expected = repr(reference.corpus_perplexity(r.text for r in corpus))
+        scored = []
+        score = reference._nll_and_chars
+        monkeypatch.setattr(
+            reference, "_nll_and_chars", lambda text: scored.append(text) or score(text)
+        )
+        for mode in Mode:
+            metrics = compute_metrics(run(corpus, mode), scorer=reference)
+            assert repr(metrics.perplexity_original) == expected
+        originals = {r.text for r in corpus}
+        assert sorted(t for t in scored if t in originals) == sorted(originals)
 
     def test_aggregate_is_mean_of_defined_rates(self, corpus):
         metrics = compute_metrics(run(corpus, Mode.FAKER))
