@@ -57,13 +57,15 @@ class SlmBackend(ABC):
         """Produce a raw completion; may raise BackendInvocationError."""
 
     def propose(self, prompt: str) -> str:
-        with self._health_lock:
-            if self._unhealthy:
-                raise BackendUnhealthy(
-                    f"backend {self.id}: disabled after "
-                    f"{self._consecutive_failures} consecutive failures"
-                )
         with self._semaphore:
+            # checked once a slot is held, so a call queued behind the one
+            # that crossed the threshold does not run
+            with self._health_lock:
+                if self._unhealthy:
+                    raise BackendUnhealthy(
+                        f"backend {self.id}: disabled after "
+                        f"{self._consecutive_failures} consecutive failures"
+                    )
             try:
                 completion = self._invoke(prompt)
             except BackendInvocationError as exc:

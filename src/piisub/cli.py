@@ -36,12 +36,7 @@ from .pipeline import (
     write_json,
 )
 from .prompting import DemoStrategy
-from .report import (
-    distinctness_table,
-    ner_table,
-    primary_table,
-    regurgitation_table,
-)
+from .report import ner_table, render_runs
 
 _ENV_FAKE_SECRET = "PIISUB_FAKE_SECRET"
 
@@ -133,9 +128,12 @@ def _parse_modes(text: str) -> list[Mode]:
     if text == "all":
         return [Mode.REDACT, Mode.FAKER, Mode.HYBRID]
     try:
-        return [Mode.from_name(part.strip()) for part in text.split(",") if part.strip()]
+        modes = [Mode.from_name(part.strip()) for part in text.split(",") if part.strip()]
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
+    if not modes:
+        raise SystemExit(f"no mode in --mode {text!r}")
+    return modes
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -198,14 +196,16 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--pool-file")
     sub.add_argument("--no-leak-guard", action="store_true")
     sub.add_argument("--parallelism", type=_positive_int)
-    sub.add_argument("--run-id")
     sub.add_argument("--out", default="results", help="results directory")
     sub.set_defaults(subparser=sub)
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     mix = _parse_locale_mix(args.locale_mix) if args.locale_mix else dict(DEFAULT_LOCALE_MIX)
-    records = synth_corpus(args.n, args.seed, locale_mix=mix)
+    try:
+        records = synth_corpus(args.n, args.seed, locale_mix=mix)
+    except ValueError as exc:
+        raise SystemExit(str(exc)) from None
     save_corpus(records, args.out)
     print(f"wrote {len(records)} records to {args.out}")
     return 0
@@ -213,7 +213,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     records = load_corpus(_corpus_path(args))
-    metrics_by_mode: dict[str, dict] = {}
+    runs = []
     modes = _parse_modes(args.mode)
     scorer = None if args.no_ppl else perplexity_reference(records)
     for mode in modes:
@@ -224,15 +224,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
         run_config = _run_config(args, mode, run_id)
         results = run_corpus(records, run_config, fake_secret=_fake_secret())
         metrics = compute_metrics(results, scorer=scorer)
-        run_dir = persist_run(results, args.out, metrics)
-        metrics_by_mode[mode.value] = metrics.to_json_dict()
+        run_dir, run = persist_run(results, args.out, metrics)
+        runs.append(run)
         print(f"{mode.value}: run {results.run_id} -> {run_dir}")
         if results.failed_documents:
             print(f"  {len(results.failed_documents)} document(s) failed", file=sys.stderr)
     print()
-    print(primary_table(metrics_by_mode))
-    print()
-    print(distinctness_table(metrics_by_mode))
+    sys.stdout.write(render_runs(runs))
     return 0
 
 
@@ -291,35 +289,17 @@ def _load_run_artifact(run_dir: str, name: str) -> dict:
     return json.loads(path.read_text(encoding="utf-8"))
 
 
-def _cmd_distinct(args: argparse.Namespace) -> int:
-    metrics = _load_run_artifact(args.run, "metrics.json")
-    results = _load_run_artifact(args.run, "results.json")
-    mode = results["config"]["mode"]
-    print(distinctness_table({mode: metrics}))
-    return 0
-
-
-def _cmd_regurg(args: argparse.Namespace) -> int:
-    path = Path(args.run) / "regurgitation.json"
-    if not path.exists():
-        raise SystemExit(
-            f"no regurgitation.json in {args.run}; "
-            "the analysis is only recorded for hybrid (model-backed) runs"
-        )
-    print(regurgitation_table(json.loads(path.read_text(encoding="utf-8"))))
-    return 0
-
-
 def _cmd_report(args: argparse.Namespace) -> int:
-    metrics_by_run: dict[str, dict] = {}
+    runs = []
     for run_dir in args.run:
         metrics = _load_run_artifact(run_dir, "metrics.json")
         results = _load_run_artifact(run_dir, "results.json")
-        key = f"{results['config']['mode']}@{results['run_id']}"
-        metrics_by_run[key] = metrics
-    print(primary_table(metrics_by_run))
-    print()
-    print(distinctness_table(metrics_by_run))
+        regurg = None
+        if (Path(run_dir) / "regurgitation.json").exists():
+            regurg = _load_run_artifact(run_dir, "regurgitation.json")
+        label = f"{results['config']['mode']}@{results['run_id']}"
+        runs.append((label, metrics, regurg))
+    sys.stdout.write(render_runs(runs))
     return 0
 
 
@@ -340,6 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="transform a corpus and compute metrics")
     p_run.add_argument("--mode", default="hybrid", help="mode name, list, or 'all'")
     p_run.add_argument("--no-ppl", action="store_true", help="skip perplexity")
+    p_run.add_argument("--run-id", help="name the run directory")
     _add_run_options(p_run)
     p_run.set_defaults(func=_cmd_run)
 
@@ -352,15 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run_options(p_ner)
     p_ner.set_defaults(func=_cmd_ner)
 
-    p_distinct = sub.add_parser("distinct", help="distinctness table for a run")
-    p_distinct.add_argument("--run", required=True, help="run directory")
-    p_distinct.set_defaults(func=_cmd_distinct)
-
-    p_regurg = sub.add_parser("regurg", help="regurgitation table for a run")
-    p_regurg.add_argument("--run", required=True, help="run directory")
-    p_regurg.set_defaults(func=_cmd_regurg)
-
-    p_report = sub.add_parser("report", help="compare metrics across runs")
+    p_report = sub.add_parser("report", help="print the tables of run directories")
     p_report.add_argument("--run", action="append", required=True, help="run directory")
     p_report.set_defaults(func=_cmd_report)
 

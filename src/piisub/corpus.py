@@ -15,6 +15,7 @@ metric is defined on essentially every document.
 from __future__ import annotations
 
 import json
+import math
 import random
 from pathlib import Path
 from typing import Callable, Iterable
@@ -484,6 +485,11 @@ def synth_corpus(
     unknown = set(mix) - set(_PHONE_CC)
     if unknown:
         raise ValueError(f"unsupported locales in mix: {sorted(unknown)}")
+    for locale, weight in mix.items():
+        if not (math.isfinite(weight) and weight >= 0):
+            raise ValueError(
+                f"locale {locale}: weight must be finite and not negative, got {weight}"
+            )
     if sum(mix.values()) <= 0:
         raise ValueError("locale mix weights must sum to a positive value")
     rng = random.Random(seed)

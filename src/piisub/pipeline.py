@@ -74,6 +74,7 @@ from .model import (
 )
 from .pools import PoolCatalog, builtin_catalog, load_pool_file
 from .prompting import DemoStrategy, analyze_regurgitation
+from .report import render_runs
 
 RESULTS_VERSION = 1
 
@@ -468,26 +469,20 @@ def persist_run(
     results: RunResults,
     out_dir: str | Path,
     metrics: MetricsReport,
-) -> Path:
+) -> tuple[Path, tuple[str, dict, dict | None]]:
     """Write results, the given metrics, regurgitation and timings (with the
-    execution settings) under the run id."""
-    from .report import distinctness_table, primary_table, regurgitation_table
-
+    execution settings) under the run id, and `report.txt`. Returns the run
+    directory and the run as `report.render_runs` takes it."""
     run_dir = Path(out_dir) / results.run_id
     run_dir.mkdir(parents=True, exist_ok=True)
     write_json(run_dir / "results.json", results.to_json_dict())
     metrics_dict = metrics.to_json_dict()
     write_json(run_dir / "metrics.json", metrics_dict)
-    mode_name = results.config.mode.value
-    sections = [
-        primary_table({mode_name: metrics_dict}),
-        distinctness_table({mode_name: metrics_dict}),
-    ]
+    regurg_dict = None
     # Regurgitation only makes sense when a model produced the surrogates.
     if results.config.mode is Mode.HYBRID:
         regurg_dict = regurgitation_for_results(results).to_json_dict()
         write_json(run_dir / "regurgitation.json", regurg_dict)
-        sections.append(regurgitation_table(regurg_dict))
     write_json(
         run_dir / "timings.json",
         {
@@ -497,7 +492,6 @@ def persist_run(
             "seconds": results.timings,
         },
     )
-    (run_dir / "report.txt").write_text(
-        "\n\n".join(sections) + "\n", encoding="utf-8"
-    )
-    return run_dir
+    run = (f"{results.config.mode.value}@{results.run_id}", metrics_dict, regurg_dict)
+    (run_dir / "report.txt").write_text(render_runs([run]), encoding="utf-8")
+    return run_dir, run

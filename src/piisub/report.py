@@ -2,7 +2,9 @@
 
 All renderers take the JSON dict shapes that the run writes to disk (the
 same dicts the dataclasses' to_json_dict methods produce), so a saved run
-and a fresh in-process run print identically.
+and a fresh in-process run print identically. `render_runs` is the one
+report of run directories: `report.txt`, the tables `piisub run` prints
+and `piisub report` all come from it.
 """
 
 from __future__ import annotations
@@ -35,13 +37,27 @@ def format_table(headers: Sequence[str], rows: Iterable[Sequence[object]]) -> st
     return "\n".join(out)
 
 
-def primary_table(metrics_by_mode: Mapping[str, dict]) -> str:
-    """One row per mode: leak, consistency, length preservation, perplexity."""
+def render_runs(runs: Sequence[tuple[str, dict, dict | None]]) -> str:
+    """The report of runs given as (`mode@run_id` label, metrics.json dict,
+    regurgitation.json dict or None): the primary and distinctness tables
+    over every run, then a regurgitation section per run that has one."""
+    metrics_by_run = {label: metrics for label, metrics, _ in runs}
+    sections = [primary_table(metrics_by_run), distinctness_table(metrics_by_run)]
+    sections += [
+        regurgitation_table(label, regurg)
+        for label, _, regurg in runs
+        if regurg is not None
+    ]
+    return "\n\n".join(sections) + "\n"
+
+
+def primary_table(metrics_by_run: Mapping[str, dict]) -> str:
+    """One row per run: leak, consistency, length preservation, perplexity."""
     rows = []
-    for mode, m in metrics_by_mode.items():
+    for label, m in metrics_by_run.items():
         rows.append(
             [
-                mode,
+                label,
                 m["leak"]["rate"],
                 m["consistency"]["rate"],
                 m["length_preservation_mean"],
@@ -54,13 +70,13 @@ def primary_table(metrics_by_mode: Mapping[str, dict]) -> str:
     )
 
 
-def distinctness_table(metrics_by_mode: Mapping[str, dict]) -> str:
+def distinctness_table(metrics_by_run: Mapping[str, dict]) -> str:
     rows = []
-    for mode, m in metrics_by_mode.items():
+    for label, m in metrics_by_run.items():
         for row in m["distinctness"]:
             rows.append(
                 [
-                    mode,
+                    label,
                     row["label"],
                     row["mentions"],
                     row["unique_surrogates"],
@@ -70,9 +86,11 @@ def distinctness_table(metrics_by_mode: Mapping[str, dict]) -> str:
     return format_table(["mode", "label", "mentions", "unique", "ttr"], rows)
 
 
-def regurgitation_table(regurg: dict) -> str:
+def regurgitation_table(label: str, regurg: dict) -> str:
+    """The run's copy counts, in a column headed by its label, then one row
+    per input pool."""
     header = format_table(
-        ["metric", "value"],
+        ["metric", label],
         [
             ["unique_keys", regurg["total_unique"]],
             ["slm_decisions", regurg["slm_decisions"]],

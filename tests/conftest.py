@@ -1,6 +1,7 @@
 import pytest
 
-from piisub import builtin_catalog, synth_corpus
+from piisub.corpus import synth_corpus
+from piisub.pools import builtin_catalog
 
 pytest_plugins = ["pytester"]
 

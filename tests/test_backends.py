@@ -1,6 +1,8 @@
 """Mock and command backends, prompt parsing, and health accounting."""
 
 import sys
+import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
@@ -202,6 +204,25 @@ class TestHealth:
         with pytest.raises(BackendUnhealthy):
             backend.propose(PROMPT)
         assert backend.calls == calls_so_far  # no further invocations attempted
+
+    def test_calls_queued_behind_the_threshold_do_not_run(self):
+        class SlowFailing(FlakyBackend):
+            def _invoke(self, prompt):
+                time.sleep(0.05)
+                return super()._invoke(prompt)
+
+        backend = SlowFailing(fail_times=100, failure_threshold=3, max_inflight=1)
+
+        def call(_):
+            try:
+                backend.propose(PROMPT)
+            except (BackendInvocationError, BackendUnhealthy) as exc:
+                return type(exc)
+
+        with ThreadPoolExecutor(4) as pool:
+            raised = list(pool.map(call, range(4)))
+        assert backend.calls == 3  # as many as a serial run makes
+        assert raised.count(BackendUnhealthy) == 2
 
     def test_max_inflight_validation(self):
         with pytest.raises(ValueError):

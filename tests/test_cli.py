@@ -81,6 +81,14 @@ class TestSynth:
         with pytest.raises(SystemExit, match="bad locale mix"):
             main(["synth", "--n", "5", "--out", str(tmp_path / "x.jsonl"), "--locale-mix", "oops"])
 
+    @pytest.mark.parametrize("weight", ["-1", "nan"])
+    def test_bad_locale_weight_exits_naming_the_locale(self, tmp_path, weight):
+        out = tmp_path / "x.jsonl"
+        mix = f"en_US={weight},de_DE=2"
+        with pytest.raises(SystemExit, match="locale en_US: weight must be finite"):
+            main(["synth", "--n", "5", "--out", str(out), "--locale-mix", mix])
+        assert not out.exists()
+
 
 class TestRun:
     def test_single_mode_run(self, corpus_file, tmp_path, capsys):
@@ -328,6 +336,13 @@ class TestRun:
                 ]
             )
 
+    @pytest.mark.parametrize("command", ["run", "ner"])
+    def test_empty_mode_list(self, corpus_file, tmp_path, command):
+        argv = [command, "--mode", ",", "--corpus", str(corpus_file), "--out", str(tmp_path)]
+        with pytest.raises(SystemExit, match="no mode in --mode ','"):
+            main(argv)
+        assert list(tmp_path.iterdir()) == [corpus_file]
+
     def test_explicit_run_id(self, corpus_file, tmp_path):
         out = tmp_path / "results"
         main(
@@ -439,6 +454,16 @@ class TestNer:
             tmp_path / "flag" / "ner.json"
         ).read_bytes()
 
+    def test_run_id_is_not_an_ner_option(self, corpus_file, tmp_path, capsys):
+        ner = ["ner", "--corpus", str(corpus_file), "--out", str(tmp_path / "ner-out")]
+        with pytest.raises(SystemExit) as exc:
+            main([*ner, "--run-id", "pinned"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --run-id" in capsys.readouterr().err
+        config = write_config(tmp_path / "config.json", {"run_id": "pinned"})
+        with pytest.raises(SystemExit, match="'run_id' names no option of piisub ner"):
+            main([*ner, "--config", config])
+
     def test_run_only_option_is_an_unknown_key(self, corpus_file, tmp_path):
         config = write_config(tmp_path / "config.json", {"no_ppl": True})
         with pytest.raises(SystemExit, match="'no_ppl' names no option of piisub ner"):
@@ -446,61 +471,68 @@ class TestNer:
 
 
 class TestRunArtifactCommands:
+    MODES = ("redact", "faker", "hybrid")
+
     @pytest.fixture
-    def hybrid_run_dir(self, corpus_file, tmp_path):
+    def all_modes(self, corpus_file, tmp_path, capsys):
+        """The run directories of `run --mode all`, by mode, and what the
+        run printed after its per-mode lines."""
         out = tmp_path / "results"
-        main(
-            [
-                "run",
-                "--mode", "hybrid",
-                "--corpus", str(corpus_file),
-                "--out", str(out),
-                "--no-ppl",
-            ]
-        )
-        (run_dir,) = run_dirs(out)
-        return run_dir
+        argv = ["run", "--mode", "all", "--no-ppl", "--corpus", str(corpus_file)]
+        assert main([*argv, "--out", str(out)]) == 0
+        printed = capsys.readouterr().out
+        dirs = {}
+        for run_dir in run_dirs(out):
+            results = json.loads((run_dir / "results.json").read_text(encoding="utf-8"))
+            dirs[results["config"]["mode"]] = run_dir
+        return dirs, printed.split("\n\n", 1)[1]
 
-    @pytest.fixture
-    def redact_run_dir(self, corpus_file, tmp_path):
-        out = tmp_path / "redact-results"
-        main(
-            [
-                "run",
-                "--mode", "redact",
-                "--corpus", str(corpus_file),
-                "--out", str(out),
-                "--no-ppl",
-            ]
-        )
-        (run_dir,) = run_dirs(out)
-        return run_dir
+    def report(self, capsys, *run_dirs):
+        argv = ["report"]
+        for run_dir in run_dirs:
+            argv += ["--run", str(run_dir)]
+        assert main(argv) == 0
+        return capsys.readouterr().out
 
-    def test_distinct(self, hybrid_run_dir, capsys):
-        assert main(["distinct", "--run", str(hybrid_run_dir)]) == 0
-        assert "PERSON" in capsys.readouterr().out
+    @pytest.mark.parametrize("mode", MODES)
+    def test_report_prints_report_txt(self, all_modes, capsys, mode):
+        run_dir = all_modes[0][mode]
+        printed = self.report(capsys, run_dir)
+        assert printed == (run_dir / "report.txt").read_text(encoding="utf-8")
+        assert f"{mode}@{run_dir.name}" in printed
 
-    def test_regurg(self, hybrid_run_dir, capsys):
-        assert main(["regurg", "--run", str(hybrid_run_dir)]) == 0
-        out = capsys.readouterr().out
-        assert "output_copies" in out or "copies" in out
+    def test_run_prints_the_report_of_its_runs(self, all_modes, capsys):
+        dirs, printed = all_modes
+        assert printed == self.report(capsys, *(dirs[mode] for mode in self.MODES))
 
-    def test_regurg_refuses_non_hybrid_run(self, redact_run_dir):
-        with pytest.raises(SystemExit, match="only recorded for hybrid"):
-            main(["regurg", "--run", str(redact_run_dir)])
+    def test_report_shows_distinctness_per_label(self, all_modes, capsys):
+        run_dir = all_modes[0]["hybrid"]
+        rows = self.report(capsys, run_dir).splitlines()
+        assert any(row.split()[:2] == [f"hybrid@{run_dir.name}", "PERSON"] for row in rows)
 
-    def test_report_compares_runs(self, hybrid_run_dir, redact_run_dir, capsys):
-        code = main(
-            ["report", "--run", str(hybrid_run_dir), "--run", str(redact_run_dir)]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
+    def test_report_shows_regurgitation_for_hybrid(self, all_modes, capsys):
+        run_dir = all_modes[0]["hybrid"]
+        printed = self.report(capsys, run_dir)
+        assert printed.count("output_copies") == 1
+        assert ["metric", f"hybrid@{run_dir.name}"] in [
+            line.split() for line in printed.splitlines()
+        ]
+
+    def test_report_shows_no_regurgitation_for_redact(self, all_modes, capsys):
+        printed = self.report(capsys, all_modes[0]["redact"])
+        assert "output_copies" not in printed and "pool" not in printed
+
+    def test_report_compares_runs(self, all_modes, capsys):
+        dirs = all_modes[0]
+        out = self.report(capsys, dirs["hybrid"], dirs["redact"])
         assert "hybrid@" in out
         assert "redact@" in out
+        # the one regurgitation section is the hybrid run's
+        assert out.count("output_copies") == 1
 
-    def test_distinct_missing_artifact(self, tmp_path):
+    def test_report_missing_metrics_names_the_file(self, tmp_path):
         with pytest.raises(SystemExit, match="no metrics.json"):
-            main(["distinct", "--run", str(tmp_path)])
+            main(["report", "--run", str(tmp_path)])
 
 
 def test_closed_stdout_exits_without_a_traceback(corpus_file, tmp_path):

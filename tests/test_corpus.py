@@ -58,6 +58,12 @@ class TestSynthCorpus:
         with pytest.raises(ValueError, match="unsupported locales"):
             synth_corpus(5, seed=0, locale_mix={"fr_FR": 1.0})
 
+    @pytest.mark.parametrize("weight", [-1.0, float("nan"), float("inf")])
+    def test_weight_must_be_finite_and_not_negative(self, weight):
+        # a negative weight took a negative count that de_DE made up for
+        with pytest.raises(ValueError, match="locale en_US: weight must be finite"):
+            synth_corpus(5, seed=0, locale_mix={"en_US": weight, "de_DE": 2.0})
+
     def test_every_gt_value_occurs_in_text(self, small_corpus):
         for rec in small_corpus:
             for value in rec.gt_values():

@@ -44,8 +44,9 @@ def run(corpus, mode, **overrides):
 
 
 def persist(results, out_dir):
-    """Persist a run with its metrics, perplexity off."""
-    return persist_run(results, out_dir, compute_metrics(results))
+    """Persist a run with its metrics, perplexity off; the run directory."""
+    run_dir, _ = persist_run(results, out_dir, compute_metrics(results))
+    return run_dir
 
 
 def with_planted_collisions(corpus, mode):

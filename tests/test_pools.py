@@ -1,5 +1,6 @@
 import json
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -150,6 +151,22 @@ class TestLoadPoolFile:
         assert person[Locale.DE] == catalog.pools[Label.PERSON][Locale.DE]
         assert loaded.pools[Label.DATE] == catalog.pools[Label.DATE]
         assert loaded.pilot == catalog.pilot
+
+    def test_readme_example_pair_loads(self, tmp_path):
+        pairs = [
+            ("Dörte Hübner", "Bärbel Möller"),
+            ("Götz Färber", "Rüdiger Jäger"),
+            ("Ute Köhler", "Jörn Brückner"),
+        ]
+        readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        assert '{"real": "Dörte Hübner", "fake": "Bärbel Möller"}' in readme
+        path = self._write(
+            tmp_path, {"person": {"de": [{"real": r, "fake": f} for r, f in pairs]}}
+        )
+        with pytest.warns(UserWarning, match="person/de has only 3 demos"):
+            loaded = load_pool_file(path)
+        demos = loaded.pools[Label.PERSON][Locale.DE].demos
+        assert [(d.real, d.fake) for d in demos] == pairs
 
     def test_weak_rotation_warns(self, tmp_path):
         pairs = [
