@@ -125,6 +125,7 @@ def _parse_locale_mix(text: str) -> dict[str, float]:
 
 
 def _parse_modes(text: str) -> list[Mode]:
+    """The modes named, each once, in the order of first mention."""
     if text == "all":
         return [Mode.REDACT, Mode.FAKER, Mode.HYBRID]
     try:
@@ -133,7 +134,7 @@ def _parse_modes(text: str) -> list[Mode]:
         raise SystemExit(str(exc)) from None
     if not modes:
         raise SystemExit(f"no mode in --mode {text!r}")
-    return modes
+    return list(dict.fromkeys(modes))
 
 
 def _parse_seeds(text: str) -> list[int]:
@@ -291,7 +292,11 @@ def _load_run_artifact(run_dir: str, name: str) -> dict:
 
 def _cmd_report(args: argparse.Namespace) -> int:
     runs = []
+    # each run directory once, however many paths name it
+    run_dirs = {}
     for run_dir in args.run:
+        run_dirs.setdefault(Path(run_dir).resolve(), run_dir)
+    for run_dir in run_dirs.values():
         metrics = _load_run_artifact(run_dir, "metrics.json")
         results = _load_run_artifact(run_dir, "results.json")
         regurg = None

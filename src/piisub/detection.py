@@ -16,7 +16,7 @@ import urllib.error
 import urllib.request
 from dataclasses import dataclass
 
-from .model import CorpusRecord, Label, PiiSpan, ci_occurrences
+from .model import CorpusRecord, Label, PiiSpan, ci_fold, folded_occurrences
 
 
 class DetectorUnavailable(RuntimeError):
@@ -58,12 +58,14 @@ def resolve_overlaps(candidates: list[PiiSpan]) -> list[PiiSpan]:
 
 def detect_oracle(record: CorpusRecord) -> list[PiiSpan]:
     """Detect every case-insensitive occurrence of every ground-truth value."""
+    text = record.text
+    folded = ci_fold(text)
     candidates: list[PiiSpan] = []
     for label in Label:
         for value in record.pii_gt.get(label, ()):
-            for start, end in ci_occurrences(value, record.text):
-                candidates.append(PiiSpan(start, end, label, record.text[start:end]))
-    return validate_spans(record.text, resolve_overlaps(candidates))
+            for start, end in folded_occurrences(value, folded):
+                candidates.append(PiiSpan(start, end, label, text[start:end]))
+    return validate_spans(text, resolve_overlaps(candidates))
 
 
 _RULES: list[tuple[Label, re.Pattern[str]]] = [

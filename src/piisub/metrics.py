@@ -22,7 +22,7 @@ from itertools import chain
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .model import Label, ci_contains, ci_occurrences
+from .model import Label, ci_fold, folded_contains, folded_occurrences
 
 
 def agg_mean(values: Iterable[float | None]) -> float | None:
@@ -64,9 +64,10 @@ def leak_report(items: Iterable[tuple[Sequence[str], str]]) -> LeakReport:
     total = 0
     examples: list[str] = []
     for gt_values, output in items:
+        folded = ci_fold(output)
         for value in gt_values:
             total += 1
-            if ci_contains(value, output):
+            if folded_contains(value, folded):
                 leaked += 1
                 if len(examples) < 20:
                     examples.append(value)
@@ -109,6 +110,7 @@ def consistency_report(
     consistent = 0
     discrepancies = 0
     for output, group_rows in items:
+        folded = ci_fold(output)
         for mention_count, surrogates in group_rows:
             if mention_count < 2:
                 continue
@@ -117,7 +119,7 @@ def consistency_report(
             if len(distinct) == 1:
                 consistent += 1
                 surrogate = next(iter(distinct))
-                occurrences = sum(1 for _ in ci_occurrences(surrogate, output))
+                occurrences = sum(1 for _ in folded_occurrences(surrogate, folded))
                 if occurrences < mention_count:
                     discrepancies += 1
     return ConsistencyReport(

@@ -196,20 +196,33 @@ def ci_occurrences(needle: str, haystack: str) -> Iterator[tuple[int, int]]:
     Occurrences do not overlap and are found left to right, as
     `re.finditer` finds them. This is the single definition of "appears
     verbatim, case-insensitively" shared by detection and the leak metric,
-    so the two can never disagree.
+    so the two can never disagree. Both sides are compared through
+    `ci_fold`; a caller that searches one text for many needles folds it
+    once and asks `folded_occurrences` / `folded_contains`, which take the
+    folded haystack and fold only the needle.
     """
+    return folded_occurrences(needle, ci_fold(haystack))
+
+
+def folded_occurrences(needle: str, folded: str) -> Iterator[tuple[int, int]]:
+    """`ci_occurrences` of needle in a haystack already passed through `ci_fold`."""
     if not needle:
         return
-    needle, haystack = ci_fold(needle), ci_fold(haystack)
-    start = haystack.find(needle)
+    needle = ci_fold(needle)
+    start = folded.find(needle)
     while start != -1:
         yield start, start + len(needle)
-        start = haystack.find(needle, start + len(needle))
+        start = folded.find(needle, start + len(needle))
 
 
 def ci_contains(needle: str, haystack: str) -> bool:
     """True when needle occurs case-insensitively anywhere in haystack."""
-    return bool(needle) and ci_fold(needle) in ci_fold(haystack)
+    return folded_contains(needle, ci_fold(haystack))
+
+
+def folded_contains(needle: str, folded: str) -> bool:
+    """`ci_contains` of needle in a haystack already passed through `ci_fold`."""
+    return bool(needle) and ci_fold(needle) in folded
 
 
 def ci_any_matcher(needles: Iterable[str]) -> Callable[[str], bool]:

@@ -28,7 +28,7 @@ from typing import Iterable, Sequence
 from .corpus import largest_remainder
 from .detection import detect_oracle
 from .metrics import DegenerateVariance, WelchResult, welch_from_samples
-from .model import CorpusRecord, ci_contains
+from .model import CorpusRecord, ci_fold, folded_contains
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -58,11 +58,12 @@ def annotate_from_gt(record: CorpusRecord) -> tuple[list[Token], list[str], int]
     gaps) where gaps counts values that never occur in the text and therefore
     could not be annotated; the document is kept with its remaining spans.
     """
+    folded = ci_fold(record.text)
     gaps = sum(
         1
         for values in record.pii_gt.values()
         for value in values
-        if not ci_contains(value, record.text)
+        if not folded_contains(value, folded)
     )
     spans = detect_oracle(record)
     tokens = tokenize(record.text)

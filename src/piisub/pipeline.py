@@ -24,6 +24,14 @@ Perplexity is judged by one reference per corpus: `perplexity_reference`
 trains the scorer on the non-PII portions of every record, once, and
 `compute_metrics` scores each mode's documents with it, and each original
 once per reference.
+
+`persist_run` writes results.json one document at a time: the envelope
+(config, counters, run id, version) goes through `json.dumps`, and each
+document is rendered straight from its dataclasses by `_document_json` and
+written before the next. Its layout is fixed by the schema, and every string
+goes through the encoder `json.dump` uses, so the file has the bytes of
+`write_json(path, results.to_json_dict())`; tests keep that tree as the
+reference. The smaller artifacts go through `write_json`.
 """
 
 from __future__ import annotations
@@ -35,6 +43,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, NamedTuple, Sequence
 
@@ -200,13 +209,20 @@ class RunResults:
     def failed_documents(self) -> list[DocumentResult]:
         return [d for d in self.documents if not d.ok]
 
-    def to_json_dict(self) -> dict:
+    def json_envelope(self) -> dict:
+        """results.json with an empty list in place of its documents."""
         return {
             "version": RESULTS_VERSION,
             "run_id": self.run_id,
             "config": self.config.to_json_dict(),
             "proposals_made": self.proposals_made,
             "cache_hits": self.cache_hits,
+            "documents": [],
+        }
+
+    def to_json_dict(self) -> dict:
+        return {
+            **self.json_envelope(),
             "documents": [d.to_json_dict() for d in self.documents],
         }
 
@@ -465,6 +481,96 @@ def write_json(path: str | Path, payload: dict) -> None:
         out.write("\n")
 
 
+#: The layout `json.dump(indent=2, sort_keys=True)` gives one entry of
+#: results.json's document list, a group and a span, at their depths.
+_DOCUMENT_JSON = """{{
+      "error": {error},
+      "groups": {groups},
+      "id": {id},
+      "locale": {locale},
+      "output": {output},
+      "template": {template}
+    }}"""
+_GROUP_JSON = """
+        {{
+          "canonical": {canonical},
+          "decision": {{
+            "demos_used": {demos},
+            "rejection_reasons": {reasons},
+            "source": {source},
+            "surrogate": {surrogate}
+          }},
+          "label": {label},
+          "mentions": {mentions},
+          "spans": [{spans}
+          ],
+          "surface": {surface}
+        }}"""
+_SPAN_JSON = """
+            [
+              {},
+              {}
+            ]"""
+_NO_DOCUMENTS = '\n  "documents": []'
+
+
+def _json_strings(values: Sequence[str], indent: str) -> str:
+    """A list of strings laid out as `json.dump(indent=2)` lays it out when
+    its closing bracket sits at `indent`."""
+    if not values:
+        return "[]"
+    items = f",\n{indent}  ".join(map(encode_basestring, values))
+    return f"[\n{indent}  {items}\n{indent}]"
+
+
+def _document_json(doc: DocumentResult) -> str:
+    """`doc.to_json_dict()` as `json.dump(..., sort_keys=True,
+    ensure_ascii=False, indent=2)` writes it into results.json's document
+    list, rendered from the dataclasses with the same string encoder."""
+    groups = ",".join(
+        _GROUP_JSON.format(
+            canonical=encode_basestring(g.group.canonical),
+            demos=_json_strings(g.decision.demos_used, " " * 12),
+            reasons=_json_strings(
+                [r.value for r in g.decision.rejection_reasons], " " * 12
+            ),
+            source=encode_basestring(g.decision.source.value),
+            surrogate=encode_basestring(g.decision.surrogate),
+            label=encode_basestring(g.group.label.name),
+            mentions=len(g.group.members),
+            spans=",".join(_SPAN_JSON.format(s.start, s.end) for s in g.group.members),
+            surface=encode_basestring(g.group.members[0].surface),
+        )
+        for g in doc.groups
+    )
+    return _DOCUMENT_JSON.format(
+        error="null" if doc.error is None else encode_basestring(doc.error),
+        groups=f"[{groups}\n      ]" if groups else "[]",
+        id=encode_basestring(doc.record.id),
+        locale=encode_basestring(doc.record.locale),
+        output="null" if doc.output is None else encode_basestring(doc.output),
+        template=encode_basestring(doc.record.template),
+    )
+
+
+def write_results(results: RunResults, path: str | Path) -> None:
+    """Write results.json with the bytes `write_json(path,
+    results.to_json_dict())` gives, one document at a time: the envelope
+    goes through `json.dumps`, each document through `_document_json`, and
+    no tree of the whole run is built."""
+    envelope = json.dumps(
+        results.json_envelope(), sort_keys=True, ensure_ascii=False, indent=2
+    )
+    head, tail = envelope.split(_NO_DOCUMENTS)
+    with open(path, "w", encoding="utf-8") as out:
+        out.write(head + '\n  "documents": [')
+        separator = "\n    "
+        for doc in results.documents:
+            out.write(separator + _document_json(doc))
+            separator = ",\n    "
+        out.write(("\n  ]" if results.documents else "]") + tail + "\n")
+
+
 def persist_run(
     results: RunResults,
     out_dir: str | Path,
@@ -475,7 +581,7 @@ def persist_run(
     directory and the run as `report.render_runs` takes it."""
     run_dir = Path(out_dir) / results.run_id
     run_dir.mkdir(parents=True, exist_ok=True)
-    write_json(run_dir / "results.json", results.to_json_dict())
+    write_results(results, run_dir / "results.json")
     metrics_dict = metrics.to_json_dict()
     write_json(run_dir / "metrics.json", metrics_dict)
     regurg_dict = None

@@ -124,6 +124,14 @@ class TestRun:
         )
         assert len(run_dirs(out)) == 3
 
+    def test_a_repeated_mode_runs_once(self, corpus_file, tmp_path, capsys):
+        out = tmp_path / "results"
+        argv = ["run", "--mode", "redact,faker,redact", "--no-ppl"]
+        assert main([*argv, "--corpus", str(corpus_file), "--out", str(out)]) == 0
+        started = [line.split(":")[0] for line in capsys.readouterr().out.splitlines()]
+        assert started[:3] == ["redact", "faker", ""]
+        assert len(run_dirs(out)) == 2
+
     @pytest.mark.parametrize("parallelism", ["1", "4"])
     def test_modes_share_only_the_perplexity_reference(
         self, corpus_file, tmp_path, parallelism
@@ -412,6 +420,25 @@ class TestNer:
         assert "original" in stdout
 
 
+    def test_a_repeated_mode_is_one_variant(self, corpus_file, tmp_path, monkeypatch):
+        import piisub.cli as cli
+
+        modes = []
+        run_corpus = cli.run_corpus
+
+        def counted(records, config, **kwargs):
+            modes.append(config.mode.value)
+            return run_corpus(records, config, **kwargs)
+
+        monkeypatch.setattr(cli, "run_corpus", counted)
+        out = tmp_path / "ner-out"
+        argv = ["ner", "--mode", "hybrid,redact,hybrid", "--corpus", str(corpus_file)]
+        sizes = ["--train-size", "8", "--test-size", "3", "--iterations", "2"]
+        assert main([*argv, *sizes, "--out", str(out)]) == 0
+        assert modes == ["hybrid", "redact"]
+        payload = json.loads((out / "ner.json").read_text(encoding="utf-8"))
+        assert payload["variant_order"] == ["original", "hybrid", "redact"]
+
     @pytest.mark.parametrize("given", ["flag", "config"])
     @pytest.mark.parametrize("seeds", ["11", "11,"])
     def test_fewer_than_two_seeds_is_a_usage_error(
@@ -529,6 +556,11 @@ class TestRunArtifactCommands:
         assert "redact@" in out
         # the one regurgitation section is the hybrid run's
         assert out.count("output_copies") == 1
+
+    def test_report_renders_a_run_directory_once(self, all_modes, capsys):
+        run_dir = all_modes[0]["hybrid"]
+        again = run_dir.parent / "." / run_dir.name
+        assert self.report(capsys, run_dir, again, run_dir) == self.report(capsys, run_dir)
 
     def test_report_missing_metrics_names_the_file(self, tmp_path):
         with pytest.raises(SystemExit, match="no metrics.json"):

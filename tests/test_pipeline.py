@@ -5,22 +5,31 @@ import re
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from piisub.corpus import synth_corpus
 from piisub.metrics import CharNgramScorer
 from piisub.model import (
     SLM_LABELS,
     CorpusRecord,
+    EntityGroup,
     Label,
     Mode,
+    PiiSpan,
+    RejectionReason,
     Source,
+    SurrogateDecision,
     canonicalize,
     ci_any_matcher,
     ci_contains,
 )
 from piisub.pipeline import (
     EXECUTION_FIELDS,
+    DocumentResult,
+    GroupResult,
     RunConfig,
+    RunResults,
     compute_metrics,
     corpus_fingerprint,
     derive_run_id,
@@ -29,6 +38,7 @@ from piisub.pipeline import (
     regurgitation_for_results,
     run_corpus,
     write_json,
+    write_results,
 )
 from piisub.prompting import DemoStrategy
 
@@ -764,6 +774,88 @@ class TestPersistRun:
             json.dumps(payload, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
         )
         assert path.read_bytes() == expected.encode("utf-8")
+
+
+#: Strings JSON must escape or that stress an encoder: quote, backslash,
+#: control characters, the JS line separators and non-BMP characters.
+_TEXT = st.text(
+    st.one_of(
+        st.sampled_from('"\\\x00\x08\n\x1f\x7f\u2028\u2029\U0001f600\U00010348é山'),
+        st.characters(blacklist_categories=("Cs",)),
+    ),
+    max_size=12,
+)
+
+
+@st.composite
+def _decisions(draw):
+    source = draw(st.sampled_from(Source))
+    if source is Source.SLM:
+        demos, reasons = draw(st.lists(_TEXT, min_size=3, max_size=3)), []
+    else:
+        demos = draw(st.lists(_TEXT, max_size=2))
+        reasons = draw(
+            st.lists(
+                st.sampled_from(RejectionReason),
+                min_size=1 if source is Source.FALLBACK_FAKE else 0,
+                max_size=3,
+            )
+        )
+    return SurrogateDecision(draw(_TEXT), source, tuple(demos), tuple(reasons))
+
+
+@st.composite
+def _groups(draw):
+    label = draw(st.sampled_from(Label))
+    members = []
+    for start, surface in draw(
+        st.lists(st.tuples(st.integers(0, 10**6), _TEXT.filter(bool)), min_size=1, max_size=3)
+    ):
+        members.append(PiiSpan(start, start + len(surface), label, surface))
+    group = EntityGroup(draw(_TEXT), label, tuple(members))
+    return GroupResult(group, draw(_decisions()))
+
+
+@st.composite
+def _documents(draw):
+    record = CorpusRecord(draw(_TEXT), "", draw(_TEXT), draw(_TEXT))
+    if draw(st.booleans()):
+        return DocumentResult(record, None, [], error=draw(_TEXT))
+    return DocumentResult(record, draw(_TEXT), draw(st.lists(_groups(), max_size=3)))
+
+
+@st.composite
+def _run_results(draw):
+    config = RunConfig(
+        mode=draw(st.sampled_from(Mode)),
+        backend_command=draw(st.none() | _TEXT),
+        placeholder_prefix=draw(_TEXT),
+        leak_guard=draw(st.booleans()),
+    )
+    return RunResults(
+        run_id=draw(_TEXT),
+        config=config,
+        documents=draw(st.lists(_documents(), max_size=4)),
+        proposals_made=draw(st.integers(0, 10**6)),
+        cache_hits=draw(st.integers(0, 10**6)),
+        timings={},
+        catalog=None,
+    )
+
+
+@pytest.fixture(scope="module")
+def results_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("encoder") / "results.json"
+
+
+@settings(max_examples=100, deadline=None)
+@given(_run_results())
+def test_write_results_equals_json_dump_of_the_tree(results_path, results):
+    write_results(results, results_path)
+    expected = json.dumps(
+        results.to_json_dict(), sort_keys=True, ensure_ascii=False, indent=2
+    )
+    assert results_path.read_bytes() == (expected + "\n").encode("utf-8")
 
 
 def test_scorer_trained_on_non_pii_only(corpus):
