@@ -26,7 +26,7 @@ from .backends import BackendUnhealthy
 from .corpus import DEFAULT_LOCALE_MIX, load_corpus, save_corpus, synth_corpus
 from .detection import DetectorUnavailable
 from .model import CorpusRecord, Label, Mode
-from .ner import run_ner_experiment
+from .ner import check_seeds, run_ner_experiment
 from .pipeline import (
     RunConfig,
     compute_metrics,
@@ -139,9 +139,10 @@ def _parse_modes(text: str) -> list[Mode]:
 
 def _parse_seeds(text: str) -> list[int]:
     seeds = [int(part) for part in text.split(",") if part.strip()]
-    if len(seeds) < 2:
-        # the variant comparisons are Welch tests over the per-seed scores
-        raise argparse.ArgumentTypeError("need at least two seeds")
+    try:
+        check_seeds(seeds)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
     return seeds
 
 
@@ -331,10 +332,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ner = sub.add_parser("ner", help="train/test the tagger on mode variants")
     p_ner.add_argument("--mode", default="all")
-    p_ner.add_argument("--train-size", type=int)
-    p_ner.add_argument("--test-size", type=int)
+    p_ner.add_argument("--train-size", type=_positive_int)
+    p_ner.add_argument("--test-size", type=_positive_int)
     p_ner.add_argument("--seeds", type=_parse_seeds, help="e.g. 11,12,13,14,15")
-    p_ner.add_argument("--iterations", type=int)
+    p_ner.add_argument("--iterations", type=_positive_int)
     _add_run_options(p_ner)
     p_ner.set_defaults(func=_cmd_ner)
 

@@ -12,6 +12,12 @@ values (possibly surrogates) by string matching. Prediction decoding is
 strict BIO: an I- tag without a matching open span is dropped rather than
 repaired, so a model that never learned natural entities yields no spans at
 all instead of noise spans.
+
+Training runs on integer feature ids. One Lexicon per experiment calls
+features() once per distinct word; the trainer keeps integer weights, so a
+guess is reused until the next mistake changes a weight. The trained model
+holds the averaged float rows by feature name and predicts by adding them in
+features() order.
 """
 
 from __future__ import annotations
@@ -116,45 +122,68 @@ def features(words: Sequence[str], i: int, prev_tag: str) -> list[str]:
     return feats
 
 
-# where features() puts prevtag, the one feature that changes between passes
-_PREVTAG_AT = 5
+class Lexicon:
+    """Interned integer feature ids for the words of one experiment.
 
+    features() runs once per distinct word. A word id stands for the
+    word's token-internal feature ids; the previous tag's feature is interned
+    apart, one id per tag. A lexicon lives as long as one experiment and is
+    shared by every training and prediction in it.
+    """
 
-def static_features(tokens: Sequence[Token]) -> list[tuple[str, ...]]:
-    """Per token, features() without the prevtag entry, in features() order."""
-    words = [t.text for t in tokens]
-    out = []
-    for i in range(len(words)):
-        feats = features(words, i, "")
-        del feats[_PREVTAG_AT]
-        out.append(tuple(feats))
-    return out
+    def __init__(self) -> None:
+        self.feature_names: list[str] = []
+        self._feature_ids: dict[str, int] = {}
+        self._word_ids: dict[str, int] = {}
+        # per word id: features() with an empty prevtag, and where that sits
+        self._word_features: list[tuple[list[str], int]] = []
+        self.word_feature_ids: list[tuple[int, ...]] = []
 
+    def feature_id(self, name: str) -> int:
+        fid = self._feature_ids.get(name)
+        if fid is None:
+            fid = self._feature_ids[name] = len(self.feature_names)
+            self.feature_names.append(name)
+        return fid
 
-def with_prevtag(static: tuple[str, ...], prev_tag: str) -> tuple[str, ...]:
-    """Splice prevtag back in: equals features(words, i, prev_tag)."""
-    return (
-        *static[:_PREVTAG_AT],
-        "prevtag=" + prev_tag,
-        *static[_PREVTAG_AT:],
-    )
+    def prevtag_id(self, tag: str) -> int:
+        return self.feature_id("prevtag=" + tag)
+
+    def encode(self, tokens: Iterable[Token]) -> tuple[int, ...]:
+        """The word id of each token, interning words not seen before."""
+        return tuple(map(self._word_id, (t.text for t in tokens)))
+
+    def _word_id(self, word: str) -> int:
+        wid = self._word_ids.get(word)
+        if wid is None:
+            wid = self._word_ids[word] = len(self._word_features)
+            names = features((word,), 0, "")
+            at = names.index("prevtag=")
+            self._word_features.append((names, at))
+            self.word_feature_ids.append(
+                tuple(self.feature_id(n) for i, n in enumerate(names) if i != at)
+            )
+        return wid
+
+    def feature_names_of(self, wid: int, prev_tag: str) -> list[str]:
+        """features() of the word with id `wid` after `prev_tag`."""
+        names, at = self._word_features[wid]
+        out = list(names)
+        out[at] = "prevtag=" + prev_tag
+        return out
 
 
 class AveragedPerceptron:
-    """Multiclass perceptron with weight averaging (lazy-update form).
+    """Multiclass perceptron with averaged weights, as train_tagger leaves it.
 
-    Weights, running totals and timestamps are rows per feature, indexed
-    like the sorted classes. predict adds rows one feature at a time, in the
-    order given, so the averaged float scores do not depend on the layout.
+    The averaged weights are one float row per feature, indexed like the
+    sorted classes. predict adds rows one feature at a time, in the order
+    given, so the scores do not depend on the layout.
     """
 
     def __init__(self, classes: Iterable[str]) -> None:
         self.classes = sorted(set(classes))
-        self._index = {c: i for i, c in enumerate(self.classes)}
         self._weights: dict[str, list[float]] = {}
-        self._totals: dict[str, list[float]] = {}
-        self._tstamps: dict[str, list[int]] = {}
-        self._updates = 0
 
     def predict(self, feats: Sequence[str]) -> str:
         acc: Iterable[float] = [0.0] * len(self.classes)
@@ -166,68 +195,90 @@ class AveragedPerceptron:
         # first maximum over sorted classes: name breaks score ties
         return self.classes[scores.index(max(scores))]
 
-    def update(self, truth: str, guess: str, feats: Sequence[str]) -> None:
-        self._updates += 1
-        if truth == guess:
-            return
-        now = self._updates
-        bumps = ((self._index[truth], 1.0), (self._index[guess], -1.0))
-        n = len(self.classes)
-        for f in feats:
-            weights = self._weights.get(f)
-            if weights is None:
-                weights = self._weights[f] = [0.0] * n
-                totals = self._totals[f] = [0.0] * n
-                tstamps = self._tstamps[f] = [0] * n
-            else:
-                totals = self._totals[f]
-                tstamps = self._tstamps[f]
-            for c, delta in bumps:
-                totals[c] += (now - tstamps[c]) * weights[c]
-                tstamps[c] = now
-                weights[c] += delta
-
-    def average_weights(self) -> None:
-        now = self._updates
-        for feature, weights in self._weights.items():
-            totals = self._totals[feature]
-            tstamps = self._tstamps[feature]
-            for c, weight in enumerate(weights):
-                total = totals[c] + (now - tstamps[c]) * weight
-                weights[c] = total / now if now else 0.0
-
 
 def train_tagger(
-    sentences: Sequence[tuple[list[Token], list[str]]],
+    sentences: Sequence[tuple[Sequence[Token], list[str]]]
+    | Sequence[tuple[tuple[int, ...], list[str]]],
     *,
     iterations: int = 30,
     seed: int = 0,
+    lexicon: Lexicon | None = None,
 ) -> AveragedPerceptron:
+    """Collins' averaged perceptron, with lazy averaging, on integer state.
+
+    Sentences pair tokens with their gold tags; given the experiment's
+    lexicon, they pair word ids of it instead. Weights, running totals and
+    timestamps are int lists per class, indexed by feature id. Every weight
+    is an integer until the final average, so a guess does not depend on
+    the order its scores are summed in: it is memoized per (word, previous
+    tag) until the next mistake changes a weight.
+    """
+    if lexicon is None:
+        lexicon = Lexicon()
+        sentences = [(lexicon.encode(tokens), tags) for tokens, tags in sentences]
     classes = {"O"}
     for _, tags in sentences:
         classes.update(tags)
     model = AveragedPerceptron(classes)
+    index = {c: i for i, c in enumerate(model.classes)}
+    # previous-tag state 0 is the sentence start, state 1 + c follows class c
+    prev_feature = [lexicon.prevtag_id(t) for t in ("<s>", *model.classes)]
+    states = len(prev_feature)
+    word_feats = lexicon.word_feature_ids
+    word_getters = [operator.itemgetter(*ids) for ids in word_feats]
+    size = len(lexicon.feature_names)
+    weights = [[0] * size for _ in model.classes]
+    totals = [[0] * size for _ in model.classes]
+    stamps = [[0] * size for _ in model.classes]
+    updated: set[int] = set()
+    data = [(words, [index[t] for t in tags]) for words, tags in sentences]
     rng = random.Random(seed)
-    # only prevtag changes between passes: everything else is computed once
-    data = [(static_features(tokens), tags) for tokens, tags in sentences]
+    guesses: dict[int, int] = {}
+    now = 0
     for _ in range(iterations):
         rng.shuffle(data)
-        for statics, tags in data:
-            prev = "<s>"
-            for static, gold in zip(statics, tags):
-                feats = with_prevtag(static, prev)
-                guess = model.predict(feats)
-                model.update(gold, guess, feats)
-                prev = guess
-    model.average_weights()
+        for words, golds in data:
+            prev = 0
+            for wid, gold in zip(words, golds):
+                now += 1
+                key = wid * states + prev
+                guess = guesses.get(key)
+                if guess is None:
+                    # int sums: the order of the terms cannot change a score
+                    get, pf = word_getters[wid], prev_feature[prev]
+                    scores = [sum(get(row)) + row[pf] for row in weights]
+                    guess = guesses[key] = scores.index(max(scores))
+                if guess != gold:
+                    for f in (*word_feats[wid], prev_feature[prev]):
+                        updated.add(f)
+                        for c, delta in ((gold, 1), (guess, -1)):
+                            totals[c][f] += (now - stamps[c][f]) * weights[c][f]
+                            stamps[c][f] = now
+                            weights[c][f] += delta
+                    guesses.clear()
+                prev = guess + 1
+    # the totals are exact integers and int true division rounds once, so
+    # this is the float that summing float weights gives while it is exact
+    names = lexicon.feature_names
+    for f in updated:
+        model._weights[names[f]] = [
+            (totals[c][f] + (now - stamps[c][f]) * weights[c][f]) / now
+            for c in range(len(model.classes))
+        ]
     return model
 
 
-def predict_tags(model: AveragedPerceptron, tokens: Sequence[Token]) -> list[str]:
+def predict_tags(
+    model: AveragedPerceptron,
+    tokens: Sequence[Token],
+    lexicon: Lexicon | None = None,
+) -> list[str]:
+    if lexicon is None:
+        lexicon = Lexicon()
     prev = "<s>"
     out: list[str] = []
-    for static in static_features(tokens):
-        prev = model.predict(with_prevtag(static, prev))
+    for wid in lexicon.encode(tokens):
+        prev = model.predict(lexicon.feature_names_of(wid, prev))
         out.append(prev)
     return out
 
@@ -356,6 +407,16 @@ class NerReport:
         }
 
 
+def check_seeds(seeds: Sequence[int]) -> None:
+    """The variant comparisons are Welch tests over the per-seed scores: they
+    need two seeds or more, and a seed given twice would count one training
+    as two samples."""
+    if len(seeds) < 2 or len(set(seeds)) < len(seeds):
+        raise ValueError(
+            f"need at least two seeds, each given once, got {list(seeds)}"
+        )
+
+
 def stratified_split(
     records: Sequence[CorpusRecord], train_size: int, test_size: int, seed: int
 ) -> tuple[list[int], list[int]]:
@@ -401,16 +462,21 @@ def run_ner_experiment(
             a.id != b.id for a, b in zip(records, base)
         ):
             raise ValueError(f"variant {name!r} is not parallel to {original!r}")
-    if len(seeds) < 2:
-        # the variant comparisons are Welch tests over the per-seed scores
-        raise ValueError(f"need at least two seeds, got {len(seeds)}")
+    check_seeds(seeds)
+    for name, value in (
+        ("train_size", train_size),
+        ("test_size", test_size),
+        ("iterations", iterations),
+    ):
+        if value < 1:
+            raise ValueError(f"{name} must be at least 1, got {value}")
     order = list(variants)
     scores = {name: VariantScores() for name in order}
     gaps = 0
-    # a record's annotation does not depend on the seed: project it once.
-    # Its tokens are cheap to rebuild and costly to keep, so only the tags
-    # and gaps are kept.
-    annotated: dict[tuple[str, int], tuple[list[str], int]] = {}
+    lexicon = Lexicon()
+    # a record's annotation does not depend on the seed: project it once,
+    # and keep its word ids, tags and gaps rather than its tokens
+    annotated: dict[tuple[str, int], tuple[tuple[int, ...], list[str], int]] = {}
     for seed in seeds:
         train_idx, test_idx = stratified_split(base, train_size, test_size, seed)
         test_records = [base[i] for i in test_idx]
@@ -422,26 +488,26 @@ def run_ner_experiment(
             sentences = []
             train_spans = 0
             for i in train_idx:
-                record = variants[name][i]
                 key = (name, i)
                 if key not in annotated:
-                    _, tags, rec_gaps = annotate_from_gt(record)
-                    annotated[key] = (tags, rec_gaps)
-                tags, rec_gaps = annotated[key]
-                tokens = tokenize(record.text)
+                    tokens, tags, rec_gaps = annotate_from_gt(variants[name][i])
+                    annotated[key] = (lexicon.encode(tokens), tags, rec_gaps)
+                words, tags, rec_gaps = annotated[key]
                 gaps += rec_gaps
                 train_spans += sum(1 for t in tags if t.startswith("B-"))
-                sentences.append((tokens, tags))
+                sentences.append((words, tags))
             if train_spans == 0:
                 warnings.warn(
                     f"variant {name!r} has no entity tags in its training cut",
                     UntrainableCorpus,
                     stacklevel=2,
                 )
-            model = train_tagger(sentences, iterations=iterations, seed=seed)
+            model = train_tagger(
+                sentences, iterations=iterations, seed=seed, lexicon=lexicon
+            )
             counts = SpanCounts()
             for tokens, gold in zip(test_tokens, gold_by_doc):
-                pred = decode_bio_strict(tokens, predict_tags(model, tokens))
+                pred = decode_bio_strict(tokens, predict_tags(model, tokens, lexicon))
                 counts = counts + match_spans(gold, pred)
             scores[name].precision_by_seed.append(counts.precision)
             scores[name].recall_by_seed.append(counts.recall)

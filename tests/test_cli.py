@@ -462,6 +462,40 @@ class TestNer:
         assert "argument --seeds: need at least two seeds" in capsys.readouterr().err
         assert not (out / "ner.json").exists()
 
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize(
+        "option, value, message",
+        [
+            ("train_size", "-5", "must be at least 1, got -5"),
+            ("test_size", "0", "must be at least 1, got 0"),
+            ("iterations", "-2", "must be at least 1, got -2"),
+            ("seeds", "11,11", "need at least two seeds, each given once"),
+        ],
+        ids=["train-size", "test-size", "iterations", "seeds"],
+    )
+    def test_a_setting_that_mis_measures_is_a_usage_error(
+        self, corpus_file, tmp_path, capsys, monkeypatch, option, value, message, given
+    ):
+        import piisub.ner as ner
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the settings were checked")
+
+        monkeypatch.setattr(ner, "train_tagger", no_training)
+        out = tmp_path / "ner-out"
+        argv = ["ner", "--mode", "redact", "--corpus", str(corpus_file), "--out", str(out)]
+        flag = "--" + option.replace("_", "-")
+        if given == "flag":
+            argv += [flag, value]
+        else:
+            setting = value if option == "seeds" else int(value)
+            argv += ["--config", write_config(tmp_path / "config.json", {option: setting})]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"argument {flag}: {message}" in capsys.readouterr().err
+        assert not (out / "ner.json").exists()
+
     def test_config_keys_equal_their_flags(self, corpus_file, tmp_path):
         settings = {
             "mode": "redact",

@@ -12,6 +12,7 @@ from piisub.corpus import synth_corpus
 from piisub.model import CorpusRecord, Label, Mode
 from piisub.ner import (
     AveragedPerceptron,
+    Lexicon,
     SpanCounts,
     Token,
     UntrainableCorpus,
@@ -22,11 +23,9 @@ from piisub.ner import (
     match_spans,
     predict_tags,
     run_ner_experiment,
-    static_features,
     stratified_split,
     tokenize,
     train_tagger,
-    with_prevtag,
 )
 from piisub.pipeline import RunConfig, run_corpus
 
@@ -214,14 +213,20 @@ _PREV_TAGS = st.sampled_from(["<s>", "O", "B-PII", "I-PII"])
 
 @settings(max_examples=200, deadline=None)
 @given(words=_WORDS, data=st.data())
-def test_static_features_splice_back_to_features(words, data):
-    tokens = [Token(w, 0, len(w)) for w in words]
-    statics = static_features(tokens)
-    assert len(statics) == len(words)
-    for i, static in enumerate(statics):
+def test_lexicon_feature_ids_name_the_features(words, data):
+    lexicon = Lexicon()
+    wids = lexicon.encode(Token(w, 0, len(w)) for w in words)
+    assert lexicon.encode(Token(w, 0, len(w)) for w in words) == wids
+    assert len(set(wids)) == len(set(words))
+    names = lexicon.feature_names
+    for i, wid in enumerate(wids):
         prev = data.draw(_PREV_TAGS)
-        assert list(with_prevtag(static, prev)) == features(words, i, prev)
-        assert not any(f.startswith("prevtag=") for f in static)
+        expected = features(words, i, prev)
+        assert lexicon.feature_names_of(wid, prev) == expected
+        # the training ids: every feature but prevtag, which is interned apart
+        static = [names[f] for f in lexicon.word_feature_ids[wid]]
+        assert static == [f for f in expected if not f.startswith("prevtag=")]
+        assert names[lexicon.prevtag_id(prev)] == "prevtag=" + prev
 
 
 class ReferencePerceptron:
@@ -301,6 +306,15 @@ def assert_same_weights(model, reference):
             assert weight == bucket.get(cls, 0.0), (feature, cls)
 
 
+def reference_tags(reference, tokens):
+    words = [t.text for t in tokens]
+    prev, tags = "<s>", []
+    for i in range(len(words)):
+        prev = reference.predict(features(words, i, prev))
+        tags.append(prev)
+    return tags
+
+
 _BIO = ["O", "B-PII", "I-PII"]
 _VOCAB = ["Alice", "Bob", "Tōkyō", "山田", "04/12", "x@y.z", "?!", "the", "ran", "ß"]
 
@@ -317,22 +331,24 @@ def random_bio_sentences(rng, n):
 class TestPerceptronMatchesReference:
     @pytest.mark.parametrize("seed", range(6))
     def test_step_by_step(self, seed):
+        # pass by pass, through a lexicon shared the way an experiment
+        # shares it: the weights after each number of passes are the
+        # reference's, and so are the tags they predict
         rng = random.Random(seed)
-        model, reference = AveragedPerceptron(_BIO), ReferencePerceptron(_BIO)
-        feats_pool = [f"f{i}" for i in range(12)]
-        for _ in range(400):
-            feats = rng.sample(feats_pool, rng.randint(0, 6))
-            guess = model.predict(feats)
-            assert guess == reference.predict(feats)
-            truth = rng.choice(_BIO)
-            model.update(truth, guess, feats)
-            reference.update(truth, guess, feats)
-        model.average_weights()
-        reference.average_weights()
-        assert_same_weights(model, reference)
-        for _ in range(200):
-            feats = rng.sample(feats_pool, rng.randint(0, 6))
-            assert model.predict(feats) == reference.predict(feats)
+        sentences = random_bio_sentences(rng, 10)
+        held_out = random_bio_sentences(rng, 10)
+        lexicon = Lexicon()
+        encoded = [(lexicon.encode(tokens), tags) for tokens, tags in sentences]
+        for iterations in range(1, 9):
+            model = train_tagger(
+                encoded, iterations=iterations, seed=seed, lexicon=lexicon
+            )
+            reference = reference_train(sentences, iterations=iterations, seed=seed)
+            assert_same_weights(model, reference)
+            for tokens, _ in held_out:
+                assert predict_tags(model, tokens, lexicon) == reference_tags(
+                    reference, tokens
+                )
 
     def test_rows_add_in_feature_order(self):
         # 1 + 1e16 rounds back to 1e16, so B scores 0 in this order and 1 in
@@ -361,6 +377,65 @@ class TestPerceptronMatchesReference:
                 prev = reference.predict(features(words, i, prev))
                 expected.append(prev)
             assert predict_tags(model, tokens) == expected
+
+
+# a small vocabulary, so that words repeat and guesses come from the memo
+_SMALL_VOCAB = st.lists(
+    st.text(_WORD_CHARS, min_size=1, max_size=3), min_size=1, max_size=5, unique=True
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    vocab=_SMALL_VOCAB,
+    data=st.data(),
+    iterations=st.integers(1, 12),
+    seed=st.integers(),
+)
+def test_trainer_equals_reference(vocab, data, iterations, seed):
+    tagged = st.tuples(st.sampled_from(vocab), st.sampled_from(_BIO))
+    drawn = data.draw(st.lists(st.lists(tagged, max_size=8), min_size=1, max_size=20))
+    sentences = [
+        ([Token(w, 0, len(w)) for w, _ in pairs], [t for _, t in pairs])
+        for pairs in drawn
+    ]
+    reference = reference_train(sentences, iterations=iterations, seed=seed)
+    model = train_tagger(sentences, iterations=iterations, seed=seed)
+    assert model.classes == reference.classes
+    assert_same_weights(model, reference)
+    # the experiment's path: word ids of a lexicon the predictions share
+    lexicon = Lexicon()
+    encoded = [(lexicon.encode(tokens), tags) for tokens, tags in sentences]
+    shared = train_tagger(encoded, iterations=iterations, seed=seed, lexicon=lexicon)
+    assert shared._weights == model._weights
+    probe = [Token(w, 0, len(w)) for w in data.draw(st.lists(st.sampled_from(vocab)))]
+    for tokens in [*(tokens for tokens, _ in sentences), probe]:
+        expected = reference_tags(reference, tokens)
+        assert predict_tags(model, tokens) == expected
+        assert predict_tags(shared, tokens, lexicon) == expected
+
+
+def test_a_mistake_after_a_clean_stretch_renews_the_guess():
+    # "a" after O is guessed O through ten predictions without a mistake;
+    # the tenth is a mistake (gold B-PII), after which the fresh guess for
+    # the same word and previous tag is B-PII, where one kept from the
+    # stretch would still say O. The weights after that guess count in the
+    # average only from the predictions that follow, hence the last two.
+    words = ["a"] * 15
+    tags = ["O"] * 11 + ["B-PII", "O", "O", "O"]
+    reference = ReferencePerceptron(tags)
+    prev, steps = "<s>", []
+    for i, gold in enumerate(tags):
+        feats = features(words, i, prev)
+        guess = reference.predict(feats)
+        reference.update(gold, guess, feats)
+        steps.append((prev, guess))
+        prev = guess
+    assert steps[2:12] == [("O", "O")] * 10
+    assert steps[12] == ("O", "B-PII")
+    tokens = [Token(w, 2 * i, 2 * i + 1) for i, w in enumerate(words)]
+    model = train_tagger([(tokens, tags)], iterations=1)
+    assert_same_weights(model, reference_train([(tokens, tags)], iterations=1, seed=0))
 
 
 def test_frozen_scores_of_a_small_experiment():
@@ -533,6 +608,32 @@ class TestExperiment:
                 test_size=2,
                 seeds=seeds,
             )
+
+    @pytest.mark.parametrize(
+        "setting, message",
+        [
+            ({"train_size": -5}, "train_size must be at least 1"),
+            ({"test_size": 0}, "test_size must be at least 1"),
+            ({"iterations": -2}, "iterations must be at least 1"),
+            ({"seeds": (11, 11)}, "each given once"),
+            ({"seeds": (11, 12, 11)}, "each given once"),
+        ],
+        ids=["train-size", "test-size", "iterations", "seed-twice", "seed-repeats"],
+    )
+    def test_rejects_settings_that_mis_measure_before_training(
+        self, setting, message, monkeypatch
+    ):
+        import piisub.ner as ner
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("trained before the settings were checked")
+
+        monkeypatch.setattr(ner, "train_tagger", no_training)
+        corpus = synth_corpus(10, seed=3)
+        experiment = {"train_size": 6, "test_size": 2, "seeds": (1, 2), **setting}
+        with pytest.raises(ValueError, match=message):
+            run_ner_experiment({"original": corpus, "copy": list(corpus)}, **experiment)
+
 
 def test_variant_scores_sd_definitions():
     scores = VariantScores(f1_by_seed=[0.4, 0.6])
