@@ -4,7 +4,8 @@ A backend maps a rendered prompt string to a raw completion string and knows
 nothing about entities or pools. The two mock backends exist to make runs
 reproducible without a model: they parse the demonstrations back out of the
 prompt and answer from them. The command backend shells out to any local
-model runner.
+model runner; it imports `shlex` and `subprocess` when it is first built
+and first called, so a run with a mock backend never loads them.
 
 Per-call failures raise BackendInvocationError; once a backend accumulates
 `failure_threshold` consecutive failures it turns unhealthy and every later
@@ -13,8 +14,6 @@ call raises BackendUnhealthy, which callers are expected not to swallow.
 
 from __future__ import annotations
 
-import shlex
-import subprocess
 import threading
 from abc import ABC, abstractmethod
 from pathlib import Path
@@ -46,6 +45,10 @@ class SlmBackend(ABC):
     ) -> None:
         if max_inflight < 1:
             raise ValueError("max_inflight must be at least 1")
+        if failure_threshold < 1:
+            raise ValueError(
+                f"failure_threshold must be at least 1, got {failure_threshold}"
+            )
         self.failure_threshold = failure_threshold
         self._semaphore = threading.BoundedSemaphore(max_inflight)
         self._health_lock = threading.Lock()
@@ -139,7 +142,8 @@ class CommandBackend(SlmBackend):
     """Runs a local command per call; stdout is the completion.
 
     The prompt reaches the command either through a literal `{prompt}`
-    substitution in the argument template, or on stdin.
+    substitution in the argument template, or on stdin, where the template
+    must not hold `{prompt}`: the command would get the literal string.
     """
 
     def __init__(
@@ -152,19 +156,28 @@ class CommandBackend(SlmBackend):
         max_inflight: int = 1,
         failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
     ) -> None:
+        import shlex
+
         super().__init__(max_inflight=max_inflight, failure_threshold=failure_threshold)
         if prompt_via not in ("arg", "stdin"):
             raise ValueError(f"prompt_via must be 'arg' or 'stdin', got {prompt_via!r}")
+        if not timeout > 0:
+            raise ValueError(f"backend timeout must be above 0, got {timeout}")
         self._argv = shlex.split(template)
         if not self._argv:
             raise ValueError("empty command template")
-        if prompt_via == "arg" and not any("{prompt}" in a for a in self._argv):
+        placeholder = any("{prompt}" in a for a in self._argv)
+        if prompt_via == "arg" and not placeholder:
             raise ValueError("arg mode needs a {prompt} placeholder in the template")
+        if prompt_via == "stdin" and placeholder:
+            raise ValueError("stdin mode takes no {prompt} placeholder in the template")
         self._prompt_via = prompt_via
         self._timeout = timeout
         self.id = backend_id or f"command:{Path(self._argv[0]).name}"
 
     def _invoke(self, prompt: str) -> str:
+        import subprocess
+
         if self._prompt_via == "arg":
             argv = [a.replace("{prompt}", prompt) for a in self._argv]
             stdin_data = None

@@ -26,9 +26,10 @@ from .backends import BackendUnhealthy
 from .corpus import DEFAULT_LOCALE_MIX, load_corpus, save_corpus, synth_corpus
 from .detection import DetectorUnavailable
 from .model import CorpusRecord, Label, Mode
-from .ner import check_seeds, run_ner_experiment
+from .ner import NerSettings, check_seeds, run_ner_experiment
 from .pipeline import (
     RunConfig,
+    check_config,
     compute_metrics,
     perplexity_reference,
     persist_run,
@@ -57,7 +58,7 @@ _FIELD_OF_OPTION = {
 #: RunConfig fields an option sets under its own or a mapped name.
 _OPTION_FIELDS = {f.name for f in fields(RunConfig)} - {"mode", "run_id"}
 
-_NER_OPTIONS = ("train_size", "test_size", "seeds", "iterations")
+_NER_OPTIONS = tuple(f.name for f in fields(NerSettings))
 
 
 def _load_config_file(path: str | None) -> dict:
@@ -168,6 +169,27 @@ def _run_config(
     return RunConfig(mode=mode, run_id=run_id, **given)
 
 
+def _run_configs(args: argparse.Namespace) -> list[RunConfig]:
+    """One RunConfig per mode of --mode, all checked before any of them
+    runs: a setting that the run's backend or detector rejects is a usage
+    error, and no run directory is written."""
+    modes = _parse_modes(args.mode)
+    pinned = getattr(args, "run_id", None)
+    configs = []
+    for mode in modes:
+        run_id = pinned
+        if pinned and len(modes) > 1:
+            # an explicit id must not make the modes clobber one run directory
+            run_id = f"{pinned}-{mode.value}"
+        config = _run_config(args, mode, run_id)
+        try:
+            check_config(config)
+        except ValueError as exc:
+            args.subparser.error(str(exc))
+        configs.append(config)
+    return configs
+
+
 def _corpus_path(args: argparse.Namespace) -> str:
     if not args.corpus:
         raise SystemExit("no corpus given (use --corpus, config, or PIISUB_CORPUS)")
@@ -214,21 +236,16 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
+    configs = _run_configs(args)
     records = load_corpus(_corpus_path(args))
     runs = []
-    modes = _parse_modes(args.mode)
     scorer = None if args.no_ppl else perplexity_reference(records)
-    for mode in modes:
-        run_id = args.run_id
-        if run_id and len(modes) > 1:
-            # an explicit id must not make the modes clobber one run directory
-            run_id = f"{run_id}-{mode.value}"
-        run_config = _run_config(args, mode, run_id)
+    for run_config in configs:
         results = run_corpus(records, run_config, fake_secret=_fake_secret())
         metrics = compute_metrics(results, scorer=scorer)
         run_dir, run = persist_run(results, args.out, metrics)
         runs.append(run)
-        print(f"{mode.value}: run {results.run_id} -> {run_dir}")
+        print(f"{run_config.mode.value}: run {results.run_id} -> {run_dir}")
         if results.failed_documents:
             print(f"  {len(results.failed_documents)} document(s) failed", file=sys.stderr)
     print()
@@ -251,12 +268,22 @@ def _transformed_records(records, results) -> list[CorpusRecord | None]:
 
 
 def _cmd_ner(args: argparse.Namespace) -> int:
+    configs = _run_configs(args)
+    experiment = {
+        name: getattr(args, name)
+        for name in _NER_OPTIONS
+        if getattr(args, name) is not None
+    }
     records = load_corpus(_corpus_path(args))
+    try:
+        settings = NerSettings(**experiment)
+        settings.check_corpus(len(records))
+    except ValueError as exc:
+        args.subparser.error(str(exc))
     variants: dict[str, list] = {"original": list(records)}
-    for mode in _parse_modes(args.mode):
-        run_config = _run_config(args, mode)
+    for run_config in configs:
         results = run_corpus(records, run_config, fake_secret=_fake_secret())
-        variants[mode.value] = _transformed_records(records, results)
+        variants[run_config.mode.value] = _transformed_records(records, results)
     # drop any index that failed in any variant so corpora stay parallel
     bad = {
         i
@@ -268,11 +295,10 @@ def _cmd_ner(args: argparse.Namespace) -> int:
         for name, docs in variants.items():
             variants[name] = [d for i, d in enumerate(docs) if i not in bad]
         print(f"dropped {len(bad)} failed document(s)", file=sys.stderr)
-    experiment = {
-        name: getattr(args, name)
-        for name in _NER_OPTIONS
-        if getattr(args, name) is not None
-    }
+        try:
+            settings.check_corpus(len(variants["original"]))
+        except ValueError as exc:
+            raise SystemExit(f"piisub ner: {exc} once the failed ones are dropped")
     report = run_ner_experiment(variants, **experiment)
     payload = report.to_json_dict()
     out_dir = Path(args.out)

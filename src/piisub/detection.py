@@ -3,17 +3,14 @@
 Three backends share one output contract (sorted, non-overlapping, in-bounds,
 surface-consistent spans): a ground-truth oracle, a pattern-rule detector for
 high-regularity labels, and an adapter for an external detector process or
-endpoint.
+endpoint. The adapter imports its transport (`subprocess` or `urllib`) on its
+first call, so a run with the oracle or the rules never loads either.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import shlex
-import subprocess
-import urllib.error
-import urllib.request
 from dataclasses import dataclass
 
 from .model import CorpusRecord, Label, PiiSpan, ci_fold, folded_occurrences
@@ -126,7 +123,11 @@ class ExternalDetector:
 
     def __post_init__(self) -> None:
         if bool(self.command) == bool(self.url):
-            raise ValueError("configure exactly one of command or url")
+            raise ValueError(
+                "the external detector needs exactly one of a command or a url"
+            )
+        if not self.timeout > 0:
+            raise ValueError(f"detector timeout must be above 0, got {self.timeout}")
 
     def _transport(self, text: str) -> str:
         try:
@@ -136,6 +137,9 @@ class ExternalDetector:
 
     def _exchange(self, body: bytes) -> bytes:
         if self.command:
+            import shlex
+            import subprocess
+
             try:
                 proc = subprocess.run(
                     shlex.split(self.command),
@@ -151,6 +155,9 @@ class ExternalDetector:
                 )
             return proc.stdout
         assert self.url is not None
+        import urllib.error
+        import urllib.request
+
         req = urllib.request.Request(self.url, data=body, method="POST")
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:

@@ -6,8 +6,11 @@ disagree about what counts as an occurrence.
 
 Welch's test reports the usual statistic, standard error and
 Welch-Satterthwaite degrees of freedom; the two-sided p-value uses the
-normal approximation of the t statistic (erfc), adequate at the sample
-sizes involved and dependency-free.
+normal approximation of the t statistic (erfc), which is dependency-free
+but not adequate at the NER probe's sample sizes: at 5 seeds per variant
+(4-8 degrees of freedom) it understates p several-fold against Student's
+t, e.g. 0.036 against 0.074 for faker vs hybrid at t 2.09 and 7.0 degrees
+of freedom.
 """
 
 from __future__ import annotations

@@ -417,14 +417,42 @@ def check_seeds(seeds: Sequence[int]) -> None:
         )
 
 
+def check_split(n_records: int, train_size: int, test_size: int) -> None:
+    """A split draws its train and test cuts from one corpus, disjointly."""
+    if train_size + test_size > n_records:
+        raise ValueError(
+            f"train size {train_size} + test size {test_size} need "
+            f"{train_size + test_size} records, corpus has {n_records}"
+        )
+
+
+@dataclass(frozen=True)
+class NerSettings:
+    """The experiment's settings and their defaults, checked when built:
+    `run_ner_experiment` takes them as keywords, and a caller can build them
+    first to refuse a setting before any work."""
+
+    train_size: int = 160
+    test_size: int = 40
+    seeds: Sequence[int] = (11, 12, 13, 14, 15)
+    iterations: int = 30
+
+    def __post_init__(self) -> None:
+        check_seeds(self.seeds)
+        for name in ("train_size", "test_size", "iterations"):
+            value = getattr(self, name)
+            if value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+
+    def check_corpus(self, n_records: int) -> None:
+        check_split(n_records, self.train_size, self.test_size)
+
+
 def stratified_split(
     records: Sequence[CorpusRecord], train_size: int, test_size: int, seed: int
 ) -> tuple[list[int], list[int]]:
     """Locale-stratified test selection; remainder shuffled into the train cut."""
-    if train_size + test_size > len(records):
-        raise ValueError(
-            f"need {train_size + test_size} records, corpus has {len(records)}"
-        )
+    check_split(len(records), train_size, test_size)
     rng = random.Random(seed)
     by_locale: dict[str, list[int]] = {}
     for idx, rec in enumerate(records):
@@ -448,12 +476,11 @@ def run_ner_experiment(
     variants: dict[str, list[CorpusRecord]],
     *,
     original: str = "original",
-    train_size: int = 160,
-    test_size: int = 40,
-    seeds: Sequence[int] = (11, 12, 13, 14, 15),
-    iterations: int = 30,
+    **settings,
 ) -> NerReport:
-    """Train on each variant, test on held-out original documents, per seed."""
+    """Train on each variant, test on held-out original documents, per seed.
+    `settings` are the fields of `NerSettings`; the rest keep its defaults.
+    Every setting is checked before any training."""
     if original not in variants:
         raise ValueError(f"variants must include the {original!r} corpus")
     base = variants[original]
@@ -462,14 +489,8 @@ def run_ner_experiment(
             a.id != b.id for a, b in zip(records, base)
         ):
             raise ValueError(f"variant {name!r} is not parallel to {original!r}")
-    check_seeds(seeds)
-    for name, value in (
-        ("train_size", train_size),
-        ("test_size", test_size),
-        ("iterations", iterations),
-    ):
-        if value < 1:
-            raise ValueError(f"{name} must be at least 1, got {value}")
+    checked = NerSettings(**settings)
+    checked.check_corpus(len(base))
     order = list(variants)
     scores = {name: VariantScores() for name in order}
     gaps = 0
@@ -477,8 +498,10 @@ def run_ner_experiment(
     # a record's annotation does not depend on the seed: project it once,
     # and keep its word ids, tags and gaps rather than its tokens
     annotated: dict[tuple[str, int], tuple[tuple[int, ...], list[str], int]] = {}
-    for seed in seeds:
-        train_idx, test_idx = stratified_split(base, train_size, test_size, seed)
+    for seed in checked.seeds:
+        train_idx, test_idx = stratified_split(
+            base, checked.train_size, checked.test_size, seed
+        )
         test_records = [base[i] for i in test_idx]
         gold_by_doc = [
             [(s.start, s.end) for s in detect_oracle(rec)] for rec in test_records
@@ -503,7 +526,7 @@ def run_ner_experiment(
                     stacklevel=2,
                 )
             model = train_tagger(
-                sentences, iterations=iterations, seed=seed, lexicon=lexicon
+                sentences, iterations=checked.iterations, seed=seed, lexicon=lexicon
             )
             counts = SpanCounts()
             for tokens, gold in zip(test_tokens, gold_by_doc):
@@ -526,7 +549,7 @@ def run_ner_experiment(
         scores=scores,
         comparisons=comparisons,
         annotation_gaps=gaps,
-        train_size=train_size,
-        test_size=test_size,
-        seeds=list(seeds),
+        train_size=checked.train_size,
+        test_size=checked.test_size,
+        seeds=list(checked.seeds),
     )

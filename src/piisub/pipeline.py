@@ -39,7 +39,6 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
@@ -227,6 +226,20 @@ class RunResults:
         }
 
 
+def _build_backend(config: RunConfig) -> SlmBackend | None:
+    """The model backend of a hybrid run; the other modes call none."""
+    if config.mode is not Mode.HYBRID:
+        return None
+    return make_backend(
+        config.backend_kind,
+        command=config.backend_command,
+        prompt_via=config.prompt_via,
+        timeout=config.backend_timeout,
+        max_inflight=config.max_inflight,
+        failure_threshold=config.failure_threshold,
+    )
+
+
 def _build_detector(
     config: RunConfig,
 ) -> Callable[[CorpusRecord], list]:
@@ -242,6 +255,14 @@ def _build_detector(
         )
         return lambda rec: adapter.detect(rec.text)
     raise ValueError(f"unknown detector {config.detector!r}")
+
+
+def check_config(config: RunConfig) -> None:
+    """Build the backend and the detector a run of `config` uses, and drop
+    them: a setting they reject raises its ValueError here, before any
+    document is touched."""
+    _build_backend(config)
+    _build_detector(config)
 
 
 class _Outcome(NamedTuple):
@@ -287,16 +308,7 @@ def run_corpus(
         load_pool_file(config.pool_file) if config.pool_file else builtin_catalog()
     )
     cache = SurrogateCache()
-    backend: SlmBackend | None = None
-    if config.mode is Mode.HYBRID:
-        backend = make_backend(
-            config.backend_kind,
-            command=config.backend_command,
-            prompt_via=config.prompt_via,
-            timeout=config.backend_timeout,
-            max_inflight=config.max_inflight,
-            failure_threshold=config.failure_threshold,
-        )
+    backend = _build_backend(config)
     detector = _build_detector(config)
     family = backend.id if backend is not None else config.mode.value
     # redact writes placeholders only, so it never reads the guard
@@ -314,7 +326,11 @@ def run_corpus(
         blocked=blocked,
         fake_secret=fake_secret,
     )
-    pool = ThreadPoolExecutor(config.parallelism) if config.parallelism > 1 else None
+    pool = None
+    if config.parallelism > 1:
+        from concurrent.futures import ThreadPoolExecutor
+
+        pool = ThreadPoolExecutor(config.parallelism)
     submit = pool.submit if pool else lambda task, *args: task(*args)
     proposed = []  # each key's task: its outcome or that outcome's Future
 

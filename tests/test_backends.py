@@ -129,6 +129,17 @@ class TestCommandBackend:
         with pytest.raises(ValueError, match="empty"):
             CommandBackend("   ")
 
+    def test_stdin_mode_refuses_placeholder(self):
+        # the command would read the literal string "{prompt}"
+        with pytest.raises(ValueError, match="stdin mode takes no"):
+            CommandBackend("runner '{prompt}'", prompt_via="stdin")
+
+    @pytest.mark.parametrize("timeout", [0, -1.5, float("nan")])
+    def test_timeout_must_be_positive(self, timeout):
+        # a timeout of 0 would fail every call
+        with pytest.raises(ValueError, match="backend timeout must be above 0"):
+            CommandBackend("runner '{prompt}'", timeout=timeout)
+
     def test_default_id_uses_basename(self, echo_script):
         backend = CommandBackend(f"{sys.executable} {echo_script} '{{prompt}}'")
         assert backend.id.startswith("command:python")
@@ -247,3 +258,8 @@ class TestFactory:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("gpt-in-a-box")
+
+    @pytest.mark.parametrize("kind", ["mock-pool", "mock-echo-demo", "command"])
+    def test_failure_threshold_must_be_positive(self, kind):
+        with pytest.raises(ValueError, match="failure_threshold must be at least 1"):
+            make_backend(kind, command="runner '{prompt}'", failure_threshold=0)

@@ -34,6 +34,40 @@ RUN_SETTINGS = {
 }
 
 
+#: Settings that the backend or the detector of a `--mode all` run rejects,
+#: each with the message of its usage error.
+REJECTED_SETTINGS = {
+    "arg-mode-without-placeholder": (
+        {"slm_backend": "command", "slm_command": "echo hi"},
+        "arg mode needs a {prompt} placeholder in the template",
+    ),
+    "stdin-mode-with-placeholder": (
+        {"slm_backend": "command", "prompt_via": "stdin", "slm_command": "cat {prompt}"},
+        "stdin mode takes no {prompt} placeholder in the template",
+    ),
+    "zero-slm-timeout": (
+        {"slm_backend": "command", "slm_command": "x {prompt}", "slm_timeout": 0},
+        "backend timeout must be above 0, got 0.0",
+    ),
+    "negative-slm-timeout": (
+        {"slm_backend": "command", "slm_command": "x {prompt}", "slm_timeout": -1},
+        "backend timeout must be above 0, got -1.0",
+    ),
+    "zero-failure-threshold": (
+        {"failure_threshold": 0},
+        "failure_threshold must be at least 1, got 0",
+    ),
+    "external-without-transport": (
+        {"detector": "external"},
+        "the external detector needs exactly one of a command or a url",
+    ),
+    "zero-detector-timeout": (
+        {"detector": "external", "detector_command": "x", "detector_timeout": 0},
+        "detector timeout must be above 0, got 0.0",
+    ),
+}
+
+
 @pytest.fixture
 def corpus_file(tmp_path):
     path = tmp_path / "corpus.jsonl"
@@ -276,6 +310,43 @@ class TestRun:
         assert f"argument {flag}: must be at least 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "ner"])
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("case", sorted(REJECTED_SETTINGS))
+    def test_a_setting_the_backend_or_detector_rejects_is_a_usage_error(
+        self, corpus_file, tmp_path, capsys, monkeypatch, case, given, command
+    ):
+        import piisub.cli as cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("ran a mode before the settings were checked")
+
+        monkeypatch.setattr(cli, "run_corpus", no_run)
+        settings, message = REJECTED_SETTINGS[case]
+        out = tmp_path / "out"
+        argv = [command, "--mode", "all", "--corpus", str(corpus_file), "--out", str(out)]
+        if given == "flag":
+            for key, value in settings.items():
+                argv += ["--" + key.replace("_", "-"), str(value)]
+        else:
+            argv += ["--config", write_config(tmp_path / "config.json", settings)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"piisub {command}: error: {message}\n" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_backend_settings_of_a_run_without_a_model_are_unused(
+        self, corpus_file, tmp_path
+    ):
+        # only hybrid builds a backend, so only hybrid checks its settings
+        settings, _ = REJECTED_SETTINGS["arg-mode-without-placeholder"]
+        argv = ["run", "--mode", "redact,faker", "--corpus", str(corpus_file)]
+        for key, value in settings.items():
+            argv += ["--" + key.replace("_", "-"), str(value)]
+        assert main([*argv, "--no-ppl", "--out", str(tmp_path / "out")]) == 0
+        assert len(run_dirs(tmp_path / "out")) == 2
+
     def test_config_value_goes_through_choices(self, corpus_file, tmp_path, capsys):
         config = write_config(tmp_path / "config.json", {"detector": "psychic"})
         with pytest.raises(SystemExit):
@@ -496,6 +567,61 @@ class TestNer:
         assert f"argument {flag}: {message}" in capsys.readouterr().err
         assert not (out / "ner.json").exists()
 
+    @pytest.mark.parametrize("given", ["flag", "config", "default"])
+    def test_a_split_larger_than_the_corpus_is_a_usage_error(
+        self, corpus_file, tmp_path, capsys, monkeypatch, given
+    ):
+        import piisub.cli as cli
+
+        def no_run(*args, **kwargs):
+            raise AssertionError("transformed before the split size was checked")
+
+        monkeypatch.setattr(cli, "run_corpus", no_run)
+        out = tmp_path / "ner-out"
+        argv = ["ner", "--corpus", str(corpus_file), "--out", str(out)]
+        # the corpus holds 12 records; the experiment's defaults are 160 + 40
+        split = (10, 3) if given != "default" else (160, 40)
+        if given == "flag":
+            argv += ["--train-size", "10", "--test-size", "3"]
+        elif given == "config":
+            sizes = {"train_size": 10, "test_size": 3}
+            argv += ["--config", write_config(tmp_path / "config.json", sizes)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        message = (
+            f"piisub ner: error: train size {split[0]} + test size {split[1]} "
+            f"need {sum(split)} records, corpus has 12\n"
+        )
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_failed_documents_below_the_split_end_in_one_line(
+        self, corpus_file, tmp_path, capsys, monkeypatch
+    ):
+        import piisub.cli as cli
+
+        run_corpus = cli.run_corpus
+
+        def two_fail(records, config, **kwargs):
+            results = run_corpus(records, config, **kwargs)
+            for doc in results.documents[:2]:
+                doc.output, doc.error = None, "planted failure"
+            return results
+
+        monkeypatch.setattr(cli, "run_corpus", two_fail)
+        out = tmp_path / "ner-out"
+        argv = ["ner", "--mode", "redact", "--corpus", str(corpus_file)]
+        argv += ["--train-size", "8", "--test-size", "3", "--out", str(out)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == (
+            "piisub ner: train size 8 + test size 3 need 11 records, "
+            "corpus has 10 once the failed ones are dropped"
+        )
+        assert "dropped 2 failed document(s)" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_keys_equal_their_flags(self, corpus_file, tmp_path):
         settings = {
             "mode": "redact",
@@ -612,3 +738,46 @@ def test_closed_stdout_exits_without_a_traceback(corpus_file, tmp_path):
     stderr = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+
+#: Modules that only an out-of-process backend or detector, or a run at
+#: `--parallelism` > 1, needs.
+OUT_OF_PROCESS_MODULES = (
+    "subprocess",
+    "socket",
+    "ssl",
+    "http.client",
+    "urllib.request",
+    "email",
+    "concurrent.futures",
+)
+
+
+def test_an_in_process_run_loads_no_out_of_process_module(corpus_file, tmp_path):
+    """A fresh interpreter that runs every mode with the mock backend, the
+    oracle and one worker leaves each out-of-process module unloaded, unless
+    the bare interpreter of the same environment loads it already."""
+    env = {**os.environ, "PYTHONPATH": str(Path(piisub.__file__).parents[1])}
+    script = (
+        "import json, sys\n"
+        "argv, listing = sys.argv[1:-1], sys.argv[-1]\n"
+        "if argv:\n"
+        "    import piisub.cli\n"
+        "    assert piisub.cli.main(argv) == 0\n"
+        "with open(listing, 'w') as out:\n"
+        "    json.dump(sorted(sys.modules), out)\n"
+    )
+
+    def loaded(*argv):
+        listing = tmp_path / "modules.json"
+        command = [sys.executable, "-c", script, *argv, str(listing)]
+        subprocess.run(command, env=env, check=True, capture_output=True, timeout=120)
+        return set(json.loads(listing.read_text(encoding="utf-8")))
+
+    bare = loaded()
+    run = ["run", "--mode", "all", "--parallelism", "1", "--corpus", str(corpus_file)]
+    after_run = loaded(*run, "--out", str(tmp_path / "results"))
+    assert "piisub.pipeline" in after_run
+    assert len(run_dirs(tmp_path / "results")) == 3
+    unexpected = [m for m in OUT_OF_PROCESS_MODULES if m in after_run - bare]
+    assert unexpected == []

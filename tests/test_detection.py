@@ -1,4 +1,7 @@
+import socket
 import sys
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
 
@@ -135,10 +138,15 @@ def span_script(tmp_path):
 
 class TestExternalDetector:
     def test_requires_exactly_one_transport(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exactly one"):
             ExternalDetector()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="exactly one"):
             ExternalDetector(command="x", url="http://y")
+
+    @pytest.mark.parametrize("timeout", [0, -2.0])
+    def test_timeout_must_be_positive(self, timeout):
+        with pytest.raises(ValueError, match="detector timeout must be above 0"):
+            ExternalDetector(command="x", timeout=timeout)
 
     def test_command_round_trip(self, span_script):
         adapter = ExternalDetector(command=span_script)
@@ -178,3 +186,60 @@ class TestExternalDetector:
         adapter = ExternalDetector(command=f"{sys.executable} {script}")
         with pytest.raises(DetectorProtocolError, match=message):
             adapter.detect("some text")
+
+
+class _SpanHandler(BaseHTTPRequestHandler):
+    """POST /spans answers a PERSON span per "Walter" in the body; POST
+    /fail answers 500."""
+
+    def do_POST(self):
+        text = self.rfile.read(int(self.headers["Content-Length"])).decode("utf-8")
+        if self.path == "/fail":
+            self.send_error(500, "detector crashed")
+            return
+        i = text.find("Walter")
+        body = f'{{"start": {i}, "end": {i + 6}, "label": "PERSON"}}\n' if i >= 0 else ""
+        payload = body.encode("utf-8")
+        self.send_response(200)
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture
+def span_server():
+    server = ThreadingHTTPServer(("127.0.0.1", 0), _SpanHandler)
+    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.server_address[1]}"
+    server.shutdown()
+    server.server_close()
+    thread.join()
+
+
+class TestExternalDetectorUrl:
+    """The URL transport against a real HTTP endpoint on the loopback."""
+
+    def test_span_lines_parse_into_spans(self, span_server):
+        adapter = ExternalDetector(url=f"{span_server}/spans", timeout=10)
+        (span,) = adapter.detect("hello Walter bye")
+        assert (span.start, span.end, span.label) == (6, 12, Label.PERSON)
+        assert span.surface == "Walter"
+        assert adapter.detect("nobody here") == []
+
+    def test_server_error_is_unavailable(self, span_server):
+        adapter = ExternalDetector(url=f"{span_server}/fail", timeout=10)
+        with pytest.raises(DetectorUnavailable, match="500"):
+            adapter.detect("hello Walter bye")
+
+    def test_closed_port_is_unavailable(self):
+        with socket.socket() as probe:
+            probe.bind(("127.0.0.1", 0))
+            port = probe.getsockname()[1]
+        # nothing listens on the port once the probe is closed
+        adapter = ExternalDetector(url=f"http://127.0.0.1:{port}/spans", timeout=10)
+        with pytest.raises(DetectorUnavailable, match="endpoint failed"):
+            adapter.detect("hello Walter bye")
