@@ -7,9 +7,13 @@ prompt and answer from them. The command backend shells out to any local
 model runner; it imports `shlex` and `subprocess` when it is first built
 and first called, so a run with a mock backend never loads them.
 
-Per-call failures raise BackendInvocationError; once a backend accumulates
-`failure_threshold` consecutive failures it turns unhealthy and every later
-call raises BackendUnhealthy, which callers are expected not to swallow.
+A backend sets no concurrency limit of its own: the run's worker pool is
+the only thing that calls `propose` from several threads, so at most
+`--parallelism` calls are in flight. Per-call failures raise
+BackendInvocationError; once a backend accumulates `failure_threshold`
+consecutive failures it turns unhealthy and every call that starts later
+raises BackendUnhealthy without running, which callers are expected not to
+swallow. Calls already running when it trips finish.
 """
 
 from __future__ import annotations
@@ -33,24 +37,16 @@ class BackendUnhealthy(RuntimeError):
 
 
 class SlmBackend(ABC):
-    """Base class handling concurrency limits and health accounting."""
+    """Base class handling health accounting."""
 
     id: str
 
-    def __init__(
-        self,
-        *,
-        max_inflight: int = 1,
-        failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
-    ) -> None:
-        if max_inflight < 1:
-            raise ValueError("max_inflight must be at least 1")
+    def __init__(self, *, failure_threshold: int = DEFAULT_FAILURE_THRESHOLD) -> None:
         if failure_threshold < 1:
             raise ValueError(
                 f"failure_threshold must be at least 1, got {failure_threshold}"
             )
         self.failure_threshold = failure_threshold
-        self._semaphore = threading.BoundedSemaphore(max_inflight)
         self._health_lock = threading.Lock()
         self._consecutive_failures = 0
         self._unhealthy = False
@@ -60,27 +56,24 @@ class SlmBackend(ABC):
         """Produce a raw completion; may raise BackendInvocationError."""
 
     def propose(self, prompt: str) -> str:
-        with self._semaphore:
-            # checked once a slot is held, so a call queued behind the one
-            # that crossed the threshold does not run
+        with self._health_lock:
+            if self._unhealthy:
+                raise BackendUnhealthy(
+                    f"backend {self.id}: disabled after "
+                    f"{self._consecutive_failures} consecutive failures"
+                )
+        try:
+            completion = self._invoke(prompt)
+        except BackendInvocationError as exc:
             with self._health_lock:
-                if self._unhealthy:
+                self._consecutive_failures += 1
+                if self._consecutive_failures >= self.failure_threshold:
+                    self._unhealthy = True
                     raise BackendUnhealthy(
-                        f"backend {self.id}: disabled after "
-                        f"{self._consecutive_failures} consecutive failures"
-                    )
-            try:
-                completion = self._invoke(prompt)
-            except BackendInvocationError as exc:
-                with self._health_lock:
-                    self._consecutive_failures += 1
-                    if self._consecutive_failures >= self.failure_threshold:
-                        self._unhealthy = True
-                        raise BackendUnhealthy(
-                            f"backend {self.id}: {self._consecutive_failures} "
-                            f"consecutive failures, last: {exc}"
-                        ) from exc
-                raise
+                        f"backend {self.id}: {self._consecutive_failures} "
+                        f"consecutive failures, last: {exc}"
+                    ) from exc
+            raise
         with self._health_lock:
             self._consecutive_failures = 0
         return completion
@@ -153,12 +146,11 @@ class CommandBackend(SlmBackend):
         prompt_via: str = "arg",
         timeout: float = DEFAULT_TIMEOUT,
         backend_id: str | None = None,
-        max_inflight: int = 1,
         failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
     ) -> None:
         import shlex
 
-        super().__init__(max_inflight=max_inflight, failure_threshold=failure_threshold)
+        super().__init__(failure_threshold=failure_threshold)
         if prompt_via not in ("arg", "stdin"):
             raise ValueError(f"prompt_via must be 'arg' or 'stdin', got {prompt_via!r}")
         if not timeout > 0:
@@ -209,18 +201,13 @@ def make_backend(
     command: str | None = None,
     prompt_via: str = "arg",
     timeout: float = DEFAULT_TIMEOUT,
-    max_inflight: int = 1,
     failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
 ) -> SlmBackend:
     """Build a backend from CLI-level settings."""
     if kind == "mock-pool":
-        return MockPoolBackend(
-            max_inflight=max_inflight, failure_threshold=failure_threshold
-        )
+        return MockPoolBackend(failure_threshold=failure_threshold)
     if kind == "mock-echo-demo":
-        return MockEchoDemoBackend(
-            max_inflight=max_inflight, failure_threshold=failure_threshold
-        )
+        return MockEchoDemoBackend(failure_threshold=failure_threshold)
     if kind == "command":
         if not command:
             raise ValueError("command backend needs a command template")
@@ -228,7 +215,6 @@ def make_backend(
             command,
             prompt_via=prompt_via,
             timeout=timeout,
-            max_inflight=max_inflight,
             failure_threshold=failure_threshold,
         )
     raise ValueError(f"unknown backend kind {kind!r}")

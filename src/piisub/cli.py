@@ -206,7 +206,6 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--prompt-via", choices=["arg", "stdin"])
     sub.add_argument("--slm-timeout", type=float)
     sub.add_argument("--failure-threshold", type=int)
-    sub.add_argument("--max-inflight", type=_positive_int)
     sub.add_argument(
         "--demo-strategy",
         type=DemoStrategy,

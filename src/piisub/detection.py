@@ -114,7 +114,8 @@ class ExternalDetector:
     name. Transport failures raise DetectorUnavailable; anything unparseable,
     out of bounds, or mislabeled raises DetectorProtocolError. A detector
     that finds nothing must still answer (with no span lines); silence is an
-    error, never an empty result.
+    error, never an empty result. Called on a record, like `detect_oracle`,
+    it detects in the record's text.
     """
 
     command: str | None = None
@@ -164,6 +165,9 @@ class ExternalDetector:
                 return resp.read()
         except (urllib.error.URLError, OSError, TimeoutError) as exc:
             raise DetectorUnavailable(f"detector endpoint failed: {exc}") from exc
+
+    def __call__(self, record: CorpusRecord) -> list[PiiSpan]:
+        return self.detect(record.text)
 
     def detect(self, text: str) -> list[PiiSpan]:
         body = self._transport(text)

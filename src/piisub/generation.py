@@ -22,7 +22,7 @@ from typing import Callable, Iterable, Sequence
 
 from .backends import BackendInvocationError, SlmBackend
 from .fakegen import draw_seed, fake_value
-from .locales import classify_date_format, classify_locale
+from .locales import DateFormat, classify_date_format, classify_locale
 from .model import (
     SLM_LABELS,
     CacheKey,
@@ -95,7 +95,8 @@ def slm_propose(
 
     The fallback reason list explains what went wrong; a pool too small to
     sample from or a failed backend call both surface as `empty` (no usable
-    completion existed), a guard hit as `identity`.
+    completion existed), a guard hit as `identity`, and a DATE completion in
+    no known date format, for an input in one, as `not_a_date`.
     """
     label = key.label
 
@@ -125,6 +126,12 @@ def slm_propose(
     assert value is not None
     if blocked(value):
         return fallback(RejectionReason.IDENTITY)
+    if (
+        label is Label.DATE
+        and classify_date_format(value) is DateFormat.UNKNOWN
+        and classify_date_format(surface) is not DateFormat.UNKNOWN
+    ):
+        return fallback(RejectionReason.NOT_A_DATE)
     return SurrogateDecision(
         surrogate=value,
         source=Source.SLM,

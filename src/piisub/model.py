@@ -68,6 +68,7 @@ class RejectionReason(Enum):
     EMPTY = "empty"
     IDENTITY = "identity"
     PUNCTUATION_ONLY = "punctuation_only"
+    NOT_A_DATE = "not_a_date"
 
 
 class EmptyCanonical(ValueError):

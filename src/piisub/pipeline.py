@@ -2,14 +2,16 @@
 
 A run is identified by a short hash over its configuration and the corpus
 fingerprint, so rerunning the same setup lands in the same directory with
-byte-identical result files. The worker count and the in-flight limit
-change how a run executes, not what it computes. `run_corpus` walks the
-records in order in the calling thread, the surrogate cache's only caller,
-so the first mention in record order proposes each key; detection, the
-proposals and the splices are tasks, on a pool at `parallelism` > 1. Fake
-draws are seeded by the cache key, not by the document. So a serial and a
-parallel run of the same work share one run id and the same bytes. Those
-two settings are written with the wall-clock timings to their own file and
+byte-identical result files. `parallelism`, the one concurrency setting, is
+how many calls to an out-of-process adapter (a command backend, an external
+detector) may be in flight; it changes how a run executes, not what it
+computes. `run_corpus` walks the records in order in the calling thread,
+the surrogate cache's only caller, so the first mention in record order
+proposes each key; detection, the proposals and the splices are tasks, on a
+pool of `parallelism` workers only in a run that builds such an adapter.
+Fake draws are seeded by the cache key, not by the document. So a serial
+and a parallel run of the same work share one run id and the same bytes.
+The setting is written with the wall-clock timings to their own file and
 never into the compared artifacts. Timeouts and the failure threshold stay
 in the run id: with a slow backend or detector they decide which calls
 fail. The fake-value secret is in neither file nor the run id.
@@ -50,6 +52,7 @@ from .backends import (
     DEFAULT_FAILURE_THRESHOLD,
     DEFAULT_TIMEOUT,
     BackendUnhealthy,
+    CommandBackend,
     SlmBackend,
     make_backend,
 )
@@ -88,7 +91,7 @@ RESULTS_VERSION = 1
 
 #: RunConfig fields that shape how a run executes but not its outputs; they
 #: stay out of the run id and results.json and are recorded in timings.json.
-EXECUTION_FIELDS = frozenset({"parallelism", "max_inflight"})
+EXECUTION_FIELDS = frozenset({"parallelism"})
 
 
 @dataclass(frozen=True)
@@ -99,7 +102,6 @@ class RunConfig:
     prompt_via: str = "arg"
     backend_timeout: float = DEFAULT_TIMEOUT
     failure_threshold: int = DEFAULT_FAILURE_THRESHOLD
-    max_inflight: int = 1
     demo_strategy: DemoStrategy = DemoStrategy.ROTATING_LOCALE
     placeholder_prefix: str = ""
     detector: str = "oracle"
@@ -112,10 +114,8 @@ class RunConfig:
     run_id: str | None = None
 
     def __post_init__(self) -> None:
-        for name in ("parallelism", "max_inflight"):
-            value = getattr(self, name)
-            if value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
+        if self.parallelism < 1:
+            raise ValueError(f"parallelism must be at least 1, got {self.parallelism}")
 
     def to_json_dict(self) -> dict:
         """The settings that decide the outputs: the run-id fingerprint."""
@@ -235,25 +235,21 @@ def _build_backend(config: RunConfig) -> SlmBackend | None:
         command=config.backend_command,
         prompt_via=config.prompt_via,
         timeout=config.backend_timeout,
-        max_inflight=config.max_inflight,
         failure_threshold=config.failure_threshold,
     )
 
 
-def _build_detector(
-    config: RunConfig,
-) -> Callable[[CorpusRecord], list]:
+def _build_detector(config: RunConfig) -> Callable[[CorpusRecord], list]:
     if config.detector == "oracle":
         return detect_oracle
     if config.detector == "rules":
         return lambda rec: detect_rules(rec.text)
     if config.detector == "external":
-        adapter = ExternalDetector(
+        return ExternalDetector(
             command=config.detector_command,
             url=config.detector_url,
             timeout=config.detector_timeout,
         )
-        return lambda rec: adapter.detect(rec.text)
     raise ValueError(f"unknown detector {config.detector!r}")
 
 
@@ -326,8 +322,11 @@ def run_corpus(
         blocked=blocked,
         fake_secret=fake_secret,
     )
+    # only a call that waits on another process gains from a worker
     pool = None
-    if config.parallelism > 1:
+    if config.parallelism > 1 and (
+        isinstance(backend, CommandBackend) or isinstance(detector, ExternalDetector)
+    ):
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(config.parallelism)

@@ -1,7 +1,7 @@
 """Mock and command backends, prompt parsing, and health accounting."""
 
 import sys
-import time
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
@@ -216,13 +216,18 @@ class TestHealth:
             backend.propose(PROMPT)
         assert backend.calls == calls_so_far  # no further invocations attempted
 
-    def test_calls_queued_behind_the_threshold_do_not_run(self):
-        class SlowFailing(FlakyBackend):
-            def _invoke(self, prompt):
-                time.sleep(0.05)
-                return super()._invoke(prompt)
+    def test_calls_started_after_the_trip_do_not_run(self):
+        # three calls in flight at once, as a run at --parallelism 3 makes
+        barrier = threading.Barrier(3, timeout=10)
+        lock = threading.Lock()
 
-        backend = SlowFailing(fail_times=100, failure_threshold=3, max_inflight=1)
+        class ConcurrentFailing(FlakyBackend):
+            def _invoke(self, prompt):
+                barrier.wait()
+                with lock:
+                    return super()._invoke(prompt)
+
+        backend = ConcurrentFailing(fail_times=100, failure_threshold=3)
 
         def call(_):
             try:
@@ -230,14 +235,56 @@ class TestHealth:
             except (BackendInvocationError, BackendUnhealthy) as exc:
                 return type(exc)
 
-        with ThreadPoolExecutor(4) as pool:
-            raised = list(pool.map(call, range(4)))
-        assert backend.calls == 3  # as many as a serial run makes
-        assert raised.count(BackendUnhealthy) == 2
+        with ThreadPoolExecutor(3) as pool:
+            running = list(pool.map(call, range(3)))
+        # the calls already running finish; the third failure trips it
+        assert backend.calls == 3
+        assert sorted(running, key=lambda t: t.__name__) == [
+            BackendInvocationError,
+            BackendInvocationError,
+            BackendUnhealthy,
+        ]
+        with ThreadPoolExecutor(3) as pool:
+            later = list(pool.map(call, range(6)))
+        assert later == [BackendUnhealthy] * 6
+        assert backend.calls == 3
 
-    def test_max_inflight_validation(self):
-        with pytest.raises(ValueError):
-            MockPoolBackend(max_inflight=0)
+
+    def test_concurrent_failures_are_all_counted(self):
+        # more workers than cores and a short switch interval: a lost update
+        # of the failure count would leave the threshold uncrossed
+        workers, calls_each = 16, 100
+
+        class Failing(SlmBackend):
+            id = "failing"
+
+            def _invoke(self, prompt):
+                raise BackendInvocationError("down")
+
+        backend = Failing(failure_threshold=workers * calls_each)
+
+        def call_repeatedly(_):
+            raised = []
+            for _ in range(calls_each):
+                try:
+                    backend.propose(PROMPT)
+                except (BackendInvocationError, BackendUnhealthy) as exc:
+                    raised.append(exc)
+            return raised
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(workers) as pool:
+                futures = [pool.submit(call_repeatedly, i) for i in range(workers)]
+                raised = [exc for f in futures for exc in f.result(timeout=60)]
+        finally:
+            sys.setswitchinterval(interval)
+        tripped = [exc for exc in raised if isinstance(exc, BackendUnhealthy)]
+        assert len(raised) == workers * calls_each
+        assert [str(exc).split(", last")[0] for exc in tripped] == [
+            f"backend failing: {workers * calls_each} consecutive failures"
+        ]
 
 
 class TestFactory:

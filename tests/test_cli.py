@@ -20,7 +20,6 @@ RUN_SETTINGS = {
     "prompt_via": "stdin",
     "slm_timeout": 60,
     "failure_threshold": 2,
-    "max_inflight": 2,
     "demo_strategy": "fixed_three",
     "placeholder_prefix": "PII_",
     "detector": "rules",
@@ -293,21 +292,39 @@ class TestRun:
 
     @pytest.mark.parametrize("mode", ["redact", "faker", "hybrid"])
     @pytest.mark.parametrize("given", ["flag", "config"])
-    @pytest.mark.parametrize("option", ["parallelism", "max_inflight"])
     def test_execution_setting_below_one_is_a_usage_error(
-        self, corpus_file, tmp_path, capsys, option, given, mode
+        self, corpus_file, tmp_path, capsys, given, mode
     ):
-        flag = "--" + option.replace("_", "-")
         out = tmp_path / "results"
         argv = ["run", "--mode", mode, "--corpus", str(corpus_file), "--out", str(out)]
         if given == "flag":
-            argv += [flag, "0"]
+            argv += ["--parallelism", "0"]
         else:
-            argv += ["--config", write_config(tmp_path / "config.json", {option: 0})]
+            argv += ["--config", write_config(tmp_path / "config.json", {"parallelism": 0})]
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
-        assert f"argument {flag}: must be at least 1, got 0" in capsys.readouterr().err
+        assert "argument --parallelism: must be at least 1, got 0" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    def test_max_inflight_is_no_setting(self, corpus_file, tmp_path, capsys, given):
+        # --parallelism alone bounds the calls in flight
+        out = tmp_path / "results"
+        argv = ["run", "--mode", "hybrid", "--corpus", str(corpus_file), "--out", str(out)]
+        if given == "flag":
+            argv += ["--max-inflight", "2"]
+            message = "unrecognized arguments: --max-inflight 2"
+        else:
+            argv += ["--config", write_config(tmp_path / "config.json", {"max_inflight": 2})]
+            message = "config key 'max_inflight' names no option of piisub run"
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        if given == "flag":
+            assert exc.value.code == 2
+            assert message in capsys.readouterr().err
+        else:
+            assert str(exc.value) == message
         assert not out.exists()
 
     @pytest.mark.parametrize("command", ["run", "ner"])
@@ -740,8 +757,8 @@ def test_closed_stdout_exits_without_a_traceback(corpus_file, tmp_path):
     assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 
 
-#: Modules that only an out-of-process backend or detector, or a run at
-#: `--parallelism` > 1, needs.
+#: Modules that only an out-of-process backend or detector, or the worker
+#: pool of a run that calls one, needs.
 OUT_OF_PROCESS_MODULES = (
     "subprocess",
     "socket",
@@ -753,10 +770,14 @@ OUT_OF_PROCESS_MODULES = (
 )
 
 
-def test_an_in_process_run_loads_no_out_of_process_module(corpus_file, tmp_path):
-    """A fresh interpreter that runs every mode with the mock backend, the
-    oracle and one worker leaves each out-of-process module unloaded, unless
-    the bare interpreter of the same environment loads it already."""
+@pytest.mark.parametrize("parallelism", ["1", "4"])
+def test_an_in_process_run_loads_no_out_of_process_module(
+    corpus_file, tmp_path, parallelism
+):
+    """A fresh interpreter that runs every mode with the mock backend and the
+    oracle leaves each out-of-process module unloaded, unless the bare
+    interpreter of the same environment loads it already: such a run starts
+    no pool at any --parallelism."""
     env = {**os.environ, "PYTHONPATH": str(Path(piisub.__file__).parents[1])}
     script = (
         "import json, sys\n"
@@ -775,7 +796,7 @@ def test_an_in_process_run_loads_no_out_of_process_module(corpus_file, tmp_path)
         return set(json.loads(listing.read_text(encoding="utf-8")))
 
     bare = loaded()
-    run = ["run", "--mode", "all", "--parallelism", "1", "--corpus", str(corpus_file)]
+    run = ["run", "--mode", "all", "--parallelism", parallelism, "--corpus", str(corpus_file)]
     after_run = loaded(*run, "--out", str(tmp_path / "results"))
     assert "piisub.pipeline" in after_run
     assert len(run_dirs(tmp_path / "results")) == 3

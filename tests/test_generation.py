@@ -15,7 +15,7 @@ from piisub.generation import (
     slm_propose,
     splice,
 )
-from piisub.locales import Locale
+from piisub.locales import DateFormat, Locale, classify_date_format
 from piisub.model import (
     CacheKey,
     Label,
@@ -107,6 +107,37 @@ class TestSlmPropose:
         assert decision.rejection_reasons == (reason,)
         assert decision.surrogate.strip()
         assert decision.surrogate.lower() != "walter abernathy"
+
+    def test_a_date_reply_that_is_not_a_date_falls_back(self):
+        backend = ScriptedBackend([" Robin Vale"])
+        decision = slm_propose(
+            "05/01/1977", key(Label.DATE), backend=backend, catalog=builtin_catalog()
+        )
+        assert decision.source is Source.FALLBACK_FAKE
+        assert decision.rejection_reasons == (RejectionReason.NOT_A_DATE,)
+        assert classify_date_format(decision.surrogate) is DateFormat.MDY_SLASH
+
+    @pytest.mark.parametrize(
+        "surface, completion",
+        [
+            ("05/01/1977", "1981-07-23"),  # another known format is a date
+            ("Spring 1999", "Autumn 2004"),  # no known format to hold it to
+        ],
+    )
+    def test_a_date_reply_is_held_to_a_known_input_format_only(
+        self, surface, completion
+    ):
+        # the shipped pool of unknown-format dates is too small to rotate
+        backend = ScriptedBackend([" " + completion])
+        decision = slm_propose(
+            surface,
+            key(Label.DATE),
+            backend=backend,
+            catalog=builtin_catalog(),
+            strategy=DemoStrategy.FIXED_THREE,
+        )
+        assert decision.source is Source.SLM
+        assert decision.surrogate == completion
 
     def test_backend_invocation_error_falls_back(self):
         backend = ScriptedBackend([BackendInvocationError("boom")])

@@ -3,12 +3,15 @@
 import json
 import re
 import sys
+import threading
+import time
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piisub.corpus import synth_corpus
+from piisub.detection import ExternalDetector, detect_oracle
 from piisub.metrics import CharNgramScorer
 from piisub.model import (
     SLM_LABELS,
@@ -75,6 +78,44 @@ def with_planted_collisions(corpus, mode):
     return [*corpus, CorpusRecord("planted", text, "en_US", "planted", planted)]
 
 
+class ExternalOracle:
+    """Detection through the external detector, answered in process: its
+    transport replies to each text with the record's oracle spans as span
+    lines, after the record's delay, if it has one. A run through it builds
+    an `ExternalDetector`, so at `parallelism` > 1 its tasks go to a pool;
+    `pooled` is true when the last run's detector calls all came from
+    threads other than the caller's."""
+
+    def __init__(self, monkeypatch, delays=None):
+        self.records = {}
+        self.delays = delays or {}
+        self.threads = set()
+
+        def transport(detector, text):
+            self.threads.add(threading.current_thread())
+            record = self.records[text]
+            time.sleep(self.delays.get(record.id, 0))
+            return "".join(
+                json.dumps({"start": s.start, "end": s.end, "label": s.label.name})
+                + "\n"
+                for s in detect_oracle(record)
+            )
+
+        monkeypatch.setattr(ExternalDetector, "_transport", transport)
+
+    def run(self, records, mode, *, fake_secret=b"", **overrides):
+        self.records.update((r.text, r) for r in records)
+        self.threads.clear()
+        config = RunConfig(
+            mode=mode, detector="external", detector_command="unused", **overrides
+        )
+        return run_corpus(records, config, fake_secret=fake_secret)
+
+    @property
+    def pooled(self):
+        return bool(self.threads) and threading.current_thread() not in self.threads
+
+
 class TestRunIdentity:
     def test_fingerprint_depends_on_text(self, corpus):
         base = corpus_fingerprint(corpus)
@@ -95,7 +136,7 @@ class TestRunIdentity:
 
     def test_run_id_ignores_execution_settings(self, corpus):
         base = derive_run_id(RunConfig(mode=Mode.HYBRID), corpus)
-        tuned = RunConfig(mode=Mode.HYBRID, parallelism=8, max_inflight=4)
+        tuned = RunConfig(mode=Mode.HYBRID, parallelism=8)
         assert derive_run_id(tuned, corpus) == base
         recorded = tuned.to_json_dict()
         assert not EXECUTION_FIELDS & set(recorded)
@@ -236,7 +277,9 @@ class TestDeterminismAndLeak:
             return ci_any_matcher(built[-1])
 
         monkeypatch.setattr(pipeline, "ci_any_matcher", counting_matcher)
-        run(corpus, mode, parallelism=4)
+        external = ExternalOracle(monkeypatch)
+        external.run(corpus, mode, parallelism=4)
+        assert external.pooled
         assert len(built) == 1
         if mode is Mode.REDACT:
             # placeholders never reach the guard, so it blocks nothing
@@ -289,17 +332,31 @@ class TestOrderIndependence:
     @pytest.fixture(scope="class")
     def serial_dirs(self, shared_corpus, tmp_path_factory):
         out = tmp_path_factory.mktemp("serial")
-        return {
-            mode: persist(run(shared_corpus, mode), out)
-            for mode in Mode
-        }
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            external = ExternalOracle(monkeypatch)
+            return {
+                mode: persist(external.run(shared_corpus, mode), out)
+                for mode in Mode
+            }
+
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_the_external_oracle_detects_like_the_oracle(
+        self, corpus, mode, monkeypatch
+    ):
+        external = ExternalOracle(monkeypatch)
+        assert documents_by_id(external.run(corpus, mode)) == documents_by_id(
+            run(corpus, mode)
+        )
+        assert not external.pooled
 
     @pytest.mark.parametrize("parallelism", [2, 8])
     @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
     def test_parallel_equals_serial(
-        self, shared_corpus, serial_dirs, mode, parallelism, tmp_path
+        self, shared_corpus, serial_dirs, mode, parallelism, tmp_path, monkeypatch
     ):
-        results = run(shared_corpus, mode, parallelism=parallelism)
+        external = ExternalOracle(monkeypatch)
+        results = external.run(shared_corpus, mode, parallelism=parallelism)
+        assert external.pooled
         run_dir = persist(results, tmp_path)
         serial_dir = serial_dirs[mode]
         assert run_dir.name == serial_dir.name
@@ -365,21 +422,12 @@ class TestRecordWalk:
     def test_parallel_equals_serial_when_the_first_document_is_slow(
         self, mode, monkeypatch
     ):
-        import time
-
-        import piisub.pipeline as pipeline
-        from piisub.detection import detect_oracle
-
         records = planted_spellings()
         serial = run(records, mode)
-
-        def slow_first(record):
-            if record.id == "v0":
-                time.sleep(0.3)  # every other worker reaches the names first
-            return detect_oracle(record)
-
-        monkeypatch.setattr(pipeline, "detect_oracle", slow_first)
-        parallel = run(records, mode, parallelism=8)
+        # every other worker reaches the names first
+        external = ExternalOracle(monkeypatch, delays={"v0": 0.3})
+        parallel = external.run(records, mode, parallelism=8)
+        assert external.pooled
         assert documents_by_id(parallel) == documents_by_id(serial)
         assert (parallel.proposals_made, parallel.cache_hits) == (
             serial.proposals_made,
@@ -409,10 +457,12 @@ class TestRecordWalk:
             return dispatch(surface, key, **kwargs)
 
         monkeypatch.setattr(pipeline, "dispatch", dispatch_failing_one_key)
+        external = ExternalOracle(monkeypatch)
         runs = []
         for parallelism in (1, 4):
             tries.clear()
-            results = run(corpus, mode, parallelism=parallelism)
+            results = external.run(corpus, mode, parallelism=parallelism)
+            assert external.pooled == (parallelism > 1)
             # proposed once, by its first mention; the others read its error
             assert len(tries) == len(set(tries))
             assert {d.record.id for d in results.failed_documents} == mentions[doomed]
@@ -442,6 +492,45 @@ class TestRecordWalk:
                 parallelism=parallelism,
             )
 
+    @pytest.mark.parametrize("mode", list(Mode), ids=lambda m: m.value)
+    def test_an_in_process_run_starts_no_pool(self, corpus, mode, monkeypatch):
+        import concurrent.futures
+
+        def no_pool(*args, **kwargs):
+            raise AssertionError("an in-process run started a pool")
+
+        serial = run(corpus, mode)
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
+        assert documents_by_id(run(corpus, mode, parallelism=4)) == documents_by_id(
+            serial
+        )
+
+    def test_a_command_backend_admits_parallelism_calls(self, monkeypatch):
+        from piisub.backends import CommandBackend
+
+        # Each call waits until four are inside the backend at once; a limit
+        # narrower than the worker count breaks the barrier.
+        barrier = threading.Barrier(4, timeout=10)
+
+        def invoke(self, prompt):
+            barrier.wait()
+            return " Robin Vale"
+
+        monkeypatch.setattr(CommandBackend, "_invoke", invoke)
+        names = PLANTED_NAMES[:4]
+        text = "Present: " + "; ".join(names) + "."
+        records = [CorpusRecord("d0", text, "en_US", "t", {Label.PERSON: names})]
+        results = run(
+            records,
+            Mode.HYBRID,
+            backend_kind="command",
+            backend_command="unused {prompt}",
+            parallelism=4,
+        )
+        (doc,) = results.documents
+        assert doc.error is None
+        assert [g.decision.source for g in doc.groups] == [Source.SLM] * 4
+
     def test_the_model_is_asked_once_per_key_at_parallelism_eight(
         self, shared_corpus, monkeypatch
     ):
@@ -460,7 +549,9 @@ class TestRecordWalk:
             return propose(self, prompt)
 
         monkeypatch.setattr(SlmBackend, "propose", counting_propose)
-        results = run(shared_corpus, Mode.HYBRID, parallelism=8)
+        external = ExternalOracle(monkeypatch)
+        results = external.run(shared_corpus, Mode.HYBRID, parallelism=8)
+        assert external.pooled
         model_keys = {
             (g.group.canonical, g.group.label)
             for d in results.documents
@@ -495,13 +586,13 @@ class TestFakeSecret:
         assert documents_by_id(redact) == documents_by_id(run(corpus, Mode.REDACT))
 
     @pytest.mark.parametrize("mode", [Mode.FAKER, Mode.HYBRID], ids=lambda m: m.value)
-    def test_keyed_parallel_equals_keyed_serial(self, shared_corpus, mode):
+    def test_keyed_parallel_equals_keyed_serial(self, shared_corpus, mode, monkeypatch):
         serial = run_corpus(shared_corpus, RunConfig(mode=mode), fake_secret=self.SECRET)
-        parallel = run_corpus(
-            shared_corpus[::-1],
-            RunConfig(mode=mode, parallelism=4),
-            fake_secret=self.SECRET,
+        external = ExternalOracle(monkeypatch)
+        parallel = external.run(
+            shared_corpus[::-1], mode, parallelism=4, fake_secret=self.SECRET
         )
+        assert external.pooled
         assert documents_by_id(parallel) == documents_by_id(serial)
 
 
@@ -627,11 +718,10 @@ class TestDetectors:
 
 class TestRunConfig:
     @pytest.mark.parametrize("mode", [Mode.FAKER, Mode.HYBRID], ids=lambda m: m.value)
-    @pytest.mark.parametrize("name", ["parallelism", "max_inflight"])
     @pytest.mark.parametrize("value", [0, -1])
-    def test_execution_setting_below_one_is_rejected(self, corpus, mode, name, value):
-        with pytest.raises(ValueError, match=f"^{name} must be at least 1, got {value}$"):
-            run(corpus, mode, **{name: value})
+    def test_execution_setting_below_one_is_rejected(self, corpus, mode, value):
+        with pytest.raises(ValueError, match=f"^parallelism must be at least 1, got {value}$"):
+            run(corpus, mode, parallelism=value)
 
 
 class TestComputeMetrics:
