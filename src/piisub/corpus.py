@@ -481,6 +481,8 @@ def synth_corpus(
     locale_mix: dict[str, float] | None = None,
 ) -> list[CorpusRecord]:
     """Generate n synthetic documents, deterministically in (n, seed, mix)."""
+    if n < 0:
+        raise ValueError(f"number of records must not be negative, got {n}")
     mix = dict(DEFAULT_LOCALE_MIX if locale_mix is None else locale_mix)
     unknown = set(mix) - set(_PHONE_CC)
     if unknown:

@@ -191,22 +191,18 @@ def ci_fold(text: str) -> str:
     return text.translate(_CI_FOLD)
 
 
-def ci_occurrences(needle: str, haystack: str) -> Iterator[tuple[int, int]]:
-    """Yield (start, end) of each case-insensitive occurrence of needle.
+def folded_occurrences(needle: str, folded: str) -> Iterator[tuple[int, int]]:
+    """Yield (start, end) of each case-insensitive occurrence of needle in
+    `folded`, a haystack already passed through `ci_fold`.
 
     Occurrences do not overlap and are found left to right, as
-    `re.finditer` finds them. This is the single definition of "appears
-    verbatim, case-insensitively" shared by detection and the leak metric,
-    so the two can never disagree. Both sides are compared through
-    `ci_fold`; a caller that searches one text for many needles folds it
-    once and asks `folded_occurrences` / `folded_contains`, which take the
-    folded haystack and fold only the needle.
+    `re.finditer` finds them. With `folded_contains` this is the single
+    definition of "appears verbatim, case-insensitively" shared by
+    detection and the leak metric, so the two can never disagree. Both
+    sides are compared through `ci_fold`: a caller folds each haystack
+    once, however many needles it searches for, and only the needle is
+    folded here.
     """
-    return folded_occurrences(needle, ci_fold(haystack))
-
-
-def folded_occurrences(needle: str, folded: str) -> Iterator[tuple[int, int]]:
-    """`ci_occurrences` of needle in a haystack already passed through `ci_fold`."""
     if not needle:
         return
     needle = ci_fold(needle)
@@ -216,18 +212,15 @@ def folded_occurrences(needle: str, folded: str) -> Iterator[tuple[int, int]]:
         start = folded.find(needle, start + len(needle))
 
 
-def ci_contains(needle: str, haystack: str) -> bool:
-    """True when needle occurs case-insensitively anywhere in haystack."""
-    return folded_contains(needle, ci_fold(haystack))
-
-
 def folded_contains(needle: str, folded: str) -> bool:
-    """`ci_contains` of needle in a haystack already passed through `ci_fold`."""
+    """True when needle occurs case-insensitively anywhere in `folded`, a
+    haystack already passed through `ci_fold`."""
     return bool(needle) and ci_fold(needle) in folded
 
 
 def ci_any_matcher(needles: Iterable[str]) -> Callable[[str], bool]:
-    """Build a predicate: does a haystack contain any needle (per `ci_contains`)?
+    """Build a predicate: does a haystack contain any needle (per
+    `folded_contains` over the folded haystack)?
 
     The non-empty needles are kept folded in one set and indexed by their
     head, their first `h` characters, where `h` is the shortest needle's

@@ -13,11 +13,11 @@ strict BIO: an I- tag without a matching open span is dropped rather than
 repaired, so a model that never learned natural entities yields no spans at
 all instead of noise spans.
 
-Training runs on integer feature ids. One Lexicon per experiment calls
-features() once per distinct word; the trainer keeps integer weights, so a
-guess is reused until the next mistake changes a weight. The trained model
-holds the averaged float rows by feature name and predicts by adding them in
-features() order.
+The tagger runs on integer feature ids end to end. One Lexicon per
+experiment calls features() once per distinct word; the trainer keeps
+integer weights, so a guess is reused until the next mistake changes a
+weight. The trained model holds the averaged float rows by feature id of
+that lexicon and predicts by adding them in features() order.
 """
 
 from __future__ import annotations
@@ -125,19 +125,19 @@ def features(words: Sequence[str], i: int, prev_tag: str) -> list[str]:
 class Lexicon:
     """Interned integer feature ids for the words of one experiment.
 
-    features() runs once per distinct word. A word id stands for the
-    word's token-internal feature ids; the previous tag's feature is interned
-    apart, one id per tag. A lexicon lives as long as one experiment and is
-    shared by every training and prediction in it.
+    features() runs once per distinct word. A word id stands for the ids of
+    the word's features in features() order, split around the previous
+    tag's feature: `head[wid]` before it, `tail[wid]` after it. That feature
+    is interned apart, one id per tag. A lexicon lives as long as one
+    experiment and is shared by every training and prediction in it.
     """
 
     def __init__(self) -> None:
         self.feature_names: list[str] = []
         self._feature_ids: dict[str, int] = {}
         self._word_ids: dict[str, int] = {}
-        # per word id: features() with an empty prevtag, and where that sits
-        self._word_features: list[tuple[list[str], int]] = []
-        self.word_feature_ids: list[tuple[int, ...]] = []
+        self.head: list[tuple[int, ...]] = []
+        self.tail: list[tuple[int, ...]] = []
 
     def feature_id(self, name: str) -> int:
         fid = self._feature_ids.get(name)
@@ -156,38 +156,31 @@ class Lexicon:
     def _word_id(self, word: str) -> int:
         wid = self._word_ids.get(word)
         if wid is None:
-            wid = self._word_ids[word] = len(self._word_features)
+            wid = self._word_ids[word] = len(self.head)
             names = features((word,), 0, "")
             at = names.index("prevtag=")
-            self._word_features.append((names, at))
-            self.word_feature_ids.append(
-                tuple(self.feature_id(n) for i, n in enumerate(names) if i != at)
-            )
+            self.head.append(tuple(map(self.feature_id, names[:at])))
+            self.tail.append(tuple(map(self.feature_id, names[at + 1 :])))
         return wid
-
-    def feature_names_of(self, wid: int, prev_tag: str) -> list[str]:
-        """features() of the word with id `wid` after `prev_tag`."""
-        names, at = self._word_features[wid]
-        out = list(names)
-        out[at] = "prevtag=" + prev_tag
-        return out
 
 
 class AveragedPerceptron:
     """Multiclass perceptron with averaged weights, as train_tagger leaves it.
 
-    The averaged weights are one float row per feature, indexed like the
-    sorted classes. predict adds rows one feature at a time, in the order
-    given, so the scores do not depend on the layout.
+    The averaged weights are one float row per feature id of `lexicon`,
+    indexed like the sorted classes; an id means nothing without its
+    lexicon. predict adds rows one feature at a time, in the order given,
+    so the scores do not depend on the layout.
     """
 
-    def __init__(self, classes: Iterable[str]) -> None:
+    def __init__(self, classes: Iterable[str], lexicon: Lexicon) -> None:
         self.classes = sorted(set(classes))
-        self._weights: dict[str, list[float]] = {}
+        self.lexicon = lexicon
+        self._weights: dict[int, list[float]] = {}
 
-    def predict(self, feats: Sequence[str]) -> str:
+    def predict(self, ids: Iterable[int]) -> str:
         acc: Iterable[float] = [0.0] * len(self.classes)
-        for row in map(self._weights.get, feats):
+        for row in map(self._weights.get, ids):
             if row is not None:
                 # chained lazily, but each class still sums in feature order
                 acc = map(operator.add, acc, row)
@@ -197,34 +190,30 @@ class AveragedPerceptron:
 
 
 def train_tagger(
-    sentences: Sequence[tuple[Sequence[Token], list[str]]]
-    | Sequence[tuple[tuple[int, ...], list[str]]],
+    sentences: Sequence[tuple[tuple[int, ...], list[str]]],
+    lexicon: Lexicon,
     *,
     iterations: int = 30,
     seed: int = 0,
-    lexicon: Lexicon | None = None,
 ) -> AveragedPerceptron:
     """Collins' averaged perceptron, with lazy averaging, on integer state.
 
-    Sentences pair tokens with their gold tags; given the experiment's
-    lexicon, they pair word ids of it instead. Weights, running totals and
-    timestamps are int lists per class, indexed by feature id. Every weight
-    is an integer until the final average, so a guess does not depend on
-    the order its scores are summed in: it is memoized per (word, previous
-    tag) until the next mistake changes a weight.
+    Sentences pair word ids of `lexicon` with their gold tags. Weights,
+    running totals and timestamps are int lists per class, indexed by
+    feature id. Every weight is an integer until the final average, so a
+    guess does not depend on the order its scores are summed in: it is
+    memoized per (word, previous tag) until the next mistake changes a
+    weight.
     """
-    if lexicon is None:
-        lexicon = Lexicon()
-        sentences = [(lexicon.encode(tokens), tags) for tokens, tags in sentences]
     classes = {"O"}
     for _, tags in sentences:
         classes.update(tags)
-    model = AveragedPerceptron(classes)
+    model = AveragedPerceptron(classes, lexicon)
     index = {c: i for i, c in enumerate(model.classes)}
     # previous-tag state 0 is the sentence start, state 1 + c follows class c
     prev_feature = [lexicon.prevtag_id(t) for t in ("<s>", *model.classes)]
     states = len(prev_feature)
-    word_feats = lexicon.word_feature_ids
+    word_feats = [h + t for h, t in zip(lexicon.head, lexicon.tail)]
     word_getters = [operator.itemgetter(*ids) for ids in word_feats]
     size = len(lexicon.feature_names)
     weights = [[0] * size for _ in model.classes]
@@ -259,26 +248,23 @@ def train_tagger(
                 prev = guess + 1
     # the totals are exact integers and int true division rounds once, so
     # this is the float that summing float weights gives while it is exact
-    names = lexicon.feature_names
     for f in updated:
-        model._weights[names[f]] = [
+        model._weights[f] = [
             (totals[c][f] + (now - stamps[c][f]) * weights[c][f]) / now
             for c in range(len(model.classes))
         ]
     return model
 
 
-def predict_tags(
-    model: AveragedPerceptron,
-    tokens: Sequence[Token],
-    lexicon: Lexicon | None = None,
-) -> list[str]:
-    if lexicon is None:
-        lexicon = Lexicon()
+def predict_tags(model: AveragedPerceptron, tokens: Sequence[Token]) -> list[str]:
+    """Tag tokens left to right, each guess the next token's previous tag;
+    the rows are added in features() order."""
+    lexicon = model.lexicon
     prev = "<s>"
     out: list[str] = []
     for wid in lexicon.encode(tokens):
-        prev = model.predict(lexicon.feature_names_of(wid, prev))
+        ids = (*lexicon.head[wid], lexicon.prevtag_id(prev), *lexicon.tail[wid])
+        prev = model.predict(ids)
         out.append(prev)
     return out
 
@@ -526,11 +512,11 @@ def run_ner_experiment(
                     stacklevel=2,
                 )
             model = train_tagger(
-                sentences, iterations=checked.iterations, seed=seed, lexicon=lexicon
+                sentences, lexicon, iterations=checked.iterations, seed=seed
             )
             counts = SpanCounts()
             for tokens, gold in zip(test_tokens, gold_by_doc):
-                pred = decode_bio_strict(tokens, predict_tags(model, tokens, lexicon))
+                pred = decode_bio_strict(tokens, predict_tags(model, tokens))
                 counts = counts + match_spans(gold, pred)
             scores[name].precision_by_seed.append(counts.precision)
             scores[name].recall_by_seed.append(counts.recall)

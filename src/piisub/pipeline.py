@@ -7,8 +7,10 @@ how many calls to an out-of-process adapter (a command backend, an external
 detector) may be in flight; it changes how a run executes, not what it
 computes. `run_corpus` walks the records in order in the calling thread,
 the surrogate cache's only caller, so the first mention in record order
-proposes each key; detection, the proposals and the splices are tasks, on a
-pool of `parallelism` workers only in a run that builds such an adapter.
+proposes each key; detection and the proposals are tasks, on a pool of
+`parallelism` workers only in a run that builds such an adapter. The walk
+finishes each document (its splice) in record order once its keys are
+decided, so no worker blocks on another's proposal.
 Fake draws are seeded by the cache key, not by the document. So a serial
 and a parallel run of the same work share one run id and the same bytes.
 The setting is written with the wall-clock timings to their own file and
@@ -41,6 +43,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
+from collections import deque
 from dataclasses import dataclass, field, fields
 from enum import Enum
 from functools import partial
@@ -263,11 +266,15 @@ def check_config(config: RunConfig) -> None:
 
 class _Outcome(NamedTuple):
     """A task's value, or the error that fails the documents that need it,
-    and its seconds; `result()` reads it like a pool task's Future."""
+    and its seconds; `done()` and `result()` read it like a pool task's
+    Future."""
 
     value: Any
     error: str | None
     seconds: float
+
+    def done(self) -> bool:
+        return True
 
     def result(self) -> _Outcome:
         return self
@@ -357,6 +364,10 @@ def run_corpus(
     timings = {"detect": 0.0, "surrogate": 0.0, "splice": 0.0}
     try:
         finished = []
+        # documents detected but not yet finished, in record order: the walk
+        # finishes the oldest as soon as their keys are decided, so no
+        # worker ever waits on another's proposal
+        waiting: deque = deque()
         detected = (pool.map if pool else map)(partial(_attempt, detect), records)
         for record, found in zip(records, detected):
             timings["detect"] += found.seconds
@@ -365,9 +376,12 @@ def run_corpus(
                 key = CacheKey(config.mode, family, group.canonical, group.label)
                 first = partial(propose_once, group.members[0].surface, key)
                 tasks.append(cache.get_or_propose(key, first))
-            finished.append(submit(finish, record, found, tasks))
-        documents = [task.result().value for task in finished]
-        timings["splice"] = sum(task.result().seconds for task in finished)
+            waiting.append((record, found, tasks))
+            while waiting and all(task.done() for task in waiting[0][2]):
+                finished.append(finish(*waiting.popleft()))
+        finished.extend(finish(*doc) for doc in waiting)
+        documents = [outcome.value for outcome in finished]
+        timings["splice"] = sum(outcome.seconds for outcome in finished)
         timings["surrogate"] = sum(task.result().seconds for task in proposed)
     finally:
         if pool is not None:

@@ -122,6 +122,12 @@ class TestSynth:
             main(["synth", "--n", "5", "--out", str(out), "--locale-mix", mix])
         assert not out.exists()
 
+    def test_negative_size_exits_and_writes_nothing(self, tmp_path):
+        out = tmp_path / "x.jsonl"
+        with pytest.raises(SystemExit, match="must not be negative, got -1"):
+            main(["synth", "--n", "-1", "--out", str(out)])
+        assert not out.exists()
+
 
 class TestRun:
     def test_single_mode_run(self, corpus_file, tmp_path, capsys):

@@ -154,6 +154,17 @@ class TestMatchSpans:
         assert counts.f1 == 0.0
 
 
+def encode(lexicon, sentences):
+    """Token sentences as word-id sentences of `lexicon`."""
+    return [(lexicon.encode(tokens), tags) for tokens, tags in sentences]
+
+
+def train(sentences, **kwargs):
+    """train_tagger on token sentences, through a lexicon of their own."""
+    lexicon = Lexicon()
+    return train_tagger(encode(lexicon, sentences), lexicon, **kwargs)
+
+
 class TestPerceptron:
     def sentences(self):
         text_tags = [
@@ -172,21 +183,23 @@ class TestPerceptron:
         return out
 
     def test_learns_separable_data(self):
-        model = train_tagger(self.sentences(), iterations=10, seed=3)
+        model = train(self.sentences(), iterations=10, seed=3)
         tokens = [Token("Alice", 0, 5), Token("slept", 6, 11)]
         assert predict_tags(model, tokens) == ["B-PII", "O"]
 
     def test_training_is_deterministic(self):
-        a = train_tagger(self.sentences(), iterations=10, seed=3)
-        b = train_tagger(self.sentences(), iterations=10, seed=3)
+        a = train(self.sentences(), iterations=10, seed=3)
+        b = train(self.sentences(), iterations=10, seed=3)
         tokens = [Token(w, i * 6, i * 6 + 5) for i, w in enumerate(["Alice", "stone"])]
         assert predict_tags(a, tokens) == predict_tags(b, tokens)
         assert a._weights == b._weights
+        assert a.lexicon.feature_names == b.lexicon.feature_names
 
     def test_tie_breaks_by_class_name(self):
-        model = AveragedPerceptron(["O", "B-PII"])
+        lexicon = Lexicon()
+        model = AveragedPerceptron(["O", "B-PII"], lexicon)
         # no training: every score is 0.0, the alphabetically-first class wins
-        assert model.predict(["bias"]) == "B-PII"
+        assert model.predict([lexicon.feature_id("bias")]) == "B-PII"
 
     def test_features_are_token_internal(self):
         left = features(["Alice", "slept"], 0, "<s>")
@@ -222,9 +235,11 @@ def test_lexicon_feature_ids_name_the_features(words, data):
     for i, wid in enumerate(wids):
         prev = data.draw(_PREV_TAGS)
         expected = features(words, i, prev)
-        assert lexicon.feature_names_of(wid, prev) == expected
+        # the ids predict_tags adds, in features() order
+        ids = [*lexicon.head[wid], lexicon.prevtag_id(prev), *lexicon.tail[wid]]
+        assert [names[f] for f in ids] == expected
         # the training ids: every feature but prevtag, which is interned apart
-        static = [names[f] for f in lexicon.word_feature_ids[wid]]
+        static = [names[f] for f in lexicon.head[wid] + lexicon.tail[wid]]
         assert static == [f for f in expected if not f.startswith("prevtag=")]
         assert names[lexicon.prevtag_id(prev)] == "prevtag=" + prev
 
@@ -298,9 +313,16 @@ def reference_train(sentences, *, iterations, seed):
     return model
 
 
+def named_weights(model):
+    """The model's rows keyed by the names of its lexicon's feature ids."""
+    names = model.lexicon.feature_names
+    return {names[f]: row for f, row in model._weights.items()}
+
+
 def assert_same_weights(model, reference):
-    assert set(model._weights) == set(reference._weights)
-    for feature, row in model._weights.items():
+    rows = named_weights(model)
+    assert set(rows) == set(reference._weights)
+    for feature, row in rows.items():
         bucket = reference._weights[feature]
         for cls, weight in zip(model.classes, row):
             assert weight == bucket.get(cls, 0.0), (feature, cls)
@@ -338,35 +360,33 @@ class TestPerceptronMatchesReference:
         sentences = random_bio_sentences(rng, 10)
         held_out = random_bio_sentences(rng, 10)
         lexicon = Lexicon()
-        encoded = [(lexicon.encode(tokens), tags) for tokens, tags in sentences]
+        encoded = encode(lexicon, sentences)
         for iterations in range(1, 9):
-            model = train_tagger(
-                encoded, iterations=iterations, seed=seed, lexicon=lexicon
-            )
+            model = train_tagger(encoded, lexicon, iterations=iterations, seed=seed)
             reference = reference_train(sentences, iterations=iterations, seed=seed)
             assert_same_weights(model, reference)
             for tokens, _ in held_out:
-                assert predict_tags(model, tokens, lexicon) == reference_tags(
-                    reference, tokens
-                )
+                assert predict_tags(model, tokens) == reference_tags(reference, tokens)
 
     def test_rows_add_in_feature_order(self):
         # 1 + 1e16 rounds back to 1e16, so B scores 0 in this order and 1 in
         # the reverse one: only a sum taken in feature order matches
         rows = {"f1": [1.0, 0.0], "f2": [1e16, 0.0], "f3": [-1e16, 0.5]}
-        model, reference = AveragedPerceptron("BO"), ReferencePerceptron("BO")
-        model._weights = rows
+        lexicon = Lexicon()
+        model, reference = AveragedPerceptron("BO", lexicon), ReferencePerceptron("BO")
+        model._weights = {lexicon.feature_id(f): row for f, row in rows.items()}
         reference._weights = {
             f: dict(zip(model.classes, row)) for f, row in rows.items()
         }
         for feats, expected in ((["f1", "f2", "f3"], "O"), (["f3", "f2", "f1"], "B")):
-            assert model.predict(feats) == reference.predict(feats) == expected
+            ids = list(map(lexicon.feature_id, feats))
+            assert model.predict(ids) == reference.predict(feats) == expected
 
     @pytest.mark.parametrize("seed", range(4))
     def test_trained_tagger(self, seed):
         rng = random.Random(seed)
         sentences = random_bio_sentences(rng, 12)
-        model = train_tagger(sentences, iterations=4, seed=seed)
+        model = train(sentences, iterations=4, seed=seed)
         reference = reference_train(sentences, iterations=4, seed=seed)
         assert model.classes == reference.classes
         assert_same_weights(model, reference)
@@ -400,19 +420,22 @@ def test_trainer_equals_reference(vocab, data, iterations, seed):
         for pairs in drawn
     ]
     reference = reference_train(sentences, iterations=iterations, seed=seed)
-    model = train_tagger(sentences, iterations=iterations, seed=seed)
+    model = train(sentences, iterations=iterations, seed=seed)
     assert model.classes == reference.classes
     assert_same_weights(model, reference)
-    # the experiment's path: word ids of a lexicon the predictions share
+    # the experiment's path: a lexicon that other words entered first, as an
+    # earlier variant's do, so the same features have other ids
     lexicon = Lexicon()
-    encoded = [(lexicon.encode(tokens), tags) for tokens, tags in sentences]
-    shared = train_tagger(encoded, iterations=iterations, seed=seed, lexicon=lexicon)
-    assert shared._weights == model._weights
+    lexicon.encode(Token(w + "#", 0, len(w) + 1) for w in reversed(vocab))
+    shared = train_tagger(
+        encode(lexicon, sentences), lexicon, iterations=iterations, seed=seed
+    )
+    assert named_weights(shared) == named_weights(model)
     probe = [Token(w, 0, len(w)) for w in data.draw(st.lists(st.sampled_from(vocab)))]
     for tokens in [*(tokens for tokens, _ in sentences), probe]:
         expected = reference_tags(reference, tokens)
         assert predict_tags(model, tokens) == expected
-        assert predict_tags(shared, tokens, lexicon) == expected
+        assert predict_tags(shared, tokens) == expected
 
 
 def test_a_mistake_after_a_clean_stretch_renews_the_guess():
@@ -434,7 +457,7 @@ def test_a_mistake_after_a_clean_stretch_renews_the_guess():
     assert steps[2:12] == [("O", "O")] * 10
     assert steps[12] == ("O", "B-PII")
     tokens = [Token(w, 2 * i, 2 * i + 1) for i, w in enumerate(words)]
-    model = train_tagger([(tokens, tags)], iterations=1)
+    model = train([(tokens, tags)], iterations=1)
     assert_same_weights(model, reference_train([(tokens, tags)], iterations=1, seed=0))
 
 

@@ -25,7 +25,8 @@ from piisub.model import (
     SurrogateDecision,
     canonicalize,
     ci_any_matcher,
-    ci_contains,
+    ci_fold,
+    folded_contains,
 )
 from piisub.pipeline import (
     EXECUTION_FIELDS,
@@ -234,7 +235,7 @@ class TestDeterminismAndLeak:
                 for doc in results.documents
                 for g in doc.groups
                 for value in gt_values
-                if ci_contains(value, g.decision.surrogate)
+                if folded_contains(value, ci_fold(g.decision.surrogate))
             ]
 
         # the check must be able to fail: without the guard the planted
@@ -530,6 +531,34 @@ class TestRecordWalk:
         (doc,) = results.documents
         assert doc.error is None
         assert [g.decision.source for g in doc.groups] == [Source.SLM] * 4
+
+    def test_a_waiting_document_holds_no_worker(self, monkeypatch):
+        from piisub.backends import CommandBackend
+
+        # Eight calls pass a barrier of four only in two full rounds: a
+        # worker that waits for the first document's three proposals to
+        # finish it leaves three calls in flight, and the barrier breaks.
+        barrier = threading.Barrier(4, timeout=5)
+
+        def invoke(self, prompt):
+            barrier.wait()
+            return " Robin Vale"
+
+        monkeypatch.setattr(CommandBackend, "_invoke", invoke)
+        records = []
+        for rid, names in (("d0", PLANTED_NAMES[:3]), ("d1", PLANTED_NAMES[3:8])):
+            text = "Present: " + "; ".join(names) + "."
+            records.append(CorpusRecord(rid, text, "en_US", "t", {Label.PERSON: names}))
+        results = run(
+            records,
+            Mode.HYBRID,
+            backend_kind="command",
+            backend_command="unused {prompt}",
+            parallelism=4,
+        )
+        assert not results.failed_documents
+        sources = [g.decision.source for d in results.documents for g in d.groups]
+        assert sources == [Source.SLM] * 8
 
     def test_the_model_is_asked_once_per_key_at_parallelism_eight(
         self, shared_corpus, monkeypatch
