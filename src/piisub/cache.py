@@ -1,11 +1,13 @@
 """Entity resolution and the per-run surrogate cache.
 
 The cache is the consistency mechanism: every mention of an entity resolves
-to one key, and the outcome for that key is reused everywhere. Its one
-caller is the record walk of `pipeline.run_corpus`, so each key is proposed
-once, by its first mention in record order, however many workers run the
-proposals. An outcome is the key's decision, the error that fails every
-document holding the key, or the pending task that yields one of them.
+to one key, and the outcome for that key is reused everywhere. Resolution
+runs once per record per command, in `pipeline.detect_corpus`, and every
+mode keys its own cache by those groups. A cache's one caller is the record
+walk of `pipeline.run_corpus`, so each key is proposed once, by its first
+mention in record order, however many workers run the proposals. An outcome
+is the key's decision, the error that fails every document holding the key,
+or the pending task that yields one of them.
 """
 
 from __future__ import annotations

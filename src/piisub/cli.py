@@ -31,6 +31,7 @@ from .pipeline import (
     RunConfig,
     check_config,
     compute_metrics,
+    detect_corpus,
     perplexity_reference,
     persist_run,
     run_corpus,
@@ -237,10 +238,17 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     configs = _run_configs(args)
     records = load_corpus(_corpus_path(args))
+    # the modes share every detector setting, so one pass serves them all
+    detected = detect_corpus(records, configs[0])
+    scorer = None
+    if not args.no_ppl:
+        oracle = configs[0].detector == "oracle"
+        scorer = perplexity_reference(records, detected if oracle else None)
     runs = []
-    scorer = None if args.no_ppl else perplexity_reference(records)
     for run_config in configs:
-        results = run_corpus(records, run_config, fake_secret=_fake_secret())
+        results = run_corpus(
+            records, run_config, fake_secret=_fake_secret(), detected=detected
+        )
         metrics = compute_metrics(results, scorer=scorer)
         run_dir, run = persist_run(results, args.out, metrics)
         runs.append(run)
@@ -280,8 +288,11 @@ def _cmd_ner(args: argparse.Namespace) -> int:
     except ValueError as exc:
         args.subparser.error(str(exc))
     variants: dict[str, list] = {"original": list(records)}
+    detected = detect_corpus(records, configs[0])
     for run_config in configs:
-        results = run_corpus(records, run_config, fake_secret=_fake_secret())
+        results = run_corpus(
+            records, run_config, fake_secret=_fake_secret(), detected=detected
+        )
         variants[run_config.mode.value] = _transformed_records(records, results)
     # drop any index that failed in any variant so corpora stay parallel
     bad = {

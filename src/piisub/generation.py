@@ -49,6 +49,10 @@ _MAX_FAKE_REDRAWS = 64
 _NOTHING_BLOCKED = ci_any_matcher(())
 
 
+def _has_digit(text: str) -> bool:
+    return any(c.isdigit() for c in text)
+
+
 class SpliceOverlap(ValueError):
     """Two replacement spans overlap; the splice would be ambiguous."""
 
@@ -95,8 +99,10 @@ def slm_propose(
 
     The fallback reason list explains what went wrong; a pool too small to
     sample from or a failed backend call both surface as `empty` (no usable
-    completion existed), a guard hit as `identity`, and a DATE completion in
-    no known date format, for an input in one, as `not_a_date`.
+    completion existed), a guard hit as `identity`, a DATE completion in
+    no known date format, for an input in one, as `not_a_date`, and an
+    ADDRESS completion with no digit, for an input with one, as
+    `not_an_address`.
     """
     label = key.label
 
@@ -132,6 +138,8 @@ def slm_propose(
         and classify_date_format(surface) is not DateFormat.UNKNOWN
     ):
         return fallback(RejectionReason.NOT_A_DATE)
+    if label is Label.ADDRESS and _has_digit(surface) and not _has_digit(value):
+        return fallback(RejectionReason.NOT_AN_ADDRESS)
     return SurrogateDecision(
         surrogate=value,
         source=Source.SLM,

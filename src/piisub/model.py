@@ -69,6 +69,7 @@ class RejectionReason(Enum):
     IDENTITY = "identity"
     PUNCTUATION_ONLY = "punctuation_only"
     NOT_A_DATE = "not_a_date"
+    NOT_AN_ADDRESS = "not_an_address"
 
 
 class EmptyCanonical(ValueError):

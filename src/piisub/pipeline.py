@@ -5,10 +5,18 @@ fingerprint, so rerunning the same setup lands in the same directory with
 byte-identical result files. `parallelism`, the one concurrency setting, is
 how many calls to an out-of-process adapter (a command backend, an external
 detector) may be in flight; it changes how a run executes, not what it
-computes. `run_corpus` walks the records in order in the calling thread,
-the surrogate cache's only caller, so the first mention in record order
-proposes each key; detection and the proposals are tasks, on a pool of
-`parallelism` workers only in a run that builds such an adapter. The walk
+computes.
+
+Detection is the costly stage (an on-device model in the paper), so a
+command does it once: `detect_corpus` detects and resolves every record
+before any mode runs, and its result goes to every mode's `run_corpus` and,
+with the oracle detector, to `perplexity_reference`. An external
+detector's calls run on a pool of `parallelism` workers there, and a
+detector that does not answer stops the command before any mode has
+written. `run_corpus` then walks the records in order
+in the calling thread, the surrogate cache's only caller, so the first
+mention in record order proposes each key; the proposals are tasks, on a
+pool of `parallelism` workers only for a command backend. The walk
 finishes each document (its splice) in record order once its keys are
 decided, so no worker blocks on another's proposal.
 Fake draws are seeded by the cache key, not by the document. So a serial
@@ -16,7 +24,9 @@ and a parallel run of the same work share one run id and the same bytes.
 The setting is written with the wall-clock timings to their own file and
 never into the compared artifacts. Timeouts and the failure threshold stay
 in the run id: with a slow backend or detector they decide which calls
-fail. The fake-value secret is in neither file nor the run id.
+fail. A setting the run does not read (`RunConfig.settings_read`), such as
+a backend's outside hybrid, is written as its default, so it cannot split
+the run id. The fake-value secret is in neither file nor the run id.
 
 The leak guard is corpus-level: every ground-truth value in the input corpus
 is blocked as a substring for every surrogate, no matter which document it
@@ -25,9 +35,9 @@ came from. Entity substitution itself cannot reintroduce someone else's PII.
 costs time in the candidate's length, not in the number of blocked values.
 
 Perplexity is judged by one reference per corpus: `perplexity_reference`
-trains the scorer on the non-PII portions of every record, once, and
-`compute_metrics` scores each mode's documents with it, and each original
-once per reference.
+trains the scorer on the non-PII portions (by the oracle's spans) of every
+record, once, and `compute_metrics` scores each mode's documents with it,
+and each original once per reference.
 
 `persist_run` writes results.json one document at a time: the envelope
 (config, counters, run id, version) goes through `json.dumps`, and each
@@ -49,7 +59,7 @@ from enum import Enum
 from functools import partial
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Callable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 from .backends import (
     DEFAULT_FAILURE_THRESHOLD,
@@ -83,6 +93,7 @@ from .model import (
     CorpusRecord,
     EntityGroup,
     Mode,
+    PiiSpan,
     SurrogateDecision,
     ci_any_matcher,
 )
@@ -95,6 +106,26 @@ RESULTS_VERSION = 1
 #: RunConfig fields that shape how a run executes but not its outputs; they
 #: stay out of the run id and results.json and are recorded in timings.json.
 EXECUTION_FIELDS = frozenset({"parallelism"})
+
+#: The one table of the settings a run reads: a (setting, value) pair names
+#: the settings that value makes the run read, starting from the mode's. A
+#: backend is read in hybrid only, the leak guard not in redact (it writes
+#: placeholders only), and a detector's transport and timeout only by the
+#: external detector.
+_SETTINGS_READ: dict[tuple[str, object], tuple[str, ...]] = {
+    ("mode", Mode.REDACT): ("detector", "placeholder_prefix"),
+    ("mode", Mode.FAKER): ("detector", "leak_guard"),
+    ("mode", Mode.HYBRID): (
+        "detector",
+        "leak_guard",
+        "backend_kind",
+        "failure_threshold",
+        "demo_strategy",
+        "pool_file",
+    ),
+    ("detector", "external"): ("detector_command", "detector_url", "detector_timeout"),
+    ("backend_kind", "command"): ("backend_command", "prompt_via", "backend_timeout"),
+}
 
 
 @dataclass(frozen=True)
@@ -120,10 +151,23 @@ class RunConfig:
         if self.parallelism < 1:
             raise ValueError(f"parallelism must be at least 1, got {self.parallelism}")
 
+    def settings_read(self) -> frozenset[str]:
+        """The settings this run reads, by `_SETTINGS_READ`."""
+        read: set[str] = set()
+        pending = ["mode"]
+        while pending:
+            name = pending.pop()
+            read.add(name)
+            pending.extend(_SETTINGS_READ.get((name, getattr(self, name)), ()))
+        return frozenset(read)
+
     def to_json_dict(self) -> dict:
-        """The settings that decide the outputs: the run-id fingerprint."""
+        """The settings that decide the outputs: the run-id fingerprint. A
+        setting the run does not read is written as its field default, so it
+        cannot split the run id."""
+        read = self.settings_read()
         return {
-            f.name: _json_value(getattr(self, f.name))
+            f.name: _json_value(getattr(self, f.name) if f.name in read else f.default)
             for f in fields(self)
             if f.name != "run_id" and f.name not in EXECUTION_FIELDS
         }
@@ -230,8 +274,9 @@ class RunResults:
 
 
 def _build_backend(config: RunConfig) -> SlmBackend | None:
-    """The model backend of a hybrid run; the other modes call none."""
-    if config.mode is not Mode.HYBRID:
+    """The model backend of a run that reads one (hybrid); the other modes
+    call none."""
+    if "backend_kind" not in config.settings_read():
         return None
     return make_backend(
         config.backend_kind,
@@ -257,9 +302,9 @@ def _build_detector(config: RunConfig) -> Callable[[CorpusRecord], list]:
 
 
 def check_config(config: RunConfig) -> None:
-    """Build the backend and the detector a run of `config` uses, and drop
-    them: a setting they reject raises its ValueError here, before any
-    document is touched."""
+    """Build the backend and the detector a run of `config` reads (see
+    `RunConfig.settings_read`), and drop them: a setting they reject raises
+    its ValueError here, before any document is touched."""
     _build_backend(config)
     _build_detector(config)
 
@@ -294,30 +339,61 @@ def _attempt(task: Callable, *args) -> _Outcome:
     return _Outcome(value, error, time.perf_counter() - t0)
 
 
+def detect_corpus(
+    records: Sequence[CorpusRecord], config: RunConfig
+) -> list[_Outcome]:
+    """Detect and resolve every record once, in record order: per record,
+    its entity groups or the error that fails its document, and the
+    seconds they took. It reads only the detector settings of `config`, so
+    every mode of one command shares one pass. An unavailable external
+    detector raises `DetectorUnavailable` here, before any mode has run.
+    Only an external detector at `parallelism` > 1 gets a pool."""
+    detector = _build_detector(config)
+
+    def detect(record: CorpusRecord) -> list[EntityGroup]:
+        return resolve_entities(detector(record))
+
+    if config.parallelism == 1 or not isinstance(detector, ExternalDetector):
+        return [_attempt(detect, record) for record in records]
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(config.parallelism)
+    try:
+        return list(pool.map(partial(_attempt, detect), records))
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def run_corpus(
     records: Sequence[CorpusRecord],
     config: RunConfig,
     *,
     fake_secret: bytes = b"",
+    detected: Sequence[_Outcome] | None = None,
 ) -> RunResults:
     """Transform every record under the config; per-document errors are
     recorded on the result instead of aborting the run. Only an unhealthy
     backend or an unavailable external detector stops everything; a key
     whose proposal fails fails every document that holds it.
 
+    `detected` is `detect_corpus(records, config)`, which a command runs
+    once for all its modes; without it the run detects the records itself.
     `fake_secret` keys the fake-draw seeds (`fakegen.draw_seed`); it is
     kept out of the run id and every written file."""
+    if detected is None:
+        detected = detect_corpus(records, config)
+    read = config.settings_read()
     catalog = (
-        load_pool_file(config.pool_file) if config.pool_file else builtin_catalog()
+        load_pool_file(config.pool_file)
+        if config.pool_file and "pool_file" in read
+        else builtin_catalog()
     )
     cache = SurrogateCache()
     backend = _build_backend(config)
-    detector = _build_detector(config)
     family = backend.id if backend is not None else config.mode.value
-    # redact writes placeholders only, so it never reads the guard
     blocked = ci_any_matcher(
         (v.strip() for rec in records for v in rec.gt_values())
-        if config.leak_guard and config.mode is not Mode.REDACT
+        if config.leak_guard and "leak_guard" in read
         else ()
     )
     propose = partial(
@@ -331,17 +407,12 @@ def run_corpus(
     )
     # only a call that waits on another process gains from a worker
     pool = None
-    if config.parallelism > 1 and (
-        isinstance(backend, CommandBackend) or isinstance(detector, ExternalDetector)
-    ):
+    if config.parallelism > 1 and isinstance(backend, CommandBackend):
         from concurrent.futures import ThreadPoolExecutor
 
         pool = ThreadPoolExecutor(config.parallelism)
     submit = pool.submit if pool else lambda task, *args: task(*args)
     proposed = []  # each key's task: its outcome or that outcome's Future
-
-    def detect(record: CorpusRecord) -> list[EntityGroup]:
-        return resolve_entities(detector(record))
 
     def propose_once(surface: str, key: CacheKey):
         proposed.append(submit(_attempt, propose, surface, key))
@@ -361,16 +432,16 @@ def run_corpus(
         doc = DocumentResult(record, spliced.value, groups if ok else [], spliced.error)
         return _Outcome(doc, None, spliced.seconds)
 
-    timings = {"detect": 0.0, "surrogate": 0.0, "splice": 0.0}
+    # the seconds of the shared pass, the same in every mode that reads it
+    detect_s = sum(found.seconds for found in detected)
+    timings = {"detect": detect_s, "surrogate": 0.0, "splice": 0.0}
     try:
         finished = []
-        # documents detected but not yet finished, in record order: the walk
-        # finishes the oldest as soon as their keys are decided, so no
+        # documents whose keys are not all decided yet, in record order: the
+        # walk finishes the oldest as soon as their keys are decided, so no
         # worker ever waits on another's proposal
         waiting: deque = deque()
-        detected = (pool.map if pool else map)(partial(_attempt, detect), records)
-        for record, found in zip(records, detected):
-            timings["detect"] += found.seconds
+        for record, found in zip(records, detected, strict=True):
             tasks = []
             for group in found.value or ():
                 key = CacheKey(config.mode, family, group.canonical, group.label)
@@ -426,22 +497,39 @@ class MetricsReport:
         }
 
 
-def _non_pii_portions(record: CorpusRecord) -> list[str]:
-    spans = detect_oracle(record)
+def _non_pii_portions(text: str, spans: Iterable[PiiSpan]) -> list[str]:
+    """The non-empty stretches of `text` outside its non-overlapping spans."""
     pieces = []
     cursor = 0
-    for span in spans:
-        pieces.append(record.text[cursor : span.start])
+    for span in sorted(spans, key=lambda s: s.start):
+        pieces.append(text[cursor : span.start])
         cursor = span.end
-    pieces.append(record.text[cursor:])
+    pieces.append(text[cursor:])
     return [p for p in pieces if p]
 
 
-def perplexity_reference(records: Sequence[CorpusRecord]) -> CharNgramScorer:
+def _oracle_spans(record: CorpusRecord, found: _Outcome | None) -> list[PiiSpan]:
+    """The record's oracle spans: its groups' members where its oracle
+    detection succeeded, else the oracle's answer anew."""
+    if found is None or found.error is not None:
+        return detect_oracle(record)
+    return [span for group in found.value for span in group.members]
+
+
+def perplexity_reference(
+    records: Sequence[CorpusRecord], detected: Sequence[_Outcome] | None = None
+) -> CharNgramScorer:
     """The one perplexity scorer of a corpus: trained on the non-PII
-    portions of every record, so every mode is scored by the same model."""
+    portions of every record, so every mode is scored by the same model.
+    `detected`, the oracle's `detect_corpus` of the records, spares
+    detecting them again."""
+    found = detected if detected is not None else [None] * len(records)
     scorer = CharNgramScorer()
-    scorer.train(portion for rec in records for portion in _non_pii_portions(rec))
+    scorer.train(
+        portion
+        for rec, outcome in zip(records, found, strict=True)
+        for portion in _non_pii_portions(rec.text, _oracle_spans(rec, outcome))
+    )
     return scorer
 
 

@@ -11,6 +11,7 @@ import pytest
 import piisub
 from piisub.cli import build_parser, main
 from piisub.corpus import load_corpus
+from piisub.pipeline import RunConfig
 
 #: A value for every option that sets a RunConfig field. `slm_timeout` is a
 #: JSON integer on purpose: the config must record the float the flag does.
@@ -370,6 +371,19 @@ class TestRun:
         assert main([*argv, "--no-ppl", "--out", str(tmp_path / "out")]) == 0
         assert len(run_dirs(tmp_path / "out")) == 2
 
+    def test_settings_a_run_does_not_read_keep_its_directory(
+        self, corpus_file, tmp_path
+    ):
+        # redact calls no model, so the model's settings cannot split its id
+        out = tmp_path / "out"
+        argv = ["run", "--mode", "redact", "--no-ppl", "--corpus", str(corpus_file)]
+        assert main([*argv, "--out", str(out)]) == 0
+        unread = ["--slm-timeout", "5", "--slm-command", "sh -c 'echo {prompt}'"]
+        assert main([*argv, *unread, "--out", str(out)]) == 0
+        config = only_results(out)["config"]  # the one directory's
+        assert config["backend_timeout"] == RunConfig.backend_timeout
+        assert config["backend_command"] is None
+
     def test_config_value_goes_through_choices(self, corpus_file, tmp_path, capsys):
         config = write_config(tmp_path / "config.json", {"detector": "psychic"})
         with pytest.raises(SystemExit):
@@ -488,6 +502,95 @@ class TestRun:
         )
         assert code == 1
         assert "aborted:" in capsys.readouterr().err
+
+
+class TestDetectionOncePerCommand:
+    """Every mode of a command, and the perplexity reference, read one
+    detection pass over the corpus."""
+
+    @staticmethod
+    def count_oracle(monkeypatch):
+        import piisub.pipeline as pipeline
+
+        seen = []
+        detect_oracle = pipeline.detect_oracle
+
+        def counted(record):
+            seen.append(record.id)
+            return detect_oracle(record)
+
+        monkeypatch.setattr(pipeline, "detect_oracle", counted)
+        return seen
+
+    @staticmethod
+    def stub_external(monkeypatch, fail_on=None):
+        """Answer the external detector in process with the rules detector;
+        the record whose text is `fail_on` finds the detector dead."""
+        import threading
+
+        from piisub.detection import (
+            DetectorUnavailable,
+            ExternalDetector,
+            detect_rules,
+        )
+
+        seen = []
+        lock = threading.Lock()
+
+        def transport(detector, text):
+            with lock:
+                seen.append(text)
+            if text == fail_on:
+                raise DetectorUnavailable("detector command exited 1")
+            return "".join(
+                json.dumps({"start": s.start, "end": s.end, "label": s.label.name})
+                + "\n"
+                for s in detect_rules(text)
+            )
+
+        monkeypatch.setattr(ExternalDetector, "_transport", transport)
+        return seen
+
+    def test_run_all_with_perplexity_detects_each_record_once(
+        self, corpus_file, tmp_path, monkeypatch
+    ):
+        seen = self.count_oracle(monkeypatch)
+        argv = ["run", "--mode", "all", "--corpus", str(corpus_file)]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert len(run_dirs(tmp_path / "out")) == 3
+        assert sorted(seen) == sorted(r.id for r in load_corpus(corpus_file))
+
+    @pytest.mark.parametrize("parallelism", ["1", "4"])
+    def test_run_all_with_an_external_detector_detects_each_record_once(
+        self, corpus_file, tmp_path, monkeypatch, parallelism
+    ):
+        seen = self.stub_external(monkeypatch)
+        argv = ["run", "--mode", "all", "--no-ppl", "--corpus", str(corpus_file)]
+        argv += ["--detector", "external", "--detector-command", "unused"]
+        argv += ["--parallelism", parallelism, "--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        assert len(run_dirs(tmp_path / "out")) == 3
+        assert sorted(seen) == sorted(r.text for r in load_corpus(corpus_file))
+
+    def test_ner_detects_each_record_once(self, corpus_file, tmp_path, monkeypatch):
+        seen = self.count_oracle(monkeypatch)
+        argv = ["ner", "--corpus", str(corpus_file), "--out", str(tmp_path / "ner")]
+        argv += ["--train-size", "8", "--test-size", "3", "--iterations", "2"]
+        assert main(argv) == 0
+        assert sorted(seen) == sorted(r.id for r in load_corpus(corpus_file))
+
+    @pytest.mark.parametrize("parallelism", ["1", "4"])
+    def test_a_dead_detector_stops_every_mode_before_any_is_written(
+        self, corpus_file, tmp_path, monkeypatch, capsys, parallelism
+    ):
+        records = load_corpus(corpus_file)
+        self.stub_external(monkeypatch, fail_on=records[len(records) // 2].text)
+        out = tmp_path / "out"
+        argv = ["run", "--mode", "all", "--corpus", str(corpus_file)]
+        argv += ["--detector", "external", "--detector-command", "unused"]
+        assert main([*argv, "--parallelism", parallelism, "--out", str(out)]) == 1
+        assert "aborted: detector command exited 1" in capsys.readouterr().err
+        assert not out.exists()
 
 
 class TestNer:

@@ -139,6 +139,40 @@ class TestSlmPropose:
         assert decision.source is Source.SLM
         assert decision.surrogate == completion
 
+    def test_an_address_reply_without_a_digit_falls_back(self):
+        backend = ScriptedBackend([" Robin Vale"])
+        decision = slm_propose(
+            "45 Oak Avenue, Denver CO 80203",
+            key(Label.ADDRESS),
+            backend=backend,
+            catalog=builtin_catalog(),
+        )
+        assert decision.source is Source.FALLBACK_FAKE
+        assert decision.rejection_reasons == (RejectionReason.NOT_AN_ADDRESS,)
+        assert any(c.isdigit() for c in decision.surrogate)
+
+    @pytest.mark.parametrize(
+        "surface, completion",
+        [
+            ("45 Oak Avenue, Denver CO 80203", "9 Elm Row, Austin TX 73301"),
+            ("東京都新宿区西新宿2-8-1", "大阪市北区梅田１丁目"),  # a full-width digit
+            ("Old Mill Lane, Hexham", "Rose Court, Ripon"),  # no digit to keep
+        ],
+    )
+    def test_an_address_reply_needs_a_digit_only_where_the_input_has_one(
+        self, surface, completion
+    ):
+        backend = ScriptedBackend([" " + completion])
+        decision = slm_propose(
+            surface,
+            key(Label.ADDRESS),
+            backend=backend,
+            catalog=builtin_catalog(),
+            strategy=DemoStrategy.FIXED_THREE,
+        )
+        assert decision.source is Source.SLM
+        assert decision.surrogate == completion
+
     def test_backend_invocation_error_falls_back(self):
         backend = ScriptedBackend([BackendInvocationError("boom")])
         decision = slm_propose(

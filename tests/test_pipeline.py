@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import time
+from dataclasses import fields
 
 import pytest
 from hypothesis import given, settings
@@ -37,6 +38,7 @@ from piisub.pipeline import (
     compute_metrics,
     corpus_fingerprint,
     derive_run_id,
+    detect_corpus,
     perplexity_reference,
     persist_run,
     regurgitation_for_results,
@@ -152,11 +154,51 @@ class TestRunIdentity:
     )
     def test_run_id_keeps_settings_that_can_change_outputs(self, corpus, setting):
         # with a slow backend or detector these decide which calls fail
-        config = RunConfig(mode=Mode.HYBRID, **setting)
-        assert set(setting) <= set(config.to_json_dict())
+        adapters = {
+            "backend_kind": "command",
+            "backend_command": "echo {prompt}",
+            "detector": "external",
+            "detector_command": "detect",
+        }
+        config = RunConfig(mode=Mode.HYBRID, **adapters, **setting)
+        assert config.to_json_dict().items() >= setting.items()
         assert derive_run_id(config, corpus) != derive_run_id(
-            RunConfig(mode=Mode.HYBRID), corpus
+            RunConfig(mode=Mode.HYBRID, **adapters), corpus
         )
+
+    @pytest.mark.parametrize(
+        "mode, setting",
+        [
+            (Mode.REDACT, {"backend_timeout": 5.0, "backend_command": "echo {prompt}"}),
+            (Mode.REDACT, {"leak_guard": False}),
+            (Mode.FAKER, {"backend_kind": "command", "failure_threshold": 2}),
+            (Mode.FAKER, {"placeholder_prefix": "PII_", "pool_file": "pools.json"}),
+            (Mode.HYBRID, {"backend_command": "echo {prompt}", "prompt_via": "stdin"}),
+            (Mode.HYBRID, {"detector_timeout": 2.5, "detector_url": "http://x"}),
+            (Mode.HYBRID, {"detector": "rules", "detector_command": "detect"}),
+        ],
+        ids=lambda v: v.value if isinstance(v, Mode) else ",".join(v),
+    )
+    def test_a_setting_the_run_does_not_read_keeps_the_run_id(
+        self, corpus, mode, setting
+    ):
+        config = RunConfig(mode=mode, **setting)
+        plain = RunConfig(mode=mode, detector=config.detector)
+        assert config.to_json_dict() == plain.to_json_dict()
+        assert derive_run_id(config, corpus) == derive_run_id(plain, corpus)
+
+    def test_every_setting_is_read_by_some_run(self):
+        read = set().union(
+            *(
+                RunConfig(
+                    mode=mode, backend_kind="command", detector="external"
+                ).settings_read()
+                for mode in Mode
+            )
+        )
+        assert read == {f.name for f in fields(RunConfig)} - EXECUTION_FIELDS - {
+            "run_id"
+        }
 
     def test_explicit_run_id_wins(self, corpus):
         config = RunConfig(mode=Mode.REDACT, run_id="my-run")
@@ -982,10 +1024,24 @@ def test_scorer_trained_on_non_pii_only(corpus):
     from piisub.pipeline import _non_pii_portions
 
     for rec in corpus:
-        portions = _non_pii_portions(rec)
+        portions = _non_pii_portions(rec.text, detect_oracle(rec))
         joined = " ".join(portions)
         for value in rec.gt_values():
             assert value not in joined
+
+
+def test_a_reference_from_the_shared_detection_equals_its_own(corpus):
+    # the whitespace-only value fails its document's grouping, so the
+    # reference detects that record again
+    blank = CorpusRecord("blank", "Dear  Ada, hi", "en_US", "t", {Label.PERSON: [" "]})
+    records = [*corpus, blank]
+    detected = detect_corpus(records, RunConfig(mode=Mode.REDACT))
+    assert detected[-1].error is not None
+    shared = perplexity_reference(records, detected)
+    own = perplexity_reference(records)
+    assert shared._counts == own._counts
+    texts = [rec.text for rec in records]
+    assert repr(shared.corpus_perplexity(texts)) == repr(own.corpus_perplexity(texts))
 
 
 def test_char_ngram_scorer_used_by_metrics_is_order_five():
