@@ -22,6 +22,7 @@ import threading
 from abc import ABC, abstractmethod
 from pathlib import Path
 
+from .model import check_timeout
 from .prompting import splitmix64, stable_seed
 
 DEFAULT_TIMEOUT = 60.0
@@ -153,8 +154,7 @@ class CommandBackend(SlmBackend):
         super().__init__(failure_threshold=failure_threshold)
         if prompt_via not in ("arg", "stdin"):
             raise ValueError(f"prompt_via must be 'arg' or 'stdin', got {prompt_via!r}")
-        if not timeout > 0:
-            raise ValueError(f"backend timeout must be above 0, got {timeout}")
+        check_timeout("backend", timeout)
         self._argv = shlex.split(template)
         if not self._argv:
             raise ValueError("empty command template")

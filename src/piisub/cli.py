@@ -49,14 +49,7 @@ _ENV_OPTIONS = {
     "pool_file": "PIISUB_POOL_FILE",
 }
 
-#: The options whose RunConfig field has another name.
-_FIELD_OF_OPTION = {
-    "slm_backend": "backend_kind",
-    "slm_command": "backend_command",
-    "slm_timeout": "backend_timeout",
-}
-
-#: RunConfig fields an option sets under its own or a mapped name.
+#: RunConfig fields an option sets: each option's `dest` is its field.
 _OPTION_FIELDS = {f.name for f in fields(RunConfig)} - {"mode", "run_id"}
 
 _NER_OPTIONS = tuple(f.name for f in fields(NerSettings))
@@ -65,9 +58,14 @@ _NER_OPTIONS = tuple(f.name for f in fields(NerSettings))
 def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise SystemExit(f"cannot read config file {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise SystemExit(f"config file {path} is not JSON: {exc}") from None
     if not isinstance(data, dict):
-        raise SystemExit("config file must contain a JSON object")
+        raise SystemExit(f"config file {path} must contain a JSON object")
     return data
 
 
@@ -78,7 +76,7 @@ def _fallback_args(
     environment first, so that argparse lets the config override the
     environment and any flag that follows override both."""
     options = {
-        action.dest: action
+        action.option_strings[-1][2:].replace("-", "_"): action
         for action in subparser._actions
         if action.option_strings and action.dest not in ("help", "config")
     }
@@ -160,13 +158,11 @@ def _run_config(
 ) -> RunConfig:
     """The RunConfig of the settings that were given; the rest keep the
     field defaults."""
-    given = {}
-    for name, value in vars(args).items():
-        field_name = _FIELD_OF_OPTION.get(name, name)
-        if field_name in _OPTION_FIELDS and value is not None:
-            given[field_name] = value
-    if args.no_leak_guard:
-        given["leak_guard"] = False
+    given = {
+        name: value
+        for name, value in vars(args).items()
+        if name in _OPTION_FIELDS and value is not None
+    }
     return RunConfig(mode=mode, run_id=run_id, **given)
 
 
@@ -191,21 +187,33 @@ def _run_configs(args: argparse.Namespace) -> list[RunConfig]:
     return configs
 
 
-def _corpus_path(args: argparse.Namespace) -> str:
-    if not args.corpus:
+def _load_records(args: argparse.Namespace) -> list[CorpusRecord]:
+    path = args.corpus
+    if not path:
         raise SystemExit("no corpus given (use --corpus, config, or PIISUB_CORPUS)")
-    return args.corpus
+    try:
+        return load_corpus(path)
+    except OSError as exc:
+        raise SystemExit(f"cannot read corpus {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise SystemExit(f"corpus {path}: {exc}") from None
 
 
 def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--corpus", help="corpus file (line-delimited JSON)")
     sub.add_argument("--config", help="JSON config file; keys are option names")
     sub.add_argument(
-        "--slm-backend", choices=["mock-pool", "mock-echo-demo", "command"]
+        "--slm-backend",
+        dest="backend_kind",
+        choices=["mock-pool", "mock-echo-demo", "command"],
     )
-    sub.add_argument("--slm-command", help="command template for --slm-backend command")
+    sub.add_argument(
+        "--slm-command",
+        dest="backend_command",
+        help="command template for --slm-backend command",
+    )
     sub.add_argument("--prompt-via", choices=["arg", "stdin"])
-    sub.add_argument("--slm-timeout", type=float)
+    sub.add_argument("--slm-timeout", dest="backend_timeout", type=float)
     sub.add_argument("--failure-threshold", type=int)
     sub.add_argument(
         "--demo-strategy",
@@ -218,7 +226,9 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--detector-url")
     sub.add_argument("--detector-timeout", type=float)
     sub.add_argument("--pool-file")
-    sub.add_argument("--no-leak-guard", action="store_true")
+    sub.add_argument(
+        "--no-leak-guard", dest="leak_guard", action="store_false", default=None
+    )
     sub.add_argument("--parallelism", type=_positive_int)
     sub.add_argument("--out", default="results", help="results directory")
     sub.set_defaults(subparser=sub)
@@ -237,7 +247,7 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _cmd_run(args: argparse.Namespace) -> int:
     configs = _run_configs(args)
-    records = load_corpus(_corpus_path(args))
+    records = _load_records(args)
     # the modes share every detector setting, so one pass serves them all
     detected = detect_corpus(records, configs[0])
     scorer = None
@@ -281,7 +291,7 @@ def _cmd_ner(args: argparse.Namespace) -> int:
         for name in _NER_OPTIONS
         if getattr(args, name) is not None
     }
-    records = load_corpus(_corpus_path(args))
+    records = _load_records(args)
     try:
         settings = NerSettings(**experiment)
         settings.check_corpus(len(records))

@@ -8,6 +8,13 @@ fakes after 2019, and the name/street vocabularies do not overlap. A
 surrogate therefore never accidentally equals or contains a ground-truth
 value.
 
+Each template is one `TEMPLATES` entry: its PII fields in draw order and
+its text with a `{slot}` per value. One renderer fills it from the record's
+stream: the PII fields first, each distinct from the values its label
+already has, then the other slots (invoice number, amount, company, bank)
+in order of appearance. Dates go through `fakegen.draw_date` with 1970s
+years, in the format of the record's locale.
+
 Every template mentions its person at least twice, so the consistency
 metric is defined on essentially every document.
 """
@@ -17,9 +24,12 @@ from __future__ import annotations
 import json
 import math
 import random
+import string
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
+from .fakegen import draw_date
+from .locales import DateFormat
 from .model import CorpusRecord, Label
 
 DEFAULT_LOCALE_MIX: dict[str, float] = {
@@ -85,26 +95,20 @@ def load_corpus(path: str | Path) -> list[CorpusRecord]:
 
 
 def save_corpus(records: Iterable[CorpusRecord], path: str | Path) -> None:
-    lines = []
-    for rec in records:
-        lines.append(
-            json.dumps(
-                {
-                    "id": rec.id,
-                    "text": rec.text,
-                    "locale": rec.locale,
-                    "template": rec.template,
-                    "pii_gt": {
-                        label.name: list(values)
-                        for label, values in sorted(
-                            rec.pii_gt.items(), key=lambda kv: kv[0].name
-                        )
-                    },
-                },
-                sort_keys=True,
-                ensure_ascii=False,
-            )
+    lines = [
+        json.dumps(
+            {
+                "id": rec.id,
+                "text": rec.text,
+                "locale": rec.locale,
+                "template": rec.template,
+                "pii_gt": {label.name: values for label, values in rec.pii_gt.items()},
+            },
+            sort_keys=True,
+            ensure_ascii=False,
         )
+        for rec in records
+    ]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -117,17 +121,32 @@ _EN_US_LAST = (
     "Goodwin", "Hargreaves", "Kirkland", "Mansfield", "Oakes",
     "Renshaw", "Thackeray",
 )
-_EN_IN_FIRST = ("Rajesh", "Sunita", "Vikram", "Anita", "Deepak", "Kavita")
-_EN_IN_LAST = ("Sharma", "Verma", "Reddy", "Nair", "Banerjee", "Chopra")
-# umlauted first names keep the full name routed to the de pool
-_DE_FIRST = ("Jürgen", "Günter", "Sören", "Björn", "Jörg", "Käthe")
-_DE_LAST = ("Sauer", "Engel", "Thiele", "Lorenz", "Haas", "Winkler")
-_ES_FIRST = ("Ramón", "Inés", "Tomás", "Verónica", "Jesús", "Begoña")
-_ES_LAST = ("Quintero", "Bravo", "Palacios", "Serrano", "Duarte", "Olvera")
-_JA_FAMILY = ("黒田", "長谷川", "桑原", "三浦", "福田", "小川")
-_JA_GIVEN = ("まこと", "ゆうた", "さとみ", "こうじ", "なおこ", "てつや")
-_ZH_FAMILY = ("冯", "蒋", "沈", "韩", "杨", "朱")
-_ZH_GIVEN = ("天翼", "雪梅", "宏伟", "春燕", "国平", "晓东")
+#: locale -> (first-drawn, second-drawn) name parts; CJK names are written
+#: family name first with no space
+_NAMES = {
+    "en_US": (_EN_US_FIRST, _EN_US_LAST),
+    "en_IN": (
+        ("Rajesh", "Sunita", "Vikram", "Anita", "Deepak", "Kavita"),
+        ("Sharma", "Verma", "Reddy", "Nair", "Banerjee", "Chopra"),
+    ),
+    # umlauted first names keep the full name routed to the de pool
+    "de_DE": (
+        ("Jürgen", "Günter", "Sören", "Björn", "Jörg", "Käthe"),
+        ("Sauer", "Engel", "Thiele", "Lorenz", "Haas", "Winkler"),
+    ),
+    "es_MX": (
+        ("Ramón", "Inés", "Tomás", "Verónica", "Jesús", "Begoña"),
+        ("Quintero", "Bravo", "Palacios", "Serrano", "Duarte", "Olvera"),
+    ),
+    "ja_JP": (
+        ("黒田", "長谷川", "桑原", "三浦", "福田", "小川"),
+        ("まこと", "ゆうた", "さとみ", "こうじ", "なおこ", "てつや"),
+    ),
+    "zh_CN": (
+        ("冯", "蒋", "沈", "韩", "杨", "朱"),
+        ("天翼", "雪梅", "宏伟", "春燕", "国平", "晓东"),
+    ),
+}
 
 _EN_US_STREETS = (
     "Keystone Boulevard", "Larch Hollow Road", "Newbury Crossing",
@@ -159,32 +178,28 @@ _PHONE_CC = {
     "en_US": "1", "en_IN": "91", "de_DE": "49",
     "es_MX": "52", "ja_JP": "81", "zh_CN": "86",
 }
+_DATE_FORMAT = {
+    "en_US": DateFormat.MDY_SLASH,
+    "en_IN": DateFormat.DMY_DASH_MON,
+    "de_DE": DateFormat.DMY_SLASH,
+    "es_MX": DateFormat.DMY_SLASH,
+    "ja_JP": DateFormat.YMD_DASH,
+    "zh_CN": DateFormat.YMD_DASH,
+}
 _COMPANIES = (
     "Meridian Holdings", "Cascade Partners", "Beacon Logistics",
     "Summit Works", "Harborline Group", "Crestway Services",
 )
 _BANKS = ("First Union Trust", "Lakeside Savings", "Pioneer Mutual", "Granite Bank")
-_MONTHS_ABBR = (
-    "Jan", "Feb", "Mar", "Apr", "May", "Jun",
-    "Jul", "Aug", "Sep", "Oct", "Nov", "Dec",
-)
 
 # Source years never reach 2000; demo and fake years never go below it.
-_SRC_YEAR_LO, _SRC_YEAR_HI = 1970, 1979
+_SRC_YEARS = (1970, 1979)
 
 
 def _src_person(rng: random.Random, locale: str) -> str:
-    if locale == "ja_JP":
-        return rng.choice(_JA_FAMILY) + rng.choice(_JA_GIVEN)
-    if locale == "zh_CN":
-        return rng.choice(_ZH_FAMILY) + rng.choice(_ZH_GIVEN)
-    first, last = {
-        "en_US": (_EN_US_FIRST, _EN_US_LAST),
-        "en_IN": (_EN_IN_FIRST, _EN_IN_LAST),
-        "de_DE": (_DE_FIRST, _DE_LAST),
-        "es_MX": (_ES_FIRST, _ES_LAST),
-    }[locale]
-    return f"{rng.choice(first)} {rng.choice(last)}"
+    first, second = _NAMES[locale]
+    sep = "" if locale in ("ja_JP", "zh_CN") else " "
+    return f"{rng.choice(first)}{sep}{rng.choice(second)}"
 
 
 def _src_address(rng: random.Random, locale: str) -> str:
@@ -214,18 +229,10 @@ def _src_address(rng: random.Random, locale: str) -> str:
 
 
 def _src_date(rng: random.Random, locale: str) -> str:
-    year = rng.randrange(_SRC_YEAR_LO, _SRC_YEAR_HI + 1)
-    month = rng.randrange(1, 13)
-    if locale == "en_IN":
-        return f"{rng.randrange(1, 29):02d}-{_MONTHS_ABBR[month - 1]}-{year}"
-    if locale in ("ja_JP", "zh_CN"):
-        return f"{year}-{month:02d}-{rng.randrange(1, 29):02d}"
-    if locale in ("de_DE", "es_MX"):
-        return f"{rng.randrange(13, 29):02d}/{month:02d}/{year}"
-    return f"{month:02d}/{rng.randrange(1, 29):02d}/{year}"
+    return draw_date(rng, _DATE_FORMAT[locale], _SRC_YEARS)
 
 
-def _src_email(rng: random.Random) -> str:
+def _src_email(rng: random.Random, locale: str) -> str:
     first = rng.choice(_EN_US_FIRST).lower()
     last = rng.choice(_EN_US_LAST).lower()
     return f"{first}.{last}{rng.randrange(10, 100)}@{rng.choice(_SRC_DOMAINS)}"
@@ -238,225 +245,154 @@ def _src_phone(rng: random.Random, locale: str) -> str:
     )
 
 
-def _src_account(rng: random.Random) -> str:
+def _src_account(rng: random.Random, locale: str) -> str:
     return str(rng.randrange(100_000_000, 500_000_000))
 
 
-def _src_url(rng: random.Random) -> str:
+def _src_url(rng: random.Random, locale: str) -> str:
     return (
         f"https://portal.{rng.choice(_SRC_DOMAINS)}/"
         f"{rng.choice(('claims', 'forms', 'login'))}/{rng.randrange(100, 10000)}"
     )
 
 
-def _src_secret(rng: random.Random) -> str:
+def _src_secret(rng: random.Random, locale: str) -> str:
     return "tok_" + "".join(rng.choices("abcdefghijklmnopqrstuvwxyz", k=16))
 
 
-def _amount(rng: random.Random) -> str:
-    return f"{rng.randrange(120, 9000)}.{rng.randrange(0, 100):02d}"
-
-
-_Template = Callable[[random.Random, str], tuple[str, dict[Label, list[str]]]]
-
-
-def _t_invoice(rng: random.Random, locale: str) -> tuple[str, dict[Label, list[str]]]:
-    person = _src_person(rng, locale)
-    address = _src_address(rng, locale)
-    date = _src_date(rng, locale)
-    email = _src_email(rng)
-    account = _src_account(rng)
-    phone = _src_phone(rng, locale)
-    text = (
-        f"INVOICE #{rng.randrange(1000, 99999)}\n"
-        f"Billed to: {person}\n"
-        f"Address: {address}\n"
-        f"Issue date: {date}\n"
-        f"Contact: {email}\n"
-        f"Amount due: ${_amount(rng)}\n"
-        f"Please remit payment to account {account}.\n"
-        f"Questions? Reach {person} at {phone}."
-    )
-    return text, {
-        Label.PERSON: [person],
-        Label.ADDRESS: [address],
-        Label.DATE: [date],
-        Label.EMAIL: [email],
-        Label.ACCOUNT: [account],
-        Label.PHONE: [phone],
-    }
-
-
-def _t_paystub(rng: random.Random, locale: str) -> tuple[str, dict[Label, list[str]]]:
-    person = _src_person(rng, locale)
-    address = _src_address(rng, locale)
-    date = _src_date(rng, locale)
-    date2 = _src_date(rng, locale)
-    while date2 == date:
-        date2 = _src_date(rng, locale)
-    account = _src_account(rng)
-    text = (
-        f"PAYSTUB - {rng.choice(_COMPANIES)}\n"
-        f"Employee: {person}\n"
-        f"Home address: {address}\n"
-        f"Pay period ending: {date}\n"
-        f"Net pay: ${_amount(rng)}\n"
-        f"Direct deposit to account {account}.\n"
-        f"This stub was issued to {person} on {date2}."
-    )
-    return text, {
-        Label.PERSON: [person],
-        Label.ADDRESS: [address],
-        Label.DATE: [date, date2],
-        Label.ACCOUNT: [account],
-    }
-
-
-def _t_bank_statement(
-    rng: random.Random, locale: str
-) -> tuple[str, dict[Label, list[str]]]:
-    person = _src_person(rng, locale)
-    address = _src_address(rng, locale)
-    date = _src_date(rng, locale)
-    email = _src_email(rng)
-    account = _src_account(rng)
-    phone = _src_phone(rng, locale)
-    text = (
-        f"{rng.choice(_BANKS)} MONTHLY STATEMENT\n"
-        f"Account holder: {person}\n"
-        f"Account number: {account}\n"
-        f"Statement date: {date}\n"
-        f"Mailing address: {address}\n"
-        f"Closing balance: ${_amount(rng)}\n"
-        f"For disputes contact {person} via {email} or call {phone}."
-    )
-    return text, {
-        Label.PERSON: [person],
-        Label.ADDRESS: [address],
-        Label.DATE: [date],
-        Label.EMAIL: [email],
-        Label.ACCOUNT: [account],
-        Label.PHONE: [phone],
-    }
-
-
-def _t_auto_insurance(
-    rng: random.Random, locale: str
-) -> tuple[str, dict[Label, list[str]]]:
-    person = _src_person(rng, locale)
-    address = _src_address(rng, locale)
-    date = _src_date(rng, locale)
-    account = _src_account(rng)
-    url = _src_url(rng)
-    text = (
-        f"AUTO POLICY DECLARATION\n"
-        f"Policyholder: {person}\n"
-        f"Garaging address: {address}\n"
-        f"Policy effective: {date}\n"
-        f"Policy number: {account}\n"
-        f"Premium: ${_amount(rng)}\n"
-        f"Claims portal: {url}\n"
-        f"{person} must report incidents within 30 days."
-    )
-    return text, {
-        Label.PERSON: [person],
-        Label.ADDRESS: [address],
-        Label.DATE: [date],
-        Label.ACCOUNT: [account],
-        Label.URL: [url],
-    }
-
-
-def _t_mortgage_insurance(
-    rng: random.Random, locale: str
-) -> tuple[str, dict[Label, list[str]]]:
-    person = _src_person(rng, locale)
-    address = _src_address(rng, locale)
-    date = _src_date(rng, locale)
-    account = _src_account(rng)
-    email = _src_email(rng)
-    text = (
-        f"MORTGAGE INSURANCE CERTIFICATE\n"
-        f"Borrower: {person}\n"
-        f"Property: {address}\n"
-        f"Certificate issued: {date}\n"
-        f"Loan account: {account}\n"
-        f"Monthly premium: ${_amount(rng)}\n"
-        f"Servicer contact: {email}\n"
-        f"Borrower {person} acknowledges the coverage terms."
-    )
-    return text, {
-        Label.PERSON: [person],
-        Label.ADDRESS: [address],
-        Label.DATE: [date],
-        Label.ACCOUNT: [account],
-        Label.EMAIL: [email],
-    }
-
-
-def _t_w2(rng: random.Random, locale: str) -> tuple[str, dict[Label, list[str]]]:
-    person = _src_person(rng, locale)
-    address = _src_address(rng, locale)
-    date = _src_date(rng, locale)
-    phone = _src_phone(rng, locale)
-    email = _src_email(rng)
-    text = (
-        f"FORM W-2 WAGE AND TAX STATEMENT\n"
-        f"Employee: {person}\n"
-        f"Employee address: {address}\n"
-        f"Employer: {rng.choice(_COMPANIES)}\n"
-        f"Issued: {date}\n"
-        f"Wages: ${_amount(rng)}\n"
-        f"Employer contact: {phone}\n"
-        f"Payroll questions: {email}\n"
-        f"Copy furnished to {person} for filing."
-    )
-    return text, {
-        Label.PERSON: [person],
-        Label.ADDRESS: [address],
-        Label.DATE: [date],
-        Label.PHONE: [phone],
-        Label.EMAIL: [email],
-    }
-
-
-def _t_ten99(rng: random.Random, locale: str) -> tuple[str, dict[Label, list[str]]]:
-    person = _src_person(rng, locale)
-    address = _src_address(rng, locale)
-    date = _src_date(rng, locale)
-    account = _src_account(rng)
-    url = _src_url(rng)
-    secret = _src_secret(rng)
-    text = (
-        f"FORM 1099-MISC\n"
-        f"Recipient: {person}\n"
-        f"Recipient address: {address}\n"
-        f"Tax year statement issued {date}\n"
-        f"Payer account: {account}\n"
-        f"Nonemployee compensation: ${_amount(rng)}\n"
-        f"Access your form at {url}\n"
-        f"API token for e-delivery: {secret}\n"
-        f"{person} should retain this copy."
-    )
-    return text, {
-        Label.PERSON: [person],
-        Label.ADDRESS: [address],
-        Label.DATE: [date],
-        Label.ACCOUNT: [account],
-        Label.URL: [url],
-        Label.SECRET: [secret],
-    }
-
-
-TEMPLATES: dict[str, _Template] = {
-    "invoice": _t_invoice,
-    "paystub": _t_paystub,
-    "bank_statement": _t_bank_statement,
-    "auto_insurance": _t_auto_insurance,
-    "mortgage_insurance": _t_mortgage_insurance,
-    "w2": _t_w2,
-    "ten99": _t_ten99,
+#: PII slot -> (label, draw). Two slots of one label ("date", "date2") draw
+#: distinct values.
+_PII_SLOTS: dict[str, tuple[Label, Callable[[random.Random, str], str]]] = {
+    "person": (Label.PERSON, _src_person),
+    "address": (Label.ADDRESS, _src_address),
+    "date": (Label.DATE, _src_date),
+    "date2": (Label.DATE, _src_date),
+    "email": (Label.EMAIL, _src_email),
+    "phone": (Label.PHONE, _src_phone),
+    "account": (Label.ACCOUNT, _src_account),
+    "url": (Label.URL, _src_url),
+    "secret": (Label.SECRET, _src_secret),
 }
+
+#: The slots that carry no PII.
+_OTHER_SLOTS: dict[str, Callable[[random.Random], str]] = {
+    "number": lambda rng: str(rng.randrange(1000, 99999)),
+    "amount": lambda rng: f"{rng.randrange(120, 9000)}.{rng.randrange(0, 100):02d}",
+    "company": lambda rng: rng.choice(_COMPANIES),
+    "bank": lambda rng: rng.choice(_BANKS),
+}
+
+
+_FORMATTER = string.Formatter()
+
+
+class Template(NamedTuple):
+    """A document scaffold: its PII slots in draw order, and its text with
+    a `{slot}` for every value."""
+
+    fields: tuple[str, ...]
+    text: str
+
+
+TEMPLATES: dict[str, Template] = {
+    "invoice": Template(
+        ("person", "address", "date", "email", "account", "phone"),
+        "INVOICE #{number}\n"
+        "Billed to: {person}\n"
+        "Address: {address}\n"
+        "Issue date: {date}\n"
+        "Contact: {email}\n"
+        "Amount due: ${amount}\n"
+        "Please remit payment to account {account}.\n"
+        "Questions? Reach {person} at {phone}.",
+    ),
+    "paystub": Template(
+        ("person", "address", "date", "date2", "account"),
+        "PAYSTUB - {company}\n"
+        "Employee: {person}\n"
+        "Home address: {address}\n"
+        "Pay period ending: {date}\n"
+        "Net pay: ${amount}\n"
+        "Direct deposit to account {account}.\n"
+        "This stub was issued to {person} on {date2}.",
+    ),
+    "bank_statement": Template(
+        ("person", "address", "date", "email", "account", "phone"),
+        "{bank} MONTHLY STATEMENT\n"
+        "Account holder: {person}\n"
+        "Account number: {account}\n"
+        "Statement date: {date}\n"
+        "Mailing address: {address}\n"
+        "Closing balance: ${amount}\n"
+        "For disputes contact {person} via {email} or call {phone}.",
+    ),
+    "auto_insurance": Template(
+        ("person", "address", "date", "account", "url"),
+        "AUTO POLICY DECLARATION\n"
+        "Policyholder: {person}\n"
+        "Garaging address: {address}\n"
+        "Policy effective: {date}\n"
+        "Policy number: {account}\n"
+        "Premium: ${amount}\n"
+        "Claims portal: {url}\n"
+        "{person} must report incidents within 30 days.",
+    ),
+    "mortgage_insurance": Template(
+        ("person", "address", "date", "account", "email"),
+        "MORTGAGE INSURANCE CERTIFICATE\n"
+        "Borrower: {person}\n"
+        "Property: {address}\n"
+        "Certificate issued: {date}\n"
+        "Loan account: {account}\n"
+        "Monthly premium: ${amount}\n"
+        "Servicer contact: {email}\n"
+        "Borrower {person} acknowledges the coverage terms.",
+    ),
+    "w2": Template(
+        ("person", "address", "date", "phone", "email"),
+        "FORM W-2 WAGE AND TAX STATEMENT\n"
+        "Employee: {person}\n"
+        "Employee address: {address}\n"
+        "Employer: {company}\n"
+        "Issued: {date}\n"
+        "Wages: ${amount}\n"
+        "Employer contact: {phone}\n"
+        "Payroll questions: {email}\n"
+        "Copy furnished to {person} for filing.",
+    ),
+    "ten99": Template(
+        ("person", "address", "date", "account", "url", "secret"),
+        "FORM 1099-MISC\n"
+        "Recipient: {person}\n"
+        "Recipient address: {address}\n"
+        "Tax year statement issued {date}\n"
+        "Payer account: {account}\n"
+        "Nonemployee compensation: ${amount}\n"
+        "Access your form at {url}\n"
+        "API token for e-delivery: {secret}\n"
+        "{person} should retain this copy.",
+    ),
+}
+
+
+def _render(
+    template: Template, rng: random.Random, locale: str
+) -> tuple[str, dict[Label, list[str]]]:
+    """The template's text and ground truth, drawn as the module says."""
+    values: dict[str, str] = {}
+    pii_gt: dict[Label, list[str]] = {}
+    for name in template.fields:
+        label, draw = _PII_SLOTS[name]
+        seen = pii_gt.setdefault(label, [])
+        value = draw(rng, locale)
+        while value in seen:
+            value = draw(rng, locale)
+        seen.append(value)
+        values[name] = value
+    for _, name, _, _ in _FORMATTER.parse(template.text):
+        if name and name not in values:
+            values[name] = _OTHER_SLOTS[name](rng)
+    return template.text.format_map(values), pii_gt
 
 
 def largest_remainder(n: int, weights: dict[str, float]) -> dict[str, int]:
@@ -503,7 +439,7 @@ def synth_corpus(
     records: list[CorpusRecord] = []
     for i, locale in enumerate(locales):
         name = template_names[rng.randrange(len(template_names))]
-        text, pii_gt = TEMPLATES[name](rng, locale)
+        text, pii_gt = _render(TEMPLATES[name], rng, locale)
         records.append(
             CorpusRecord(
                 id=f"doc-{i:04d}",

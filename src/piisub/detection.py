@@ -13,7 +13,14 @@ import json
 import re
 from dataclasses import dataclass
 
-from .model import CorpusRecord, Label, PiiSpan, ci_fold, folded_occurrences
+from .model import (
+    CorpusRecord,
+    Label,
+    PiiSpan,
+    check_timeout,
+    ci_fold,
+    folded_occurrences,
+)
 
 
 class DetectorUnavailable(RuntimeError):
@@ -127,8 +134,7 @@ class ExternalDetector:
             raise ValueError(
                 "the external detector needs exactly one of a command or a url"
             )
-        if not self.timeout > 0:
-            raise ValueError(f"detector timeout must be above 0, got {self.timeout}")
+        check_timeout("detector", self.timeout)
 
     def _transport(self, text: str) -> str:
         try:

@@ -131,7 +131,7 @@ _MONTHS_FULL = (
 )
 
 # Fake years never overlap synthetic source years (<2000) or demo years.
-_YEAR_LO, _YEAR_HI = 2020, 2039
+_FAKE_YEARS = (2020, 2039)
 
 
 def _fake_person(rng: random.Random, locale: Locale) -> str:
@@ -170,8 +170,10 @@ def _fake_address(rng: random.Random, locale: Locale) -> str:
     )
 
 
-def _fake_date(rng: random.Random, fmt: DateFormat) -> str:
-    year = rng.randrange(_YEAR_LO, _YEAR_HI + 1)
+def draw_date(rng: random.Random, fmt: DateFormat, years: tuple[int, int]) -> str:
+    """A date in the format, its year drawn from the inclusive range, then
+    its month, then its day."""
+    year = rng.randrange(years[0], years[1] + 1)
     month = rng.randrange(1, 13)
     if fmt is DateFormat.YMD_DASH:
         return f"{year}-{month:02d}-{rng.randrange(1, 29):02d}"
@@ -198,7 +200,7 @@ def fake_value(
     if label is Label.ADDRESS:
         return _fake_address(rng, locale)
     if label is Label.DATE:
-        return _fake_date(rng, date_format or DateFormat.MDY_SLASH)
+        return draw_date(rng, date_format or DateFormat.MDY_SLASH, _FAKE_YEARS)
     if label is Label.EMAIL:
         # ASCII only: accented locale names would not survive re-detection
         first = rng.choice(_FIRST[Locale.EN]).lower()

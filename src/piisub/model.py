@@ -72,6 +72,23 @@ class RejectionReason(Enum):
     NOT_AN_ADDRESS = "not_an_address"
 
 
+#: The longest timeout, in seconds, that every transport can wait for:
+#: `subprocess` polls in whole milliseconds held in a C int (below 2**31).
+MAX_TIMEOUT_S = 2_147_483
+
+
+def check_timeout(what: str, timeout: float) -> None:
+    """Refuse a timeout that is not above 0 (NaN included) or that is above
+    MAX_TIMEOUT_S (infinity included); a transport would raise
+    OverflowError on every call."""
+    if not timeout > 0:
+        raise ValueError(f"{what} timeout must be above 0, got {timeout}")
+    if not timeout <= MAX_TIMEOUT_S:
+        raise ValueError(
+            f"{what} timeout must be at most {MAX_TIMEOUT_S} s, got {timeout}"
+        )
+
+
 class EmptyCanonical(ValueError):
     """Raised when canonicalize receives a whitespace-only string."""
 

@@ -301,12 +301,21 @@ def _build_detector(config: RunConfig) -> Callable[[CorpusRecord], list]:
     raise ValueError(f"unknown detector {config.detector!r}")
 
 
+def _build_catalog(config: RunConfig) -> PoolCatalog:
+    """The demo pools of the run: the pool file's over the shipped ones
+    where the run reads a pool file (hybrid), else the shipped ones."""
+    if config.pool_file and "pool_file" in config.settings_read():
+        return load_pool_file(config.pool_file)
+    return builtin_catalog()
+
+
 def check_config(config: RunConfig) -> None:
-    """Build the backend and the detector a run of `config` reads (see
-    `RunConfig.settings_read`), and drop them: a setting they reject raises
-    its ValueError here, before any document is touched."""
+    """Build the backend, the detector and the demo pools a run of `config`
+    reads (see `RunConfig.settings_read`), and drop them: a setting they
+    reject raises its ValueError here, before any document is touched."""
     _build_backend(config)
     _build_detector(config)
+    _build_catalog(config)
 
 
 class _Outcome(NamedTuple):
@@ -383,11 +392,7 @@ def run_corpus(
     if detected is None:
         detected = detect_corpus(records, config)
     read = config.settings_read()
-    catalog = (
-        load_pool_file(config.pool_file)
-        if config.pool_file and "pool_file" in read
-        else builtin_catalog()
-    )
+    catalog = _build_catalog(config)
     cache = SurrogateCache()
     backend = _build_backend(config)
     family = backend.id if backend is not None else config.mode.value

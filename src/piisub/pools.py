@@ -312,7 +312,12 @@ def load_pool_file(path: str | Path) -> PoolCatalog:
     prompt would show the same three. (Some shipped pools have 3 demos;
     growing them would change hybrid outputs.)
     """
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
+    try:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise ValueError(f"cannot read pool file {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise ValueError(f"pool file {path} is not JSON: {exc}") from None
     if not isinstance(data, dict):
         raise ValueError("pool file must be an object mapping families to pools")
     base = builtin_catalog()
@@ -331,6 +336,8 @@ def load_pool_file(path: str | Path) -> PoolCatalog:
                 raise ValueError(
                     f"unknown pool key {key_name!r} for family {family!r}"
                 )
+            if not isinstance(entries, list):
+                raise ValueError(f"pool {family}/{key_name} must be a list of demos")
             pairs = []
             for i, entry in enumerate(entries):
                 if not isinstance(entry, dict) or "real" not in entry or "fake" not in entry:

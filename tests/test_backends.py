@@ -16,7 +16,7 @@ from piisub.backends import (
     make_backend,
     parse_prompt,
 )
-from piisub.model import Label
+from piisub.model import MAX_TIMEOUT_S, Label
 from piisub.pools import builtin_catalog
 from piisub.prompting import build_prompt, sample_demos
 
@@ -139,6 +139,19 @@ class TestCommandBackend:
         # a timeout of 0 would fail every call
         with pytest.raises(ValueError, match="backend timeout must be above 0"):
             CommandBackend("runner '{prompt}'", timeout=timeout)
+
+    @pytest.mark.parametrize("timeout", [float("inf"), 3_000_000, MAX_TIMEOUT_S + 0.5])
+    def test_timeout_must_fit_the_transport(self, timeout):
+        # subprocess.run raised OverflowError on every call
+        message = "backend timeout must be at most 2147483 s"
+        with pytest.raises(ValueError, match=message):
+            CommandBackend("runner '{prompt}'", timeout=timeout)
+
+    def test_the_longest_timeout_is_usable(self, echo_script):
+        backend = CommandBackend(
+            f"{sys.executable} {echo_script} '{{prompt}}'", timeout=MAX_TIMEOUT_S
+        )
+        assert backend.propose("Fake: Robin Vale") == " Robin Vale"
 
     def test_default_id_uses_basename(self, echo_script):
         backend = CommandBackend(f"{sys.executable} {echo_script} '{{prompt}}'")

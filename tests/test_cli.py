@@ -1,5 +1,6 @@
 """CLI subcommands exercised in-process through main()."""
 
+import dataclasses
 import json
 import os
 import subprocess
@@ -65,6 +66,33 @@ REJECTED_SETTINGS = {
         {"detector": "external", "detector_command": "x", "detector_timeout": 0},
         "detector timeout must be above 0, got 0.0",
     ),
+    # a transport raises OverflowError on every call past 2**31 ms
+    "infinite-slm-timeout": (
+        {"slm_backend": "command", "slm_command": "x {prompt}", "slm_timeout": "inf"},
+        "backend timeout must be at most 2147483 s, got inf",
+    ),
+    "huge-slm-timeout": (
+        {"slm_backend": "command", "slm_command": "x {prompt}", "slm_timeout": 3000000},
+        "backend timeout must be at most 2147483 s, got 3000000.0",
+    ),
+    "huge-detector-timeout": (
+        {"detector": "external", "detector_command": "x", "detector_timeout": 1e300},
+        "detector timeout must be at most 2147483 s, got 1e+300",
+    ),
+}
+
+#: Pool files that no hybrid run can use, each with the message of its
+#: usage error.
+UNUSABLE_POOL_FILES = {
+    "one-demo": (
+        {"person": {"en": [{"real": "Kenji Tanaka", "fake": "Hiro Yamamoto"}]}},
+        "pool person/en: 1 demos, need at least 3",
+    ),
+    "entries-not-a-list": (
+        {"person": {"en": 5}},
+        "pool person/en must be a list of demos",
+    ),
+    "missing": (None, "cannot read pool file "),
 }
 
 
@@ -360,6 +388,70 @@ class TestRun:
         assert f"piisub {command}: error: {message}\n" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("case", sorted(UNUSABLE_POOL_FILES))
+    def test_an_unusable_pool_file_is_a_usage_error_before_any_mode_runs(
+        self, corpus_file, tmp_path, capsys, case, given
+    ):
+        payload, message = UNUSABLE_POOL_FILES[case]
+        pool_file = tmp_path / "pools.json"
+        if payload is not None:
+            pool_file.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["run", "--mode", "all", "--no-ppl", "--corpus", str(corpus_file)]
+        argv += ["--out", str(out)]
+        if given == "flag":
+            argv += ["--pool-file", str(pool_file)]
+        else:
+            settings = {"pool_file": str(pool_file)}
+            argv += ["--config", write_config(tmp_path / "config.json", settings)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert f"piisub run: error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["run", "ner"])
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            pytest.param(
+                "missing-corpus",
+                "cannot read corpus {path}: No such file or directory",
+                id="missing-corpus",
+            ),
+            pytest.param(
+                "corpus-record-without-id",
+                "corpus {path}: record 1: missing or empty 'id'",
+                id="corpus-record-without-id",
+            ),
+            pytest.param(
+                "config-not-json",
+                "config file {path} is not JSON: ",
+                id="config-not-json",
+            ),
+        ],
+    )
+    def test_an_unreadable_input_exits_with_one_line_naming_it(
+        self, corpus_file, tmp_path, command, case, message
+    ):
+        path = tmp_path / "input"
+        argv = [command, "--out", str(tmp_path / "out")]
+        if case == "missing-corpus":
+            argv += ["--corpus", str(path)]
+        elif case == "corpus-record-without-id":
+            path.write_text('{"text": "t", "locale": "en_US"}\n', encoding="utf-8")
+            argv += ["--corpus", str(path)]
+        else:
+            path.write_text("{bad", encoding="utf-8")
+            argv += ["--corpus", str(corpus_file), "--config", str(path)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert isinstance(exc.value.code, str)
+        assert exc.value.code.startswith(message.format(path=path))
+        assert "\n" not in exc.value.code
+        assert not (tmp_path / "out").exists()
+
     def test_backend_settings_of_a_run_without_a_model_are_unused(
         self, corpus_file, tmp_path
     ):
@@ -415,9 +507,18 @@ class TestRun:
 
     def test_every_run_setting_is_covered(self):
         args = build_parser().parse_args(["run"])
-        options = {a.dest for a in args.subparser._actions if a.option_strings}
+        options = {
+            a.option_strings[-1][2:].replace("-", "_")
+            for a in args.subparser._actions
+        }
         not_settings = {"help", "config", "corpus", "out", "mode", "no_ppl"}
         assert options - not_settings == set(RUN_SETTINGS)
+
+    def test_each_setting_option_stores_its_run_config_field(self):
+        args = build_parser().parse_args(["run"])
+        dests = {a.dest for a in args.subparser._actions if a.option_strings}
+        fields = {f.name for f in dataclasses.fields(RunConfig)} - {"mode"}
+        assert dests & fields == fields
 
     @pytest.mark.parametrize("option", sorted(RUN_SETTINGS))
     def test_config_key_equals_its_flag(self, corpus_file, tmp_path, option):

@@ -1,5 +1,6 @@
 """Synthetic corpus generation and corpus file round-trips."""
 
+import hashlib
 import json
 
 import pytest
@@ -111,6 +112,38 @@ class TestSynthCorpus:
 
     def test_default_mix_weights_sum_to_one(self):
         assert sum(DEFAULT_LOCALE_MIX.values()) == pytest.approx(1.0)
+
+
+#: sha256 of the `save_corpus` bytes of `synth_corpus(n, seed, locale_mix=mix)`:
+#: every id, text, locale, template and ground-truth value is pinned.
+GOLDEN_CORPORA = {
+    "240-1": (
+        240, 1, None, "aa38e96cf39af71c27637899b41d83cda42a096e5b8d28e374b29466ffb3259e"
+    ),
+    "2000-1": (
+        2000, 1, None, "9cabf7d3b8a10348c3f9dd74e09515429c1ec78c7e104cc329e699be50a581c0"
+    ),
+    "300-5-en": (
+        300, 5, {"en_US": 1.0, "en_IN": 1.0},
+        "0b5e3301166aa8ee5b473017de1774d4c93f3bc4ee37c6892ec5f7ece21a7b7a",
+    ),
+    "300-5-de-es": (
+        300, 5, {"de_DE": 1.0, "es_MX": 1.0},
+        "829a17bdc38b61d1641a36e078d5d943ca0e3c15a3c9a000a01188034b006766",
+    ),
+    "300-5-ja-zh": (
+        300, 5, {"ja_JP": 1.0, "zh_CN": 1.0},
+        "fabc712089ca7dcfca2c9ae140b2ee789b768d419d4d223fc9bb5bb56ab80174",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(GOLDEN_CORPORA))
+def test_generator_bytes_are_pinned(tmp_path, case):
+    n, seed, mix, digest = GOLDEN_CORPORA[case]
+    path = tmp_path / "corpus.jsonl"
+    save_corpus(synth_corpus(n, seed, locale_mix=mix), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == digest
 
 
 class TestDemoDisjointness:

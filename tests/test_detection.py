@@ -14,7 +14,7 @@ from piisub.detection import (
     resolve_overlaps,
     validate_spans,
 )
-from piisub.model import CorpusRecord, Label, PiiSpan
+from piisub.model import MAX_TIMEOUT_S, CorpusRecord, Label, PiiSpan
 
 
 def make_record(text, **gt):
@@ -146,6 +146,13 @@ class TestExternalDetector:
     @pytest.mark.parametrize("timeout", [0, -2.0])
     def test_timeout_must_be_positive(self, timeout):
         with pytest.raises(ValueError, match="detector timeout must be above 0"):
+            ExternalDetector(command="x", timeout=timeout)
+
+    @pytest.mark.parametrize("timeout", [float("inf"), 1e300, MAX_TIMEOUT_S + 0.5])
+    def test_timeout_must_fit_the_transport(self, timeout):
+        # subprocess.run and socket.settimeout raised OverflowError per call
+        message = "detector timeout must be at most 2147483 s"
+        with pytest.raises(ValueError, match=message):
             ExternalDetector(command="x", timeout=timeout)
 
     def test_command_round_trip(self, span_script):

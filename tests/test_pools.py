@@ -230,6 +230,19 @@ class TestLoadPoolFile:
             ]
             assert list(loaded.pools[label]) == list(pools)
 
+    def test_entry_list_shape_enforced(self, tmp_path):
+        path = self._write(tmp_path, {"person": {"en": 5}})
+        with pytest.raises(ValueError, match="pool person/en must be a list of demos"):
+            load_pool_file(path)
+
+    def test_unreadable_file_is_a_value_error(self, tmp_path):
+        with pytest.raises(ValueError, match="cannot read pool file .*missing.json"):
+            load_pool_file(tmp_path / "missing.json")
+        path = tmp_path / "pools.json"
+        path.write_text("{bad", encoding="utf-8")
+        with pytest.raises(ValueError, match="pool file .*pools.json is not JSON"):
+            load_pool_file(path)
+
     def test_entry_shape_enforced(self, tmp_path):
         path = self._write(tmp_path, {"person": {"en": [{"real": "only real"}]}})
         with pytest.raises(ValueError, match="needs real and fake"):
