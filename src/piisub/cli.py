@@ -37,6 +37,7 @@ from .pipeline import (
     run_corpus,
     write_json,
 )
+from .pools import PoolCatalog
 from .prompting import DemoStrategy
 from .report import ner_table, render_runs
 
@@ -166,10 +167,11 @@ def _run_config(
     return RunConfig(mode=mode, run_id=run_id, **given)
 
 
-def _run_configs(args: argparse.Namespace) -> list[RunConfig]:
-    """One RunConfig per mode of --mode, all checked before any of them
-    runs: a setting that the run's backend or detector rejects is a usage
-    error, and no run directory is written."""
+def _run_configs(args: argparse.Namespace) -> list[tuple[RunConfig, PoolCatalog]]:
+    """One RunConfig per mode of --mode, with the demo pools its run reads,
+    all checked before any of them runs: a setting that the run's backend,
+    detector or pool file rejects is a usage error, and no run directory is
+    written."""
     modes = _parse_modes(args.mode)
     pinned = getattr(args, "run_id", None)
     configs = []
@@ -180,10 +182,10 @@ def _run_configs(args: argparse.Namespace) -> list[RunConfig]:
             run_id = f"{pinned}-{mode.value}"
         config = _run_config(args, mode, run_id)
         try:
-            check_config(config)
+            catalog = check_config(config)
         except ValueError as exc:
             args.subparser.error(str(exc))
-        configs.append(config)
+        configs.append((config, catalog))
     return configs
 
 
@@ -197,6 +199,17 @@ def _load_records(args: argparse.Namespace) -> list[CorpusRecord]:
         raise SystemExit(f"cannot read corpus {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise SystemExit(f"corpus {path}: {exc}") from None
+
+
+def _make_out_dir(args: argparse.Namespace) -> Path:
+    """Create --out before any record is detected, so that a directory
+    that cannot be written ends the command in one line with no work done."""
+    out = Path(args.out)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(f"cannot create output directory {out}: {exc.strerror}") from None
+    return out
 
 
 def _add_run_options(sub: argparse.ArgumentParser) -> None:
@@ -240,7 +253,10 @@ def _cmd_synth(args: argparse.Namespace) -> int:
         records = synth_corpus(args.n, args.seed, locale_mix=mix)
     except ValueError as exc:
         raise SystemExit(str(exc)) from None
-    save_corpus(records, args.out)
+    try:
+        save_corpus(records, args.out)
+    except OSError as exc:
+        raise SystemExit(f"cannot write corpus {args.out}: {exc.strerror}") from None
     print(f"wrote {len(records)} records to {args.out}")
     return 0
 
@@ -248,19 +264,25 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 def _cmd_run(args: argparse.Namespace) -> int:
     configs = _run_configs(args)
     records = _load_records(args)
+    out = _make_out_dir(args)
     # the modes share every detector setting, so one pass serves them all
-    detected = detect_corpus(records, configs[0])
+    first, _ = configs[0]
+    detected = detect_corpus(records, first)
     scorer = None
     if not args.no_ppl:
-        oracle = configs[0].detector == "oracle"
+        oracle = first.detector == "oracle"
         scorer = perplexity_reference(records, detected if oracle else None)
     runs = []
-    for run_config in configs:
+    for run_config, catalog in configs:
         results = run_corpus(
-            records, run_config, fake_secret=_fake_secret(), detected=detected
+            records,
+            run_config,
+            fake_secret=_fake_secret(),
+            detected=detected,
+            catalog=catalog,
         )
         metrics = compute_metrics(results, scorer=scorer)
-        run_dir, run = persist_run(results, args.out, metrics)
+        run_dir, run = persist_run(results, out, metrics)
         runs.append(run)
         print(f"{run_config.mode.value}: run {results.run_id} -> {run_dir}")
         if results.failed_documents:
@@ -297,11 +319,17 @@ def _cmd_ner(args: argparse.Namespace) -> int:
         settings.check_corpus(len(records))
     except ValueError as exc:
         args.subparser.error(str(exc))
+    out_dir = _make_out_dir(args)
     variants: dict[str, list] = {"original": list(records)}
-    detected = detect_corpus(records, configs[0])
-    for run_config in configs:
+    first, _ = configs[0]
+    detected = detect_corpus(records, first)
+    for run_config, catalog in configs:
         results = run_corpus(
-            records, run_config, fake_secret=_fake_secret(), detected=detected
+            records,
+            run_config,
+            fake_secret=_fake_secret(),
+            detected=detected,
+            catalog=catalog,
         )
         variants[run_config.mode.value] = _transformed_records(records, results)
     # drop any index that failed in any variant so corpora stay parallel
@@ -321,8 +349,6 @@ def _cmd_ner(args: argparse.Namespace) -> int:
             raise SystemExit(f"piisub ner: {exc} once the failed ones are dropped")
     report = run_ner_experiment(variants, **experiment)
     payload = report.to_json_dict()
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     out_file = out_dir / "ner.json"
     write_json(out_file, payload)
     print(ner_table(payload))
@@ -334,7 +360,12 @@ def _load_run_artifact(run_dir: str, name: str) -> dict:
     path = Path(run_dir) / name
     if not path.exists():
         raise SystemExit(f"no {name} in {run_dir}")
-    return json.loads(path.read_text(encoding="utf-8"))
+    try:
+        return json.loads(path.read_text(encoding="utf-8"))
+    except OSError as exc:
+        raise SystemExit(f"cannot read {path}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise SystemExit(f"{path} is not JSON: {exc}") from None
 
 
 def _cmd_report(args: argparse.Namespace) -> int:

@@ -45,14 +45,18 @@ def validate_spans(text: str, spans: list[PiiSpan]) -> list[PiiSpan]:
     return spans
 
 
+#: Each label's place in `Label`'s order, which breaks ties between spans
+#: and orders the oracle's search.
+_LABEL_ORDER = {label: i for i, label in enumerate(Label)}
+
+
 def resolve_overlaps(candidates: list[PiiSpan]) -> list[PiiSpan]:
     """Greedy non-overlap selection: longest first, then leftmost, then label order."""
-    order = {label: i for i, label in enumerate(Label)}
     unique = {(s.start, s.end, s.label): s for s in candidates}
     kept: list[PiiSpan] = []
     for span in sorted(
         unique.values(),
-        key=lambda s: (s.start - s.end, s.start, order[s.label]),
+        key=lambda s: (s.start - s.end, s.start, _LABEL_ORDER[s.label]),
     ):
         if all(span.end <= k.start or k.end <= span.start for k in kept):
             kept.append(span)
@@ -65,7 +69,7 @@ def detect_oracle(record: CorpusRecord) -> list[PiiSpan]:
     text = record.text
     folded = ci_fold(text)
     candidates: list[PiiSpan] = []
-    for label in Label:
+    for label in _LABEL_ORDER:
         for value in record.pii_gt.get(label, ()):
             for start, end in folded_occurrences(value, folded):
                 candidates.append(PiiSpan(start, end, label, text[start:end]))

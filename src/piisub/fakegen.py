@@ -19,29 +19,26 @@ the guard in the pipeline is still the hard enforcement.
 from __future__ import annotations
 
 import hmac
-import json
 import random
+from json.encoder import encode_basestring
 
 from .locales import DateFormat, Locale
 from .model import CacheKey, Label
 from .prompting import stable_seed
 
 
-# json.dumps(..., ensure_ascii=False) would build a new encoder per call
-_KEY_ENCODER = json.JSONEncoder(ensure_ascii=False)
-
-
 def draw_seed(key: CacheKey, secret: bytes = b"") -> int:
     """Seed of the fake-draw stream for one cache key.
 
     The key's fields are JSON-encoded so that no two keys share a message,
-    whatever text a family or canonical form holds. The seed is the
-    big-endian head of the message's HMAC-SHA256 keyed by `secret`, or,
-    with no secret, the project's unkeyed `stable_seed` of it.
+    whatever text a family or canonical form holds: the message is
+    `json.dumps(["fake", mode, family, label, canonical],
+    ensure_ascii=False)`, each string through the encoder it uses. The seed
+    is the big-endian head of the message's HMAC-SHA256 keyed by `secret`,
+    or, with no secret, the project's unkeyed `stable_seed` of it.
     """
-    message = _KEY_ENCODER.encode(
-        ["fake", key.mode.value, key.family, key.label.name, key.canonical]
-    )
+    fields = (key.mode.value, key.family, key.label.name, key.canonical)
+    message = '["fake", ' + ", ".join(map(encode_basestring, fields)) + "]"
     if not secret:
         return stable_seed(message)
     digest = hmac.digest(secret, message.encode("utf-8"), "sha256")

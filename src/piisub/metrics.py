@@ -33,7 +33,9 @@ def agg_mean(values: Iterable[float | None]) -> float | None:
     defined = [v for v in values if v is not None]
     if not defined:
         return None
-    return sum(defined) / len(defined)
+    # a left fold from 0.0: sum() compensates float error on 3.12+, and the
+    # mean must not depend on the interpreter
+    return reduce(add, defined, 0.0) / len(defined)
 
 
 @dataclass(frozen=True)
@@ -266,19 +268,24 @@ def welch_from_samples(xs: Sequence[float], ys: Sequence[float]) -> WelchResult:
     )
 
 
+#: A gram: the predicted character last, after up to `order - 1`
+#: characters of its context.
+Gram = tuple[str, ...]
+
+
 class _GramNLL(dict):
     """Gram -> NLL for the grams seen in training. A gram never seen costs
     the unseen NLL of its context, looked up and not stored, so the table
     stays the size of the training table."""
 
     def __init__(
-        self, seen: dict[str, float], unseen: dict[str, float], default: float
+        self, seen: dict[Gram, float], unseen: dict[Gram, float], default: float
     ) -> None:
         super().__init__(seen)
         self._unseen = unseen
         self._default = default
 
-    def __missing__(self, gram: str) -> float:
+    def __missing__(self, gram: Gram) -> float:
         return self._unseen.get(gram[:-1], self._default)
 
 
@@ -288,12 +295,13 @@ class CharNgramScorer:
     Contexts reset at chunk boundaries; texts are scored in fixed-size
     chunks so pathological lengths cannot skew a single context chain.
 
-    Each (context, character) pair is one gram string, the character with
-    up to `order - 1` characters before it in its chunk, so the gram's
-    last character is the one predicted and the rest is its context.
-    Training counts grams and precomputes every NLL the scorer can return;
-    scoring maps a text's grams through that table and adds the NLLs left
-    to right from 0.0.
+    Each (context, character) pair is one gram, a tuple of the character
+    with up to `order - 1` characters before it in its chunk, so the gram's
+    last item is the character predicted and the rest is its context. The
+    tuples are the ones `zip` builds over the chunk's shifted copies, so no
+    string is joined per character. Training counts grams and precomputes
+    every NLL the scorer can return; scoring maps a text's grams through
+    that table and adds the NLLs left to right from 0.0.
     """
 
     def __init__(self, order: int = 5, chunk_size: int = 1024) -> None:
@@ -301,7 +309,7 @@ class CharNgramScorer:
             raise ValueError("order must be >= 1")
         self.order = order
         self.chunk_size = chunk_size
-        self._counts: Counter[str] = Counter()
+        self._counts: Counter[Gram] = Counter()
         self._vocab: set[str] = set()
         self._nll = _GramNLL({}, {}, 0.0)
         #: Text -> (NLL, characters) of the texts scored with `remember`.
@@ -314,7 +322,7 @@ class CharNgramScorer:
             self._counts.update(self._grams(text))
         if not self._vocab:
             return
-        totals: Counter[str] = Counter()
+        totals: Counter[Gram] = Counter()
         for gram, count in self._counts.items():
             totals[gram[:-1]] += count
         vocab_size = len(self._vocab)
@@ -332,17 +340,17 @@ class CharNgramScorer:
         for i in range(0, len(text), self.chunk_size):
             yield text[i : i + self.chunk_size]
 
-    def _grams(self, text: str) -> Iterator[str]:
+    def _grams(self, text: str) -> Iterator[Gram]:
         """Every gram of the text, in text order."""
         return chain.from_iterable(map(self._chunk_grams, self._chunks(text)))
 
-    def _chunk_grams(self, chunk: str) -> Iterator[str]:
+    def _chunk_grams(self, chunk: str) -> Iterator[Gram]:
         # the first order-1 grams are the chunk's prefixes, the rest are
         # full-length windows
-        prefixes = range(1, min(self.order - 1, len(chunk)) + 1)
+        head = tuple(chunk[: self.order - 1])
         return chain(
-            map(chunk.__getitem__, map(slice, prefixes)),
-            map("".join, zip(*(chunk[j:] for j in range(self.order)))),
+            map(head.__getitem__, map(slice, range(1, len(head) + 1))),
+            zip(*(chunk[j:] for j in range(self.order))),
         )
 
     def _nll_and_chars(self, text: str) -> tuple[float, int]:

@@ -1,11 +1,19 @@
-"""Core domain types shared across the substitution pipeline."""
+"""Core domain types shared across the substitution pipeline.
+
+`Label` and `Mode` members hash by identity (`object.__hash__`, in C), not
+by `Enum.__hash__`, which hashes the member's name in Python on every
+lookup: they key the surrogate cache, the pools and every ground-truth
+table. Only iteration order can tell the two hashes apart, and no set of
+members is ever iterated into an artifact (dicts keep insertion order), so
+no output depends on it.
+"""
 
 from __future__ import annotations
 
 import _sre
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 try:
     from re._casefix import _EXTRA_CASES
@@ -25,6 +33,8 @@ class Label(Enum):
     URL = "URL"
     SECRET = "SECRET"
 
+    __hash__ = object.__hash__
+
     @classmethod
     def from_name(cls, name: str) -> "Label":
         try:
@@ -39,6 +49,8 @@ class Mode(Enum):
     REDACT = "redact"
     FAKER = "faker"
     HYBRID = "hybrid"
+
+    __hash__ = object.__hash__
 
     @classmethod
     def from_name(cls, name: str) -> "Mode":
@@ -180,9 +192,9 @@ class SurrogateDecision:
             raise ValueError("a fallback decision must record why the SLM failed")
 
 
-@dataclass(frozen=True, slots=True)
-class CacheKey:
-    """Identity of a surrogate decision: (mode, proposer family, canonical, label)."""
+class CacheKey(NamedTuple):
+    """Identity of a surrogate decision: (mode, proposer family, canonical,
+    label). A tuple, so it hashes and compares in C."""
 
     mode: Mode
     family: str

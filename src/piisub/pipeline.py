@@ -42,10 +42,11 @@ and each original once per reference.
 `persist_run` writes results.json one document at a time: the envelope
 (config, counters, run id, version) goes through `json.dumps`, and each
 document is rendered straight from its dataclasses by `_document_json` and
-written before the next. Its layout is fixed by the schema, and every string
-goes through the encoder `json.dump` uses, so the file has the bytes of
-`write_json(path, results.to_json_dict())`; tests keep that tree as the
-reference. The smaller artifacts go through `write_json`.
+written before the next. The renderer is a few f-strings, compiled once,
+that hold the schema's fixed layout at each depth (document, group, span);
+every string goes through the encoder `json.dump` uses, so the file has the
+bytes of `write_json(path, results.to_json_dict())`; tests keep that tree
+as the reference. The smaller artifacts go through `write_json`.
 """
 
 from __future__ import annotations
@@ -309,13 +310,14 @@ def _build_catalog(config: RunConfig) -> PoolCatalog:
     return builtin_catalog()
 
 
-def check_config(config: RunConfig) -> None:
+def check_config(config: RunConfig) -> PoolCatalog:
     """Build the backend, the detector and the demo pools a run of `config`
-    reads (see `RunConfig.settings_read`), and drop them: a setting they
-    reject raises its ValueError here, before any document is touched."""
+    reads (see `RunConfig.settings_read`): a setting they reject raises its
+    ValueError here, before any document is touched. Returns the pools, so
+    that the run (`run_corpus(..., catalog=...)`) reads a pool file once."""
     _build_backend(config)
     _build_detector(config)
-    _build_catalog(config)
+    return _build_catalog(config)
 
 
 class _Outcome(NamedTuple):
@@ -379,6 +381,7 @@ def run_corpus(
     *,
     fake_secret: bytes = b"",
     detected: Sequence[_Outcome] | None = None,
+    catalog: PoolCatalog | None = None,
 ) -> RunResults:
     """Transform every record under the config; per-document errors are
     recorded on the result instead of aborting the run. Only an unhealthy
@@ -387,12 +390,14 @@ def run_corpus(
 
     `detected` is `detect_corpus(records, config)`, which a command runs
     once for all its modes; without it the run detects the records itself.
-    `fake_secret` keys the fake-draw seeds (`fakegen.draw_seed`); it is
-    kept out of the run id and every written file."""
+    `catalog` is `check_config(config)`; without it the run builds its own
+    pools. `fake_secret` keys the fake-draw seeds (`fakegen.draw_seed`); it
+    is kept out of the run id and every written file."""
     if detected is None:
         detected = detect_corpus(records, config)
+    if catalog is None:
+        catalog = _build_catalog(config)
     read = config.settings_read()
-    catalog = _build_catalog(config)
     cache = SurrogateCache()
     backend = _build_backend(config)
     family = backend.id if backend is not None else config.mode.value
@@ -603,76 +608,70 @@ def write_json(path: str | Path, payload: dict) -> None:
         out.write("\n")
 
 
-#: The layout `json.dump(indent=2, sort_keys=True)` gives one entry of
-#: results.json's document list, a group and a span, at their depths.
-_DOCUMENT_JSON = """{{
-      "error": {error},
-      "groups": {groups},
-      "id": {id},
-      "locale": {locale},
-      "output": {output},
-      "template": {template}
-    }}"""
-_GROUP_JSON = """
-        {{
-          "canonical": {canonical},
-          "decision": {{
-            "demos_used": {demos},
-            "rejection_reasons": {reasons},
-            "source": {source},
-            "surrogate": {surrogate}
-          }},
-          "label": {label},
-          "mentions": {mentions},
-          "spans": [{spans}
-          ],
-          "surface": {surface}
-        }}"""
-_SPAN_JSON = """
-            [
-              {},
-              {}
-            ]"""
 _NO_DOCUMENTS = '\n  "documents": []'
 
 
-def _json_strings(values: Sequence[str], indent: str) -> str:
-    """A list of strings laid out as `json.dump(indent=2)` lays it out when
-    its closing bracket sits at `indent`."""
+def _json_strings(values: Sequence[str]) -> str:
+    """A list of strings in a group's decision, laid out as
+    `json.dump(indent=2)` lays it out at that depth."""
     if not values:
         return "[]"
-    items = f",\n{indent}  ".join(map(encode_basestring, values))
-    return f"[\n{indent}  {items}\n{indent}]"
+    items = ",\n              ".join(map(encode_basestring, values))
+    return f"[\n              {items}\n            ]"
+
+
+def _group_json(result: GroupResult) -> str:
+    """`result.to_json_dict()` as `json.dump(..., sort_keys=True,
+    ensure_ascii=False, indent=2)` writes it into a document's group list."""
+    group, decision = result.group, result.decision
+    members = group.members
+    spans = ",".join(
+        [
+            f"""
+            [
+              {span.start},
+              {span.end}
+            ]"""
+            for span in members
+        ]
+    )
+    reasons = [reason.value for reason in decision.rejection_reasons]
+    return f"""
+        {{
+          "canonical": {encode_basestring(group.canonical)},
+          "decision": {{
+            "demos_used": {_json_strings(decision.demos_used)},
+            "rejection_reasons": {_json_strings(reasons)},
+            "source": {encode_basestring(decision.source.value)},
+            "surrogate": {encode_basestring(decision.surrogate)}
+          }},
+          "label": {encode_basestring(group.label.name)},
+          "mentions": {len(members)},
+          "spans": [{spans}
+          ],
+          "surface": {encode_basestring(members[0].surface)}
+        }}"""
 
 
 def _document_json(doc: DocumentResult) -> str:
     """`doc.to_json_dict()` as `json.dump(..., sort_keys=True,
     ensure_ascii=False, indent=2)` writes it into results.json's document
-    list, rendered from the dataclasses with the same string encoder."""
-    groups = ",".join(
-        _GROUP_JSON.format(
-            canonical=encode_basestring(g.group.canonical),
-            demos=_json_strings(g.decision.demos_used, " " * 12),
-            reasons=_json_strings(
-                [r.value for r in g.decision.rejection_reasons], " " * 12
-            ),
-            source=encode_basestring(g.decision.source.value),
-            surrogate=encode_basestring(g.decision.surrogate),
-            label=encode_basestring(g.group.label.name),
-            mentions=len(g.group.members),
-            spans=",".join(_SPAN_JSON.format(s.start, s.end) for s in g.group.members),
-            surface=encode_basestring(g.group.members[0].surface),
-        )
-        for g in doc.groups
-    )
-    return _DOCUMENT_JSON.format(
-        error="null" if doc.error is None else encode_basestring(doc.error),
-        groups=f"[{groups}\n      ]" if groups else "[]",
-        id=encode_basestring(doc.record.id),
-        locale=encode_basestring(doc.record.locale),
-        output="null" if doc.output is None else encode_basestring(doc.output),
-        template=encode_basestring(doc.record.template),
-    )
+    list, rendered from the dataclasses by f-strings with the same string
+    encoder."""
+    record = doc.record
+    error = "null" if doc.error is None else encode_basestring(doc.error)
+    output = "null" if doc.output is None else encode_basestring(doc.output)
+    groups = "[]"
+    if doc.groups:
+        groups = "[" + ",".join([_group_json(g) for g in doc.groups]) + "\n      ]"
+    return f"""{{
+      "error": {error},
+      "groups": {groups},
+      "id": {encode_basestring(record.id)},
+      "locale": {encode_basestring(record.locale)},
+      "output": {output},
+      "template": {encode_basestring(record.template)}
+    }}"""
 
 
 def write_results(results: RunResults, path: str | Path) -> None:

@@ -1,6 +1,7 @@
 """CLI subcommands exercised in-process through main()."""
 
 import dataclasses
+import hashlib
 import json
 import os
 import subprocess
@@ -11,7 +12,7 @@ import pytest
 
 import piisub
 from piisub.cli import build_parser, main
-from piisub.corpus import load_corpus
+from piisub.corpus import load_corpus, save_corpus, synth_corpus
 from piisub.pipeline import RunConfig
 
 #: A value for every option that sets a RunConfig field. `slm_timeout` is a
@@ -156,6 +157,12 @@ class TestSynth:
         with pytest.raises(SystemExit, match="must not be negative, got -1"):
             main(["synth", "--n", "-1", "--out", str(out)])
         assert not out.exists()
+
+    def test_a_missing_directory_ends_in_one_line(self, tmp_path):
+        out = tmp_path / "missing-dir" / "x.jsonl"
+        with pytest.raises(SystemExit) as exc:
+            main(["synth", "--n", "5", "--out", str(out)])
+        assert exc.value.code == f"cannot write corpus {out}: No such file or directory"
 
 
 class TestRun:
@@ -452,6 +459,51 @@ class TestRun:
         assert "\n" not in exc.value.code
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("command", ["run", "ner"])
+    def test_an_out_directory_that_cannot_be_made_ends_before_detection(
+        self, corpus_file, tmp_path, monkeypatch, command
+    ):
+        import piisub.pipeline as pipeline
+
+        detected = []
+        monkeypatch.setattr(
+            pipeline, "detect_oracle", lambda record: detected.append(record) or []
+        )
+        blocker = tmp_path / "a-file"
+        blocker.write_text("", encoding="utf-8")
+        out = blocker / "out"
+        argv = [command, "--corpus", str(corpus_file), "--out", str(out)]
+        if command == "ner":
+            argv += ["--train-size", "8", "--test-size", "3"]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == f"cannot create output directory {out}: Not a directory"
+        assert detected == []
+
+    @pytest.mark.parametrize("command", ["run", "ner"])
+    def test_a_pool_file_is_read_once_per_command(
+        self, corpus_file, tmp_path, monkeypatch, command
+    ):
+        import piisub.pipeline as pipeline
+
+        loaded = []
+        load_pool_file = pipeline.load_pool_file
+        monkeypatch.setattr(
+            pipeline,
+            "load_pool_file",
+            lambda path: loaded.append(path) or load_pool_file(path),
+        )
+        pool_file = write_pool_file(tmp_path / "pools.json")
+        argv = [command, "--mode", "all", "--corpus", str(corpus_file)]
+        argv += ["--pool-file", pool_file, "--out", str(tmp_path / "out")]
+        if command == "run":
+            argv += ["--no-ppl"]
+        else:
+            argv += ["--train-size", "8", "--test-size", "3", "--iterations", "2"]
+        with pytest.warns(UserWarning, match="rotation is weak"):
+            assert main(argv) == 0
+        assert loaded == [pool_file]
+
     def test_backend_settings_of_a_run_without_a_model_are_unused(
         self, corpus_file, tmp_path
     ):
@@ -691,7 +743,8 @@ class TestDetectionOncePerCommand:
         argv += ["--detector", "external", "--detector-command", "unused"]
         assert main([*argv, "--parallelism", parallelism, "--out", str(out)]) == 1
         assert "aborted: detector command exited 1" in capsys.readouterr().err
-        assert not out.exists()
+        # --out is made before detection starts, and nothing is written in it
+        assert list(out.iterdir()) == []
 
 
 class TestNer:
@@ -847,7 +900,8 @@ class TestNer:
             "corpus has 10 once the failed ones are dropped"
         )
         assert "dropped 2 failed document(s)" in capsys.readouterr().err
-        assert not out.exists()
+        # --out is made before detection starts, and no ner.json is written
+        assert list(out.iterdir()) == []
 
     def test_config_keys_equal_their_flags(self, corpus_file, tmp_path):
         settings = {
@@ -952,6 +1006,67 @@ class TestRunArtifactCommands:
     def test_report_missing_metrics_names_the_file(self, tmp_path):
         with pytest.raises(SystemExit, match="no metrics.json"):
             main(["report", "--run", str(tmp_path)])
+
+    @pytest.mark.parametrize("name", ["metrics.json", "results.json", "regurgitation.json"])
+    def test_report_over_a_corrupt_artifact_names_the_file(self, all_modes, name):
+        run_dir = all_modes[0]["hybrid"]
+        (run_dir / name).write_text("{bad", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--run", str(run_dir)])
+        assert exc.value.code.startswith(f"{run_dir / name} is not JSON: ")
+        assert "\n" not in exc.value.code
+
+    def test_report_over_an_unreadable_artifact_names_the_file(self, all_modes):
+        run_dir = all_modes[0]["redact"]
+        (run_dir / "metrics.json").unlink()
+        (run_dir / "metrics.json").mkdir()
+        with pytest.raises(SystemExit) as exc:
+            main(["report", "--run", str(run_dir)])
+        assert exc.value.code == f"cannot read {run_dir / 'metrics.json'}: Is a directory"
+
+
+#: The sha256 of every compared artifact that `run --mode all` writes for
+#: `synth_corpus(240, 1)` with no fake-value secret, by run directory. The
+#: equivalence oracle: every supported interpreter writes these bytes.
+RUN_ALL_DIGESTS = {
+    "83e4b4ca51b4/metrics.json": (
+        "45c3dea40023b31b0a4a9fb56b5a75eb8fe4ec0e2a692cfc7f351b7bc948a085"
+    ),
+    "83e4b4ca51b4/regurgitation.json": (
+        "636f3d55643b6ec70ff8f608e8e61910d4ae02ea52445fe6f783b2c98b53076d"
+    ),
+    "83e4b4ca51b4/results.json": (
+        "6bc226974720ef14f5653bf44e9ff6ac418e72531cf18e7a5136ca6bf5f7c21c"
+    ),
+    "a61a6c41fa49/metrics.json": (
+        "3430d2bb8486893bb892cd4aa1418905030288c9f9e5a9ce4b2fb85f5d531db8"
+    ),
+    "a61a6c41fa49/results.json": (
+        "8fb8dacc952bac71580a22c424a5e678832ab9a57f2cd567ee13f40619e3f6f5"
+    ),
+    "a9b3e53ca129/metrics.json": (
+        "c413fecfc499fdd2b36acc757122da1f13b1e1a7dc5a7a59f88ed8b9ace206e8"
+    ),
+    "a9b3e53ca129/results.json": (
+        "60d5c9431868f2c37234a179d3c4673a77b4e10f19170f09fce5b27fce5bc18c"
+    ),
+}
+
+
+def test_run_all_writes_the_pinned_bytes(tmp_path, monkeypatch):
+    for name in list(os.environ):
+        if name.startswith("PIISUB_"):
+            monkeypatch.delenv(name)
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(synth_corpus(240, 1), corpus)
+    out = tmp_path / "results"
+    assert main(["run", "--mode", "all", "--corpus", str(corpus), "--out", str(out)]) == 0
+    digests = {
+        path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(out.glob("*/*.json"))
+        if path.name != "timings.json"
+    }
+    assert digests == RUN_ALL_DIGESTS
 
 
 def test_closed_stdout_exits_without_a_traceback(corpus_file, tmp_path):

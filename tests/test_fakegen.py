@@ -1,5 +1,7 @@
 """Shape and determinism of the seeded fake-value generator."""
 
+import hmac
+import json
 import random
 import re
 
@@ -75,6 +77,67 @@ class TestDeterminism:
             fake_value(Label.PHONE, Locale.EN, noise)
             shared[i] = draw(keys[i])
         assert [shared[i] for i in range(12)] == alone
+
+
+#: Characters JSON escapes or that are easy to mis-encode: quotes,
+#: backslashes, control characters, U+2028/U+2029, non-BMP text.
+_AWKWARD = st.text(
+    alphabet=st.one_of(
+        st.sampled_from('"\\/\x00\x01\x1f\x7f\n\t\u2028\u2029é東😀\U0010fffd'),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=12,
+)
+
+
+class TestSeedMessage:
+    """`draw_seed` hashes `json.dumps(["fake", mode, family, label,
+    canonical], ensure_ascii=False)`, however it builds that message."""
+
+    @given(
+        mode=st.sampled_from(list(Mode)),
+        label=st.sampled_from(list(Label)),
+        family=_AWKWARD,
+        canonical=_AWKWARD,
+    )
+    def test_message_is_the_json_of_the_key(self, mode, label, family, canonical):
+        k = key(canonical=canonical, label=label, mode=mode, family=family)
+        message = json.dumps(
+            ["fake", mode.value, family, label.name, canonical], ensure_ascii=False
+        )
+        assert draw_seed(k) == stable_seed(message)
+        digest = hmac.digest(b"s3cret", message.encode("utf-8"), "sha256")
+        assert draw_seed(k, b"s3cret") == int.from_bytes(digest[:8], "big")
+
+    @pytest.mark.parametrize(
+        "k, unkeyed, keyed",
+        [
+            (key(), 13416438763288135807, 8817084613049826391),
+            (
+                key(
+                    canonical='東京都 "quoted" \\ back\u2028',
+                    label=Label.ADDRESS,
+                    mode=Mode.HYBRID,
+                    family="mock-pool",
+                ),
+                17908177984139264940,
+                3123681493833934382,
+            ),
+            (
+                key(
+                    canonical="x\x01\U0001F600",
+                    label=Label.SECRET,
+                    mode=Mode.REDACT,
+                    family="redact",
+                ),
+                12432065278776193458,
+                7802612152206721924,
+            ),
+        ],
+    )
+    def test_pinned_seeds(self, k, unkeyed, keyed):
+        assert draw_seed(k) == unkeyed
+        assert draw_seed(k, b"s3cret") == keyed
 
 
 class TestShapes:
