@@ -19,7 +19,6 @@ from .model import (
     EntityGroup,
     Label,
     PiiSpan,
-    SurrogateDecision,
     canonicalize,
 )
 
@@ -34,15 +33,6 @@ def resolve_entities(spans: Iterable[PiiSpan]) -> list[EntityGroup]:
         EntityGroup(canonical=canonical, label=label, members=tuple(members))
         for (canonical, label), members in groups.items()
     ]
-
-
-def decision_to_json_dict(decision: SurrogateDecision) -> dict:
-    return {
-        "surrogate": decision.surrogate,
-        "source": decision.source.value,
-        "demos_used": list(decision.demos_used),
-        "rejection_reasons": [r.value for r in decision.rejection_reasons],
-    }
 
 
 class SurrogateCache:

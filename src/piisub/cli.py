@@ -154,6 +154,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _run_id(text: str) -> str:
+    """A pinned run id names one directory inside --out."""
+    if text in (".", "..") or any(c and c in text for c in (os.sep, os.altsep, "\0")):
+        raise argparse.ArgumentTypeError(f"must name one directory inside --out, not {text!r}")
+    return text
+
+
 def _run_config(
     args: argparse.Namespace, mode: Mode, run_id: str | None = None
 ) -> RunConfig:
@@ -403,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run = sub.add_parser("run", help="transform a corpus and compute metrics")
     p_run.add_argument("--mode", default="hybrid", help="mode name, list, or 'all'")
     p_run.add_argument("--no-ppl", action="store_true", help="skip perplexity")
-    p_run.add_argument("--run-id", help="name the run directory")
+    p_run.add_argument("--run-id", type=_run_id, help="name the run directory")
     _add_run_options(p_run)
     p_run.set_defaults(func=_cmd_run)
 

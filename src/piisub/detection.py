@@ -4,7 +4,9 @@ Three backends share one output contract (sorted, non-overlapping, in-bounds,
 surface-consistent spans): a ground-truth oracle, a pattern-rule detector for
 high-regularity labels, and an adapter for an external detector process or
 endpoint. The adapter imports its transport (`subprocess` or `urllib`) on its
-first call, so a run with the oracle or the rules never loads either.
+first call, so a run with the oracle or the rules never loads either; a
+command that does not split into words or a url that is not http(s) is
+refused when the adapter is built.
 """
 
 from __future__ import annotations
@@ -139,6 +141,17 @@ class ExternalDetector:
                 "the external detector needs exactly one of a command or a url"
             )
         check_timeout("detector", self.timeout)
+        if self.command:
+            import shlex
+
+            try:
+                self._argv = shlex.split(self.command)
+            except ValueError as exc:
+                raise ValueError(f"detector command {self.command!r}: {exc}") from None
+            if not self._argv:
+                raise ValueError("empty detector command")
+        elif not self.url.lower().startswith(("http://", "https://")):
+            raise ValueError(f"detector url must be http:// or https://, got {self.url!r}")
 
     def _transport(self, text: str) -> str:
         try:
@@ -148,12 +161,11 @@ class ExternalDetector:
 
     def _exchange(self, body: bytes) -> bytes:
         if self.command:
-            import shlex
             import subprocess
 
             try:
                 proc = subprocess.run(
-                    shlex.split(self.command),
+                    self._argv,
                     input=body,
                     capture_output=True,
                     timeout=self.timeout,

@@ -25,7 +25,7 @@ from itertools import chain
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .model import Label, ci_fold, folded_contains, folded_occurrences
+from .model import JsonReport, Label, ci_fold, folded_contains, folded_occurrences
 
 
 def agg_mean(values: Iterable[float | None]) -> float | None:
@@ -39,7 +39,9 @@ def agg_mean(values: Iterable[float | None]) -> float | None:
 
 
 @dataclass(frozen=True)
-class LeakReport:
+class LeakReport(JsonReport):
+    json_extra = ("rate",)
+
     leaked: int
     total: int
     leaked_values: tuple[str, ...] = ()
@@ -49,14 +51,6 @@ class LeakReport:
         if self.total == 0:
             return None
         return self.leaked / self.total
-
-    def to_json_dict(self) -> dict:
-        return {
-            "leaked": self.leaked,
-            "total": self.total,
-            "rate": self.rate,
-            "leaked_values": list(self.leaked_values),
-        }
 
 
 def leak_report(items: Iterable[tuple[Sequence[str], str]]) -> LeakReport:
@@ -80,7 +74,9 @@ def leak_report(items: Iterable[tuple[Sequence[str], str]]) -> LeakReport:
 
 
 @dataclass(frozen=True)
-class ConsistencyReport:
+class ConsistencyReport(JsonReport):
+    json_extra = ("rate",)
+
     multi_mention_groups: int
     consistent_groups: int
     occurrence_discrepancies: int
@@ -90,14 +86,6 @@ class ConsistencyReport:
         if self.multi_mention_groups == 0:
             return None
         return self.consistent_groups / self.multi_mention_groups
-
-    def to_json_dict(self) -> dict:
-        return {
-            "multi_mention_groups": self.multi_mention_groups,
-            "consistent_groups": self.consistent_groups,
-            "occurrence_discrepancies": self.occurrence_discrepancies,
-            "rate": self.rate,
-        }
 
 
 def consistency_report(
@@ -156,7 +144,9 @@ def round_display(x: float) -> float:
 
 
 @dataclass(frozen=True)
-class DistinctnessRow:
+class DistinctnessRow(JsonReport):
+    json_extra = ("ttr", "ttr_display")
+
     label: Label
     mentions: int
     unique_surrogates: int
@@ -171,15 +161,6 @@ class DistinctnessRow:
     def ttr_display(self) -> float | None:
         ttr = self.ttr
         return None if ttr is None else round_display(ttr)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.label.name,
-            "mentions": self.mentions,
-            "unique_surrogates": self.unique_surrogates,
-            "ttr": self.ttr,
-            "ttr_display": self.ttr_display,
-        }
 
 
 def distinctness_rows(
@@ -209,21 +190,12 @@ class DegenerateVariance(ValueError):
 
 
 @dataclass(frozen=True)
-class WelchResult:
+class WelchResult(JsonReport):
     mean_diff: float
     se: float
     t: float
     dof: float
     p: float
-
-    def to_json_dict(self) -> dict:
-        return {
-            "mean_diff": self.mean_diff,
-            "se": self.se,
-            "t": self.t,
-            "dof": self.dof,
-            "p": self.p,
-        }
 
 
 def sample_sd_from_population(pop_sd: float, n: int) -> float:

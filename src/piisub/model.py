@@ -6,19 +6,48 @@ lookup: they key the surrogate cache, the pools and every ground-truth
 table. Only iteration order can tell the two hashes apart, and no set of
 members is ever iterated into an artifact (dicts keep insertion order), so
 no output depends on it.
+
+Every report object becomes JSON by one rule, `JsonReport.to_json_dict`:
+its dataclass fields, minus `json_skip`, plus the properties named in
+`json_extra`, each through `json_value`. An artifact is written with
+sorted keys, so the order of the keys never reaches a file.
 """
 
 from __future__ import annotations
 
 import _sre
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from enum import Enum
-from typing import Callable, Iterable, Iterator, NamedTuple
+from re._casefix import _EXTRA_CASES
+from typing import Any, Callable, ClassVar, Iterable, Iterator, NamedTuple
 
-try:
-    from re._casefix import _EXTRA_CASES
-except ImportError:  # Python 3.10
-    from sre_compile import _ignorecase_fixes as _EXTRA_CASES
+
+class JsonReport:
+    """Base of the dataclasses that are written as JSON objects."""
+
+    #: Fields left out of the object.
+    json_skip: ClassVar[tuple[str, ...]] = ()
+    #: Properties written as keys beside the fields.
+    json_extra: ClassVar[tuple[str, ...]] = ()
+
+    def to_json_dict(self) -> dict:
+        names = [f.name for f in fields(self) if f.name not in self.json_skip]
+        names += self.json_extra
+        return {name: json_value(getattr(self, name)) for name in names}
+
+
+def json_value(value: Any) -> Any:
+    """`value` as JSON data: a report as its dict, an Enum as its value, a
+    dict, list or tuple item by item, anything else as it is."""
+    if isinstance(value, JsonReport):
+        return value.to_json_dict()
+    if isinstance(value, Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {key: json_value(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [json_value(item) for item in value]
+    return value
 
 
 class Label(Enum):
@@ -169,7 +198,7 @@ class CorpusRecord:
 
 
 @dataclass(frozen=True)
-class SurrogateDecision:
+class SurrogateDecision(JsonReport):
     """The replacement chosen for one entity, with provenance.
 
     An accepted language-model proposal carries exactly the three

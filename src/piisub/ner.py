@@ -34,7 +34,7 @@ from typing import Iterable, Sequence
 from .corpus import largest_remainder
 from .detection import detect_oracle
 from .metrics import DegenerateVariance, WelchResult, welch_from_samples
-from .model import CorpusRecord, ci_fold, folded_contains
+from .model import CorpusRecord, JsonReport, ci_fold, folded_contains
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -336,11 +336,21 @@ def match_spans(gold: Sequence[Span], pred: Sequence[Span]) -> SpanCounts:
 
 
 @dataclass
-class VariantScores:
+class VariantScores(JsonReport):
+    json_extra = ("precision_mean", "recall_mean", "mean", "sd_population", "sd_sample")
+
     precision_by_seed: list[float] = field(default_factory=list)
     recall_by_seed: list[float] = field(default_factory=list)
     f1_by_seed: list[float] = field(default_factory=list)
     train_spans_by_seed: list[int] = field(default_factory=list)
+
+    @property
+    def precision_mean(self) -> float:
+        return fmean(self.precision_by_seed)
+
+    @property
+    def recall_mean(self) -> float:
+        return fmean(self.recall_by_seed)
 
     @property
     def mean(self) -> float:
@@ -354,22 +364,9 @@ class VariantScores:
     def sd_sample(self) -> float:
         return stdev(self.f1_by_seed)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "precision_by_seed": self.precision_by_seed,
-            "recall_by_seed": self.recall_by_seed,
-            "f1_by_seed": self.f1_by_seed,
-            "train_spans_by_seed": self.train_spans_by_seed,
-            "precision_mean": fmean(self.precision_by_seed),
-            "recall_mean": fmean(self.recall_by_seed),
-            "mean": self.mean,
-            "sd_population": self.sd_population,
-            "sd_sample": self.sd_sample,
-        }
-
 
 @dataclass
-class NerReport:
+class NerReport(JsonReport):
     variant_order: list[str]
     scores: dict[str, VariantScores]
     comparisons: dict[str, WelchResult | None]
@@ -377,20 +374,6 @@ class NerReport:
     train_size: int
     test_size: int
     seeds: list[int]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "variant_order": self.variant_order,
-            "scores": {k: v.to_json_dict() for k, v in self.scores.items()},
-            "comparisons": {
-                k: (v.to_json_dict() if v is not None else None)
-                for k, v in sorted(self.comparisons.items())
-            },
-            "annotation_gaps": self.annotation_gaps,
-            "train_size": self.train_size,
-            "test_size": self.test_size,
-            "seeds": self.seeds,
-        }
 
 
 def check_seeds(seeds: Sequence[int]) -> None:

@@ -56,7 +56,6 @@ import json
 import time
 from collections import deque
 from dataclasses import dataclass, field, fields
-from enum import Enum
 from functools import partial
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -70,7 +69,7 @@ from .backends import (
     SlmBackend,
     make_backend,
 )
-from .cache import SurrogateCache, decision_to_json_dict, resolve_entities
+from .cache import SurrogateCache, resolve_entities
 from .detection import (
     DetectorProtocolError,
     DetectorUnavailable,
@@ -93,10 +92,12 @@ from .model import (
     CacheKey,
     CorpusRecord,
     EntityGroup,
+    JsonReport,
     Mode,
     PiiSpan,
     SurrogateDecision,
     ci_any_matcher,
+    json_value,
 )
 from .pools import PoolCatalog, builtin_catalog, load_pool_file
 from .prompting import DemoStrategy, analyze_regurgitation
@@ -168,14 +169,10 @@ class RunConfig:
         cannot split the run id."""
         read = self.settings_read()
         return {
-            f.name: _json_value(getattr(self, f.name) if f.name in read else f.default)
+            f.name: json_value(getattr(self, f.name) if f.name in read else f.default)
             for f in fields(self)
             if f.name != "run_id" and f.name not in EXECUTION_FIELDS
         }
-
-
-def _json_value(value):
-    return value.value if isinstance(value, Enum) else value
 
 
 def corpus_fingerprint(records: Sequence[CorpusRecord]) -> str:
@@ -211,7 +208,7 @@ class GroupResult:
             "surface": self.group.members[0].surface,
             "mentions": len(self.group.members),
             "spans": [[s.start, s.end] for s in self.group.members],
-            "decision": decision_to_json_dict(self.decision),
+            "decision": self.decision.to_json_dict(),
         }
 
 
@@ -479,7 +476,9 @@ def run_corpus(
 
 
 @dataclass
-class MetricsReport:
+class MetricsReport(JsonReport):
+    json_extra = ("aggregate",)
+
     leak: LeakReport
     consistency: ConsistencyReport
     length_preservation_mean: float | None
@@ -493,18 +492,6 @@ class MetricsReport:
         return agg_mean(
             [self.leak.rate, self.consistency.rate, self.length_preservation_mean]
         )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "leak": self.leak.to_json_dict(),
-            "consistency": self.consistency.to_json_dict(),
-            "length_preservation_mean": self.length_preservation_mean,
-            "distinctness": [row.to_json_dict() for row in self.distinctness],
-            "perplexity_original": self.perplexity_original,
-            "perplexity_transformed": self.perplexity_transformed,
-            "documents_failed": self.documents_failed,
-            "aggregate": self.aggregate,
-        }
 
 
 def _non_pii_portions(text: str, spans: Iterable[PiiSpan]) -> list[str]:

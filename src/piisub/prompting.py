@@ -16,7 +16,15 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterable, Sequence
 
-from .model import SLM_LABELS, Label, RejectionReason, Source, SurrogateDecision, canonicalize
+from .model import (
+    SLM_LABELS,
+    JsonReport,
+    Label,
+    RejectionReason,
+    Source,
+    SurrogateDecision,
+    canonicalize,
+)
 from .pools import Demo, PoolCatalog
 
 SAMPLE_SIZE = 3
@@ -137,8 +145,11 @@ def validate_response(
 
 
 @dataclass
-class PoolRegurgStats:
+class PoolRegurgStats(JsonReport):
     """Copy behaviour of model decisions grouped by the input's own pool."""
+
+    json_skip = ("surrogates",)
+    json_extra = ("unique_surrogates",)
 
     slm_decisions: int = 0
     output_copies: int = 0
@@ -150,18 +161,9 @@ class PoolRegurgStats:
     def unique_surrogates(self) -> int:
         return len(self.surrogates)
 
-    def to_json_dict(self) -> dict:
-        return {
-            "slm_decisions": self.slm_decisions,
-            "output_copies": self.output_copies,
-            "input_copies": self.input_copies,
-            "unique_surrogates": self.unique_surrogates,
-            "ceiling": self.ceiling,
-        }
-
 
 @dataclass
-class RegurgitationReport:
+class RegurgitationReport(JsonReport):
     total_unique: int = 0
     slm_decisions: int = 0
     fallback_decisions: int = 0
@@ -171,22 +173,6 @@ class RegurgitationReport:
     cross_pool_copies: int = 0
     by_input_pool: dict[str, PoolRegurgStats] = field(default_factory=dict)
     fallback_reasons: Counter = field(default_factory=Counter)
-
-    def to_json_dict(self) -> dict:
-        return {
-            "total_unique": self.total_unique,
-            "slm_decisions": self.slm_decisions,
-            "fallback_decisions": self.fallback_decisions,
-            "output_copies": self.output_copies,
-            "input_copies": self.input_copies,
-            "novel": self.novel,
-            "cross_pool_copies": self.cross_pool_copies,
-            "by_input_pool": {
-                name: stats.to_json_dict()
-                for name, stats in sorted(self.by_input_pool.items())
-            },
-            "fallback_reasons": dict(sorted(self.fallback_reasons.items())),
-        }
 
 
 def analyze_regurgitation(

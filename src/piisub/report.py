@@ -1,7 +1,7 @@
 """Plain-text tables over run artifacts.
 
 All renderers take the JSON dict shapes that the run writes to disk (the
-same dicts the dataclasses' to_json_dict methods produce), so a saved run
+dicts `model.JsonReport.to_json_dict` makes of the reports), so a saved run
 and a fresh in-process run print identically. `render_runs` is the one
 report of run directories: `report.txt`, the tables `piisub run` prints
 and `piisub report` all come from it.

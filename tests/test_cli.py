@@ -80,6 +80,19 @@ REJECTED_SETTINGS = {
         {"detector": "external", "detector_command": "x", "detector_timeout": 1e300},
         "detector timeout must be at most 2147483 s, got 1e+300",
     ),
+    # each failed every document, or died in a traceback, once the run began
+    "unclosed-quote-in-detector-command": (
+        {"detector": "external", "detector_command": "python3 'x"},
+        "detector command \"python3 'x\": No closing quotation",
+    ),
+    "blank-detector-command": (
+        {"detector": "external", "detector_command": "   "},
+        "empty detector command",
+    ),
+    "detector-url-not-http": (
+        {"detector": "external", "detector_url": "notaurl"},
+        "detector url must be http:// or https://, got 'notaurl'",
+    ),
 }
 
 #: Pool files that no hybrid run can use, each with the message of its
@@ -641,6 +654,30 @@ class TestRun:
         names = {d.name for d in run_dirs(out)}
         assert names == {"pinned-redact", "pinned-faker", "pinned-hybrid"}
 
+    @pytest.mark.parametrize("given", ["flag", "config"])
+    @pytest.mark.parametrize("run_id", [".", "..", "a/b", "../b", "a\0b"])
+    def test_a_run_id_outside_one_directory_is_a_usage_error(
+        self, corpus_file, tmp_path, capsys, monkeypatch, run_id, given
+    ):
+        import piisub.cli as cli
+
+        def no_read(*args, **kwargs):
+            raise AssertionError("read the corpus before the run id was checked")
+
+        monkeypatch.setattr(cli, "load_corpus", no_read)
+        out = tmp_path / "parent" / "out"
+        argv = ["run", "--mode", "redact", "--corpus", str(corpus_file), "--out", str(out)]
+        if given == "flag":
+            argv.append(f"--run-id={run_id}")
+        else:
+            argv += ["--config", write_config(tmp_path / "config.json", {"run_id": run_id})]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        message = f"argument --run-id: must name one directory inside --out, not {run_id!r}"
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "parent").exists()
+
     def test_unhealthy_backend_exits_cleanly(self, corpus_file, tmp_path, capsys):
         code = main(
             [
@@ -1067,6 +1104,22 @@ def test_run_all_writes_the_pinned_bytes(tmp_path, monkeypatch):
         if path.name != "timings.json"
     }
     assert digests == RUN_ALL_DIGESTS
+
+
+def test_ner_probe_writes_the_pinned_bytes(tmp_path, monkeypatch):
+    """The benchmark's ner-probe shape: `ner.json` is the NER table's
+    equivalence oracle, as RUN_ALL_DIGESTS is the run artifacts'."""
+    for name in list(os.environ):
+        if name.startswith("PIISUB_"):
+            monkeypatch.delenv(name)
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(synth_corpus(80, 1), corpus)
+    out = tmp_path / "ner"
+    argv = ["ner", "--corpus", str(corpus), "--out", str(out), "--iterations", "10"]
+    assert main([*argv, "--train-size", "64", "--test-size", "16"]) == 0
+    assert hashlib.sha256((out / "ner.json").read_bytes()).hexdigest() == (
+        "f8e293b356b748a7188bed0e4989b857f6584bd5fdd004618a8ea1ec92265cb0"
+    )
 
 
 def test_closed_stdout_exits_without_a_traceback(corpus_file, tmp_path):

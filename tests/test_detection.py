@@ -143,6 +143,19 @@ class TestExternalDetector:
         with pytest.raises(ValueError, match="exactly one"):
             ExternalDetector(command="x", url="http://y")
 
+    @pytest.mark.parametrize(
+        "transport, message",
+        [
+            ({"command": "  "}, "empty detector command"),
+            ({"command": "sh -c 'x"}, "No closing quotation"),
+            ({"url": "file:///etc/hosts"}, "detector url must be http:// or https://"),
+            ({"url": "localhost:8080"}, "detector url must be http:// or https://"),
+        ],
+    )
+    def test_a_transport_that_cannot_work_is_refused_when_built(self, transport, message):
+        with pytest.raises(ValueError, match=message):
+            ExternalDetector(**transport)
+
     @pytest.mark.parametrize("timeout", [0, -2.0])
     def test_timeout_must_be_positive(self, timeout):
         with pytest.raises(ValueError, match="detector timeout must be above 0"):
