@@ -3,9 +3,9 @@
 A backend maps a rendered prompt string to a raw completion string and knows
 nothing about entities or pools. The two mock backends exist to make runs
 reproducible without a model: they parse the demonstrations back out of the
-prompt and answer from them. The command backend shells out to any local
-model runner; it imports `shlex` and `subprocess` when it is first built
-and first called, so a run with a mock backend never loads them.
+prompt and answer from them. The command backend runs any local model
+runner through `model.run_command`, the external detector's transport too,
+which imports `subprocess` on its first call: a mock run never loads it.
 
 A backend sets no concurrency limit of its own: the run's worker pool is
 the only thing that calls `propose` from several threads, so at most
@@ -22,7 +22,7 @@ import threading
 from abc import ABC, abstractmethod
 from pathlib import Path
 
-from .model import check_timeout
+from .model import check_timeout, run_command, split_command
 from .prompting import splitmix64, stable_seed
 
 DEFAULT_TIMEOUT = 60.0
@@ -30,7 +30,7 @@ DEFAULT_FAILURE_THRESHOLD = 5
 
 
 class BackendInvocationError(RuntimeError):
-    """One call failed: transport error, timeout, nonzero exit or non-text reply."""
+    """One call failed: transport error, timeout, nonzero exit or non-UTF-8 reply."""
 
 
 class BackendUnhealthy(RuntimeError):
@@ -135,9 +135,9 @@ class MockEchoDemoBackend(SlmBackend):
 class CommandBackend(SlmBackend):
     """Runs a local command per call; stdout is the completion.
 
-    The prompt reaches the command either through a literal `{prompt}`
-    substitution in the argument template, or on stdin, where the template
-    must not hold `{prompt}`: the command would get the literal string.
+    The prompt reaches the command as a literal `{prompt}` substitution in
+    the argument template, with an empty stdin, or on stdin, where the
+    template must not hold `{prompt}`: the command would read it literally.
     """
 
     def __init__(
@@ -146,18 +146,13 @@ class CommandBackend(SlmBackend):
         *,
         prompt_via: str = "arg",
         timeout: float = DEFAULT_TIMEOUT,
-        backend_id: str | None = None,
         failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
     ) -> None:
-        import shlex
-
         super().__init__(failure_threshold=failure_threshold)
         if prompt_via not in ("arg", "stdin"):
             raise ValueError(f"prompt_via must be 'arg' or 'stdin', got {prompt_via!r}")
         check_timeout("backend", timeout)
-        self._argv = shlex.split(template)
-        if not self._argv:
-            raise ValueError("empty command template")
+        self._argv = split_command("backend", template)
         placeholder = any("{prompt}" in a for a in self._argv)
         if prompt_via == "arg" and not placeholder:
             raise ValueError("arg mode needs a {prompt} placeholder in the template")
@@ -165,34 +160,17 @@ class CommandBackend(SlmBackend):
             raise ValueError("stdin mode takes no {prompt} placeholder in the template")
         self._prompt_via = prompt_via
         self._timeout = timeout
-        self.id = backend_id or f"command:{Path(self._argv[0]).name}"
+        self.id = f"command:{Path(self._argv[0]).name}"
 
     def _invoke(self, prompt: str) -> str:
-        import subprocess
-
         if self._prompt_via == "arg":
-            argv = [a.replace("{prompt}", prompt) for a in self._argv]
-            stdin_data = None
+            argv, data = [a.replace("{prompt}", prompt) for a in self._argv], ""
         else:
-            argv = self._argv
-            stdin_data = prompt
+            argv, data = self._argv, prompt
         try:
-            proc = subprocess.run(
-                argv,
-                input=stdin_data,
-                capture_output=True,
-                text=True,
-                timeout=self._timeout,
-            )
-        except (OSError, subprocess.TimeoutExpired, UnicodeDecodeError) as exc:
+            return run_command(argv, data, self._timeout)
+        except (OSError, UnicodeError) as exc:
             raise BackendInvocationError(f"{self.id}: {exc}") from exc
-        if proc.returncode != 0:
-            detail = proc.stderr.strip().splitlines()
-            raise BackendInvocationError(
-                f"{self.id}: exit {proc.returncode}"
-                + (f": {detail[0]}" if detail else "")
-            )
-        return proc.stdout
 
 
 def make_backend(

@@ -3,10 +3,11 @@
 Three backends share one output contract (sorted, non-overlapping, in-bounds,
 surface-consistent spans): a ground-truth oracle, a pattern-rule detector for
 high-regularity labels, and an adapter for an external detector process or
-endpoint. The adapter imports its transport (`subprocess` or `urllib`) on its
-first call, so a run with the oracle or the rules never loads either; a
-command that does not split into words or a url that is not http(s) is
-refused when the adapter is built.
+endpoint. A command runs through `model.run_command`, the transport the
+command backend shares, which imports `subprocess` on its first call; a url
+imports `urllib` and `http.client` on its first call. So a run with the
+oracle or the rules loads neither. A command that does not split into words
+or a url that is not http(s) is refused when the adapter is built.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ from .model import (
     check_timeout,
     ci_fold,
     folded_occurrences,
+    run_command,
+    split_command,
 )
 
 
@@ -137,56 +140,35 @@ class ExternalDetector:
 
     def __post_init__(self) -> None:
         if bool(self.command) == bool(self.url):
-            raise ValueError(
-                "the external detector needs exactly one of a command or a url"
-            )
+            raise ValueError("the external detector needs exactly one of a command or a url")
         check_timeout("detector", self.timeout)
         if self.command:
-            import shlex
-
-            try:
-                self._argv = shlex.split(self.command)
-            except ValueError as exc:
-                raise ValueError(f"detector command {self.command!r}: {exc}") from None
-            if not self._argv:
-                raise ValueError("empty detector command")
+            self._argv = split_command("detector", self.command)
         elif not self.url.lower().startswith(("http://", "https://")):
             raise ValueError(f"detector url must be http:// or https://, got {self.url!r}")
 
     def _transport(self, text: str) -> str:
         try:
-            return self._exchange(text.encode("utf-8")).decode("utf-8")
+            if self.command:
+                return run_command(self._argv, text, self.timeout)
+            return self._post(text)
         except UnicodeDecodeError as exc:
             raise DetectorProtocolError(f"response is not UTF-8: {exc}") from exc
+        except OSError as exc:
+            where = "command" if self.command else "endpoint"
+            raise DetectorUnavailable(f"detector {where} failed: {exc}") from exc
 
-    def _exchange(self, body: bytes) -> bytes:
-        if self.command:
-            import subprocess
-
-            try:
-                proc = subprocess.run(
-                    self._argv,
-                    input=body,
-                    capture_output=True,
-                    timeout=self.timeout,
-                )
-            except (OSError, subprocess.TimeoutExpired) as exc:
-                raise DetectorUnavailable(f"detector command failed: {exc}") from exc
-            if proc.returncode != 0:
-                raise DetectorUnavailable(
-                    f"detector command exited {proc.returncode}"
-                )
-            return proc.stdout
-        assert self.url is not None
-        import urllib.error
+    def _post(self, text: str) -> str:
+        import http.client
         import urllib.request
 
-        req = urllib.request.Request(self.url, data=body, method="POST")
+        req = urllib.request.Request(self.url, data=text.encode("utf-8"), method="POST")
         try:
             with urllib.request.urlopen(req, timeout=self.timeout) as resp:
-                return resp.read()
-        except (urllib.error.URLError, OSError, TimeoutError) as exc:
-            raise DetectorUnavailable(f"detector endpoint failed: {exc}") from exc
+                return resp.read().decode("utf-8")
+        except http.client.HTTPException as exc:
+            # an endpoint that answers outside HTTP fails like one that is down
+            raise OSError(repr(exc)) from exc
 
     def __call__(self, record: CorpusRecord) -> list[PiiSpan]:
         return self.detect(record.text)

@@ -130,6 +130,44 @@ def check_timeout(what: str, timeout: float) -> None:
         )
 
 
+def split_command(what: str, template: str) -> list[str]:
+    """A command template's words, split as a POSIX shell splits them; an
+    unclosed quote or no words at all is refused, naming the command."""
+    import shlex
+
+    try:
+        argv = shlex.split(template)
+    except ValueError as exc:
+        raise ValueError(f"{what} command {template!r}: {exc}") from None
+    if not argv:
+        raise ValueError(f"empty {what} command")
+    return argv
+
+
+def run_command(argv: list[str], data: str, timeout: float) -> str:
+    """Run `argv` once with `data` on a stdin pipe of its own and return its
+    stdout, all UTF-8 whatever the locale. A command that cannot start,
+    times out or exits non-zero raises OSError (with its first stderr line);
+    stdout that is not UTF-8 raises UnicodeDecodeError."""
+    import subprocess
+
+    try:
+        proc = subprocess.run(
+            [arg.encode("utf-8") for arg in argv],
+            input=data.encode("utf-8"),
+            capture_output=True,
+            timeout=timeout,
+        )
+    except subprocess.TimeoutExpired:
+        raise OSError(f"timed out after {timeout} s") from None
+    except OSError as exc:
+        raise OSError(f"cannot run {argv[0]}: {exc.strerror}") from None
+    if proc.returncode != 0:
+        detail = proc.stderr.decode("utf-8", "replace").strip().splitlines()
+        raise OSError(f"exit {proc.returncode}" + (f": {detail[0]}" if detail else ""))
+    return proc.stdout.decode("utf-8")
+
+
 class EmptyCanonical(ValueError):
     """Raised when canonicalize receives a whitespace-only string."""
 

@@ -4,21 +4,20 @@ A run is identified by a short hash over its configuration and the corpus
 fingerprint, so rerunning the same setup lands in the same directory with
 byte-identical result files. `parallelism`, the one concurrency setting, is
 how many calls to an out-of-process adapter (a command backend, an external
-detector) may be in flight; it changes how a run executes, not what it
-computes.
+detector, both through `model.run_command`) may be in flight; it changes
+how a run executes, not what it computes. `_calls` runs the tasks of both
+stages: on a pool of workers (it imports `concurrent.futures`) for such an
+adapter, in place for any other.
 
 Detection is the costly stage (an on-device model in the paper), so a
 command does it once: `detect_corpus` detects and resolves every record
 before any mode runs, and its result goes to every mode's `run_corpus` and,
-with the oracle detector, to `perplexity_reference`. An external
-detector's calls run on a pool of `parallelism` workers there, and a
-detector that does not answer stops the command before any mode has
-written. `run_corpus` then walks the records in order
-in the calling thread, the surrogate cache's only caller, so the first
-mention in record order proposes each key; the proposals are tasks, on a
-pool of `parallelism` workers only for a command backend. The walk
-finishes each document (its splice) in record order once its keys are
-decided, so no worker blocks on another's proposal.
+with the oracle detector, to `perplexity_reference`. A detector that does
+not answer stops the command there, before any mode has written.
+`run_corpus` then walks the records in order in the calling thread, the
+surrogate cache's only caller, so the first mention in record order
+proposes each key. The walk finishes each document (its splice) in record
+order once its keys are decided, so no worker waits on another's proposal.
 Fake draws are seeded by the cache key, not by the document. So a serial
 and a parallel run of the same work share one run id and the same bytes.
 The setting is written with the wall-clock timings to their own file and
@@ -55,11 +54,12 @@ import hashlib
 import json
 import time
 from collections import deque
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
 from json.encoder import encode_basestring
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .backends import (
     DEFAULT_FAILURE_THRESHOLD,
@@ -347,6 +347,23 @@ def _attempt(task: Callable, *args) -> _Outcome:
     return _Outcome(value, error, time.perf_counter() - t0)
 
 
+@contextmanager
+def _calls(parallelism: int, adapter: object) -> Iterator[Callable]:
+    """Yield `submit(task, *args)`, which runs `_attempt(task, *args)` on a
+    pool of `parallelism` workers (its queue cancelled on the way out) when
+    `adapter` waits on another process, in place otherwise."""
+    if parallelism == 1 or not isinstance(adapter, (CommandBackend, ExternalDetector)):
+        yield _attempt
+        return
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool = ThreadPoolExecutor(parallelism)
+    try:
+        yield partial(pool.submit, _attempt)
+    finally:
+        pool.shutdown(cancel_futures=True)
+
+
 def detect_corpus(
     records: Sequence[CorpusRecord], config: RunConfig
 ) -> list[_Outcome]:
@@ -354,22 +371,15 @@ def detect_corpus(
     its entity groups or the error that fails its document, and the
     seconds they took. It reads only the detector settings of `config`, so
     every mode of one command shares one pass. An unavailable external
-    detector raises `DetectorUnavailable` here, before any mode has run.
-    Only an external detector at `parallelism` > 1 gets a pool."""
+    detector raises `DetectorUnavailable` here, before any mode has run."""
     detector = _build_detector(config)
 
     def detect(record: CorpusRecord) -> list[EntityGroup]:
         return resolve_entities(detector(record))
 
-    if config.parallelism == 1 or not isinstance(detector, ExternalDetector):
-        return [_attempt(detect, record) for record in records]
-    from concurrent.futures import ThreadPoolExecutor
-
-    pool = ThreadPoolExecutor(config.parallelism)
-    try:
-        return list(pool.map(partial(_attempt, detect), records))
-    finally:
-        pool.shutdown(cancel_futures=True)
+    with _calls(config.parallelism, detector) as submit:
+        tasks = [submit(detect, record) for record in records]
+        return [task.result() for task in tasks]
 
 
 def run_corpus(
@@ -412,18 +422,7 @@ def run_corpus(
         blocked=blocked,
         fake_secret=fake_secret,
     )
-    # only a call that waits on another process gains from a worker
-    pool = None
-    if config.parallelism > 1 and isinstance(backend, CommandBackend):
-        from concurrent.futures import ThreadPoolExecutor
-
-        pool = ThreadPoolExecutor(config.parallelism)
-    submit = pool.submit if pool else lambda task, *args: task(*args)
     proposed = []  # each key's task: its outcome or that outcome's Future
-
-    def propose_once(surface: str, key: CacheKey):
-        proposed.append(submit(_attempt, propose, surface, key))
-        return proposed[-1]
 
     def finish(record: CorpusRecord, found: _Outcome, tasks: list) -> _Outcome:
         """The document from its groups and its keys' outcomes, which the
@@ -442,7 +441,12 @@ def run_corpus(
     # the seconds of the shared pass, the same in every mode that reads it
     detect_s = sum(found.seconds for found in detected)
     timings = {"detect": detect_s, "surrogate": 0.0, "splice": 0.0}
-    try:
+    with _calls(config.parallelism, backend) as submit:
+
+        def propose_once(surface: str, key: CacheKey):
+            proposed.append(submit(propose, surface, key))
+            return proposed[-1]
+
         finished = []
         # documents whose keys are not all decided yet, in record order: the
         # walk finishes the oldest as soon as their keys are decided, so no
@@ -461,9 +465,6 @@ def run_corpus(
         documents = [outcome.value for outcome in finished]
         timings["splice"] = sum(outcome.seconds for outcome in finished)
         timings["surrogate"] = sum(task.result().seconds for task in proposed)
-    finally:
-        if pool is not None:
-            pool.shutdown(cancel_futures=True)
     return RunResults(
         run_id=derive_run_id(config, records),
         config=config,

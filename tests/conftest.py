@@ -1,3 +1,7 @@
+import re
+import socket
+import threading
+
 import pytest
 
 from piisub.corpus import synth_corpus
@@ -34,3 +38,37 @@ def catalog():
 def small_corpus():
     """20 multilingual synthetic documents, fixed seed."""
     return synth_corpus(20, seed=5)
+
+
+@pytest.fixture
+def not_http_endpoint():
+    """A loopback endpoint that reads each request whole and answers it with
+    a line that is not an HTTP status line; yields its url."""
+    server = socket.create_server(("127.0.0.1", 0))
+    server.settimeout(0.05)
+    stop = threading.Event()
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = server.accept()
+            except TimeoutError:
+                continue
+            with conn:
+                conn.settimeout(10)
+                request = b""
+                while b"\r\n\r\n" not in request and (chunk := conn.recv(65536)):
+                    request += chunk
+                head, _, body = request.partition(b"\r\n\r\n")
+                length = re.search(rb"(?i)content-length: *(\d+)", head)
+                need = int(length.group(1)) if length else 0
+                while len(body) < need and (chunk := conn.recv(65536)):
+                    body += chunk
+                conn.sendall(b"NOT HTTP\r\n")
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{server.getsockname()[1]}/spans"
+    stop.set()
+    thread.join()
+    server.close()

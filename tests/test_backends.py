@@ -156,8 +156,6 @@ class TestCommandBackend:
     def test_default_id_uses_basename(self, echo_script):
         backend = CommandBackend(f"{sys.executable} {echo_script} '{{prompt}}'")
         assert backend.id.startswith("command:python")
-        backend = CommandBackend("runner '{prompt}'", backend_id="my-model")
-        assert backend.id == "my-model"
 
     def test_nonzero_exit(self, tmp_path):
         script = tmp_path / "fail.py"
@@ -175,7 +173,7 @@ class TestCommandBackend:
             backend.propose(PROMPT)
 
     def test_undecodable_reply_is_a_counted_call_failure(self, tmp_path):
-        # stdout that is not text fails the call like any other bad reply:
+        # stdout that is not UTF-8 fails the call like any other bad reply:
         # the caller can fall back, and the failure counts toward the threshold
         script = tmp_path / "binary.py"
         script.write_text("import sys; sys.stdout.buffer.write(b'\\377')\n")

@@ -85,6 +85,10 @@ REJECTED_SETTINGS = {
         {"detector": "external", "detector_command": "python3 'x"},
         "detector command \"python3 'x\": No closing quotation",
     ),
+    "unclosed-quote-in-slm-command": (
+        {"slm_backend": "command", "slm_command": "echo '{prompt}"},
+        "backend command \"echo '{prompt}\": No closing quotation",
+    ),
     "blank-detector-command": (
         {"detector": "external", "detector_command": "   "},
         "empty detector command",
@@ -1122,17 +1126,97 @@ def test_ner_probe_writes_the_pinned_bytes(tmp_path, monkeypatch):
     )
 
 
+def child_env(**settings):
+    """The environment of a child interpreter that imports this piisub."""
+    return {**os.environ, "PYTHONPATH": str(Path(piisub.__file__).parents[1]), **settings}
+
+
 def test_closed_stdout_exits_without_a_traceback(corpus_file, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(Path(piisub.__file__).parents[1])}
     command = [sys.executable, "-m", "piisub.cli", "run", "--mode", "all"]
     command += ["--no-ppl", "--corpus", str(corpus_file), "--out", str(tmp_path)]
     proc = subprocess.Popen(
-        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env
+        command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()
     )
     proc.stdout.close()  # the reader is gone before the first print
     stderr = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
+
+
+def piisub_command(*argv):
+    return [sys.executable, "-m", "piisub.cli", *argv]
+
+
+#: A locale whose encoding is ASCII, with both of Python's UTF-8 rescues off.
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+
+
+@pytest.mark.parametrize(
+    "prompt_via, model",
+    [
+        ("stdin", "sh -c 'cat >/dev/null; echo Robin Vale'"),
+        ("arg", "sh -c 'echo Robin Vale' {prompt}"),
+    ],
+)
+def test_a_command_backend_writes_the_same_bytes_under_an_ascii_locale(
+    corpus_file, tmp_path, prompt_via, model
+):
+    probe = "import locale; print(locale.getpreferredencoding(False))"
+    encoding = subprocess.run(
+        [sys.executable, "-c", probe], env=child_env(**ASCII_LOCALE),
+        capture_output=True, text=True, check=True, timeout=60,
+    ).stdout.strip()
+    assert encoding != "UTF-8"  # the child really runs under a non-UTF-8 locale
+    assert not all(r.text.isascii() for r in load_corpus(corpus_file))
+    run = ["run", "--mode", "hybrid", "--corpus", str(corpus_file)]
+    run += ["--slm-backend", "command", "--prompt-via", prompt_via, "--slm-command", model]
+    written = {}
+    for name, locale in [("utf8", {"PYTHONUTF8": "1"}), ("ascii", ASCII_LOCALE)]:
+        command = piisub_command(*run, "--out", str(tmp_path / name))
+        subprocess.run(
+            command, env=child_env(**locale), check=True, capture_output=True, timeout=120
+        )
+        (run_dir,) = run_dirs(tmp_path / name)
+        written[name] = (run_dir / "results.json").read_bytes()
+    assert written["ascii"] == written["utf8"]
+    documents = json.loads(written["utf8"])["documents"]
+    assert [doc["error"] for doc in documents] == [None] * len(documents)
+
+
+def test_an_arg_mode_model_reads_an_empty_stdin(corpus_file, tmp_path):
+    """The model gets its own stdin, not piisub's: text piped into piisub
+    never reaches a completion."""
+    model = "sh -c 'cat; echo Zed Quill' {prompt}"
+    command = piisub_command(
+        "run", "--mode", "hybrid", "--corpus", str(corpus_file), "--out", str(tmp_path),
+        "--slm-backend", "command", "--prompt-via", "arg", "--slm-command", model,
+    )
+    subprocess.run(
+        command, input=b"Hello There\n", env=child_env(), check=True,
+        capture_output=True, timeout=120,
+    )
+    (run_dir,) = run_dirs(tmp_path)
+    documents = json.loads((run_dir / "results.json").read_text(encoding="utf-8"))
+    surrogates = {
+        group["decision"]["surrogate"]
+        for doc in documents["documents"]
+        for group in doc["groups"]
+    }
+    assert "Zed Quill" in surrogates and "Hello There" not in surrogates
+
+
+def test_a_detector_endpoint_outside_http_aborts_without_a_traceback(
+    corpus_file, tmp_path, not_http_endpoint
+):
+    command = piisub_command(
+        "run", "--mode", "redact", "--corpus", str(corpus_file), "--out", str(tmp_path),
+        "--detector", "external", "--detector-url", not_http_endpoint,
+    )
+    proc = subprocess.run(command, env=child_env(), capture_output=True, timeout=120)
+    stderr = proc.stderr.decode("utf-8")
+    assert proc.returncode == 1
+    assert "aborted: detector endpoint failed: BadStatusLine" in stderr
+    assert "Traceback" not in stderr
 
 
 #: Modules that only an out-of-process backend or detector, or the worker
@@ -1156,7 +1240,6 @@ def test_an_in_process_run_loads_no_out_of_process_module(
     oracle leaves each out-of-process module unloaded, unless the bare
     interpreter of the same environment loads it already: such a run starts
     no pool at any --parallelism."""
-    env = {**os.environ, "PYTHONPATH": str(Path(piisub.__file__).parents[1])}
     script = (
         "import json, sys\n"
         "argv, listing = sys.argv[1:-1], sys.argv[-1]\n"
@@ -1170,7 +1253,9 @@ def test_an_in_process_run_loads_no_out_of_process_module(
     def loaded(*argv):
         listing = tmp_path / "modules.json"
         command = [sys.executable, "-c", script, *argv, str(listing)]
-        subprocess.run(command, env=env, check=True, capture_output=True, timeout=120)
+        subprocess.run(
+            command, env=child_env(), check=True, capture_output=True, timeout=120
+        )
         return set(json.loads(listing.read_text(encoding="utf-8")))
 
     bare = loaded()

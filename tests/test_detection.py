@@ -263,3 +263,9 @@ class TestExternalDetectorUrl:
         adapter = ExternalDetector(url=f"http://127.0.0.1:{port}/spans", timeout=10)
         with pytest.raises(DetectorUnavailable, match="endpoint failed"):
             adapter.detect("hello Walter bye")
+
+    def test_a_reply_outside_http_is_unavailable(self, not_http_endpoint):
+        # http.client raises BadStatusLine, which is no OSError
+        adapter = ExternalDetector(url=not_http_endpoint, timeout=10)
+        with pytest.raises(DetectorUnavailable, match="endpoint failed: BadStatusLine"):
+            adapter.detect("hello Walter bye")

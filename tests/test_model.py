@@ -20,6 +20,8 @@ from piisub.model import (
     ci_fold,
     folded_contains,
     folded_occurrences,
+    run_command,
+    split_command,
 )
 
 
@@ -282,3 +284,52 @@ def test_label_from_name():
     assert Label.from_name("PERSON") is Label.PERSON
     with pytest.raises(ValueError):
         Label.from_name("person")
+
+
+class TestSplitCommand:
+    def test_splits_like_a_shell(self):
+        assert split_command("backend", "sh -c 'echo {prompt}'") == ["sh", "-c", "echo {prompt}"]
+
+    @pytest.mark.parametrize(
+        "template, message",
+        [
+            ("echo '{prompt}", "backend command \"echo '{prompt}\": No closing quotation"),
+            ("  ", "empty backend command"),
+        ],
+    )
+    def test_a_template_without_words_is_refused(self, template, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            split_command("backend", template)
+
+
+class TestRunCommand:
+    PYTHON = [sys.executable, "-c"]
+
+    def test_arguments_stdin_and_stdout_are_utf8(self):
+        script = (
+            "import sys; data = sys.stdin.buffer.read(); "
+            "sys.stdout.buffer.write(sys.argv[1].encode('utf-8') + b'|' + data)"
+        )
+        assert run_command([*self.PYTHON, script, "Müller"], "藤本", 10) == "Müller|藤本"
+
+    def test_stdin_is_a_pipe_of_its_own(self):
+        script = "import sys; print(repr(sys.stdin.read()))"
+        assert run_command([*self.PYTHON, script], "", 10) == "''\n"
+
+    def test_a_nonzero_exit_raises_with_the_first_stderr_line(self):
+        script = "import sys; sys.stderr.write('model exploded\\nmore\\n'); sys.exit(3)"
+        with pytest.raises(OSError, match="^exit 3: model exploded$"):
+            run_command([*self.PYTHON, script], "", 10)
+
+    def test_a_command_that_cannot_start_raises(self):
+        with pytest.raises(OSError, match="cannot run /no/such/binary"):
+            run_command(["/no/such/binary"], "", 10)
+
+    def test_a_timeout_raises(self):
+        with pytest.raises(OSError, match="timed out after 0.2 s"):
+            run_command([*self.PYTHON, "import time; time.sleep(30)"], "", 0.2)
+
+    def test_stdout_that_is_not_utf8_raises(self):
+        script = "import sys; sys.stdout.buffer.write(b'\\377')"
+        with pytest.raises(UnicodeDecodeError):
+            run_command([*self.PYTHON, script], "", 10)
