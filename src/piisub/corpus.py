@@ -81,6 +81,12 @@ def load_corpus(path: str | Path) -> list[CorpusRecord]:
                 raise CorpusFormatError(
                     f"record {lineno}: {label_name} values must be non-empty strings"
                 )
+            for value in values:
+                if not value.strip():
+                    # it could name no entity: canonicalize refuses it
+                    raise CorpusFormatError(
+                        f"record {lineno}: {label_name} value {value!r} is whitespace only"
+                    )
             pii_gt[label] = list(values)
         records.append(
             CorpusRecord(

@@ -5,9 +5,10 @@ surface-consistent spans): a ground-truth oracle, a pattern-rule detector for
 high-regularity labels, and an adapter for an external detector process or
 endpoint. A command runs through `model.run_command`, the transport the
 command backend shares, which imports `subprocess` on its first call; a url
-imports `urllib` and `http.client` on its first call. So a run with the
-oracle or the rules loads neither. A command that does not split into words
-or a url that is not http(s) is refused when the adapter is built.
+imports `urllib.request` and `http.client` on its first call. So a run with
+the oracle or the rules loads neither. A command that does not split into
+words, and a url that is not http(s), does not parse (`urllib.parse` reads
+its host and port) or names no host, is refused when the adapter is built.
 """
 
 from __future__ import annotations
@@ -146,6 +147,17 @@ class ExternalDetector:
             self._argv = split_command("detector", self.command)
         elif not self.url.lower().startswith(("http://", "https://")):
             raise ValueError(f"detector url must be http:// or https://, got {self.url!r}")
+        else:
+            import urllib.parse
+
+            try:
+                parts = urllib.parse.urlsplit(self.url)
+                # reading the port raises for one that is not a number in range
+                host, _ = parts.hostname, parts.port
+            except ValueError as exc:
+                raise ValueError(f"detector url {self.url!r} does not parse: {exc}") from exc
+            if not host:
+                raise ValueError(f"detector url {self.url!r} names no host")
 
     def _transport(self, text: str) -> str:
         try:

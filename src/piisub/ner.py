@@ -15,9 +15,11 @@ all instead of noise spans.
 
 The tagger runs on integer feature ids end to end. One Lexicon per
 experiment calls features() once per distinct word; the trainer keeps
-integer weights, so a guess is reused until the next mistake changes a
-weight. The trained model holds the averaged float rows by feature id of
-that lexicon and predicts by adding them in features() order.
+integer weights and running integer score sums, and stops once a pass makes
+no mistake, since no later pass could change a weight. The trained model
+holds the averaged float rows by feature id of that lexicon, predicts by
+adding them in features() order, and remembers each (word, previous tag)
+guess, since its rows no longer change.
 """
 
 from __future__ import annotations
@@ -170,13 +172,15 @@ class AveragedPerceptron:
     The averaged weights are one float row per feature id of `lexicon`,
     indexed like the sorted classes; an id means nothing without its
     lexicon. predict adds rows one feature at a time, in the order given,
-    so the scores do not depend on the layout.
+    so the scores do not depend on the layout. predict_tags keeps its tag
+    per (word id, previous tag) in `_tags`, as the rows are final.
     """
 
     def __init__(self, classes: Iterable[str], lexicon: Lexicon) -> None:
         self.classes = sorted(set(classes))
         self.lexicon = lexicon
         self._weights: dict[int, list[float]] = {}
+        self._tags: dict[tuple[int, str], str] = {}
 
     def predict(self, ids: Iterable[int]) -> str:
         acc: Iterable[float] = [0.0] * len(self.classes)
@@ -198,34 +202,59 @@ def train_tagger(
 ) -> AveragedPerceptron:
     """Collins' averaged perceptron, with lazy averaging, on integer state.
 
-    Sentences pair word ids of `lexicon` with their gold tags. Weights,
-    running totals and timestamps are int lists per class, indexed by
-    feature id. Every weight is an integer until the final average, so a
-    guess does not depend on the order its scores are summed in: it is
-    memoized per (word, previous tag) until the next mistake changes a
-    weight.
+    Sentences pair word ids of `lexicon` with their gold tags. The weights,
+    and the sums of each update's delta times the clock at it, are int
+    lists per class, indexed by feature id, and each ends as summing every
+    feature of every token on every pass leaves it:
+    - A guess sums integer scores, so the order of the terms cannot change
+      it. The score vector of each training word over its features but
+      `bias`, and of each previous tag over `bias` and its `prevtag=`
+      feature, is kept as a running sum: a mistake adds its +1/-1 to every
+      vector that holds a feature it changed. A guess is one vector add,
+      memoized per (word, previous tag) until the next mistake.
+    - A pass without a mistake changes no weight, so every later pass tags
+      every sentence the same way, again without one. Training stops after
+      it and moves the clock on by the passes left; the shuffles skipped
+      draw only from this training's own generator.
     """
     classes = {"O"}
     for _, tags in sentences:
         classes.update(tags)
     model = AveragedPerceptron(classes, lexicon)
     index = {c: i for i, c in enumerate(model.classes)}
+    n_classes = len(model.classes)
     # previous-tag state 0 is the sentence start, state 1 + c follows class c
     prev_feature = [lexicon.prevtag_id(t) for t in ("<s>", *model.classes)]
     states = len(prev_feature)
-    word_feats = [h + t for h, t in zip(lexicon.head, lexicon.tail)]
-    word_getters = [operator.itemgetter(*ids) for ids in word_feats]
+    state_scores = [[0] * n_classes for _ in range(states)]
+    bias = lexicon.feature_id("bias")
+    # per training word: its features, its score vector, and the groups of
+    # vectors a mistake on it moves: the vectors of the words that hold each
+    # of its features but bias, and every state's through bias
+    word_feats: dict[int, tuple[int, ...]] = {}
+    word_scores: dict[int, list[int]] = {}
+    moved: dict[int, tuple[list[list[int]], ...]] = {}
+    holders: dict[int, list[list[int]]] = {}
+    for wid in sorted({wid for words, _ in sentences for wid in words}):
+        feats = word_feats[wid] = lexicon.head[wid] + lexicon.tail[wid]
+        vector = word_scores[wid] = [0] * n_classes
+        groups = [holders.setdefault(f, []) for f in feats if f != bias]
+        for group in groups:
+            group.append(vector)
+        moved[wid] = (*groups, state_scores)
     size = len(lexicon.feature_names)
     weights = [[0] * size for _ in model.classes]
-    totals = [[0] * size for _ in model.classes]
-    stamps = [[0] * size for _ in model.classes]
+    # each update's delta times the clock at it: what the final average
+    # takes off the final weight held for the whole clock
+    moments = [[0] * size for _ in model.classes]
     updated: set[int] = set()
     data = [(words, [index[t] for t in tags]) for words, tags in sentences]
     rng = random.Random(seed)
     guesses: dict[int, int] = {}
     now = 0
-    for _ in range(iterations):
+    for passes in range(1, iterations + 1):
         rng.shuffle(data)
+        clean = True
         for words, golds in data:
             prev = 0
             for wid, gold in zip(words, golds):
@@ -233,39 +262,53 @@ def train_tagger(
                 key = wid * states + prev
                 guess = guesses.get(key)
                 if guess is None:
-                    # int sums: the order of the terms cannot change a score
-                    get, pf = word_getters[wid], prev_feature[prev]
-                    scores = [sum(get(row)) + row[pf] for row in weights]
+                    scores = list(
+                        map(operator.add, word_scores[wid], state_scores[prev])
+                    )
                     guess = guesses[key] = scores.index(max(scores))
                 if guess != gold:
+                    clean = False
                     for f in (*word_feats[wid], prev_feature[prev]):
                         updated.add(f)
-                        for c, delta in ((gold, 1), (guess, -1)):
-                            totals[c][f] += (now - stamps[c][f]) * weights[c][f]
-                            stamps[c][f] = now
-                            weights[c][f] += delta
+                        weights[gold][f] += 1
+                        weights[guess][f] -= 1
+                        moments[gold][f] += now
+                        moments[guess][f] -= now
+                    for group in (*moved[wid], (state_scores[prev],)):
+                        for scores in group:
+                            scores[gold] += 1
+                            scores[guess] -= 1
                     guesses.clear()
                 prev = guess + 1
-    # the totals are exact integers and int true division rounds once, so
-    # this is the float that summing float weights gives while it is exact
+        if clean:
+            now += (iterations - passes) * sum(len(words) for words, _ in data)
+            break
+    # the sum of a weight over the clock is its final value for the whole
+    # clock less each update for the time before it, an exact integer; int
+    # true division rounds once, so this is the float that summing float
+    # weights gives while it is exact
     for f in updated:
         model._weights[f] = [
-            (totals[c][f] + (now - stamps[c][f]) * weights[c][f]) / now
-            for c in range(len(model.classes))
+            (now * weights[c][f] - moments[c][f]) / now for c in range(n_classes)
         ]
     return model
 
 
 def predict_tags(model: AveragedPerceptron, tokens: Sequence[Token]) -> list[str]:
     """Tag tokens left to right, each guess the next token's previous tag;
-    the rows are added in features() order."""
-    lexicon = model.lexicon
+    the rows are added in features() order, once per (word, previous tag)
+    of the model."""
+    lexicon, memo = model.lexicon, model._tags
     prev = "<s>"
     out: list[str] = []
     for wid in lexicon.encode(tokens):
-        ids = (*lexicon.head[wid], lexicon.prevtag_id(prev), *lexicon.tail[wid])
-        prev = model.predict(ids)
-        out.append(prev)
+        key = (wid, prev)
+        tag = memo.get(key)
+        if tag is None:
+            ids = (*lexicon.head[wid], lexicon.prevtag_id(prev), *lexicon.tail[wid])
+            tag = memo[key] = model.predict(ids)
+        out.append(tag)
+        prev = tag
     return out
 
 

@@ -97,6 +97,15 @@ REJECTED_SETTINGS = {
         {"detector": "external", "detector_url": "notaurl"},
         "detector url must be http:// or https://, got 'notaurl'",
     ),
+    "detector-url-unparseable": (
+        {"detector": "external", "detector_url": "http://[::1/spans"},
+        "detector url 'http://[::1/spans' does not parse: Invalid IPv6 URL",
+    ),
+    "detector-url-port-not-a-number": (
+        {"detector": "external", "detector_url": "http://localhost:port/spans"},
+        "detector url 'http://localhost:port/spans' does not parse: Port could not"
+        " be cast to integer value as 'port'",
+    ),
 }
 
 #: Pool files that no hybrid run can use, each with the message of its

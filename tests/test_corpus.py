@@ -228,6 +228,11 @@ class TestCorpusIO:
                 '{"id": "a", "text": "t", "locale": "en_US", "pii_gt": {"PERSON": [""]}}',
                 "values must be non-empty strings",
             ),
+            (
+                '{"id": "a", "text": "t", "locale": "en_US",'
+                ' "pii_gt": {"DATE": ["1975"], "PERSON": ["Ada", " \\t\\u3000"]}}',
+                r"record 1: PERSON value ' \\t\\u3000' is whitespace only",
+            ),
         ],
     )
     def test_malformed_records(self, tmp_path, line, message):

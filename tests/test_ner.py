@@ -2,6 +2,7 @@
 
 import math
 import random
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -297,9 +298,11 @@ def reference_train(sentences, *, iterations, seed):
     for _, tags in sentences:
         classes.update(tags)
     model = ReferencePerceptron(classes)
+    # the number of the last pass that made a mistake, 0 if none did
+    model.last_mistake_pass = 0
     rng = random.Random(seed)
     data = list(sentences)
-    for _ in range(iterations):
+    for passes in range(1, iterations + 1):
         rng.shuffle(data)
         for tokens, tags in data:
             words = [t.text for t in tokens]
@@ -308,6 +311,8 @@ def reference_train(sentences, *, iterations, seed):
                 feats = features(words, i, prev)
                 guess = model.predict(feats)
                 model.update(gold, guess, feats)
+                if guess != gold:
+                    model.last_mistake_pass = passes
                 prev = guess
     model.average_weights()
     return model
@@ -459,6 +464,121 @@ def test_a_mistake_after_a_clean_stretch_renews_the_guess():
     tokens = [Token(w, 2 * i, 2 * i + 1) for i, w in enumerate(words)]
     model = train([(tokens, tags)], iterations=1)
     assert_same_weights(model, reference_train([(tokens, tags)], iterations=1, seed=0))
+
+
+class CountingRandom(random.Random):
+    """random.Random that counts its shuffles: one per training pass."""
+
+    shuffles = 0
+
+    def shuffle(self, x):
+        CountingRandom.shuffles += 1
+        super().shuffle(x)
+
+
+def train_counting_passes(sentences, **kwargs):
+    """train() and the number of passes it ran."""
+    import piisub.ner as ner
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(ner, "random", SimpleNamespace(Random=CountingRandom))
+        CountingRandom.shuffles = 0
+        model = train(sentences, **kwargs)
+    return model, CountingRandom.shuffles
+
+
+def assert_matches_reference(model, sentences, *, iterations, seed):
+    """Weights and tags as the reference's, which runs every pass; returns it."""
+    reference = reference_train(sentences, iterations=iterations, seed=seed)
+    assert model.classes == reference.classes
+    assert_same_weights(model, reference)
+    for tokens, _ in sentences:
+        assert predict_tags(model, tokens) == reference_tags(reference, tokens)
+    return reference
+
+
+def token_sentences(word_lists, tag_of):
+    """Sentences of the words, each word tagged tag_of(word)."""
+    return [
+        ([Token(w, 0, len(w)) for w in words], list(map(tag_of, words)))
+        for words in word_lists
+    ]
+
+
+class TestConvergenceStop:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        vocab=_SMALL_VOCAB,
+        data=st.data(),
+        iterations=st.integers(15, 40),
+        seed=st.integers(),
+    )
+    def test_a_learnable_corpus_stops_one_pass_after_its_last_mistake(
+        self, vocab, data, iterations, seed
+    ):
+        # each word has one tag wherever it stands, and a w= feature of its
+        # own, so the perceptron stops making mistakes within a few passes
+        tags = st.lists(st.sampled_from(_BIO), min_size=len(vocab), max_size=len(vocab))
+        tag_of = dict(zip(vocab, data.draw(tags)))
+        words = st.lists(st.sampled_from(vocab), max_size=8)
+        word_lists = data.draw(st.lists(words, min_size=1, max_size=20))
+        sentences = token_sentences(word_lists, tag_of.get)
+        model, passes = train_counting_passes(sentences, iterations=iterations, seed=seed)
+        reference = assert_matches_reference(
+            model, sentences, iterations=iterations, seed=seed
+        )
+        assert reference.last_mistake_pass < iterations
+        assert passes == reference.last_mistake_pass + 1
+
+    def test_a_corpus_of_o_alone_stops_after_one_pass(self):
+        sentences = token_sentences([["a", "b"], ["b", "c", "a"]], lambda w: "O")
+        model, passes = train_counting_passes(sentences, iterations=20, seed=5)
+        reference = assert_matches_reference(model, sentences, iterations=20, seed=5)
+        assert reference.last_mistake_pass == 0
+        assert passes == 1
+        assert model._weights == {}
+
+    def test_contradictory_tags_run_every_pass(self):
+        # "a" at the sentence start is O in one sentence and B-PII in the
+        # other: one guess serves both, so every pass makes a mistake
+        sentences = [
+            ([Token("a", 0, 1)], ["O"]),
+            ([Token("a", 0, 1), Token("b", 2, 3)], ["B-PII", "O"]),
+        ]
+        model, passes = train_counting_passes(sentences, iterations=25, seed=2)
+        reference = assert_matches_reference(model, sentences, iterations=25, seed=2)
+        assert reference.last_mistake_pass == 25
+        assert passes == 25
+
+
+class TestPredictionMemo:
+    def test_two_models_of_one_lexicon_keep_their_own_tags(self):
+        rng = random.Random(7)
+        first, second = random_bio_sentences(rng, 10), random_bio_sentences(rng, 10)
+        held_out = random_bio_sentences(rng, 15)
+        lexicon = Lexicon()
+        models = [
+            train_tagger(encode(lexicon, s), lexicon, iterations=6, seed=3)
+            for s in (first, second)
+        ]
+        references = [
+            reference_train(s, iterations=6, seed=3) for s in (first, second)
+        ]
+        # the two disagree somewhere, so a memo shared between them would show
+        assert any(
+            reference_tags(references[0], tokens) != reference_tags(references[1], tokens)
+            for tokens, _ in held_out
+        )
+        for tokens, _ in held_out + held_out:
+            for model, reference in zip(models, references):
+                assert predict_tags(model, tokens) == reference_tags(reference, tokens)
+
+    def test_a_repeated_call_returns_the_same_tags(self):
+        rng = random.Random(11)
+        model = train(random_bio_sentences(rng, 12), iterations=5, seed=1)
+        for tokens, _ in random_bio_sentences(rng, 10):
+            tags = predict_tags(model, tokens)
+            assert predict_tags(model, tokens) == tags
 
 
 def test_frozen_scores_of_a_small_experiment():
