@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from .backends import BackendUnhealthy
 from .corpus import DEFAULT_LOCALE_MIX, load_corpus, save_corpus, synth_corpus
@@ -39,7 +39,7 @@ from .pipeline import (
 )
 from .pools import PoolCatalog
 from .prompting import DemoStrategy
-from .report import ner_table, render_runs
+from .report import ner_table, regurgitation_table, render_runs
 
 _ENV_FAKE_SECRET = "PIISUB_FAKE_SECRET"
 
@@ -363,16 +363,30 @@ def _cmd_ner(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_run_artifact(run_dir: str, name: str) -> dict:
+def _load_run_artifact(run_dir: str, name: str, read: Callable[[Any], object]) -> Any:
+    """The JSON of the run's artifact `name`, once `read` has taken from it
+    what the report reads: a file that is missing, unreadable, not JSON or
+    without what `read` takes ends the command with one line naming it."""
     path = Path(run_dir) / name
     if not path.exists():
         raise SystemExit(f"no {name} in {run_dir}")
     try:
-        return json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(path.read_text(encoding="utf-8"))
     except OSError as exc:
         raise SystemExit(f"cannot read {path}: {exc.strerror}") from None
     except ValueError as exc:
         raise SystemExit(f"{path} is not JSON: {exc}") from None
+    try:
+        read(data)
+    except (LookupError, TypeError, AttributeError, ValueError) as exc:
+        raise SystemExit(
+            f"{path} is not a piisub {name}: {type(exc).__name__}: {exc}"
+        ) from None
+    return data
+
+
+def _run_label(results: dict) -> str:
+    return f"{results['config']['mode']}@{results['run_id']}"
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
@@ -382,13 +396,16 @@ def _cmd_report(args: argparse.Namespace) -> int:
     for run_dir in args.run:
         run_dirs.setdefault(Path(run_dir).resolve(), run_dir)
     for run_dir in run_dirs.values():
-        metrics = _load_run_artifact(run_dir, "metrics.json")
-        results = _load_run_artifact(run_dir, "results.json")
+        metrics = _load_run_artifact(
+            run_dir, "metrics.json", lambda m: render_runs([("", m, None)])
+        )
+        results = _load_run_artifact(run_dir, "results.json", _run_label)
         regurg = None
         if (Path(run_dir) / "regurgitation.json").exists():
-            regurg = _load_run_artifact(run_dir, "regurgitation.json")
-        label = f"{results['config']['mode']}@{results['run_id']}"
-        runs.append((label, metrics, regurg))
+            regurg = _load_run_artifact(
+                run_dir, "regurgitation.json", lambda r: regurgitation_table("", r)
+            )
+        runs.append((_run_label(results), metrics, regurg))
     sys.stdout.write(render_runs(runs))
     return 0
 

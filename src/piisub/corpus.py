@@ -88,12 +88,15 @@ def load_corpus(path: str | Path) -> list[CorpusRecord]:
                         f"record {lineno}: {label_name} value {value!r} is whitespace only"
                     )
             pii_gt[label] = list(values)
+        template = raw.get("template", "")
+        if not isinstance(template, str):
+            raise CorpusFormatError(f"record {lineno}: template must be a string")
         records.append(
             CorpusRecord(
                 id=raw["id"],
                 text=raw["text"],
                 locale=raw["locale"],
-                template=str(raw.get("template", "")),
+                template=template,
                 pii_gt=pii_gt,
             )
         )

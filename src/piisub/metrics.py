@@ -198,13 +198,6 @@ class WelchResult(JsonReport):
     p: float
 
 
-def sample_sd_from_population(pop_sd: float, n: int) -> float:
-    """Convert a population SD to the sample (n-1) convention."""
-    if n < 2:
-        raise ValueError("need n >= 2 to form a sample SD")
-    return pop_sd * math.sqrt(n / (n - 1))
-
-
 def welch_from_stats(
     mean_a: float, sd_a: float, n_a: int, mean_b: float, sd_b: float, n_b: int
 ) -> WelchResult:

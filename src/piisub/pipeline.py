@@ -43,9 +43,9 @@ and each original once per reference.
 document is rendered straight from its dataclasses by `_document_json` and
 written before the next. The renderer is a few f-strings, compiled once,
 that hold the schema's fixed layout at each depth (document, group, span);
-every string goes through the encoder `json.dump` uses, so the file has the
-bytes of `write_json(path, results.to_json_dict())`; tests keep that tree
-as the reference. The smaller artifacts go through `write_json`.
+every string goes through the encoder `json.dump` uses, so the file is laid
+out as `write_json` lays out every other artifact: sorted keys, UTF-8, a
+two-space indent. The smaller artifacts go through `write_json`.
 """
 
 from __future__ import annotations
@@ -201,16 +201,6 @@ class GroupResult:
     group: EntityGroup
     decision: SurrogateDecision
 
-    def to_json_dict(self) -> dict:
-        return {
-            "label": self.group.label.name,
-            "canonical": self.group.canonical,
-            "surface": self.group.members[0].surface,
-            "mentions": len(self.group.members),
-            "spans": [[s.start, s.end] for s in self.group.members],
-            "decision": self.decision.to_json_dict(),
-        }
-
 
 @dataclass
 class DocumentResult:
@@ -225,16 +215,6 @@ class DocumentResult:
     @property
     def ok(self) -> bool:
         return self.error is None
-
-    def to_json_dict(self) -> dict:
-        return {
-            "id": self.record.id,
-            "locale": self.record.locale,
-            "template": self.record.template,
-            "output": self.output,
-            "error": self.error,
-            "groups": [g.to_json_dict() for g in self.groups],
-        }
 
 
 @dataclass
@@ -262,12 +242,6 @@ class RunResults:
             "proposals_made": self.proposals_made,
             "cache_hits": self.cache_hits,
             "documents": [],
-        }
-
-    def to_json_dict(self) -> dict:
-        return {
-            **self.json_envelope(),
-            "documents": [d.to_json_dict() for d in self.documents],
         }
 
 
@@ -386,24 +360,19 @@ def run_corpus(
     records: Sequence[CorpusRecord],
     config: RunConfig,
     *,
+    detected: Sequence[_Outcome],
+    catalog: PoolCatalog,
     fake_secret: bytes = b"",
-    detected: Sequence[_Outcome] | None = None,
-    catalog: PoolCatalog | None = None,
 ) -> RunResults:
     """Transform every record under the config; per-document errors are
     recorded on the result instead of aborting the run. Only an unhealthy
-    backend or an unavailable external detector stops everything; a key
-    whose proposal fails fails every document that holds it.
+    backend stops everything; a key whose proposal fails fails every
+    document that holds it.
 
     `detected` is `detect_corpus(records, config)`, which a command runs
-    once for all its modes; without it the run detects the records itself.
-    `catalog` is `check_config(config)`; without it the run builds its own
-    pools. `fake_secret` keys the fake-draw seeds (`fakegen.draw_seed`); it
-    is kept out of the run id and every written file."""
-    if detected is None:
-        detected = detect_corpus(records, config)
-    if catalog is None:
-        catalog = _build_catalog(config)
+    once for all its modes, and `catalog` is `check_config(config)`.
+    `fake_secret` keys the fake-draw seeds (`fakegen.draw_seed`); it is kept
+    out of the run id and every written file."""
     read = config.settings_read()
     cache = SurrogateCache()
     backend = _build_backend(config)
@@ -609,8 +578,10 @@ def _json_strings(values: Sequence[str]) -> str:
 
 
 def _group_json(result: GroupResult) -> str:
-    """`result.to_json_dict()` as `json.dump(..., sort_keys=True,
-    ensure_ascii=False, indent=2)` writes it into a document's group list."""
+    """One entry of a document's group list: the group's label, canonical
+    form, first surface, mention count and `[start, end]` spans, and its
+    decision, laid out as `json.dump(..., sort_keys=True, ensure_ascii=False,
+    indent=2)` lays out an object at that depth."""
     group, decision = result.group, result.decision
     members = group.members
     spans = ",".join(
@@ -642,10 +613,10 @@ def _group_json(result: GroupResult) -> str:
 
 
 def _document_json(doc: DocumentResult) -> str:
-    """`doc.to_json_dict()` as `json.dump(..., sort_keys=True,
-    ensure_ascii=False, indent=2)` writes it into results.json's document
-    list, rendered from the dataclasses by f-strings with the same string
-    encoder."""
+    """One entry of results.json's document list: the record's id, locale
+    and template, the output or the error, and the groups (`_group_json`),
+    rendered from the dataclasses by f-strings with the string encoder
+    `json.dump` uses, in the layout it gives at that depth."""
     record = doc.record
     error = "null" if doc.error is None else encode_basestring(doc.error)
     output = "null" if doc.output is None else encode_basestring(doc.output)
@@ -663,10 +634,9 @@ def _document_json(doc: DocumentResult) -> str:
 
 
 def write_results(results: RunResults, path: str | Path) -> None:
-    """Write results.json with the bytes `write_json(path,
-    results.to_json_dict())` gives, one document at a time: the envelope
-    goes through `json.dumps`, each document through `_document_json`, and
-    no tree of the whole run is built."""
+    """Write results.json one document at a time: the envelope goes through
+    `json.dumps` with `write_json`'s settings, each document through
+    `_document_json`, and no tree of the whole run is built."""
     envelope = json.dumps(
         results.json_envelope(), sort_keys=True, ensure_ascii=False, indent=2
     )

@@ -344,7 +344,12 @@ def load_pool_file(path: str | Path) -> PoolCatalog:
                     raise ValueError(
                         f"pool {family}/{key_name} entry {i} needs real and fake"
                     )
-                pairs.append((str(entry["real"]), str(entry["fake"])))
+                real, fake = entry["real"], entry["fake"]
+                if not isinstance(real, str) or not isinstance(fake, str):
+                    raise ValueError(
+                        f"pool {family}/{key_name} entry {i}: real and fake must be strings"
+                    )
+                pairs.append((real, fake))
             pool = _build_pool(labels[family], keys[key_name], pairs)
             if len(pool) < 4 and pool.key is not DateFormat.UNKNOWN:
                 warnings.warn(

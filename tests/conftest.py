@@ -5,6 +5,7 @@ import threading
 import pytest
 
 from piisub.corpus import synth_corpus
+from piisub.pipeline import check_config, detect_corpus, run_corpus
 from piisub.pools import builtin_catalog
 
 pytest_plugins = ["pytester"]
@@ -16,6 +17,19 @@ PIISUB_ENV = (
     "PIISUB_POOL_FILE",
     "PIISUB_FAKE_SECRET",
 )
+
+
+def run_records(records, config, *, fake_secret=b""):
+    """`run_corpus` of `records` under `config` with the inputs a command
+    gives it: the pools `check_config` builds and one `detect_corpus` pass."""
+    catalog = check_config(config)
+    return run_corpus(
+        records,
+        config,
+        detected=detect_corpus(records, config),
+        catalog=catalog,
+        fake_secret=fake_secret,
+    )
 
 
 @pytest.fixture(autouse=True, scope="session")

@@ -8,17 +8,19 @@ pipeline API); expected numbers are frozen literals, not recomputed.
 from __future__ import annotations
 
 import json
+import math
 import random
 
 import pytest
+from conftest import run_records
 
 from piisub.cli import main
 from piisub.corpus import save_corpus, synth_corpus
 from piisub.generation import splice
 from piisub.locales import Locale, classify_date_format, classify_locale
-from piisub.metrics import distinctness_rows, sample_sd_from_population, welch_from_stats
+from piisub.metrics import distinctness_rows, welch_from_stats
 from piisub.model import Label, Mode, PiiSpan
-from piisub.pipeline import RunConfig, compute_metrics, run_corpus
+from piisub.pipeline import RunConfig, compute_metrics
 from piisub.prompting import sample_demos
 
 CJK_POOLS = ("person/zh", "person/ja", "person/de")
@@ -47,6 +49,19 @@ def ner_payload(tmp_path_factory):
 
 def _load(run_dir, name):
     return json.loads((run_dir / name).read_text(encoding="utf-8"))
+
+
+def sample_sd_from_population(pop_sd: float, n: int) -> float:
+    """Convert a population SD to the sample (n-1) convention."""
+    if n < 2:
+        raise ValueError("need n >= 2 to form a sample SD")
+    return pop_sd * math.sqrt(n / (n - 1))
+
+
+def test_c01_sample_sd_conversion():
+    assert sample_sd_from_population(2.0, 5) == pytest.approx(2.0 * math.sqrt(5 / 4))
+    with pytest.raises(ValueError):
+        sample_sd_from_population(1.0, 1)
 
 
 def test_c01_welch_reference_statistics():
@@ -126,8 +141,8 @@ def test_c03_fixed_demos_echo_but_rotation_stays_clean(
 
 def test_c04_copying_backend_hits_the_2x_pool_ceiling(catalog):
     corpus = synth_corpus(160, seed=11, locale_mix={"en_US": 1.0})
-    hybrid = run_corpus(corpus, RunConfig(mode=Mode.HYBRID))
-    faker = run_corpus(corpus, RunConfig(mode=Mode.FAKER))
+    hybrid = run_records(corpus, RunConfig(mode=Mode.HYBRID))
+    faker = run_records(corpus, RunConfig(mode=Mode.FAKER))
 
     def unique_person_surrogates(results):
         return len({
@@ -168,7 +183,7 @@ def test_c07_leak_floor_identical_across_modes():
     def leak_by_mode(records):
         blobs = {}
         for mode in Mode:
-            results = run_corpus(records, RunConfig(mode=mode))
+            results = run_records(records, RunConfig(mode=mode))
             leak = compute_metrics(results).leak
             blobs[mode] = json.dumps(leak.to_json_dict(), sort_keys=True)
         return blobs
@@ -183,7 +198,7 @@ def test_c07_leak_floor_identical_across_modes():
 
 def test_c08_consistency_is_always_perfect(small_corpus):
     for mode in Mode:
-        results = run_corpus(small_corpus, RunConfig(mode=mode))
+        results = run_records(small_corpus, RunConfig(mode=mode))
         report = compute_metrics(results).consistency
         assert report.multi_mention_groups > 0
         assert report.rate == 1.0

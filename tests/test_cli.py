@@ -1057,13 +1057,36 @@ class TestRunArtifactCommands:
         with pytest.raises(SystemExit, match="no metrics.json"):
             main(["report", "--run", str(tmp_path)])
 
-    @pytest.mark.parametrize("name", ["metrics.json", "results.json", "regurgitation.json"])
-    def test_report_over_a_corrupt_artifact_names_the_file(self, all_modes, name):
+    @pytest.mark.parametrize(
+        "name, text, problem",
+        [
+            pytest.param(name, "{bad", "is not JSON: ", id=name)
+            for name in ("metrics.json", "results.json", "regurgitation.json")
+        ]
+        + [
+            # valid JSON without a field the report reads
+            pytest.param(
+                "results.json",
+                '{"x":1}',
+                "is not a piisub results.json: KeyError: 'config'",
+                id="results.json-without-config",
+            ),
+            pytest.param(
+                "metrics.json",
+                '{"leak": {}}',
+                "is not a piisub metrics.json: KeyError: 'rate'",
+                id="metrics.json-without-leak-rate",
+            ),
+        ],
+    )
+    def test_report_over_a_corrupt_artifact_names_the_file(
+        self, all_modes, name, text, problem
+    ):
         run_dir = all_modes[0]["hybrid"]
-        (run_dir / name).write_text("{bad", encoding="utf-8")
+        (run_dir / name).write_text(text, encoding="utf-8")
         with pytest.raises(SystemExit) as exc:
             main(["report", "--run", str(run_dir)])
-        assert exc.value.code.startswith(f"{run_dir / name} is not JSON: ")
+        assert exc.value.code.startswith(f"{run_dir / name} {problem}")
         assert "\n" not in exc.value.code
 
     def test_report_over_an_unreadable_artifact_names_the_file(self, all_modes):

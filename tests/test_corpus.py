@@ -233,6 +233,14 @@ class TestCorpusIO:
                 ' "pii_gt": {"DATE": ["1975"], "PERSON": ["Ada", " \\t\\u3000"]}}',
                 r"record 1: PERSON value ' \\t\\u3000' is whitespace only",
             ),
+            (
+                '{"id": "a", "text": "t", "locale": "en_US", "template": null}',
+                "^record 1: template must be a string$",
+            ),
+            (
+                '{"id": "a", "text": "t", "locale": "en_US", "template": ["x"]}',
+                "^record 1: template must be a string$",
+            ),
         ],
     )
     def test_malformed_records(self, tmp_path, line, message):
@@ -240,6 +248,15 @@ class TestCorpusIO:
         path.write_text(line + "\n", encoding="utf-8")
         with pytest.raises(CorpusFormatError, match=message):
             load_corpus(path)
+
+    def test_an_absent_template_reads_as_empty(self, tmp_path):
+        path = tmp_path / "plain.jsonl"
+        path.write_text(
+            json.dumps({"id": "a", "text": "t", "locale": "en_US"}) + "\n",
+            encoding="utf-8",
+        )
+        (rec,) = load_corpus(path)
+        assert rec.template == ""
 
     def test_error_names_line_number(self, tmp_path):
         path = tmp_path / "bad.jsonl"

@@ -21,7 +21,6 @@ from piisub.metrics import (
     leak_report,
     length_preservation,
     round_display,
-    sample_sd_from_population,
     welch_from_samples,
     welch_from_stats,
 )
@@ -179,15 +178,11 @@ class TestWelch:
         assert result.p < 0.001
 
     def test_sample_sd_variant(self):
-        sd_a = sample_sd_from_population(0.056, 5)
-        sd_b = sample_sd_from_population(0.044, 5)
+        # the population SDs in the sample (n-1) convention
+        sd_a = 0.056 * math.sqrt(5 / 4)
+        sd_b = 0.044 * math.sqrt(5 / 4)
         result = welch_from_stats(0.506, sd_a, 5, 0.346, sd_b, 5)
         assert result.t == pytest.approx(4.493248, abs=5e-6)
-
-    def test_sample_sd_conversion(self):
-        assert sample_sd_from_population(2.0, 5) == pytest.approx(2.0 * math.sqrt(5 / 4))
-        with pytest.raises(ValueError):
-            sample_sd_from_population(1.0, 1)
 
     def test_from_samples_matches_stats(self):
         xs = [0.51, 0.48, 0.55, 0.47, 0.52]

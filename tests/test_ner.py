@@ -5,6 +5,7 @@ import random
 from types import SimpleNamespace
 
 import pytest
+from conftest import run_records
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -28,7 +29,7 @@ from piisub.ner import (
     tokenize,
     train_tagger,
 )
-from piisub.pipeline import RunConfig, run_corpus
+from piisub.pipeline import RunConfig
 
 
 def record(text, gt, locale="en_US", rid="r1"):
@@ -587,7 +588,7 @@ def test_frozen_scores_of_a_small_experiment():
     corpus = synth_corpus(40, seed=4)
     variants = {"original": corpus}
     for mode in (Mode.FAKER, Mode.REDACT):
-        results = run_corpus(corpus, RunConfig(mode=mode))
+        results = run_records(corpus, RunConfig(mode=mode))
         variants[mode.value] = _transformed_records(corpus, results)
     report = run_ner_experiment(
         variants, train_size=32, test_size=8, seeds=(11, 12, 13), iterations=5

@@ -8,6 +8,7 @@ import time
 from dataclasses import fields
 
 import pytest
+from conftest import run_records
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -35,6 +36,7 @@ from piisub.pipeline import (
     GroupResult,
     RunConfig,
     RunResults,
+    _document_json,
     compute_metrics,
     corpus_fingerprint,
     derive_run_id,
@@ -42,7 +44,6 @@ from piisub.pipeline import (
     perplexity_reference,
     persist_run,
     regurgitation_for_results,
-    run_corpus,
     write_json,
     write_results,
 )
@@ -55,8 +56,14 @@ def corpus():
 
 
 def run(corpus, mode, **overrides):
-    config = RunConfig(mode=mode, **overrides)
-    return run_corpus(corpus, config)
+    return run_records(corpus, RunConfig(mode=mode, **overrides))
+
+
+def written(results):
+    """What results.json holds of a run besides its config and id: each
+    document as written, and the cache counters."""
+    documents = [_document_json(d) for d in results.documents]
+    return documents, results.proposals_made, results.cache_hits
 
 
 def persist(results, out_dir):
@@ -112,7 +119,7 @@ class ExternalOracle:
         config = RunConfig(
             mode=mode, detector="external", detector_command="unused", **overrides
         )
-        return run_corpus(records, config, fake_secret=fake_secret)
+        return run_records(records, config, fake_secret=fake_secret)
 
     @property
     def pooled(self):
@@ -245,7 +252,7 @@ class TestDeterminismAndLeak:
         for mode in (Mode.REDACT, Mode.FAKER, Mode.HYBRID):
             first = run(corpus, mode)
             second = run(corpus, mode)
-            assert first.to_json_dict() == second.to_json_dict()
+            assert written(first) == written(second)
 
     def test_leak_zero_all_modes(self, corpus):
         for mode in (Mode.REDACT, Mode.FAKER, Mode.HYBRID):
@@ -290,7 +297,7 @@ class TestDeterminismAndLeak:
         import piisub.pipeline as pipeline
 
         corpus = with_planted_collisions(synth_corpus(200, seed=9), mode)
-        fast = run(corpus, mode).to_json_dict()
+        fast = run(corpus, mode)
         hits = []
 
         def re_scan_matcher(values):
@@ -304,10 +311,9 @@ class TestDeterminismAndLeak:
             return blocked
 
         monkeypatch.setattr(pipeline, "ci_any_matcher", re_scan_matcher)
-        naive = run(corpus, mode).to_json_dict()
+        naive = run(corpus, mode)
         assert any(hits) and not all(hits)
-        for key in ("documents", "proposals_made", "cache_hits"):
-            assert fast[key] == naive[key]
+        assert written(fast) == written(naive)
 
     @pytest.mark.parametrize("mode", [Mode.REDACT, Mode.FAKER, Mode.HYBRID])
     def test_guarded_run_builds_its_matcher_once(self, corpus, mode, monkeypatch):
@@ -365,7 +371,7 @@ def shared_corpus():
 
 
 def documents_by_id(results):
-    return {d.record.id: d.to_json_dict() for d in results.documents}
+    return {d.record.id: _document_json(d) for d in results.documents}
 
 
 class TestOrderIndependence:
@@ -641,7 +647,7 @@ class TestFakeSecret:
 
     def test_secret_changes_the_fakes_only(self, corpus, tmp_path):
         plain = run(corpus, Mode.FAKER)
-        keyed = run_corpus(corpus, RunConfig(mode=Mode.FAKER), fake_secret=self.SECRET)
+        keyed = run_records(corpus, RunConfig(mode=Mode.FAKER), fake_secret=self.SECRET)
         assert keyed.run_id == plain.run_id
         pairs = [
             (a.decision.surrogate, b.decision.surrogate)
@@ -653,12 +659,12 @@ class TestFakeSecret:
         run_dir = persist(keyed, tmp_path)
         for path in run_dir.iterdir():
             assert self.SECRET not in path.read_bytes()
-        redact = run_corpus(corpus, RunConfig(mode=Mode.REDACT), fake_secret=self.SECRET)
+        redact = run_records(corpus, RunConfig(mode=Mode.REDACT), fake_secret=self.SECRET)
         assert documents_by_id(redact) == documents_by_id(run(corpus, Mode.REDACT))
 
     @pytest.mark.parametrize("mode", [Mode.FAKER, Mode.HYBRID], ids=lambda m: m.value)
     def test_keyed_parallel_equals_keyed_serial(self, shared_corpus, mode, monkeypatch):
-        serial = run_corpus(shared_corpus, RunConfig(mode=mode), fake_secret=self.SECRET)
+        serial = run_records(shared_corpus, RunConfig(mode=mode), fake_secret=self.SECRET)
         external = ExternalOracle(monkeypatch)
         parallel = external.run(
             shared_corpus[::-1], mode, parallelism=4, fake_secret=self.SECRET
@@ -1011,12 +1017,39 @@ def results_path(tmp_path_factory):
 
 @settings(max_examples=100, deadline=None)
 @given(_run_results())
-def test_write_results_equals_json_dump_of_the_tree(results_path, results):
+def test_write_results_writes_the_dataclasses_in_write_json_layout(
+    results_path, results
+):
     write_results(results, results_path)
-    expected = json.dumps(
-        results.to_json_dict(), sort_keys=True, ensure_ascii=False, indent=2
-    )
-    assert results_path.read_bytes() == (expected + "\n").encode("utf-8")
+    written = results_path.read_bytes()
+    data = json.loads(written.decode("utf-8"))
+    # layout: the bytes `json` itself writes for what the file holds
+    relaid = json.dumps(data, sort_keys=True, ensure_ascii=False, indent=2) + "\n"
+    assert written == relaid.encode("utf-8")
+    # content: the envelope, then each document and group from its dataclasses
+    envelope = json.loads(json.dumps(results.json_envelope()))
+    assert {**data, "documents": []} == envelope
+    assert len(data["documents"]) == len(results.documents)
+    for document, doc in zip(data["documents"], results.documents):
+        groups = document.pop("groups")
+        assert document == {
+            "id": doc.record.id,
+            "locale": doc.record.locale,
+            "template": doc.record.template,
+            "output": doc.output,
+            "error": doc.error,
+        }
+        assert len(groups) == len(doc.groups)
+        for group, result in zip(groups, doc.groups):
+            members = result.group.members
+            assert group == {
+                "label": result.group.label.name,
+                "canonical": result.group.canonical,
+                "surface": members[0].surface,
+                "mentions": len(members),
+                "spans": [[span.start, span.end] for span in members],
+                "decision": result.decision.to_json_dict(),
+            }
 
 
 def test_scorer_trained_on_non_pii_only(corpus):

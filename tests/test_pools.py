@@ -248,6 +248,22 @@ class TestLoadPoolFile:
         with pytest.raises(ValueError, match="needs real and fake"):
             load_pool_file(path)
 
+    @pytest.mark.parametrize("side", ["real", "fake"])
+    @pytest.mark.parametrize("value", [None, 123, ["Ada Byron"]], ids=repr)
+    def test_a_side_that_is_not_a_string_is_refused(self, tmp_path, side, value):
+        entries = [
+            {"real": "Kenji Tanaka", "fake": "Hiro Yamamoto"},
+            {"real": "Aiko Suzuki", "fake": "Mei Kobayashi"},
+            {"real": "Ren Watanabe", "fake": "Yuna Ito"},
+            {"real": "Sora Nakamura", "fake": "Kaito Mori"},
+        ]
+        entries[2] = {**entries[2], side: value}
+        path = self._write(tmp_path, {"person": {"en": entries}})
+        with pytest.raises(
+            ValueError, match="^pool person/en entry 2: real and fake must be strings$"
+        ):
+            load_pool_file(path)
+
 
 def test_builtin_catalog_is_cached():
     assert builtin_catalog() is builtin_catalog()
