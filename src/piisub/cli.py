@@ -275,10 +275,10 @@ def _cmd_run(args: argparse.Namespace) -> int:
     # the modes share every detector setting, so one pass serves them all
     first, _ = configs[0]
     detected = detect_corpus(records, first)
-    scorer = None
+    reference = None
     if not args.no_ppl:
         oracle = first.detector == "oracle"
-        scorer = perplexity_reference(records, detected if oracle else None)
+        reference = perplexity_reference(records, detected if oracle else None)
     runs = []
     for run_config, catalog in configs:
         results = run_corpus(
@@ -288,7 +288,7 @@ def _cmd_run(args: argparse.Namespace) -> int:
             detected=detected,
             catalog=catalog,
         )
-        metrics = compute_metrics(results, scorer=scorer)
+        metrics = compute_metrics(results, reference=reference)
         run_dir, run = persist_run(results, out, metrics)
         runs.append(run)
         print(f"{run_config.mode.value}: run {results.run_id} -> {run_dir}")

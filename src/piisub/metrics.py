@@ -4,13 +4,12 @@ Leak detection reuses the same case-insensitive substring primitive as the
 oracle detector, so "the detector found it" and "it leaked" can never
 disagree about what counts as an occurrence.
 
-Welch's test reports the usual statistic, standard error and
-Welch-Satterthwaite degrees of freedom; the two-sided p-value uses the
-normal approximation of the t statistic (erfc), which is dependency-free
-but not adequate at the NER probe's sample sizes: at 5 seeds per variant
-(4-8 degrees of freedom) it understates p several-fold against Student's
-t, e.g. 0.036 against 0.074 for faker vs hybrid at t 2.09 and 7.0 degrees
-of freedom.
+Perplexity is exact, from integer counts and `decimal` (`CharNgramScorer`).
+Welch's test reports the statistic, standard error and Welch-Satterthwaite
+degrees of freedom; its two-sided p is the normal approximation, libm's
+erfc. At the NER probe's 5 seeds per variant (4-8 degrees of freedom) that
+understates Student's t p several-fold, e.g. 0.036 against 0.074 for faker
+vs hybrid at t 2.09 and 7.0 degrees of freedom.
 """
 
 from __future__ import annotations
@@ -19,9 +18,9 @@ import math
 import statistics
 from collections import Counter
 from dataclasses import dataclass
-from decimal import ROUND_HALF_UP, Decimal
+from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
 from functools import reduce
-from itertools import chain
+from itertools import chain, repeat
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
@@ -233,113 +232,95 @@ def welch_from_samples(xs: Sequence[float], ys: Sequence[float]) -> WelchResult:
     )
 
 
-#: A gram: the predicted character last, after up to `order - 1`
-#: characters of its context.
+#: A gram: the predicted character last, after up to `order - 1` of context.
 Gram = tuple[str, ...]
 
-
-class _GramNLL(dict):
-    """Gram -> NLL for the grams seen in training. A gram never seen costs
-    the unseen NLL of its context, looked up and not stored, so the table
-    stays the size of the training table."""
-
-    def __init__(
-        self, seen: dict[Gram, float], unseen: dict[Gram, float], default: float
-    ) -> None:
-        super().__init__(seen)
-        self._unseen = unseen
-        self._default = default
-
-    def __missing__(self, gram: Gram) -> float:
-        return self._unseen.get(gram[:-1], self._default)
+#: The arithmetic of every perplexity: libmpdec's, the same on every platform.
+_DECIMAL = Context(prec=40)
 
 
 class CharNgramScorer:
-    """Character n-gram perplexity with add-one smoothing.
+    """Character n-gram perplexity with add-one smoothing, computed exactly.
 
-    Contexts reset at chunk boundaries; texts are scored in fixed-size
-    chunks so pathological lengths cannot skew a single context chain.
-
-    Each (context, character) pair is one gram, a tuple of the character
-    with up to `order - 1` characters before it in its chunk, so the gram's
-    last item is the character predicted and the rest is its context. The
-    tuples are the ones `zip` builds over the chunk's shifted copies, so no
-    string is joined per character. Training counts grams and precomputes
-    every NLL the scorer can return; scoring maps a text's grams through
-    that table and adds the NLLs left to right from 0.0.
+    Grams are the tuples `zip` builds over a text's shifted copies. A gram
+    seen `count` times after a context seen `total` times costs
+    ln(total + V) - ln(count + 1), V the vocabulary size; training numbers
+    one cell per distinct (count + 1, total + V), and an unseen gram costs
+    (1, total + V) of its context, or (1, V). A score is the `Counter` of the
+    cells hit, one per character, so scores add and subtract in any order
+    until the next training. `perplexity` sums a score's logs in `decimal`
+    and rounds to float once: text order and libm cannot reach the result.
     """
 
-    def __init__(self, order: int = 5, chunk_size: int = 1024) -> None:
+    def __init__(self, order: int = 5) -> None:
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order
-        self.chunk_size = chunk_size
         self._counts: Counter[Gram] = Counter()
         self._vocab: set[str] = set()
-        self._nll = _GramNLL({}, {}, 0.0)
-        #: Text -> (NLL, characters) of the texts scored with `remember`.
-        self._memo: dict[str, tuple[float, int]] = {}
+        self._cells: list[tuple[int, int]] = []  # cell id -> (n, d)
+        self._ln: dict[int, Decimal] = {}  # each integer of a cell -> ln
+        self._seen: dict[Gram, int] = {}  # gram -> its cell
+        self._unseen: dict[Gram, int] = {}  # context -> unseen gram's cell
+        self._no_context = 0
 
     def train(self, texts: Iterable[str]) -> None:
-        self._memo.clear()
         for text in texts:
             self._vocab.update(text)
-            self._counts.update(self._grams(text))
+            self._counts.update(self._windows(text, self.order))
         if not self._vocab:
             return
         totals: Counter[Gram] = Counter()
         for gram, count in self._counts.items():
             totals[gram[:-1]] += count
-        vocab_size = len(self._vocab)
+        v = len(self._vocab)
+        seen = {g: (c + 1, totals[g[:-1]] + v) for g, c in self._counts.items()}
+        unseen = {ctx: (1, total + v) for ctx, total in totals.items()}
+        self._cells = list({*seen.values(), *unseen.values(), (1, v)})
+        self._ln = {k: Decimal(k).ln(_DECIMAL) for k in set(chain(*self._cells))}
+        ids = {pair: i for i, pair in enumerate(self._cells)}
+        self._seen = {g: ids[pair] for g, pair in seen.items()}
+        self._unseen = {ctx: ids[pair] for ctx, pair in unseen.items()}
+        self._no_context = ids[1, v]
 
-        def nll(count: int, total: int) -> float:
-            return -math.log((count + 1) / (total + vocab_size))
-
-        self._nll = _GramNLL(
-            {g: nll(c, totals[g[:-1]]) for g, c in self._counts.items()},
-            {ctx: nll(0, total) for ctx, total in totals.items()},
-            nll(0, 0),
-        )
-
-    def _chunks(self, text: str) -> Iterable[str]:
-        for i in range(0, len(text), self.chunk_size):
-            yield text[i : i + self.chunk_size]
-
-    def _grams(self, text: str) -> Iterator[Gram]:
-        """Every gram of the text, in text order."""
-        return chain.from_iterable(map(self._chunk_grams, self._chunks(text)))
-
-    def _chunk_grams(self, chunk: str) -> Iterator[Gram]:
-        # the first order-1 grams are the chunk's prefixes, the rest are
-        # full-length windows
-        head = tuple(chunk[: self.order - 1])
+    @staticmethod
+    def _windows(text: str, width: int) -> Iterator[Gram]:
+        """The text's first `width - 1` prefixes, then its windows of `width`."""
+        head = tuple(text[: width - 1])
         return chain(
             map(head.__getitem__, map(slice, range(1, len(head) + 1))),
-            zip(*(chunk[j:] for j in range(self.order))),
+            zip(*(text[j:] for j in range(width))),
         )
 
-    def _nll_and_chars(self, text: str) -> tuple[float, int]:
+    def count(self, texts: Iterable[str]) -> Counter[int]:
+        """The score of the texts, counted in C."""
         if not self._vocab:
             raise ValueError("scorer has not been trained")
-        # a left fold from 0.0: sum() compensates float error on 3.12+
-        nll = reduce(add, map(self._nll.__getitem__, self._grams(text)), 0.0)
-        return nll, len(text)
-
-    def corpus_perplexity(
-        self, texts: Iterable[str], *, remember: bool = False
-    ) -> float | None:
-        """exp of the mean per-character negative log likelihood, pooled
-        over the texts. With `remember`, a text's score is kept until the
-        next training and reused whenever it is scored with `remember`."""
-        memo = self._memo if remember else {}
-        total = 0.0
-        chars = 0
+        cells: Counter[int] = Counter()
         for text in texts:
-            if text not in memo:
-                memo[text] = self._nll_and_chars(text)
-            nll, n = memo[text]
-            total += nll
-            chars += n
-        if chars == 0:
+            # each gram's context: (), then the grams one character shorter
+            contexts = (
+                chain(((),), self._windows(text, self.order - 1))
+                if self.order > 1
+                else repeat(())
+            )
+            unseen = map(self._unseen.get, contexts, repeat(self._no_context))
+            cells.update(map(self._seen.get, self._windows(text, self.order), unseen))
+        return cells
+
+    def perplexity(self, score: Counter[int]) -> float | None:
+        """exp of a score's mean NLL per character; None for no characters."""
+        if not score:
             return None
-        return math.exp(total / chars)
+        weights: Counter[int] = Counter()  # the multiple of ln k in the sum
+        for cell, m in score.items():
+            n, d = self._cells[cell]
+            weights[d] += m
+            weights[n] -= m
+        with localcontext(_DECIMAL):
+            nll = sum((w * self._ln[k] for k, w in sorted(weights.items())), Decimal(0))
+            return float((nll / score.total()).exp())
+
+    def corpus_perplexity(self, texts: Iterable[str]) -> float | None:
+        """The perplexity of the texts pooled: every character weighs the same."""
+        return self.perplexity(self.count(texts))

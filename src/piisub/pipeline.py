@@ -35,8 +35,9 @@ costs time in the candidate's length, not in the number of blocked values.
 
 Perplexity is judged by one reference per corpus: `perplexity_reference`
 trains the scorer on the non-PII portions (by the oracle's spans) of every
-record, once, and `compute_metrics` scores each mode's documents with it,
-and each original once per reference.
+record, and scores every record's original under it, once. Scores are
+integer counts that add in any order: `compute_metrics` takes a mode's
+originals as that score less its failed documents', and scores its outputs.
 
 `persist_run` writes results.json one document at a time: the envelope
 (config, counters, run id, version) goes through `json.dumps`, and each
@@ -53,7 +54,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from collections import deque
+from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -483,13 +484,20 @@ def _oracle_spans(record: CorpusRecord, found: _Outcome | None) -> list[PiiSpan]
     return [span for group in found.value for span in group.members]
 
 
+class PerplexityReference(NamedTuple):
+    """A corpus's perplexity scorer, its records and its originals' score."""
+
+    scorer: CharNgramScorer
+    records: list[CorpusRecord]
+    originals: Counter[int]
+
+
 def perplexity_reference(
     records: Sequence[CorpusRecord], detected: Sequence[_Outcome] | None = None
-) -> CharNgramScorer:
-    """The one perplexity scorer of a corpus: trained on the non-PII
-    portions of every record, so every mode is scored by the same model.
-    `detected`, the oracle's `detect_corpus` of the records, spares
-    detecting them again."""
+) -> PerplexityReference:
+    """Train the scorer on the non-PII portions of every record, so every
+    mode is scored by one model, and score every original once. `detected`,
+    the oracle's `detect_corpus` of the records, spares detecting again."""
     found = detected if detected is not None else [None] * len(records)
     scorer = CharNgramScorer()
     scorer.train(
@@ -497,14 +505,18 @@ def perplexity_reference(
         for rec, outcome in zip(records, found, strict=True)
         for portion in _non_pii_portions(rec.text, _oracle_spans(rec, outcome))
     )
-    return scorer
+    originals = scorer.count(rec.text for rec in records)
+    return PerplexityReference(scorer, list(records), originals)
 
 
 def compute_metrics(
-    results: RunResults, *, scorer: CharNgramScorer | None = None
+    results: RunResults, *, reference: PerplexityReference | None = None
 ) -> MetricsReport:
-    """The run's metrics; perplexity only when a reference `scorer` (see
-    `perplexity_reference`) is given, over the documents that succeeded."""
+    """The run's metrics; perplexity only when the `reference` of the run's
+    records is given, over the documents that succeeded."""
+    records = [d.record for d in results.documents]
+    if reference is not None and records != reference.records:
+        raise ValueError("the perplexity reference was built from other records")
     ok_docs = [d for d in results.documents if d.ok]
     leak = leak_report((d.record.gt_values(), d.output) for d in ok_docs)
     consistency = consistency_report(
@@ -530,11 +542,10 @@ def compute_metrics(
     )
     ppl_orig: float | None = None
     ppl_out: float | None = None
-    if scorer is not None and ok_docs:
-        # the originals are the same in every mode: score each once per scorer
-        ppl_orig = scorer.corpus_perplexity(
-            (d.record.text for d in ok_docs), remember=True
-        )
+    if reference is not None and ok_docs:
+        scorer = reference.scorer
+        failed = scorer.count(d.record.text for d in results.failed_documents)
+        ppl_orig = scorer.perplexity(reference.originals - failed)
         ppl_out = scorer.corpus_perplexity(d.output for d in ok_docs)
     return MetricsReport(
         leak=leak,

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -1103,7 +1104,7 @@ class TestRunArtifactCommands:
 #: equivalence oracle: every supported interpreter writes these bytes.
 RUN_ALL_DIGESTS = {
     "83e4b4ca51b4/metrics.json": (
-        "45c3dea40023b31b0a4a9fb56b5a75eb8fe4ec0e2a692cfc7f351b7bc948a085"
+        "d2b4e80484e9245f657bc561dd88cbbba9be01196580c4e21ea77bb77d9a8a25"
     ),
     "83e4b4ca51b4/regurgitation.json": (
         "636f3d55643b6ec70ff8f608e8e61910d4ae02ea52445fe6f783b2c98b53076d"
@@ -1112,13 +1113,13 @@ RUN_ALL_DIGESTS = {
         "6bc226974720ef14f5653bf44e9ff6ac418e72531cf18e7a5136ca6bf5f7c21c"
     ),
     "a61a6c41fa49/metrics.json": (
-        "3430d2bb8486893bb892cd4aa1418905030288c9f9e5a9ce4b2fb85f5d531db8"
+        "8a9372fc8c8587aa416c9b0d6b34f60bb7049106832c8729d437287415971965"
     ),
     "a61a6c41fa49/results.json": (
         "8fb8dacc952bac71580a22c424a5e678832ab9a57f2cd567ee13f40619e3f6f5"
     ),
     "a9b3e53ca129/metrics.json": (
-        "c413fecfc499fdd2b36acc757122da1f13b1e1a7dc5a7a59f88ed8b9ace206e8"
+        "9b7c5c8027718d3b0dd047fb94db277fdc5be49b5f0e430cc6bb4c5d490682c5"
     ),
     "a9b3e53ca129/results.json": (
         "60d5c9431868f2c37234a179d3c4673a77b4e10f19170f09fce5b27fce5bc18c"
@@ -1140,6 +1141,26 @@ def test_run_all_writes_the_pinned_bytes(tmp_path, monkeypatch):
         if path.name != "timings.json"
     }
     assert digests == RUN_ALL_DIGESTS
+
+
+@pytest.mark.parametrize("step", [math.inf, -math.inf])
+def test_metrics_do_not_read_libm_log_or_exp(tmp_path, monkeypatch, step):
+    """Perplexity is exact in `decimal`: a libm whose log and exp round
+    one ulp off writes the same metrics.json."""
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(synth_corpus(40, 1), corpus)
+
+    def metrics(out):
+        argv = ["run", "--mode", "all", "--corpus", str(corpus), "--out", str(out)]
+        assert main(argv) == 0
+        return {p.parent.name: p.read_bytes() for p in out.glob("*/metrics.json")}
+
+    expected = metrics(tmp_path / "libm")
+    log, exp = math.log, math.exp
+    monkeypatch.setattr(math, "log", lambda *args: math.nextafter(log(*args), step))
+    monkeypatch.setattr(math, "exp", lambda x: math.nextafter(exp(x), step))
+    assert math.log(math.e) != 1.0 and math.exp(1.0) != math.e
+    assert metrics(tmp_path / "off") == expected
 
 
 def test_ner_probe_writes_the_pinned_bytes(tmp_path, monkeypatch):

@@ -6,6 +6,8 @@ The Welch expectations were computed by hand from the closed-form formulas
 
 import math
 import statistics
+from collections import Counter
+from decimal import Decimal, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -243,7 +245,7 @@ class TestCharNgramScorer:
         scorer.train(training)
         for text in ("abc", ""):
             with pytest.raises(ValueError, match="trained"):
-                scorer._nll_and_chars(text)
+                scorer.count([text])
             with pytest.raises(ValueError, match="trained"):
                 scorer.corpus_perplexity([text])
 
@@ -264,33 +266,13 @@ class TestCharNgramScorer:
         with pytest.raises(ValueError):
             CharNgramScorer(order=0)
 
-    def test_remembered_scores_are_bit_identical_and_scored_once(self, monkeypatch):
-        scorer = CharNgramScorer()
-        scorer.train(["the quick brown fox", "jumps over the lazy dog"])
-        texts = ["the lazy fox", "a quick dog", "the lazy fox", ""]
-        fresh = scorer.corpus_perplexity(texts)
-        scored = []
-        score = scorer._nll_and_chars
-        monkeypatch.setattr(
-            scorer, "_nll_and_chars", lambda text: scored.append(text) or score(text)
-        )
-        for _ in range(3):
-            assert repr(scorer.corpus_perplexity(texts, remember=True)) == repr(fresh)
-        assert scored == ["the lazy fox", "a quick dog", ""]
-        # training again forgets every remembered score
-        scorer.train(["zzz"])
-        assert scorer.corpus_perplexity(texts, remember=True) != fresh
-        assert len(scored) == 6
 
+class ExactReference:
+    """The per-character scorer: counts per context, each character's
+    (count + 1, total + V) pair, and the exact perplexity of those pairs."""
 
-
-class LoopScorer:
-    """The per-character scorer the gram table replaced, kept as the
-    reference: a dict of counts per context, one NLL per character."""
-
-    def __init__(self, order: int = 5, chunk_size: int = 1024) -> None:
+    def __init__(self, order: int = 5) -> None:
         self.order = order
-        self.chunk_size = chunk_size
         self._counts: dict[str, dict[str, int]] = {}
         self._context_totals: dict[str, int] = {}
         self._vocab: set[str] = set()
@@ -298,44 +280,37 @@ class LoopScorer:
     def train(self, texts):
         ctx_len = self.order - 1
         for text in texts:
-            for chunk in self._chunks(text):
-                for i, ch in enumerate(chunk):
-                    self._vocab.add(ch)
-                    ctx = chunk[max(0, i - ctx_len) : i]
-                    bucket = self._counts.setdefault(ctx, {})
-                    bucket[ch] = bucket.get(ch, 0) + 1
-                    self._context_totals[ctx] = self._context_totals.get(ctx, 0) + 1
+            for i, ch in enumerate(text):
+                self._vocab.add(ch)
+                ctx = text[max(0, i - ctx_len) : i]
+                bucket = self._counts.setdefault(ctx, {})
+                bucket[ch] = bucket.get(ch, 0) + 1
+                self._context_totals[ctx] = self._context_totals.get(ctx, 0) + 1
 
-    def _chunks(self, text):
-        for i in range(0, len(text), self.chunk_size):
-            yield text[i : i + self.chunk_size]
-
-    def _nll_and_chars(self, text):
-        if not self._vocab:
-            raise ValueError("scorer has not been trained")
+    def pairs(self, text):
+        """Each character's (count + 1, total + V): its NLL is ln d - ln n."""
         ctx_len = self.order - 1
         vocab_size = len(self._vocab)
-        total = 0.0
-        chars = 0
-        for chunk in self._chunks(text):
-            for i, ch in enumerate(chunk):
-                ctx = chunk[max(0, i - ctx_len) : i]
-                count = self._counts.get(ctx, {}).get(ch, 0)
-                denom = self._context_totals.get(ctx, 0) + vocab_size
-                total += -math.log((count + 1) / denom)
-                chars += 1
-        return total, chars
+        for i, ch in enumerate(text):
+            ctx = text[max(0, i - ctx_len) : i]
+            count = self._counts.get(ctx, {}).get(ch, 0)
+            yield count + 1, self._context_totals.get(ctx, 0) + vocab_size
 
     def corpus_perplexity(self, texts):
-        total = 0.0
+        """exp(sum of (ln d - ln n) / chars) at 40 digits, the logs of the
+        integers added in ascending order, rounded to float once."""
+        weights: Counter[int] = Counter()
         chars = 0
         for text in texts:
-            nll, n = self._nll_and_chars(text)
-            total += nll
-            chars += n
+            for n, d in self.pairs(text):
+                weights[d] += 1
+                weights[n] -= 1
+            chars += len(text)
         if chars == 0:
             return None
-        return math.exp(total / chars)
+        with localcontext(prec=40):
+            terms = (w * Decimal(k).ln() for k, w in sorted(weights.items()))
+            return float((sum(terms, Decimal(0)) / chars).exp())
 
 
 # ASCII, Latin diacritics, kana and Han; a small alphabet, so contexts repeat
@@ -344,34 +319,55 @@ _SCORER_ALPHABET = "ab e.Zéüßñかなカナ山田東京"
 _scorer_texts = st.lists(st.text(alphabet=_SCORER_ALPHABET, max_size=30), max_size=6)
 
 
-class TestCharNgramScorerEqualsTheLoop:
+def cell_pairs(scorer: CharNgramScorer, text: str) -> Counter:
+    """The (count + 1, total + V) pairs the scorer counts for the text."""
+    return Counter({scorer._cells[cell]: m for cell, m in scorer.count([text]).items()})
+
+
+class TestCharNgramScorerIsExact:
     @settings(max_examples=200)
     @given(
         order=st.integers(1, 5),
-        chunk_size=st.sampled_from([1, 3, 7, 1024]),
         first=_scorer_texts,
         second=_scorer_texts,
         scored=_scorer_texts,
     )
-    def test_bit_identical(self, order, chunk_size, first, second, scored):
-        table = CharNgramScorer(order=order, chunk_size=chunk_size)
-        loop = LoopScorer(order=order, chunk_size=chunk_size)
+    def test_bit_identical(self, order, first, second, scored):
+        table = CharNgramScorer(order=order)
+        exact = ExactReference(order=order)
         # train twice: the second call adds to the first one's counts
         for training in (first, second):
             table.train(training)
-            loop.train(training)
-            if not loop._vocab:
+            exact.train(training)
+            if not exact._vocab:
                 continue
             for text in [*scored, *first, *second, ""]:
-                assert repr(table._nll_and_chars(text)) == repr(
-                    loop._nll_and_chars(text)
-                )
+                assert cell_pairs(table, text) == Counter(exact.pairs(text))
                 assert repr(table.corpus_perplexity([text])) == repr(
-                    loop.corpus_perplexity([text])
+                    exact.corpus_perplexity([text])
                 )
             assert repr(table.corpus_perplexity(scored)) == repr(
-                loop.corpus_perplexity(scored)
+                exact.corpus_perplexity(scored)
             )
+
+    @settings(max_examples=100)
+    @given(
+        order=st.integers(1, 5),
+        training=_scorer_texts.filter(any),
+        scored=_scorer_texts,
+        data=st.data(),
+    )
+    def test_text_order_cannot_change_a_bit(self, order, training, scored, data):
+        table = CharNgramScorer(order=order)
+        table.train(training)
+        expected = repr(table.corpus_perplexity(scored))
+        assert repr(table.corpus_perplexity(data.draw(st.permutations(scored)))) == (
+            expected
+        )
+        # nor the order of the training texts, which numbers the cells
+        shuffled = CharNgramScorer(order=order)
+        shuffled.train(data.draw(st.permutations(training)))
+        assert repr(shuffled.corpus_perplexity(scored)) == expected
 
     def test_bit_identical_on_a_corpus(self):
         from piisub.corpus import synth_corpus
@@ -383,12 +379,23 @@ class TestCharNgramScorerEqualsTheLoop:
             p for rec in records for p in _non_pii_portions(rec.text, detect_oracle(rec))
         ]
         texts = [rec.text for rec in records]
-        table, loop = CharNgramScorer(chunk_size=64), LoopScorer(chunk_size=64)
+        # one text past the 1,024 characters scored in chunks before: its
+        # contexts run on across the whole text
+        texts.append(" ".join(texts[:12]))
+        assert len(texts[-1]) > 2048
+        table, exact = CharNgramScorer(), ExactReference()
         table.train(portions)
-        loop.train(portions)
-        assert repr([table._nll_and_chars(t) for t in texts]) == repr(
-            [loop._nll_and_chars(t) for t in texts]
-        )
+        exact.train(portions)
+        for text in texts:
+            assert cell_pairs(table, text) == Counter(exact.pairs(text))
         assert repr(table.corpus_perplexity(texts)) == repr(
-            loop.corpus_perplexity(texts)
+            exact.corpus_perplexity(texts)
         )
+
+    def test_counts_subtract_to_the_rest(self):
+        table = CharNgramScorer()
+        table.train(["the quick brown fox", "jumps over the lazy dog"])
+        texts = ["the lazy fox", "a quick dog", "the lazy fox", ""]
+        rest = table.count(texts) - table.count(texts[:1])
+        assert rest == table.count(texts[1:])
+        assert table.perplexity(rest) == table.corpus_perplexity(texts[1:])

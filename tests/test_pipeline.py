@@ -5,6 +5,7 @@ import re
 import sys
 import threading
 import time
+from collections import Counter
 from dataclasses import fields
 
 import pytest
@@ -724,16 +725,17 @@ class TestErrorIsolation:
         assert [d.record.id for d in results.failed_documents] == [bad.id]
 
         reference = perplexity_reference(corpus)
-        metrics = compute_metrics(results, scorer=reference)
+        metrics = compute_metrics(results, reference=reference)
         # the means run over the documents that succeeded ...
-        assert metrics.perplexity_original == reference.corpus_perplexity(
+        scorer = reference.scorer
+        assert metrics.perplexity_original == scorer.corpus_perplexity(
             d.record.text for d in ok
         )
-        assert metrics.perplexity_transformed == reference.corpus_perplexity(
+        assert metrics.perplexity_transformed == scorer.corpus_perplexity(
             d.output for d in ok
         )
         # ... under the model trained on every record, the failed one too
-        survivors_only = perplexity_reference([d.record for d in ok])
+        survivors_only = perplexity_reference([d.record for d in ok]).scorer
         assert metrics.perplexity_original != survivors_only.corpus_perplexity(
             d.record.text for d in ok
         )
@@ -818,26 +820,41 @@ class TestComputeMetrics:
 
     def test_perplexity_optional(self, corpus):
         with_ppl = compute_metrics(
-            run(corpus, Mode.FAKER), scorer=perplexity_reference(corpus)
+            run(corpus, Mode.FAKER), reference=perplexity_reference(corpus)
         )
         without = compute_metrics(run(corpus, Mode.FAKER))
         assert with_ppl.perplexity_original is not None
         assert with_ppl.perplexity_transformed is not None
         assert without.perplexity_original is None
 
-    def test_originals_are_scored_once_per_reference(self, corpus, monkeypatch):
+    def test_each_original_is_counted_once_per_reference(self, corpus, monkeypatch):
+        counted = []
+        count = CharNgramScorer.count
+
+        def counting(scorer, texts):
+            texts = list(texts)
+            counted.extend(texts)
+            return count(scorer, texts)
+
+        monkeypatch.setattr(CharNgramScorer, "count", counting)
         reference = perplexity_reference(corpus)
-        expected = repr(reference.corpus_perplexity(r.text for r in corpus))
-        scored = []
-        score = reference._nll_and_chars
-        monkeypatch.setattr(
-            reference, "_nll_and_chars", lambda text: scored.append(text) or score(text)
-        )
+        outputs, ppl = [], []
         for mode in Mode:
-            metrics = compute_metrics(run(corpus, mode), scorer=reference)
-            assert repr(metrics.perplexity_original) == expected
-        originals = {r.text for r in corpus}
-        assert sorted(t for t in scored if t in originals) == sorted(originals)
+            results = run(corpus, mode)
+            ppl.append(compute_metrics(results, reference=reference).perplexity_original)
+            outputs.extend(d.output for d in results.documents)
+        # once by the reference; any more only where a mode's output is the
+        # original itself
+        times = Counter(counted)
+        for rec in corpus:
+            assert times[rec.text] == 1 + outputs.count(rec.text)
+        expected = reference.scorer.corpus_perplexity(r.text for r in corpus)
+        assert list(map(repr, ppl)) == [repr(expected)] * len(Mode)
+
+    def test_a_reference_scores_only_its_own_records(self, corpus):
+        reference = perplexity_reference(corpus[1:])
+        with pytest.raises(ValueError, match="other records"):
+            compute_metrics(run(corpus, Mode.FAKER), reference=reference)
 
     def test_aggregate_is_mean_of_defined_rates(self, corpus):
         metrics = compute_metrics(run(corpus, Mode.FAKER))
@@ -1072,9 +1089,12 @@ def test_a_reference_from_the_shared_detection_equals_its_own(corpus):
     assert detected[-1].error is not None
     shared = perplexity_reference(records, detected)
     own = perplexity_reference(records)
-    assert shared._counts == own._counts
+    assert shared.scorer._counts == own.scorer._counts
+    assert shared.originals == own.originals
     texts = [rec.text for rec in records]
-    assert repr(shared.corpus_perplexity(texts)) == repr(own.corpus_perplexity(texts))
+    assert repr(shared.scorer.corpus_perplexity(texts)) == repr(
+        own.scorer.corpus_perplexity(texts)
+    )
 
 
 def test_char_ngram_scorer_used_by_metrics_is_order_five():
