@@ -135,35 +135,27 @@ class MockEchoDemoBackend(SlmBackend):
 class CommandBackend(SlmBackend):
     """Runs a local command per call; stdout is the completion.
 
-    The prompt reaches the command as a literal `{prompt}` substitution in
-    the argument template, with an empty stdin, or on stdin, where the
-    template must not hold `{prompt}`: the command would read it literally.
+    The template decides how the prompt reaches the command: as a literal
+    `{prompt}` substitution in every template word that holds one, with an
+    empty stdin, or, when no word holds `{prompt}`, on stdin.
     """
 
     def __init__(
         self,
         template: str,
         *,
-        prompt_via: str = "arg",
         timeout: float = DEFAULT_TIMEOUT,
         failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
     ) -> None:
         super().__init__(failure_threshold=failure_threshold)
-        if prompt_via not in ("arg", "stdin"):
-            raise ValueError(f"prompt_via must be 'arg' or 'stdin', got {prompt_via!r}")
         check_timeout("backend", timeout)
         self._argv = split_command("backend", template)
-        placeholder = any("{prompt}" in a for a in self._argv)
-        if prompt_via == "arg" and not placeholder:
-            raise ValueError("arg mode needs a {prompt} placeholder in the template")
-        if prompt_via == "stdin" and placeholder:
-            raise ValueError("stdin mode takes no {prompt} placeholder in the template")
-        self._prompt_via = prompt_via
+        self._prompt_in_argv = any("{prompt}" in a for a in self._argv)
         self._timeout = timeout
         self.id = f"command:{Path(self._argv[0]).name}"
 
     def _invoke(self, prompt: str) -> str:
-        if self._prompt_via == "arg":
+        if self._prompt_in_argv:
             argv, data = [a.replace("{prompt}", prompt) for a in self._argv], ""
         else:
             argv, data = self._argv, prompt
@@ -177,7 +169,6 @@ def make_backend(
     kind: str,
     *,
     command: str | None = None,
-    prompt_via: str = "arg",
     timeout: float = DEFAULT_TIMEOUT,
     failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
 ) -> SlmBackend:
@@ -190,9 +181,6 @@ def make_backend(
         if not command:
             raise ValueError("command backend needs a command template")
         return CommandBackend(
-            command,
-            prompt_via=prompt_via,
-            timeout=timeout,
-            failure_threshold=failure_threshold,
+            command, timeout=timeout, failure_threshold=failure_threshold
         )
     raise ValueError(f"unknown backend kind {kind!r}")

@@ -232,7 +232,6 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
         dest="backend_command",
         help="command template for --slm-backend command",
     )
-    sub.add_argument("--prompt-via", choices=["arg", "stdin"])
     sub.add_argument("--slm-timeout", dest="backend_timeout", type=float)
     sub.add_argument("--failure-threshold", type=int)
     sub.add_argument(
@@ -240,7 +239,6 @@ def _add_run_options(sub: argparse.ArgumentParser) -> None:
         type=DemoStrategy,
         metavar="{" + ",".join(s.value for s in DemoStrategy) + "}",
     )
-    sub.add_argument("--placeholder-prefix")
     sub.add_argument("--detector", choices=["oracle", "rules", "external"])
     sub.add_argument("--detector-command")
     sub.add_argument("--detector-url")

@@ -18,7 +18,7 @@ accepted model output that hits one is treated like an identity rejection.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable
 
 from .backends import BackendInvocationError, SlmBackend
 from .fakegen import draw_seed, fake_value
@@ -57,8 +57,8 @@ class SpliceOverlap(ValueError):
     """Two replacement spans overlap; the splice would be ambiguous."""
 
 
-def redact_placeholder(label: Label, prefix: str = "") -> str:
-    return f"[{prefix}{label.name}]"
+def redact_placeholder(label: Label) -> str:
+    return f"[{label.name}]"
 
 
 def _clean_fake_draw(
@@ -154,17 +154,13 @@ def dispatch(
     backend: SlmBackend | None = None,
     catalog: PoolCatalog | None = None,
     strategy: DemoStrategy = DemoStrategy.ROTATING_LOCALE,
-    placeholder_prefix: str = "",
     blocked: Callable[[str], bool] = _NOTHING_BLOCKED,
     fake_secret: bytes = b"",
 ) -> SurrogateDecision:
     """Produce the surrogate decision for one entity under its key's mode."""
     label = key.label
     if key.mode is Mode.REDACT:
-        return SurrogateDecision(
-            surrogate=redact_placeholder(label, placeholder_prefix),
-            source=Source.REDACT,
-        )
+        return SurrogateDecision(surrogate=redact_placeholder(label), source=Source.REDACT)
     if key.mode is Mode.HYBRID and label in SLM_LABELS:
         if backend is None or catalog is None:
             raise ValueError("hybrid mode needs a backend and a pool catalog")
@@ -198,23 +194,22 @@ def _with_surface_whitespace(surface: str, replacement: str) -> str:
 
 
 def splice(text: str, replacements: Iterable[tuple[PiiSpan, str]]) -> str:
-    """Apply span replacements right to left, leaving all other bytes alone."""
-    ordered: Sequence[tuple[PiiSpan, str]] = sorted(
-        replacements, key=lambda item: (item[0].start, item[0].end)
-    )
-    previous_end = -1
-    for span, _ in ordered:
+    """Apply span replacements left to right in one join, leaving all other
+    bytes alone."""
+    ordered = sorted(replacements, key=lambda item: (item[0].start, item[0].end))
+    pieces = []
+    cursor = 0  # the end of the previous span
+    for span, new_value in ordered:
         if span.end > len(text):
             raise ValueError(f"span {span.start}:{span.end} beyond text end")
         if text[span.start : span.end] != span.surface:
             raise ValueError(
                 f"span {span.start}:{span.end} surface does not match text"
             )
-        if span.start < previous_end:
+        if span.start < cursor:
             raise SpliceOverlap(f"span at {span.start} overlaps previous span")
-        previous_end = span.end
-    out = text
-    for span, new_value in reversed(ordered):
-        patched = _with_surface_whitespace(span.surface, new_value)
-        out = out[: span.start] + patched + out[span.end :]
-    return out
+        pieces.append(text[cursor : span.start])
+        pieces.append(_with_surface_whitespace(span.surface, new_value))
+        cursor = span.end
+    pieces.append(text[cursor:])
+    return "".join(pieces)

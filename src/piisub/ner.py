@@ -484,23 +484,18 @@ def stratified_split(
     return sorted(rest[:train_size]), sorted(test_idx)
 
 
-def run_ner_experiment(
-    variants: dict[str, list[CorpusRecord]],
-    *,
-    original: str = "original",
-    **settings,
-) -> NerReport:
+def run_ner_experiment(variants: dict[str, list[CorpusRecord]], **settings) -> NerReport:
     """Train on each variant, test on held-out original documents, per seed.
     `settings` are the fields of `NerSettings`; the rest keep its defaults.
     Every setting is checked before any training."""
-    if original not in variants:
-        raise ValueError(f"variants must include the {original!r} corpus")
-    base = variants[original]
+    if "original" not in variants:
+        raise ValueError("variants must include the 'original' corpus")
+    base = variants["original"]
     for name, records in variants.items():
         if len(records) != len(base) or any(
             a.id != b.id for a, b in zip(records, base)
         ):
-            raise ValueError(f"variant {name!r} is not parallel to {original!r}")
+            raise ValueError(f"variant {name!r} is not parallel to 'original'")
     checked = NerSettings(**settings)
     checked.check_corpus(len(base))
     order = list(variants)

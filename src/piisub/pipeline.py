@@ -1,8 +1,10 @@
 """End-to-end corpus runs: detect, resolve, substitute, splice, measure.
 
-A run is identified by a short hash over its configuration and the corpus
-fingerprint, so rerunning the same setup lands in the same directory with
-byte-identical result files. `parallelism`, the one concurrency setting, is
+A run is identified by a short hash over its configuration and its corpus:
+each record's id and text (the corpus fingerprint), locale, template and
+ground truth. Rerunning the same setup lands in the same directory with
+byte-identical result files, and corpora that differ in anything a run
+reads land apart. `parallelism`, the one concurrency setting, is
 how many calls to an out-of-process adapter (a command backend, an external
 detector, both through `model.run_command`) may be in flight; it changes
 how a run executes, not what it computes. `_calls` runs the tasks of both
@@ -94,6 +96,7 @@ from .model import (
     CorpusRecord,
     EntityGroup,
     JsonReport,
+    Label,
     Mode,
     PiiSpan,
     SurrogateDecision,
@@ -116,7 +119,7 @@ EXECUTION_FIELDS = frozenset({"parallelism"})
 #: placeholders only), and a detector's transport and timeout only by the
 #: external detector.
 _SETTINGS_READ: dict[tuple[str, object], tuple[str, ...]] = {
-    ("mode", Mode.REDACT): ("detector", "placeholder_prefix"),
+    ("mode", Mode.REDACT): ("detector",),
     ("mode", Mode.FAKER): ("detector", "leak_guard"),
     ("mode", Mode.HYBRID): (
         "detector",
@@ -127,7 +130,7 @@ _SETTINGS_READ: dict[tuple[str, object], tuple[str, ...]] = {
         "pool_file",
     ),
     ("detector", "external"): ("detector_command", "detector_url", "detector_timeout"),
-    ("backend_kind", "command"): ("backend_command", "prompt_via", "backend_timeout"),
+    ("backend_kind", "command"): ("backend_command", "backend_timeout"),
 }
 
 
@@ -136,11 +139,9 @@ class RunConfig:
     mode: Mode
     backend_kind: str = "mock-pool"
     backend_command: str | None = None
-    prompt_via: str = "arg"
     backend_timeout: float = DEFAULT_TIMEOUT
     failure_threshold: int = DEFAULT_FAILURE_THRESHOLD
     demo_strategy: DemoStrategy = DemoStrategy.ROTATING_LOCALE
-    placeholder_prefix: str = ""
     detector: str = "oracle"
     detector_command: str | None = None
     detector_url: str | None = None
@@ -187,10 +188,21 @@ def corpus_fingerprint(records: Sequence[CorpusRecord]) -> str:
 
 
 def derive_run_id(config: RunConfig, records: Sequence[CorpusRecord]) -> str:
+    """The config's pinned id, else a hash over the run-id fingerprint of the
+    config, the corpus fingerprint and each record's locale, template and
+    ground truth (in label order), which the run reads too."""
     if config.run_id:
         return config.run_id
+    truth = hashlib.sha256()
+    for rec in records:
+        gt = [(label.name, rec.pii_gt[label]) for label in Label if label in rec.pii_gt]
+        truth.update(json.dumps([rec.locale, rec.template, gt]).encode("ascii"))
     payload = json.dumps(
-        {"config": config.to_json_dict(), "corpus": corpus_fingerprint(records)},
+        {
+            "config": config.to_json_dict(),
+            "corpus": corpus_fingerprint(records),
+            "ground_truth": truth.hexdigest(),
+        },
         sort_keys=True,
         ensure_ascii=False,
     )
@@ -254,7 +266,6 @@ def _build_backend(config: RunConfig) -> SlmBackend | None:
     return make_backend(
         config.backend_kind,
         command=config.backend_command,
-        prompt_via=config.prompt_via,
         timeout=config.backend_timeout,
         failure_threshold=config.failure_threshold,
     )
@@ -388,7 +399,6 @@ def run_corpus(
         backend=backend,
         catalog=catalog,
         strategy=config.demo_strategy,
-        placeholder_prefix=config.placeholder_prefix,
         blocked=blocked,
         fake_secret=fake_secret,
     )

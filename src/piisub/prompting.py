@@ -40,11 +40,10 @@ class DemoStrategy(str, Enum):
 
 
 class PoolTooSmall(ValueError):
-    def __init__(self, pool_name: str, size: int, needed: int = SAMPLE_SIZE) -> None:
-        super().__init__(f"pool {pool_name} has {size} demos, need {needed}")
+    def __init__(self, pool_name: str, size: int) -> None:
+        super().__init__(f"pool {pool_name} has {size} demos, need {SAMPLE_SIZE}")
         self.pool_name = pool_name
         self.size = size
-        self.needed = needed
 
 
 class InvalidInput(ValueError):
@@ -66,19 +65,19 @@ def stable_seed(text: str) -> int:
 
 
 def sample_demos(
-    demos: Sequence[Demo], input_text: str, k: int = SAMPLE_SIZE, *, pool_name: str = "?"
+    demos: Sequence[Demo], input_text: str, *, pool_name: str = "?"
 ) -> tuple[Demo, ...]:
-    """Pick k distinct demos, deterministically keyed on the input string.
+    """Pick SAMPLE_SIZE distinct demos, deterministically keyed on the input string.
 
     Selection order is preserved: the i-th pick lands at prompt position i.
     """
     n = len(demos)
-    if n < k:
-        raise PoolTooSmall(pool_name, n, k)
+    if n < SAMPLE_SIZE:
+        raise PoolTooSmall(pool_name, n)
     state = stable_seed(input_text)
     order = list(range(n))
     picks: list[int] = []
-    for i in range(k):
+    for i in range(SAMPLE_SIZE):
         r, state = splitmix64(state)
         j = i + r % (n - i)
         order[i], order[j] = order[j], order[i]

@@ -12,11 +12,11 @@ from __future__ import annotations
 from typing import Iterable, Mapping, Sequence
 
 
-def _fmt(value: object, places: int = 3) -> str:
+def _fmt(value: object) -> str:
     if value is None:
         return "n/a"
     if isinstance(value, float):
-        return f"{value:.{places}f}"
+        return f"{value:.3f}"
     return str(value)
 
 

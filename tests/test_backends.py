@@ -1,5 +1,6 @@
 """Mock and command backends, prompt parsing, and health accounting."""
 
+import json
 import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -112,27 +113,33 @@ class TestCommandBackend:
         assert backend.propose(PROMPT) == " Theo Pemberton"
 
     def test_prompt_via_stdin(self, echo_script):
-        backend = CommandBackend(
-            f"{sys.executable} {echo_script}", prompt_via="stdin"
-        )
+        backend = CommandBackend(f"{sys.executable} {echo_script}")
         assert backend.propose(PROMPT) == " Theo Pemberton"
 
-    def test_arg_mode_requires_placeholder(self):
-        with pytest.raises(ValueError, match="placeholder"):
-            CommandBackend(f"{sys.executable} x.py")
-
-    def test_invalid_prompt_via(self):
-        with pytest.raises(ValueError, match="prompt_via"):
-            CommandBackend("x '{prompt}'", prompt_via="env")
+    @pytest.mark.parametrize(
+        "template, argv, stdin",
+        [
+            # formerly refused: arg mode without a {prompt} placeholder
+            ("{script}", [], PROMPT),
+            ("{script} --flag", ["--flag"], PROMPT),
+            # formerly refused: stdin mode with a {prompt} placeholder
+            ("{script} '{{prompt}}'", [PROMPT], ""),
+            ("{script} --in=<{{prompt}}> '{{prompt}}'", [f"--in=<{PROMPT}>", PROMPT], ""),
+        ],
+    )
+    def test_the_template_decides_the_transport(self, tmp_path, template, argv, stdin):
+        script = tmp_path / "report.py"
+        script.write_text(
+            "import json, sys\n"
+            "print(json.dumps([sys.argv[1:], sys.stdin.read()]))\n",
+            encoding="utf-8",
+        )
+        backend = CommandBackend(template.format(script=f"{sys.executable} {script}"))
+        assert json.loads(backend.propose(PROMPT)) == [argv, stdin]
 
     def test_empty_template(self):
         with pytest.raises(ValueError, match="empty"):
             CommandBackend("   ")
-
-    def test_stdin_mode_refuses_placeholder(self):
-        # the command would read the literal string "{prompt}"
-        with pytest.raises(ValueError, match="stdin mode takes no"):
-            CommandBackend("runner '{prompt}'", prompt_via="stdin")
 
     @pytest.mark.parametrize("timeout", [0, -1.5, float("nan")])
     def test_timeout_must_be_positive(self, timeout):

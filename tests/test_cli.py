@@ -21,11 +21,9 @@ from piisub.pipeline import RunConfig
 RUN_SETTINGS = {
     "slm_backend": "mock-echo-demo",
     "slm_command": "unused {prompt}",
-    "prompt_via": "stdin",
     "slm_timeout": 60,
     "failure_threshold": 2,
     "demo_strategy": "fixed_three",
-    "placeholder_prefix": "PII_",
     "detector": "rules",
     "detector_command": "unused",
     "detector_url": "http://localhost:1/unused",
@@ -40,14 +38,6 @@ RUN_SETTINGS = {
 #: Settings that the backend or the detector of a `--mode all` run rejects,
 #: each with the message of its usage error.
 REJECTED_SETTINGS = {
-    "arg-mode-without-placeholder": (
-        {"slm_backend": "command", "slm_command": "echo hi"},
-        "arg mode needs a {prompt} placeholder in the template",
-    ),
-    "stdin-mode-with-placeholder": (
-        {"slm_backend": "command", "prompt_via": "stdin", "slm_command": "cat {prompt}"},
-        "stdin mode takes no {prompt} placeholder in the template",
-    ),
     "zero-slm-timeout": (
         {"slm_backend": "command", "slm_command": "x {prompt}", "slm_timeout": 0},
         "backend timeout must be above 0, got 0.0",
@@ -376,17 +366,31 @@ class TestRun:
         assert "argument --parallelism: must be at least 1, got 0" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["run", "ner"])
     @pytest.mark.parametrize("given", ["flag", "config"])
-    def test_max_inflight_is_no_setting(self, corpus_file, tmp_path, capsys, given):
-        # --parallelism alone bounds the calls in flight
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            # --parallelism alone bounds the calls in flight
+            ("max_inflight", "2"),
+            # the --slm-command template decides the prompt's transport
+            ("prompt_via", "stdin"),
+            # a redact placeholder is always [LABEL]
+            ("placeholder_prefix", "PII_"),
+        ],
+    )
+    def test_a_removed_setting_is_no_option(
+        self, corpus_file, tmp_path, capsys, given, command, key, value
+    ):
         out = tmp_path / "results"
-        argv = ["run", "--mode", "hybrid", "--corpus", str(corpus_file), "--out", str(out)]
+        argv = [command, "--mode", "all", "--corpus", str(corpus_file), "--out", str(out)]
         if given == "flag":
-            argv += ["--max-inflight", "2"]
-            message = "unrecognized arguments: --max-inflight 2"
+            flag = "--" + key.replace("_", "-")
+            argv += [flag, value]
+            message = f"unrecognized arguments: {flag} {value}"
         else:
-            argv += ["--config", write_config(tmp_path / "config.json", {"max_inflight": 2})]
-            message = "config key 'max_inflight' names no option of piisub run"
+            argv += ["--config", write_config(tmp_path / "config.json", {key: value})]
+            message = f"config key {key!r} names no option of piisub {command}"
         with pytest.raises(SystemExit) as exc:
             main(argv)
         if given == "flag":
@@ -535,7 +539,7 @@ class TestRun:
         self, corpus_file, tmp_path
     ):
         # only hybrid builds a backend, so only hybrid checks its settings
-        settings, _ = REJECTED_SETTINGS["arg-mode-without-placeholder"]
+        settings, _ = REJECTED_SETTINGS["zero-slm-timeout"]
         argv = ["run", "--mode", "redact,faker", "--corpus", str(corpus_file)]
         for key, value in settings.items():
             argv += ["--" + key.replace("_", "-"), str(value)]
@@ -1103,26 +1107,26 @@ class TestRunArtifactCommands:
 #: `synth_corpus(240, 1)` with no fake-value secret, by run directory. The
 #: equivalence oracle: every supported interpreter writes these bytes.
 RUN_ALL_DIGESTS = {
-    "83e4b4ca51b4/metrics.json": (
-        "d2b4e80484e9245f657bc561dd88cbbba9be01196580c4e21ea77bb77d9a8a25"
-    ),
-    "83e4b4ca51b4/regurgitation.json": (
-        "636f3d55643b6ec70ff8f608e8e61910d4ae02ea52445fe6f783b2c98b53076d"
-    ),
-    "83e4b4ca51b4/results.json": (
-        "6bc226974720ef14f5653bf44e9ff6ac418e72531cf18e7a5136ca6bf5f7c21c"
-    ),
-    "a61a6c41fa49/metrics.json": (
+    "b37838fa9ba3/metrics.json": (
         "8a9372fc8c8587aa416c9b0d6b34f60bb7049106832c8729d437287415971965"
     ),
-    "a61a6c41fa49/results.json": (
-        "8fb8dacc952bac71580a22c424a5e678832ab9a57f2cd567ee13f40619e3f6f5"
+    "b37838fa9ba3/results.json": (
+        "d9e3c29767af8bc15381e7911990b856475eed647db115d47a1dfa699fd9bde6"
     ),
-    "a9b3e53ca129/metrics.json": (
+    "b81fed7c7151/metrics.json": (
         "9b7c5c8027718d3b0dd047fb94db277fdc5be49b5f0e430cc6bb4c5d490682c5"
     ),
-    "a9b3e53ca129/results.json": (
-        "60d5c9431868f2c37234a179d3c4673a77b4e10f19170f09fce5b27fce5bc18c"
+    "b81fed7c7151/results.json": (
+        "79caf94dbe59f7a9ad019e20356f4be6676a04a29176b60689c68452eb3ba122"
+    ),
+    "d2bde0b66bfe/metrics.json": (
+        "d2b4e80484e9245f657bc561dd88cbbba9be01196580c4e21ea77bb77d9a8a25"
+    ),
+    "d2bde0b66bfe/regurgitation.json": (
+        "636f3d55643b6ec70ff8f608e8e61910d4ae02ea52445fe6f783b2c98b53076d"
+    ),
+    "d2bde0b66bfe/results.json": (
+        "64f1f6f8a26e3c123916a5464b75478e11687947457aba55ea192d8d968f56c9"
     ),
 }
 
@@ -1205,14 +1209,15 @@ ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 
 
 @pytest.mark.parametrize(
-    "prompt_via, model",
+    "model",
     [
-        ("stdin", "sh -c 'cat >/dev/null; echo Robin Vale'"),
-        ("arg", "sh -c 'echo Robin Vale' {prompt}"),
+        "sh -c 'cat >/dev/null; echo Robin Vale'",
+        "sh -c 'echo Robin Vale' {prompt}",
     ],
+    ids=["stdin", "arg"],
 )
 def test_a_command_backend_writes_the_same_bytes_under_an_ascii_locale(
-    corpus_file, tmp_path, prompt_via, model
+    corpus_file, tmp_path, model
 ):
     probe = "import locale; print(locale.getpreferredencoding(False))"
     encoding = subprocess.run(
@@ -1222,7 +1227,7 @@ def test_a_command_backend_writes_the_same_bytes_under_an_ascii_locale(
     assert encoding != "UTF-8"  # the child really runs under a non-UTF-8 locale
     assert not all(r.text.isascii() for r in load_corpus(corpus_file))
     run = ["run", "--mode", "hybrid", "--corpus", str(corpus_file)]
-    run += ["--slm-backend", "command", "--prompt-via", prompt_via, "--slm-command", model]
+    run += ["--slm-backend", "command", "--slm-command", model]
     written = {}
     for name, locale in [("utf8", {"PYTHONUTF8": "1"}), ("ascii", ASCII_LOCALE)]:
         command = piisub_command(*run, "--out", str(tmp_path / name))
@@ -1242,7 +1247,7 @@ def test_an_arg_mode_model_reads_an_empty_stdin(corpus_file, tmp_path):
     model = "sh -c 'cat; echo Zed Quill' {prompt}"
     command = piisub_command(
         "run", "--mode", "hybrid", "--corpus", str(corpus_file), "--out", str(tmp_path),
-        "--slm-backend", "command", "--prompt-via", "arg", "--slm-command", model,
+        "--slm-backend", "command", "--slm-command", model,
     )
     subprocess.run(
         command, input=b"Hello There\n", env=child_env(), check=True,
@@ -1256,6 +1261,45 @@ def test_an_arg_mode_model_reads_an_empty_stdin(corpus_file, tmp_path):
         for group in doc["groups"]
     }
     assert "Zed Quill" in surrogates and "Hello There" not in surrogates
+
+
+#: A model that answers with the transport its prompt came by, and fails
+#: on a prompt that came by both or by neither.
+TRANSPORT_MODEL = """\
+import sys
+stdin = sys.stdin.read()
+argv = sys.argv[1:]
+if [p.startswith("Real: ") for p in (*argv, stdin) if p] != [True]:
+    sys.exit(1)
+print("Argv Quill" if argv else "Stdin Quill")
+"""
+
+
+@pytest.mark.parametrize(
+    "template, answer",
+    [
+        # a usage error under the default --prompt-via arg until it went
+        ("{model}", "Stdin Quill"),
+        # a usage error under --prompt-via stdin until it went
+        ("{model} {{prompt}}", "Argv Quill"),
+    ],
+    ids=["no-placeholder-pipes-stdin", "placeholder-goes-in-argv"],
+)
+def test_the_template_decides_the_prompt_transport(
+    corpus_file, tmp_path, template, answer
+):
+    script = tmp_path / "model.py"
+    script.write_text(TRANSPORT_MODEL, encoding="utf-8")
+    model = template.format(model=f"{sys.executable} {script}")
+    out = tmp_path / "out"
+    argv = ["run", "--mode", "hybrid", "--no-ppl", "--corpus", str(corpus_file)]
+    argv += ["--slm-backend", "command", "--slm-command", model, "--out", str(out)]
+    assert main(argv) == 0
+    documents = only_results(out)["documents"]
+    assert [doc["error"] for doc in documents] == [None] * len(documents)
+    decisions = [group["decision"] for doc in documents for group in doc["groups"]]
+    assert any(d["source"] == "slm" and d["surrogate"] == answer for d in decisions)
+    assert all(d["rejection_reasons"] != ["empty"] for d in decisions)
 
 
 def test_a_detector_endpoint_outside_http_aborts_without_a_traceback(

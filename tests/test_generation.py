@@ -55,9 +55,9 @@ class TestRedactPlaceholder:
     def test_default(self):
         assert redact_placeholder(Label.PERSON) == "[PERSON]"
         assert redact_placeholder(Label.EMAIL) == "[EMAIL]"
-
-    def test_prefix(self):
-        assert redact_placeholder(Label.DATE, "PII_") == "[PII_DATE]"
+        assert [redact_placeholder(label) for label in Label] == [
+            f"[{label.name}]" for label in Label
+        ]
 
 
 class TestSlmPropose:
@@ -452,3 +452,54 @@ class TestSplice:
             pos = span.end
         expected.append(text[pos:])
         assert result == "".join(expected)
+
+
+def _splice_right_to_left(text, replacements):
+    """The splice that rebuilt the whole string once per span, right to
+    left, with its whitespace rule: the reference for the one-join splice
+    over valid spans."""
+
+    def with_surface_whitespace(surface, replacement):
+        stripped = surface.strip()
+        if stripped == surface:
+            return replacement
+        if not stripped:
+            return surface
+        lead = surface[: len(surface) - len(surface.lstrip())]
+        trail = surface[len(surface.rstrip()) :]
+        return lead + replacement + trail
+
+    ordered = sorted(replacements, key=lambda item: (item[0].start, item[0].end))
+    out = text
+    for span, new_value in reversed(ordered):
+        patched = with_surface_whitespace(span.surface, new_value)
+        out = out[: span.start] + patched + out[span.end :]
+    return out
+
+
+_SPLICE_TEXT = st.text(st.sampled_from("ab Zé\t\n名"), max_size=6)
+_SWALLOWED = st.sampled_from(["", " ", "\t ", "\n", "  "])
+
+
+@st.composite
+def _spliced_text(draw):
+    """A text and non-overlapping replacements over it, in any order; spans
+    may touch, swallow whitespace on either side or be whitespace only."""
+    text = ""
+    replacements = []
+    for _ in range(draw(st.integers(0, 5))):
+        text += draw(_SPLICE_TEXT)
+        surface = draw(_SWALLOWED) + draw(_SPLICE_TEXT) + draw(_SWALLOWED)
+        if surface:
+            span = PiiSpan(len(text), len(text) + len(surface), Label.PERSON, surface)
+            replacements.append((span, draw(st.text(max_size=8))))
+            text += surface
+    text += draw(_SPLICE_TEXT)
+    return text, draw(st.permutations(replacements))
+
+
+@settings(max_examples=300)
+@given(_spliced_text())
+def test_splice_matches_the_right_to_left_rebuild(case):
+    text, replacements = case
+    assert splice(text, replacements) == _splice_right_to_left(text, replacements)

@@ -6,7 +6,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import pytest
 from conftest import run_records
@@ -180,8 +180,8 @@ class TestRunIdentity:
             (Mode.REDACT, {"backend_timeout": 5.0, "backend_command": "echo {prompt}"}),
             (Mode.REDACT, {"leak_guard": False}),
             (Mode.FAKER, {"backend_kind": "command", "failure_threshold": 2}),
-            (Mode.FAKER, {"placeholder_prefix": "PII_", "pool_file": "pools.json"}),
-            (Mode.HYBRID, {"backend_command": "echo {prompt}", "prompt_via": "stdin"}),
+            (Mode.FAKER, {"pool_file": "pools.json"}),
+            (Mode.HYBRID, {"backend_command": "echo {prompt}", "backend_timeout": 5.0}),
             (Mode.HYBRID, {"detector_timeout": 2.5, "detector_url": "http://x"}),
             (Mode.HYBRID, {"detector": "rules", "detector_command": "detect"}),
         ],
@@ -207,6 +207,43 @@ class TestRunIdentity:
         assert read == {f.name for f in fields(RunConfig)} - EXECUTION_FIELDS - {
             "run_id"
         }
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda r: replace(r, locale=r.locale + "x"),
+            lambda r: replace(r, template=r.template + "x"),
+            lambda r: replace(r, pii_gt={}),
+            lambda r: replace(
+                r, pii_gt={label: values[:1] for label, values in r.pii_gt.items()}
+            ),
+            lambda r: replace(
+                r,
+                pii_gt={
+                    Label.EMAIL if label is Label.PERSON else label: values
+                    for label, values in r.pii_gt.items()
+                },
+            ),
+        ],
+        ids=["locale", "template", "no-ground-truth", "fewer-values", "other-label"],
+    )
+    def test_run_id_covers_what_the_fingerprint_leaves_out(self, corpus, change):
+        # the run reads these too: two corpora that differ only here must
+        # not write into one run directory
+        changed = [change(corpus[0]), *corpus[1:]]
+        assert changed[0] != corpus[0]
+        assert corpus_fingerprint(changed) == corpus_fingerprint(corpus)
+        config = RunConfig(mode=Mode.FAKER)
+        assert derive_run_id(config, changed) != derive_run_id(config, corpus)
+
+    def test_run_id_ignores_the_order_of_labels_in_the_ground_truth(self, corpus):
+        # every reader of the ground truth walks it in label order
+        reordered = [
+            replace(r, pii_gt=dict(reversed(r.pii_gt.items())))
+            for r in corpus
+        ]
+        config = RunConfig(mode=Mode.FAKER)
+        assert derive_run_id(config, reordered) == derive_run_id(config, corpus)
 
     def test_explicit_run_id_wins(self, corpus):
         config = RunConfig(mode=Mode.REDACT, run_id="my-run")
@@ -243,9 +280,15 @@ class TestModes:
         assert slm_side <= {Source.SLM, Source.FALLBACK_FAKE}
         assert fake_side == {Source.FAKE}
 
-    def test_placeholder_prefix(self, corpus):
-        results = run(corpus, Mode.REDACT, placeholder_prefix="PII_")
-        assert any("[PII_PERSON]" in d.output for d in results.documents)
+    def test_redact_placeholder_is_the_label(self, corpus):
+        results = run(corpus, Mode.REDACT)
+        decisions = {
+            g.group.label: g.decision.surrogate
+            for doc in results.documents
+            for g in doc.groups
+        }
+        assert len(decisions) > 1
+        assert decisions == {label: f"[{label.name}]" for label in decisions}
 
 
 class TestDeterminismAndLeak:
@@ -1013,7 +1056,6 @@ def _run_results(draw):
     config = RunConfig(
         mode=draw(st.sampled_from(Mode)),
         backend_command=draw(st.none() | _TEXT),
-        placeholder_prefix=draw(_TEXT),
         leak_guard=draw(st.booleans()),
     )
     return RunResults(
