@@ -18,17 +18,18 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import fields, replace
+from dataclasses import fields
 from pathlib import Path
 from typing import Any, Callable, Sequence
 
 from .backends import BackendUnhealthy
 from .corpus import DEFAULT_LOCALE_MIX, load_corpus, save_corpus, synth_corpus
 from .detection import DetectorUnavailable
-from .model import CorpusRecord, Label, Mode
-from .ner import NerSettings, check_seeds, run_ner_experiment
+from .model import CorpusRecord, Mode
+from .ner import Gold, NerSettings, check_seeds, run_ner_experiment
 from .pipeline import (
     RunConfig,
+    RunResults,
     check_config,
     compute_metrics,
     detect_corpus,
@@ -297,18 +298,13 @@ def _cmd_run(args: argparse.Namespace) -> int:
     return 0
 
 
-def _transformed_records(records, results) -> list[CorpusRecord | None]:
-    """Each output as a record whose ground truth is its surrogates; None
-    where the document failed."""
-    out = []
-    for rec, doc in zip(records, results.documents):
-        gt: dict[Label, list[str]] = {}
-        for g in doc.groups:
-            values = gt.setdefault(g.group.label, [])
-            if g.decision.surrogate not in values:
-                values.append(g.decision.surrogate)
-        out.append(replace(rec, text=doc.output, pii_gt=gt) if doc.ok else None)
-    return out
+def _written_variant(results: RunResults) -> list[Gold | None]:
+    """Each output with the spans its surrogates were written at, its NER
+    gold; None where the document failed."""
+    return [
+        Gold(doc.record.id, doc.output, doc.written_spans()) if doc.ok else None
+        for doc in results.documents
+    ]
 
 
 def _cmd_ner(args: argparse.Namespace) -> int:
@@ -325,7 +321,7 @@ def _cmd_ner(args: argparse.Namespace) -> int:
     except ValueError as exc:
         args.subparser.error(str(exc))
     out_dir = _make_out_dir(args)
-    variants: dict[str, list] = {"original": list(records)}
+    variants: dict[str, list] = {}
     first, _ = configs[0]
     detected = detect_corpus(records, first)
     for run_config, catalog in configs:
@@ -336,23 +332,19 @@ def _cmd_ner(args: argparse.Namespace) -> int:
             detected=detected,
             catalog=catalog,
         )
-        variants[run_config.mode.value] = _transformed_records(records, results)
+        variants[run_config.mode.value] = _written_variant(results)
     # drop any index that failed in any variant so corpora stay parallel
-    bad = {
-        i
-        for docs in variants.values()
-        for i, doc in enumerate(docs)
-        if doc is None
-    }
+    bad = {i for docs in variants.values() for i, d in enumerate(docs) if d is None}
     if bad:
+        records = [r for i, r in enumerate(records) if i not in bad]
         for name, docs in variants.items():
             variants[name] = [d for i, d in enumerate(docs) if i not in bad]
         print(f"dropped {len(bad)} failed document(s)", file=sys.stderr)
         try:
-            settings.check_corpus(len(variants["original"]))
+            settings.check_corpus(len(records))
         except ValueError as exc:
             raise SystemExit(f"piisub ner: {exc} once the failed ones are dropped")
-    report = run_ner_experiment(variants, **experiment)
+    report = run_ner_experiment(records, variants, **experiment)
     payload = report.to_json_dict()
     out_file = out_dir / "ner.json"
     write_json(out_file, payload)

@@ -18,7 +18,7 @@ accepted model output that hits one is treated like an identity rejection.
 from __future__ import annotations
 
 import random
-from typing import Callable, Iterable
+from typing import Callable, Sequence
 
 from .backends import BackendInvocationError, SlmBackend
 from .fakegen import draw_seed, fake_value
@@ -177,29 +177,33 @@ def dispatch(
     return SurrogateDecision(surrogate=value, source=Source.FAKE)
 
 
-def _with_surface_whitespace(surface: str, replacement: str) -> str:
-    """Re-attach the surface's own leading/trailing whitespace to the new value.
-
-    Detectors sometimes hand back spans that swallow adjacent spaces; keeping
-    those bytes outside the surrogate means the surrounding text never shifts.
-    """
+def _with_surface_whitespace(surface: str, replacement: str) -> tuple[int, str]:
+    """The new value between the surface's own leading and trailing
+    whitespace, and its offset there: a detector's span may swallow spaces,
+    and they stay put. A whitespace-only surface is kept as it is."""
     stripped = surface.strip()
     if stripped == surface:
-        return replacement
+        return 0, replacement
     if not stripped:
-        return surface
-    lead = surface[: len(surface) - len(surface.lstrip())]
-    trail = surface[len(surface.rstrip()) :]
-    return lead + replacement + trail
+        return 0, surface
+    lead = len(surface) - len(surface.lstrip())
+    return lead, surface[:lead] + replacement + surface[len(surface.rstrip()) :]
 
 
-def splice(text: str, replacements: Iterable[tuple[PiiSpan, str]]) -> str:
+def splice(
+    text: str, replacements: Sequence[tuple[PiiSpan, str]]
+) -> tuple[str, list[int]]:
     """Apply span replacements left to right in one join, leaving all other
-    bytes alone."""
-    ordered = sorted(replacements, key=lambda item: (item[0].start, item[0].end))
+    bytes alone. Also returns, in the order of `replacements`, where each new
+    value starts in the output, after the whitespace its span swallowed (a
+    kept whitespace-only surface starts where its span did)."""
+    positions = [(span.start, span.end) for span, _ in replacements]
+    starts = [0] * len(replacements)
     pieces = []
     cursor = 0  # the end of the previous span
-    for span, new_value in ordered:
+    written = 0  # the length of the output so far
+    for i in sorted(range(len(replacements)), key=positions.__getitem__):
+        span, new_value = replacements[i]
         if span.end > len(text):
             raise ValueError(f"span {span.start}:{span.end} beyond text end")
         if text[span.start : span.end] != span.surface:
@@ -208,8 +212,11 @@ def splice(text: str, replacements: Iterable[tuple[PiiSpan, str]]) -> str:
             )
         if span.start < cursor:
             raise SpliceOverlap(f"span at {span.start} overlaps previous span")
+        offset, patched = _with_surface_whitespace(span.surface, new_value)
+        starts[i] = written + span.start - cursor + offset
+        written += span.start - cursor + len(patched)
         pieces.append(text[cursor : span.start])
-        pieces.append(_with_surface_whitespace(span.surface, new_value))
+        pieces.append(patched)
         cursor = span.end
     pieces.append(text[cursor:])
-    return "".join(pieces)
+    return "".join(pieces), starts

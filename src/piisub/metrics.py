@@ -24,7 +24,7 @@ from itertools import chain, repeat
 from operator import add
 from typing import Iterable, Iterator, Sequence
 
-from .model import JsonReport, Label, ci_fold, folded_contains, folded_occurrences
+from .model import JsonReport, Label, ci_fold, folded_contains
 
 
 def agg_mean(values: Iterable[float | None]) -> float | None:
@@ -88,31 +88,29 @@ class ConsistencyReport(JsonReport):
 
 
 def consistency_report(
-    items: Iterable[tuple[str, Sequence[tuple[int, Sequence[str]]]]],
+    items: Iterable[tuple[str, Iterable[tuple[str, Sequence[int]]]]],
 ) -> ConsistencyReport:
     """Same-surrogate check for entities mentioned more than once.
 
-    `items` pairs each output text with its groups as (mention_count,
-    per-mention surrogates). A multi-mention group is consistent when every
-    mention received the same surrogate. As a cross-check, the surrogate must
-    occur in the output at least as often as the mention count; shortfalls
-    are counted as discrepancies without affecting the rate.
+    `items` pairs each output with its groups as (surrogate, starts), the
+    output start of each mention's written span, `len(surrogate)` long. A
+    multi-mention group is consistent when all its written spans read the
+    same text; as a cross-check, a consistent group whose text is not its
+    surrogate is a discrepancy, which does not affect the rate.
     """
     groups = 0
     consistent = 0
     discrepancies = 0
     for output, group_rows in items:
-        folded = ci_fold(output)
-        for mention_count, surrogates in group_rows:
-            if mention_count < 2:
+        for surrogate, starts in group_rows:
+            if len(starts) < 2:
                 continue
             groups += 1
-            distinct = set(surrogates)
-            if len(distinct) == 1:
+            width = len(surrogate)
+            written = {output[a : a + width] for a in starts}
+            if len(written) == 1:
                 consistent += 1
-                surrogate = next(iter(distinct))
-                occurrences = sum(1 for _ in folded_occurrences(surrogate, folded))
-                if occurrences < mention_count:
+                if surrogate not in written:
                     discrepancies += 1
     return ConsistencyReport(
         multi_mention_groups=groups,

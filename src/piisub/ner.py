@@ -7,8 +7,8 @@ measures how much task-relevant signal each transformation keeps.
 Everything is label-agnostic: entities collapse to one binary PII class for
 training, and span matching at evaluation ignores the original label too.
 
-Training annotation is weak: BIO tags are projected from the ground-truth
-values (possibly surrogates) by string matching. Prediction decoding is
+Gold BIO tags are projected from spans: an original's are the oracle's, a
+variant's where the splice wrote each surrogate. Prediction decoding is
 strict BIO: an I- tag without a matching open span is dropped rather than
 repaired, so a model that never learned natural entities yields no spans at
 all instead of noise spans.
@@ -31,7 +31,7 @@ import warnings
 from dataclasses import dataclass, field
 from itertools import combinations
 from statistics import fmean, pstdev, stdev
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import largest_remainder
 from .detection import detect_oracle
@@ -41,6 +41,14 @@ from .model import CorpusRecord, JsonReport, ci_fold, folded_contains
 _TOKEN_RE = re.compile(r"\S+")
 
 Span = tuple[int, int]
+
+
+class Gold(NamedTuple):
+    """A record's text in one variant and its sorted, disjoint gold spans."""
+
+    id: str
+    text: str
+    spans: Sequence[Span]
 
 
 class UntrainableCorpus(UserWarning):
@@ -58,34 +66,31 @@ def tokenize(text: str) -> list[Token]:
     return [Token(m.group(), m.start(), m.end()) for m in _TOKEN_RE.finditer(text)]
 
 
-def annotate_from_gt(record: CorpusRecord) -> tuple[list[Token], list[str], int]:
-    """Project ground-truth values onto tokens as binary-PII BIO tags.
+def annotate_from_gt(text: str, spans: Sequence[Span]) -> tuple[list[Token], list[str]]:
+    """Project gold spans onto the text's tokens as binary-PII BIO tags.
 
-    Values are located by case-insensitive substring search (overlaps kept
-    longest-first), then collapsed to one PII class. Returns (tokens, tags,
-    gaps) where gaps counts values that never occur in the text and therefore
-    could not be annotated; the document is kept with its remaining spans.
+    `spans` are sorted, disjoint (start, end) character spans. A token that
+    overlaps a span is tagged, B-PII on the first token of each span and
+    I-PII after it.
     """
-    folded = ci_fold(record.text)
-    gaps = sum(
-        1
-        for values in record.pii_gt.values()
-        for value in values
-        if not folded_contains(value, folded)
-    )
-    spans = detect_oracle(record)
-    tokens = tokenize(record.text)
+    tokens = tokenize(text)
     tags = ["O"] * len(tokens)
     span_idx = 0
     last_span_for: int | None = None
     for i, tok in enumerate(tokens):
-        while span_idx < len(spans) and spans[span_idx].end <= tok.start:
+        while span_idx < len(spans) and spans[span_idx][1] <= tok.start:
             span_idx += 1
-        if span_idx >= len(spans) or spans[span_idx].start >= tok.end:
+        if span_idx >= len(spans) or spans[span_idx][0] >= tok.end:
             continue
         tags[i] = "I-PII" if last_span_for == span_idx else "B-PII"
         last_span_for = span_idx
-    return tokens, tags, gaps
+    return tokens, tags
+
+
+def annotation_gaps(record: CorpusRecord) -> int:
+    """How many ground-truth values never occur in the record's text."""
+    folded = ci_fold(record.text)
+    return sum(1 for value in record.gt_values() if not folded_contains(value, folded))
 
 
 def _shape(word: str) -> str:
@@ -315,20 +320,15 @@ def predict_tags(model: AveragedPerceptron, tokens: Sequence[Token]) -> list[str
 def decode_bio_strict(tokens: Sequence[Token], tags: Sequence[str]) -> list[Span]:
     """Char spans from binary BIO tags; orphan continuations are dropped."""
     spans: list[Span] = []
-    open_span: list[int] | None = None
+    inside = False  # the last span is still open
     for tok, tag in zip(tokens, tags):
         if tag.startswith("B-"):
-            if open_span is not None:
-                spans.append((open_span[0], open_span[1]))
-            open_span = [tok.start, tok.end]
-        elif tag.startswith("I-") and open_span is not None:
-            open_span[1] = tok.end
+            spans.append((tok.start, tok.end))
+            inside = True
+        elif tag.startswith("I-") and inside:
+            spans[-1] = (spans[-1][0], tok.end)
         else:
-            if open_span is not None:
-                spans.append((open_span[0], open_span[1]))
-            open_span = None
-    if open_span is not None:
-        spans.append((open_span[0], open_span[1]))
+            inside = False
     return spans
 
 
@@ -484,48 +484,44 @@ def stratified_split(
     return sorted(rest[:train_size]), sorted(test_idx)
 
 
-def run_ner_experiment(variants: dict[str, list[CorpusRecord]], **settings) -> NerReport:
-    """Train on each variant, test on held-out original documents, per seed.
-    `settings` are the fields of `NerSettings`; the rest keep its defaults.
-    Every setting is checked before any training."""
-    if "original" not in variants:
-        raise ValueError("variants must include the 'original' corpus")
-    base = variants["original"]
-    for name, records in variants.items():
-        if len(records) != len(base) or any(
-            a.id != b.id for a, b in zip(records, base)
-        ):
-            raise ValueError(f"variant {name!r} is not parallel to 'original'")
+def run_ner_experiment(
+    records: Sequence[CorpusRecord], variants: dict[str, Sequence[Gold]], **settings
+) -> NerReport:
+    """Train on the original records and on each variant of them, test on
+    held-out originals, per seed. `settings` are the fields of
+    `NerSettings`; the rest keep its defaults. Every setting is checked
+    before any training."""
+    if "original" in variants:
+        raise ValueError("'original' names the records, not a variant")
+    for name, docs in variants.items():
+        if [doc.id for doc in docs] != [rec.id for rec in records]:
+            raise ValueError(f"variant {name!r} is not parallel to the records")
     checked = NerSettings(**settings)
-    checked.check_corpus(len(base))
-    order = list(variants)
-    scores = {name: VariantScores() for name in order}
+    checked.check_corpus(len(records))
+    base = [
+        Gold(rec.id, rec.text, [(s.start, s.end) for s in detect_oracle(rec)])
+        for rec in records
+    ]
+    golds = {"original": base, **variants}
+    scores = {name: VariantScores() for name in golds}
     gaps = 0
     lexicon = Lexicon()
     # a record's annotation does not depend on the seed: project it once,
-    # and keep its word ids, tags and gaps rather than its tokens
-    annotated: dict[tuple[str, int], tuple[tuple[int, ...], list[str], int]] = {}
+    # and keep its word ids and tags rather than its tokens
+    annotated: dict[tuple[str, int], tuple[tuple[int, ...], list[str]]] = {}
     for seed in checked.seeds:
         train_idx, test_idx = stratified_split(
-            base, checked.train_size, checked.test_size, seed
+            records, checked.train_size, checked.test_size, seed
         )
-        test_records = [base[i] for i in test_idx]
-        gold_by_doc = [
-            [(s.start, s.end) for s in detect_oracle(rec)] for rec in test_records
-        ]
-        test_tokens = [tokenize(rec.text) for rec in test_records]
-        for name in order:
-            sentences = []
-            train_spans = 0
+        gaps += sum(annotation_gaps(records[i]) for i in train_idx)
+        test_tokens = [tokenize(base[i].text) for i in test_idx]
+        for name, docs in golds.items():
             for i in train_idx:
-                key = (name, i)
-                if key not in annotated:
-                    tokens, tags, rec_gaps = annotate_from_gt(variants[name][i])
-                    annotated[key] = (lexicon.encode(tokens), tags, rec_gaps)
-                words, tags, rec_gaps = annotated[key]
-                gaps += rec_gaps
-                train_spans += sum(1 for t in tags if t.startswith("B-"))
-                sentences.append((words, tags))
+                if (name, i) not in annotated:
+                    tokens, tags = annotate_from_gt(docs[i].text, docs[i].spans)
+                    annotated[name, i] = (lexicon.encode(tokens), tags)
+            sentences = [annotated[name, i] for i in train_idx]
+            train_spans = sum(t.startswith("B-") for _, tags in sentences for t in tags)
             if train_spans == 0:
                 warnings.warn(
                     f"variant {name!r} has no entity tags in its training cut",
@@ -536,15 +532,15 @@ def run_ner_experiment(variants: dict[str, list[CorpusRecord]], **settings) -> N
                 sentences, lexicon, iterations=checked.iterations, seed=seed
             )
             counts = SpanCounts()
-            for tokens, gold in zip(test_tokens, gold_by_doc):
+            for tokens, i in zip(test_tokens, test_idx):
                 pred = decode_bio_strict(tokens, predict_tags(model, tokens))
-                counts = counts + match_spans(gold, pred)
+                counts = counts + match_spans(base[i].spans, pred)
             scores[name].precision_by_seed.append(counts.precision)
             scores[name].recall_by_seed.append(counts.recall)
             scores[name].f1_by_seed.append(counts.f1)
             scores[name].train_spans_by_seed.append(train_spans)
     comparisons: dict[str, WelchResult | None] = {}
-    for a, b in combinations(order, 2):
+    for a, b in combinations(golds, 2):
         try:
             comparisons[f"{a}_vs_{b}"] = welch_from_samples(
                 scores[a].f1_by_seed, scores[b].f1_by_seed
@@ -552,7 +548,7 @@ def run_ner_experiment(variants: dict[str, list[CorpusRecord]], **settings) -> N
         except DegenerateVariance:
             comparisons[f"{a}_vs_{b}"] = None
     return NerReport(
-        variant_order=order,
+        variant_order=list(golds),
         scores=scores,
         comparisons=comparisons,
         annotation_gaps=gaps,

@@ -20,6 +20,8 @@ not answer stops the command there, before any mode has written.
 surrogate cache's only caller, so the first mention in record order
 proposes each key. The walk finishes each document (its splice) in record
 order once its keys are decided, so no worker waits on another's proposal.
+The splice says where it wrote each surrogate (`GroupResult.starts`): the
+consistency metric and the NER gold read there, and search no output.
 Fake draws are seeded by the cache key, not by the document. So a serial
 and a parallel run of the same work share one run id and the same bytes.
 The setting is written with the wall-clock timings to their own file and
@@ -60,6 +62,7 @@ from collections import Counter, deque
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
+from itertools import islice
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
@@ -213,6 +216,8 @@ def derive_run_id(config: RunConfig, records: Sequence[CorpusRecord]) -> str:
 class GroupResult:
     group: EntityGroup
     decision: SurrogateDecision
+    #: The output start of each member's written surrogate; not serialized.
+    starts: Sequence[int] = ()
 
 
 @dataclass
@@ -228,6 +233,12 @@ class DocumentResult:
     @property
     def ok(self) -> bool:
         return self.error is None
+
+    def written_spans(self) -> list[tuple[int, int]]:
+        """The output span of each mention's surrogate, in output order."""
+        return sorted(
+            (a, a + len(g.decision.surrogate)) for g in self.groups for a in g.starts
+        )
 
 
 @dataclass
@@ -414,9 +425,14 @@ def run_corpus(
         groups = [GroupResult(g, o.value) for g, o in zip(found.value, decided)]
         pairs = [(s, r.decision.surrogate) for r in groups for s in r.group.members]
         spliced = _attempt(splice, record.text, pairs)
-        ok = spliced.error is None
-        doc = DocumentResult(record, spliced.value, groups if ok else [], spliced.error)
-        return _Outcome(doc, None, spliced.seconds)
+        if spliced.error is not None:
+            doc = DocumentResult(record, None, error=spliced.error)
+            return _Outcome(doc, None, spliced.seconds)
+        output, starts = spliced.value
+        at = iter(starts)  # in the order of `pairs`: group by group
+        for r in groups:
+            r.starts = tuple(islice(at, len(r.group.members)))
+        return _Outcome(DocumentResult(record, output, groups), None, spliced.seconds)
 
     # the seconds of the shared pass, the same in every mode that reads it
     detect_s = sum(found.seconds for found in detected)
@@ -530,16 +546,7 @@ def compute_metrics(
     ok_docs = [d for d in results.documents if d.ok]
     leak = leak_report((d.record.gt_values(), d.output) for d in ok_docs)
     consistency = consistency_report(
-        (
-            d.output,
-            [
-                (
-                    len(g.group.members),
-                    [g.decision.surrogate] * len(g.group.members),
-                )
-                for g in d.groups
-            ],
-        )
+        (d.output, [(g.decision.surrogate, g.starts) for g in d.groups])
         for d in ok_docs
     )
     lengths = agg_mean(

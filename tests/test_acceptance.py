@@ -202,7 +202,7 @@ def test_c08_consistency_is_always_perfect(small_corpus):
         report = compute_metrics(results).consistency
         assert report.multi_mention_groups > 0
         assert report.rate == 1.0
-        # occurrence counting in the spliced text found every mention
+        # every written span of a group reads the group's surrogate
         assert report.occurrence_discrepancies == 0
         # decision level: one surrogate per entity across the whole run
         by_entity: dict[tuple, set[str]] = {}
@@ -232,7 +232,7 @@ def test_c09_splice_preserves_every_byte_outside_the_spans():
             for start, end in spans
         ]
         rng.shuffle(replacements)
-        out = splice(text, replacements)
+        out, starts = splice(text, replacements)
 
         expected = []
         cursor = 0
@@ -251,6 +251,13 @@ def test_c09_splice_preserves_every_byte_outside_the_spans():
             cursor = span.end
         expected.append(text[cursor:])
         assert out == "".join(expected)
+
+        # each start, in the order given, is where its new value was written;
+        # a whitespace-only surface is kept where it landed
+        assert len(starts) == len(replacements)
+        for (span, new), start in zip(replacements, starts):
+            written = new if span.surface.strip() else span.surface
+            assert out[start:start + len(written)] == written
 
 
 def test_c10_reruns_are_byte_identical_and_sampling_is_stable(

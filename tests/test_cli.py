@@ -14,6 +14,7 @@ import pytest
 import piisub
 from piisub.cli import build_parser, main
 from piisub.corpus import load_corpus, save_corpus, synth_corpus
+from piisub.model import CorpusRecord, Label
 from piisub.pipeline import RunConfig
 
 #: A value for every option that sets a RunConfig field. `slm_timeout` is a
@@ -930,6 +931,53 @@ class TestNer:
         )
         assert message in capsys.readouterr().err
         assert not out.exists()
+
+    def test_gold_tags_sit_only_where_the_surrogate_was_written(
+        self, tmp_path, monkeypatch
+    ):
+        # the model answers "Robin Vale" for every name, and every record's
+        # ordinary text already holds "Robin Vale"
+        import piisub.ner as ner
+
+        names = ["Walter Abernathy", "Edith Crane", "Hugo Brandt", "Ines Moreau"]
+        names += ["Otto Lindqvist", "Clara Voss"]
+        records = [
+            CorpusRecord(
+                id=f"doc-{i}",
+                text=f"Ask Robin Vale about {name}.",
+                locale="en_US",
+                template="planted",
+                pii_gt={Label.PERSON: (name,)},
+            )
+            for i, name in enumerate(names)
+        ]
+        corpus = tmp_path / "corpus.jsonl"
+        save_corpus(records, corpus)
+        tags_of = {}
+        annotate = ner.annotate_from_gt
+
+        def recorded(*args):
+            result = annotate(*args)
+            tokens, tags = result[0], result[1]
+            tags_of[" ".join(t.text for t in tokens)] = tags
+            return result
+
+        monkeypatch.setattr(ner, "annotate_from_gt", recorded)
+        model = "sh -c 'cat >/dev/null; echo Robin Vale'"
+        out = tmp_path / "ner-out"
+        argv = ["ner", "--mode", "hybrid", "--corpus", str(corpus), "--out", str(out)]
+        argv += ["--slm-backend", "command", "--slm-command", model]
+        argv += ["--train-size", "4", "--test-size", "2", "--seeds", "1,2"]
+        assert main([*argv, "--iterations", "2"]) == 0
+        written = {
+            text: tags for text, tags in tags_of.items() if text.count("Robin Vale") == 2
+        }
+        assert written  # the hybrid variant was annotated
+        for tags in written.values():
+            assert tags == ["O", "O", "O", "O", "B-PII", "I-PII"]
+        scores = json.loads((out / "ner.json").read_text(encoding="utf-8"))["scores"]
+        assert scores["hybrid"]["train_spans_by_seed"] == [4, 4]
+        assert scores["original"]["train_spans_by_seed"] == [4, 4]
 
     def test_failed_documents_below_the_split_end_in_one_line(
         self, corpus_file, tmp_path, capsys, monkeypatch

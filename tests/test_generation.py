@@ -349,16 +349,17 @@ class TestSplice:
     def test_basic_replacement(self):
         text = "Contact Walter Abernathy at dawn."
         span = mk_span(text, 8, "Walter Abernathy")
-        assert splice(text, [(span, "Maria Lind")]) == "Contact Maria Lind at dawn."
+        assert splice(text, [(span, "Maria Lind")]) == ("Contact Maria Lind at dawn.", [8])
 
-    def test_multiple_spans_right_to_left(self):
+    def test_multiple_spans(self):
         text = "A ate B's lunch, then A left."
         spans = [
             (mk_span(text, 0, "A"), "Xavier"),
             (mk_span(text, 6, "B"), "Yolanda"),
             (mk_span(text, 22, "A"), "Xavier"),
         ]
-        assert splice(text, spans) == "Xavier ate Yolanda's lunch, then Xavier left."
+        out = "Xavier ate Yolanda's lunch, then Xavier left."
+        assert splice(text, spans) == (out, [0, 11, 33])
 
     def test_input_order_does_not_matter(self):
         text = "one two three"
@@ -367,23 +368,25 @@ class TestSplice:
             (mk_span(text, 0, "one"), "1"),
             (mk_span(text, 4, "two"), "2"),
         ]
-        assert splice(text, spans) == "1 2 3"
-        assert splice(text, list(reversed(spans))) == "1 2 3"
+        # the starts follow the order the replacements are given in
+        assert splice(text, spans) == ("1 2 3", [4, 0, 2])
+        assert splice(text, list(reversed(spans))) == ("1 2 3", [2, 0, 4])
 
     def test_whitespace_reattached(self):
         text = "Contact John Smith  today."
         span = mk_span(text, 8, "John Smith  ")
-        assert splice(text, [(span, "X")]) == "Contact X  today."
+        assert splice(text, [(span, "X")]) == ("Contact X  today.", [8])
 
     def test_leading_whitespace_reattached(self):
         text = "Hi,\t Bob arrived."
         span = mk_span(text, 3, "\t Bob")
-        assert splice(text, [(span, "Yan")]) == "Hi,\t Yan arrived."
+        # the start is past the whitespace the span swallowed
+        assert splice(text, [(span, "Yan")]) == ("Hi,\t Yan arrived.", [5])
 
     def test_whitespace_only_surface_left_alone(self):
         text = "a  b"
         span = PiiSpan(1, 3, Label.PERSON, "  ")
-        assert splice(text, [(span, "XX")]) == "a  b"
+        assert splice(text, [(span, "XX")]) == ("a  b", [1])
 
     def test_overlap_rejected(self):
         text = "abcdef"
@@ -403,7 +406,7 @@ class TestSplice:
             splice("abc", [(PiiSpan(1, 9, Label.PERSON, "bcdefghi"), "q")])
 
     def test_empty_replacements(self):
-        assert splice("unchanged", []) == "unchanged"
+        assert splice("unchanged", []) == ("unchanged", [])
 
     @settings(max_examples=200)
     @given(st.data())
@@ -431,7 +434,7 @@ class TestSplice:
             surface = text[start:end]
             replacement = data.draw(st.text(min_size=0, max_size=10))
             spans.append((PiiSpan(start, end, Label.PERSON, surface), replacement))
-        result = splice(text, spans)
+        result, _ = splice(text, spans)
         expected = []
         pos = 0
         for span, replacement in spans:
@@ -502,4 +505,5 @@ def _spliced_text(draw):
 @given(_spliced_text())
 def test_splice_matches_the_right_to_left_rebuild(case):
     text, replacements = case
-    assert splice(text, replacements) == _splice_right_to_left(text, replacements)
+    output, _ = splice(text, replacements)
+    assert output == _splice_right_to_left(text, replacements)

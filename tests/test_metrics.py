@@ -73,9 +73,10 @@ class TestLeakReport:
 
 
 class TestConsistencyReport:
+    # each group is (surrogate, the output start of each mention's written span)
     def test_all_consistent(self):
         report = consistency_report(
-            [("Maria met Maria and Bob.", [(2, ["Maria", "Maria"]), (1, ["Bob"])])]
+            [("Maria met Maria and Bob.", [("Maria", (0, 10)), ("Bob", (20,))])]
         )
         assert report.multi_mention_groups == 1
         assert report.consistent_groups == 1
@@ -83,19 +84,17 @@ class TestConsistencyReport:
         assert report.occurrence_discrepancies == 0
 
     def test_inconsistent_group(self):
-        report = consistency_report(
-            [("Maria met Laura.", [(2, ["Maria", "Laura"])])]
-        )
+        report = consistency_report([("Maria met Laura.", [("Maria", (0, 10))])])
         assert report.rate == 0.0
 
-    def test_occurrence_shortfall_flagged_not_scored(self):
-        # surrogate appears once but the group has two mentions
-        report = consistency_report([("only one Maria here", [(2, ["Maria", "Maria"])])])
+    def test_written_text_other_than_the_surrogate_flagged_not_scored(self):
+        # both written spans read the same text, but not the surrogate
+        report = consistency_report([("Laura met Laura.", [("Maria", (0, 10))])])
         assert report.rate == 1.0
         assert report.occurrence_discrepancies == 1
 
     def test_single_mentions_ignored(self):
-        report = consistency_report([("text", [(1, ["A"]), (1, ["B"])])])
+        report = consistency_report([("text", [("A", (0,)), ("B", (1,))])])
         assert report.multi_mention_groups == 0
         assert report.rate is None
 

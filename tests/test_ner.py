@@ -9,17 +9,19 @@ from conftest import run_records
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piisub.cli import _transformed_records
+from piisub.cli import _written_variant
 from piisub.corpus import synth_corpus
 from piisub.model import CorpusRecord, Label, Mode
 from piisub.ner import (
     AveragedPerceptron,
+    Gold,
     Lexicon,
     SpanCounts,
     Token,
     UntrainableCorpus,
     VariantScores,
     annotate_from_gt,
+    annotation_gaps,
     decode_bio_strict,
     features,
     match_spans,
@@ -52,44 +54,45 @@ class TestTokenize:
 
 class TestAnnotate:
     def test_binary_bio_tags(self):
-        rec = record(
-            "Walter Abernathy met Edith.",
-            {Label.PERSON: ("Walter Abernathy", "Edith")},
-        )
-        tokens, tags, gaps = annotate_from_gt(rec)
+        text = "Walter Abernathy met Edith."
+        tokens, tags = annotate_from_gt(text, [(0, 16), (21, 26)])
         assert [t.text for t in tokens] == ["Walter", "Abernathy", "met", "Edith."]
         assert tags == ["B-PII", "I-PII", "O", "B-PII"]
-        assert gaps == 0
 
-    def test_all_labels_collapse_to_one_class(self):
-        rec = record(
-            "mail x@y.com on 04/12/1975",
-            {Label.EMAIL: ("x@y.com",), Label.DATE: ("04/12/1975",)},
-        )
-        _, tags, _ = annotate_from_gt(rec)
-        assert set(tags) <= {"O", "B-PII", "I-PII"}
-        assert tags.count("B-PII") == 2
+    def test_a_span_inside_a_token_tags_the_token(self):
+        _, tags = annotate_from_gt("mail x@y.com, on 04/12/1975.", [(5, 12), (17, 27)])
+        assert tags == ["O", "B-PII", "O", "B-PII"]
 
-    def test_absent_value_counts_as_gap(self):
-        rec = record("nothing here", {Label.PERSON: ("Walter Abernathy",)})
-        tokens, tags, gaps = annotate_from_gt(rec)
-        assert gaps == 1
+    def test_no_spans_tag_nothing(self):
+        tokens, tags = annotate_from_gt("nothing here", [])
         assert set(tags) == {"O"}
         assert len(tokens) == 2  # the document itself is kept
 
     def test_adjacent_entities_get_fresh_b(self):
-        rec = record(
-            "Walter Edith spoke",
-            {Label.PERSON: ("Walter", "Edith")},
-        )
-        _, tags, _ = annotate_from_gt(rec)
+        _, tags = annotate_from_gt("Walter Edith spoke", [(0, 6), (7, 12)])
         assert tags == ["B-PII", "B-PII", "O"]
 
-    def test_case_insensitive_projection(self):
+    def test_only_the_given_spans_are_tagged(self):
+        # the same words elsewhere in the text stay O
+        _, tags = annotate_from_gt("Robin Vale met Robin Vale", [(15, 25)])
+        assert tags == ["O", "O", "O", "B-PII", "I-PII"]
+
+
+class TestAnnotationGaps:
+    def test_absent_value_counts_as_gap(self):
+        rec = record("nothing here", {Label.PERSON: ("Walter Abernathy",)})
+        assert annotation_gaps(rec) == 1
+
+    def test_case_insensitive_occurrence_is_no_gap(self):
         rec = record("met WALTER ABERNATHY", {Label.PERSON: ("Walter Abernathy",)})
-        _, tags, gaps = annotate_from_gt(rec)
-        assert tags == ["O", "B-PII", "I-PII"]
-        assert gaps == 0
+        assert annotation_gaps(rec) == 0
+
+    def test_every_absent_value_counts(self):
+        rec = record(
+            "mail x@y.com",
+            {Label.EMAIL: ("x@y.com", "z@y.com"), Label.DATE: ("04/12/1975",)},
+        )
+        assert annotation_gaps(rec) == 2
 
 
 class TestDecodeBioStrict:
@@ -586,12 +589,12 @@ def test_frozen_scores_of_a_small_experiment():
     # a change in the order of the float sums, or in the fake values the
     # faker variant trains on, would move these values
     corpus = synth_corpus(40, seed=4)
-    variants = {"original": corpus}
+    variants = {}
     for mode in (Mode.FAKER, Mode.REDACT):
         results = run_records(corpus, RunConfig(mode=mode))
-        variants[mode.value] = _transformed_records(corpus, results)
+        variants[mode.value] = _written_variant(results)
     report = run_ner_experiment(
-        variants, train_size=32, test_size=8, seeds=(11, 12, 13), iterations=5
+        corpus, variants, train_size=32, test_size=8, seeds=(11, 12, 13), iterations=5
     )
     frozen = {
         "original": (
@@ -657,23 +660,38 @@ class TestStratifiedSplit:
         assert test == sorted(test)
 
 
+#: A ground-truth value no synthetic text holds.
+ABSENT = "Quentin Absentee"
+
+
+def with_an_absent_value(rec):
+    """The record with one more PERSON value, which its text lacks."""
+    people = (*rec.pii_gt.get(Label.PERSON, ()), ABSENT)
+    return CorpusRecord(
+        id=rec.id,
+        text=rec.text,
+        locale=rec.locale,
+        template=rec.template,
+        pii_gt={**rec.pii_gt, Label.PERSON: people},
+    )
+
+
+def copies(corpus):
+    """A variant of the records that is their own text, with no gold span."""
+    return [Gold(r.id, r.text, []) for r in corpus]
+
+
 @pytest.fixture(scope="module")
 def tiny_report():
-    corpus = synth_corpus(30, seed=9)
-    # degenerate variant: no gt value survives, so training tags are all O
-    redacted = [
-        CorpusRecord(
-            id=r.id,
-            text="placeholder filler text only",
-            locale=r.locale,
-            template=r.template,
-            pii_gt=r.pii_gt,
-        )
-        for r in corpus
-    ]
+    # each original lacks one of its values, which no gold span can mark
+    corpus = [with_an_absent_value(r) for r in synth_corpus(30, seed=9)]
+    # degenerate variant: no text survives and no span was written, so
+    # training tags are all O
+    blank = [Gold(r.id, "placeholder filler text only", []) for r in corpus]
     with pytest.warns(UntrainableCorpus):
         return run_ner_experiment(
-            {"original": corpus, "blank": redacted},
+            corpus,
+            {"blank": blank},
             train_size=24,
             test_size=6,
             seeds=(1, 2),
@@ -695,14 +713,11 @@ class TestExperiment:
         assert tiny_report.scores["original"].mean > 0.0
 
     def test_gaps_count_once_per_seed(self, tiny_report):
-        # the blank variant keeps the original values but none of the text,
-        # so every value of every training record is a gap, on each seed
+        # every training original lacks one value, counted on each seed; a
+        # variant's gold is where its surrogates were written, so it has none
         corpus = synth_corpus(30, seed=9)
-        expected = 0
-        for seed in (1, 2):
-            train, _ = stratified_split(corpus, 24, 6, seed)
-            expected += sum(len(v) for i in train for v in corpus[i].pii_gt.values())
-        assert tiny_report.annotation_gaps == expected > 0
+        expected = sum(len(stratified_split(corpus, 24, 6, seed)[0]) for seed in (1, 2))
+        assert tiny_report.annotation_gaps == expected == 48
 
     def test_comparison_keys(self, tiny_report):
         assert list(tiny_report.comparisons) == ["original_vs_blank"]
@@ -714,27 +729,49 @@ class TestExperiment:
         assert "mean" in data["scores"]["original"]
         assert "sd_population" in data["scores"]["original"]
 
-    def test_requires_original_variant(self):
+    def test_original_names_the_records_not_a_variant(self):
         corpus = synth_corpus(10, seed=3)
         with pytest.raises(ValueError, match="original"):
-            run_ner_experiment({"faker": corpus}, train_size=6, test_size=2, seeds=(1,))
+            run_ner_experiment(
+                corpus, {"original": copies(corpus)}, train_size=6, test_size=2
+            )
 
     def test_rejects_non_parallel_variants(self):
         corpus = synth_corpus(10, seed=3)
         with pytest.raises(ValueError, match="parallel"):
             run_ner_experiment(
-                {"original": corpus, "shuffled": list(reversed(corpus))},
+                corpus,
+                {"shuffled": copies(reversed(corpus))},
                 train_size=6,
                 test_size=2,
                 seeds=(1,),
             )
         with pytest.raises(ValueError, match="parallel"):
             run_ner_experiment(
-                {"original": corpus, "short": corpus[:-1]},
+                corpus,
+                {"short": copies(corpus[:-1])},
                 train_size=6,
                 test_size=2,
                 seeds=(1,),
             )
+
+    def test_the_oracle_reads_each_original_once_and_no_variant(self, monkeypatch):
+        import piisub.ner as ner
+
+        seen = []
+        detect_oracle = ner.detect_oracle
+
+        def counted(rec):
+            seen.append(rec)
+            return detect_oracle(rec)
+
+        monkeypatch.setattr(ner, "detect_oracle", counted)
+        corpus = synth_corpus(12, seed=3)
+        variant = [Gold(r.id, "Written " + r.text, [(0, 7)]) for r in corpus]
+        run_ner_experiment(corpus, {"copy": variant}, train_size=8, test_size=3)
+        # one detection per original serves its training and every seed's test
+        assert seen == corpus
+
 
     @pytest.mark.parametrize("seeds", [(), (1,)])
     def test_rejects_fewer_than_two_seeds_before_training(self, seeds, monkeypatch):
@@ -747,7 +784,8 @@ class TestExperiment:
         corpus = synth_corpus(10, seed=3)
         with pytest.raises(ValueError, match="at least two seeds"):
             run_ner_experiment(
-                {"original": corpus, "copy": list(corpus)},
+                corpus,
+                {"copy": copies(corpus)},
                 train_size=6,
                 test_size=2,
                 seeds=seeds,
@@ -776,7 +814,7 @@ class TestExperiment:
         corpus = synth_corpus(10, seed=3)
         experiment = {"train_size": 6, "test_size": 2, "seeds": (1, 2), **setting}
         with pytest.raises(ValueError, match=message):
-            run_ner_experiment({"original": corpus, "copy": list(corpus)}, **experiment)
+            run_ner_experiment(corpus, {"copy": copies(corpus)}, **experiment)
 
 
 def test_variant_scores_sd_definitions():
