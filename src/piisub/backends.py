@@ -7,18 +7,16 @@ prompt and answer from them. The command backend runs any local model
 runner through `model.run_command`, the external detector's transport too,
 which imports `subprocess` on its first call: a mock run never loads it.
 
-A backend sets no concurrency limit of its own: the run's worker pool is
-the only thing that calls `propose` from several threads, so at most
-`--parallelism` calls are in flight. Per-call failures raise
-BackendInvocationError; once a backend accumulates `failure_threshold`
-consecutive failures it turns unhealthy and every call that starts later
-raises BackendUnhealthy without running, which callers are expected not to
-swallow. Calls already running when it trips finish.
+A backend holds no state between calls and sets no concurrency limit: the
+run's worker pool is the only thing that calls `propose` from several
+threads, so at most `--parallelism` calls are in flight. A failed call
+raises BackendInvocationError. The run judges the backend's health
+(`pipeline.run_corpus`): it raises BackendUnhealthy where
+`failure_threshold` consecutive calls have failed, in proposal order.
 """
 
 from __future__ import annotations
 
-import threading
 from abc import ABC, abstractmethod
 from pathlib import Path
 
@@ -26,7 +24,6 @@ from .model import check_timeout, run_command, split_command
 from .prompting import splitmix64, stable_seed
 
 DEFAULT_TIMEOUT = 60.0
-DEFAULT_FAILURE_THRESHOLD = 5
 
 
 class BackendInvocationError(RuntimeError):
@@ -34,50 +31,20 @@ class BackendInvocationError(RuntimeError):
 
 
 class BackendUnhealthy(RuntimeError):
-    """Too many consecutive failures; the backend refuses further calls."""
+    """A run saw `failure_threshold` consecutive calls fail; it stops."""
 
 
 class SlmBackend(ABC):
-    """Base class handling health accounting."""
+    """Base class: `propose` is the one entry every call goes through."""
 
     id: str
-
-    def __init__(self, *, failure_threshold: int = DEFAULT_FAILURE_THRESHOLD) -> None:
-        if failure_threshold < 1:
-            raise ValueError(
-                f"failure_threshold must be at least 1, got {failure_threshold}"
-            )
-        self.failure_threshold = failure_threshold
-        self._health_lock = threading.Lock()
-        self._consecutive_failures = 0
-        self._unhealthy = False
 
     @abstractmethod
     def _invoke(self, prompt: str) -> str:
         """Produce a raw completion; may raise BackendInvocationError."""
 
     def propose(self, prompt: str) -> str:
-        with self._health_lock:
-            if self._unhealthy:
-                raise BackendUnhealthy(
-                    f"backend {self.id}: disabled after "
-                    f"{self._consecutive_failures} consecutive failures"
-                )
-        try:
-            completion = self._invoke(prompt)
-        except BackendInvocationError as exc:
-            with self._health_lock:
-                self._consecutive_failures += 1
-                if self._consecutive_failures >= self.failure_threshold:
-                    self._unhealthy = True
-                    raise BackendUnhealthy(
-                        f"backend {self.id}: {self._consecutive_failures} "
-                        f"consecutive failures, last: {exc}"
-                    ) from exc
-            raise
-        with self._health_lock:
-            self._consecutive_failures = 0
-        return completion
+        return self._invoke(prompt)
 
 
 def parse_prompt(prompt: str) -> tuple[list[tuple[str, str]], str]:
@@ -140,14 +107,7 @@ class CommandBackend(SlmBackend):
     empty stdin, or, when no word holds `{prompt}`, on stdin.
     """
 
-    def __init__(
-        self,
-        template: str,
-        *,
-        timeout: float = DEFAULT_TIMEOUT,
-        failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
-    ) -> None:
-        super().__init__(failure_threshold=failure_threshold)
+    def __init__(self, template: str, *, timeout: float = DEFAULT_TIMEOUT) -> None:
         check_timeout("backend", timeout)
         self._argv = split_command("backend", template)
         self._prompt_in_argv = any("{prompt}" in a for a in self._argv)
@@ -170,17 +130,13 @@ def make_backend(
     *,
     command: str | None = None,
     timeout: float = DEFAULT_TIMEOUT,
-    failure_threshold: int = DEFAULT_FAILURE_THRESHOLD,
 ) -> SlmBackend:
-    """Build a backend from CLI-level settings."""
-    if kind == "mock-pool":
-        return MockPoolBackend(failure_threshold=failure_threshold)
-    if kind == "mock-echo-demo":
-        return MockEchoDemoBackend(failure_threshold=failure_threshold)
+    """Build a backend from CLI-level settings; a mock's kind is its id."""
+    for mock in (MockPoolBackend, MockEchoDemoBackend):
+        if kind == mock.id:
+            return mock()
     if kind == "command":
         if not command:
             raise ValueError("command backend needs a command template")
-        return CommandBackend(
-            command, timeout=timeout, failure_threshold=failure_threshold
-        )
+        return CommandBackend(command, timeout=timeout)
     raise ValueError(f"unknown backend kind {kind!r}")

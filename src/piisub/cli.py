@@ -20,7 +20,7 @@ import os
 import sys
 from dataclasses import fields
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import Any, Callable, Iterator, Sequence
 
 from .backends import BackendUnhealthy
 from .corpus import DEFAULT_LOCALE_MIX, load_corpus, save_corpus, synth_corpus
@@ -32,6 +32,7 @@ from .pipeline import (
     RunResults,
     check_config,
     compute_metrics,
+    corpus_digest,
     detect_corpus,
     perplexity_reference,
     persist_run,
@@ -162,33 +163,26 @@ def _run_id(text: str) -> str:
     return text
 
 
-def _run_config(
-    args: argparse.Namespace, mode: Mode, run_id: str | None = None
-) -> RunConfig:
-    """The RunConfig of the settings that were given; the rest keep the
-    field defaults."""
+def _run_configs(args: argparse.Namespace) -> list[tuple[RunConfig, PoolCatalog]]:
+    """One RunConfig per mode of --mode, of the settings that were given (the
+    rest keep the field defaults), with the demo pools its run reads, all
+    checked before any of them runs: a setting that the run's backend,
+    detector or pool file rejects is a usage error, and no run directory is
+    written."""
+    modes = _parse_modes(args.mode)
+    pinned = getattr(args, "run_id", None)
     given = {
         name: value
         for name, value in vars(args).items()
         if name in _OPTION_FIELDS and value is not None
     }
-    return RunConfig(mode=mode, run_id=run_id, **given)
-
-
-def _run_configs(args: argparse.Namespace) -> list[tuple[RunConfig, PoolCatalog]]:
-    """One RunConfig per mode of --mode, with the demo pools its run reads,
-    all checked before any of them runs: a setting that the run's backend,
-    detector or pool file rejects is a usage error, and no run directory is
-    written."""
-    modes = _parse_modes(args.mode)
-    pinned = getattr(args, "run_id", None)
     configs = []
     for mode in modes:
         run_id = pinned
         if pinned and len(modes) > 1:
             # an explicit id must not make the modes clobber one run directory
             run_id = f"{pinned}-{mode.value}"
-        config = _run_config(args, mode, run_id)
+        config = RunConfig(mode=mode, run_id=run_id, **given)
         try:
             catalog = check_config(config)
         except ValueError as exc:
@@ -267,11 +261,27 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return 0
 
 
+def _runs(
+    records: list[CorpusRecord], configs: list[tuple[RunConfig, PoolCatalog]], detected: list
+) -> Iterator[RunResults]:
+    """Each mode's run, in --mode order. The modes share every detector
+    setting, so one detection pass serves them all, and one corpus digest."""
+    digest = corpus_digest(records)
+    for config, catalog in configs:
+        yield run_corpus(
+            records,
+            config,
+            fake_secret=_fake_secret(),
+            detected=detected,
+            digest=digest,
+            catalog=catalog,
+        )
+
+
 def _cmd_run(args: argparse.Namespace) -> int:
     configs = _run_configs(args)
     records = _load_records(args)
     out = _make_out_dir(args)
-    # the modes share every detector setting, so one pass serves them all
     first, _ = configs[0]
     detected = detect_corpus(records, first)
     reference = None
@@ -279,18 +289,11 @@ def _cmd_run(args: argparse.Namespace) -> int:
         oracle = first.detector == "oracle"
         reference = perplexity_reference(records, detected if oracle else None)
     runs = []
-    for run_config, catalog in configs:
-        results = run_corpus(
-            records,
-            run_config,
-            fake_secret=_fake_secret(),
-            detected=detected,
-            catalog=catalog,
-        )
+    for results in _runs(records, configs, detected):
         metrics = compute_metrics(results, reference=reference)
         run_dir, run = persist_run(results, out, metrics)
         runs.append(run)
-        print(f"{run_config.mode.value}: run {results.run_id} -> {run_dir}")
+        print(f"{results.config.mode.value}: run {results.run_id} -> {run_dir}")
         if results.failed_documents:
             print(f"  {len(results.failed_documents)} document(s) failed", file=sys.stderr)
     print()
@@ -321,18 +324,11 @@ def _cmd_ner(args: argparse.Namespace) -> int:
     except ValueError as exc:
         args.subparser.error(str(exc))
     out_dir = _make_out_dir(args)
-    variants: dict[str, list] = {}
-    first, _ = configs[0]
-    detected = detect_corpus(records, first)
-    for run_config, catalog in configs:
-        results = run_corpus(
-            records,
-            run_config,
-            fake_secret=_fake_secret(),
-            detected=detected,
-            catalog=catalog,
-        )
-        variants[run_config.mode.value] = _written_variant(results)
+    detected = detect_corpus(records, configs[0][0])
+    variants = {
+        results.config.mode.value: _written_variant(results)
+        for results in _runs(records, configs, detected)
+    }
     # drop any index that failed in any variant so corpora stay parallel
     bad = {i for docs in variants.values() for i, d in enumerate(docs) if d is None}
     if bad:

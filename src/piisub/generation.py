@@ -3,11 +3,12 @@
 `dispatch` is the single entry point: given one entity surface and its
 cache key (which carries the run mode and label) it produces a
 SurrogateDecision, calling the model only for the labels that need semantic
-substitutes. Model rejections and per-call backend failures degrade to the
-fake generator (recorded on the decision); only an unhealthy backend
-propagates. Fake values come from one stream seeded by the cache key and the
-run's fake-value secret, and every redraw reads on from that stream, so a
-key's fake value never depends on draws made for other keys.
+substitutes. Model rejections and backend call failures degrade to the fake
+generator; the decision records the reason and its call, which the run
+reads to judge the backend's health. Fake values come from one stream
+seeded by the cache key and the run's fake-value secret, and every redraw
+reads on from that stream, so a key's fake value never depends on draws
+made for other keys.
 
 `blocked` is the run-level leak guard: a predicate, built once per run by
 `model.ci_any_matcher`, that is true when a value contains a corpus
@@ -61,6 +62,13 @@ def redact_placeholder(label: Label) -> str:
     return f"[{label.name}]"
 
 
+class NoCleanFake(RuntimeError):
+    """No fake value passed the echo and guard checks. `backend_errors` is
+    the call of the model proposal that fell back, so the run counts it."""
+
+    backend_errors: tuple[str | None, ...] = ()
+
+
 def _clean_fake_draw(
     surface: str,
     key: CacheKey,
@@ -80,7 +88,7 @@ def _clean_fake_draw(
         if blocked(value):
             continue
         return value
-    raise RuntimeError(
+    raise NoCleanFake(
         f"no clean fake value for {label.name} after {_MAX_FAKE_REDRAWS} draws"
     )
 
@@ -102,15 +110,22 @@ def slm_propose(
     completion existed), a guard hit as `identity`, a DATE completion in
     no known date format, for an input in one, as `not_a_date`, and an
     ADDRESS completion with no digit, for an input with one, as
-    `not_an_address`.
+    `not_an_address`. The decision records its backend call, if it made one
+    (`backend_errors`), for the run to judge the backend by.
     """
     label = key.label
 
-    def fallback(*reasons: RejectionReason) -> SurrogateDecision:
+    def fallback(reason: RejectionReason, calls: tuple = ()) -> SurrogateDecision:
+        try:
+            value = _clean_fake_draw(surface, key, blocked, fake_secret)
+        except NoCleanFake as exc:
+            exc.backend_errors = calls
+            raise
         return SurrogateDecision(
-            surrogate=_clean_fake_draw(surface, key, blocked, fake_secret),
+            surrogate=value,
             source=Source.FALLBACK_FAKE,
-            rejection_reasons=tuple(reasons),
+            rejection_reasons=(reason,),
+            backend_errors=calls,
         )
 
     try:
@@ -124,26 +139,28 @@ def slm_propose(
         return fallback(RejectionReason.EMPTY)
     try:
         completion = backend.propose(prompt)
-    except BackendInvocationError:
-        return fallback(RejectionReason.EMPTY)
+    except BackendInvocationError as exc:
+        return fallback(RejectionReason.EMPTY, (str(exc),))
+    answered = (None,)
     value, reason = validate_response(completion, surface)
     if reason is not None:
-        return fallback(reason)
+        return fallback(reason, answered)
     assert value is not None
     if blocked(value):
-        return fallback(RejectionReason.IDENTITY)
+        return fallback(RejectionReason.IDENTITY, answered)
     if (
         label is Label.DATE
         and classify_date_format(value) is DateFormat.UNKNOWN
         and classify_date_format(surface) is not DateFormat.UNKNOWN
     ):
-        return fallback(RejectionReason.NOT_A_DATE)
+        return fallback(RejectionReason.NOT_A_DATE, answered)
     if label is Label.ADDRESS and _has_digit(surface) and not _has_digit(value):
-        return fallback(RejectionReason.NOT_AN_ADDRESS)
+        return fallback(RejectionReason.NOT_AN_ADDRESS, answered)
     return SurrogateDecision(
         surrogate=value,
         source=Source.SLM,
         demos_used=tuple(d.id for d in demos),
+        backend_errors=answered,
     )
 
 

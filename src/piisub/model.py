@@ -242,12 +242,19 @@ class SurrogateDecision(JsonReport):
     An accepted language-model proposal carries exactly the three
     demonstrations it was prompted with and no rejection reasons; a fallback
     records why the model's completion was discarded.
+
+    `backend_errors` has one entry per model call made, None for an answer
+    and the error text for a failure; the run judges the backend by it, and
+    writes it to no file.
     """
+
+    json_skip = ("backend_errors",)
 
     surrogate: str
     source: Source
     demos_used: tuple[str, ...] = ()
     rejection_reasons: tuple[RejectionReason, ...] = ()
+    backend_errors: tuple[str | None, ...] = ()
 
     def __post_init__(self) -> None:
         if self.source is Source.SLM:

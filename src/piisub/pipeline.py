@@ -1,35 +1,35 @@
 """End-to-end corpus runs: detect, resolve, substitute, splice, measure.
 
-A run is identified by a short hash over its configuration and its corpus:
-each record's id and text (the corpus fingerprint), locale, template and
-ground truth. Rerunning the same setup lands in the same directory with
-byte-identical result files, and corpora that differ in anything a run
-reads land apart. `parallelism`, the one concurrency setting, is
-how many calls to an out-of-process adapter (a command backend, an external
-detector, both through `model.run_command`) may be in flight; it changes
-how a run executes, not what it computes. `_calls` runs the tasks of both
+A run is identified by a short hash over its configuration and its corpus
+(`corpus_digest`: each record's id, text, locale, template and ground
+truth, hashed once per command). Rerunning the same setup lands in the same
+directory with byte-identical result files, and corpora that differ in
+anything a run reads land apart. A setting the run does not read
+(`RunConfig.settings_read`), such as a backend's outside hybrid, is written
+as its default, so it cannot split the run id. Timeouts and the failure
+threshold stay in it: with a slow backend or detector they decide which
+calls fail. The fake-value secret is in neither the run id nor any file.
+`parallelism`, the one execution setting, is how many calls to an
+out-of-process adapter (a command backend, an external detector, both
+through `model.run_command`) may be in flight; it is written with the
+wall-clock timings to their own file. `_calls` runs the tasks of both
 stages: on a pool of workers (it imports `concurrent.futures`) for such an
 adapter, in place for any other.
 
-Detection is the costly stage (an on-device model in the paper), so a
-command does it once: `detect_corpus` detects and resolves every record
-before any mode runs, and its result goes to every mode's `run_corpus` and,
-with the oracle detector, to `perplexity_reference`. A detector that does
-not answer stops the command there, before any mode has written.
-`run_corpus` then walks the records in order in the calling thread, the
-surrogate cache's only caller, so the first mention in record order
-proposes each key. The walk finishes each document (its splice) in record
-order once its keys are decided, so no worker waits on another's proposal.
-The splice says where it wrote each surrogate (`GroupResult.starts`): the
-consistency metric and the NER gold read there, and search no output.
-Fake draws are seeded by the cache key, not by the document. So a serial
-and a parallel run of the same work share one run id and the same bytes.
-The setting is written with the wall-clock timings to their own file and
-never into the compared artifacts. Timeouts and the failure threshold stay
-in the run id: with a slow backend or detector they decide which calls
-fail. A setting the run does not read (`RunConfig.settings_read`), such as
-a backend's outside hybrid, is written as its default, so it cannot split
-the run id. The fake-value secret is in neither file nor the run id.
+Detection is the costly stage (an on-device model in the paper), so
+`detect_corpus` detects and resolves every record once per command, before
+any mode runs, for every mode's `run_corpus` and, with the oracle detector,
+`perplexity_reference`; a detector that does not answer stops the command
+before any mode has written. `run_corpus` walks the records in order in the
+calling thread, the surrogate cache's only caller, so the first mention in
+record order proposes each key. It reads the proposals' outcomes in the
+order it made them, whatever order they finish in, and stops the run at the
+first key where `failure_threshold` consecutive model calls have failed.
+Then it splices the documents, which says where each surrogate landed
+(`GroupResult.starts`) for the consistency metric and the NER gold. Fake
+draws are seeded by the cache key, not by the document. So a serial and a
+parallel run of the same work share one run id and the same bytes, or stop
+at the same key with the same message.
 
 The leak guard is corpus-level: every ground-truth value in the input corpus
 is blocked as a substring for every surrogate, no matter which document it
@@ -58,7 +58,7 @@ from __future__ import annotations
 import hashlib
 import json
 import time
-from collections import Counter, deque
+from collections import Counter
 from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 from functools import partial
@@ -68,7 +68,6 @@ from pathlib import Path
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .backends import (
-    DEFAULT_FAILURE_THRESHOLD,
     DEFAULT_TIMEOUT,
     BackendUnhealthy,
     CommandBackend,
@@ -143,7 +142,7 @@ class RunConfig:
     backend_kind: str = "mock-pool"
     backend_command: str | None = None
     backend_timeout: float = DEFAULT_TIMEOUT
-    failure_threshold: int = DEFAULT_FAILURE_THRESHOLD
+    failure_threshold: int = 5
     demo_strategy: DemoStrategy = DemoStrategy.ROTATING_LOCALE
     detector: str = "oracle"
     detector_command: str | None = None
@@ -190,24 +189,24 @@ def corpus_fingerprint(records: Sequence[CorpusRecord]) -> str:
     return digest.hexdigest()
 
 
-def derive_run_id(config: RunConfig, records: Sequence[CorpusRecord]) -> str:
-    """The config's pinned id, else a hash over the run-id fingerprint of the
-    config, the corpus fingerprint and each record's locale, template and
-    ground truth (in label order), which the run reads too."""
-    if config.run_id:
-        return config.run_id
+def corpus_digest(records: Sequence[CorpusRecord]) -> dict[str, str]:
+    """What a run id reads of the corpus: its fingerprint, and a hash of each
+    record's locale, template and ground truth (in label order), which the
+    run reads too. A command computes it once for all its modes."""
     truth = hashlib.sha256()
     for rec in records:
         gt = [(label.name, rec.pii_gt[label]) for label in Label if label in rec.pii_gt]
         truth.update(json.dumps([rec.locale, rec.template, gt]).encode("ascii"))
+    return {"corpus": corpus_fingerprint(records), "ground_truth": truth.hexdigest()}
+
+
+def derive_run_id(config: RunConfig, digest: dict[str, str]) -> str:
+    """The config's pinned id, else a hash over the run-id fingerprint of the
+    config and the `corpus_digest` of its records."""
+    if config.run_id:
+        return config.run_id
     payload = json.dumps(
-        {
-            "config": config.to_json_dict(),
-            "corpus": corpus_fingerprint(records),
-            "ground_truth": truth.hexdigest(),
-        },
-        sort_keys=True,
-        ensure_ascii=False,
+        {"config": config.to_json_dict(), **digest}, sort_keys=True, ensure_ascii=False
     )
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:12]
 
@@ -275,10 +274,7 @@ def _build_backend(config: RunConfig) -> SlmBackend | None:
     if "backend_kind" not in config.settings_read():
         return None
     return make_backend(
-        config.backend_kind,
-        command=config.backend_command,
-        timeout=config.backend_timeout,
-        failure_threshold=config.failure_threshold,
+        config.backend_kind, command=config.backend_command, timeout=config.backend_timeout
     )
 
 
@@ -307,17 +303,21 @@ def _build_catalog(config: RunConfig) -> PoolCatalog:
 def check_config(config: RunConfig) -> PoolCatalog:
     """Build the backend, the detector and the demo pools a run of `config`
     reads (see `RunConfig.settings_read`): a setting they reject raises its
-    ValueError here, before any document is touched. Returns the pools, so
-    that the run (`run_corpus(..., catalog=...)`) reads a pool file once."""
+    ValueError here, before any document is touched, and so does a failure
+    threshold below 1 where the run reads one. Returns the pools, so that
+    the run (`run_corpus(..., catalog=...)`) reads a pool file once."""
+    threshold = config.failure_threshold
+    if threshold < 1 and "failure_threshold" in config.settings_read():
+        raise ValueError(f"failure_threshold must be at least 1, got {threshold}")
     _build_backend(config)
     _build_detector(config)
     return _build_catalog(config)
 
 
 class _Outcome(NamedTuple):
-    """A task's value, or the error that fails the documents that need it,
-    and its seconds; `done()` and `result()` read it like a pool task's
-    Future."""
+    """A task's value, or the exception it raised and the error that fails
+    the documents that need it, and its seconds; `done()` and `result()`
+    read it like a pool task's Future."""
 
     value: Any
     error: str | None
@@ -335,12 +335,12 @@ def _attempt(task: Callable, *args) -> _Outcome:
     value = error = None
     try:
         value = task(*args)
-    except (BackendUnhealthy, DetectorUnavailable):
+    except DetectorUnavailable:
         raise
     except DetectorProtocolError as exc:
-        error = f"detector: {exc}"
+        value, error = exc, f"detector: {exc}"
     except (ValueError, RuntimeError) as exc:
-        error = str(exc)
+        value, error = exc, str(exc)
     return _Outcome(value, error, time.perf_counter() - t0)
 
 
@@ -384,6 +384,7 @@ def run_corpus(
     config: RunConfig,
     *,
     detected: Sequence[_Outcome],
+    digest: dict[str, str],
     catalog: PoolCatalog,
     fake_secret: bytes = b"",
 ) -> RunResults:
@@ -392,10 +393,18 @@ def run_corpus(
     backend stops everything; a key whose proposal fails fails every
     document that holds it.
 
-    `detected` is `detect_corpus(records, config)`, which a command runs
-    once for all its modes, and `catalog` is `check_config(config)`.
-    `fake_secret` keys the fake-draw seeds (`fakegen.draw_seed`); it is kept
-    out of the run id and every written file."""
+    The backend is unhealthy at the first key, in proposal order, where
+    `config.failure_threshold` consecutive model calls have failed; a key
+    that makes no call leaves the count alone. The walk proposes at most
+    `parallelism` keys past the last outcome it has read, four times as
+    many while the last call read answered: a dead backend makes fewer than
+    threshold + `parallelism` calls, and a slow call holds up no others.
+
+    `detected` is `detect_corpus(records, config)` and `digest` is
+    `corpus_digest(records)`, which a command computes once for all its
+    modes, and `catalog` is `check_config(config)`. `fake_secret` keys the
+    fake-draw seeds (`fakegen.draw_seed`); it is kept out of the run id and
+    every written file."""
     read = config.settings_read()
     cache = SurrogateCache()
     backend = _build_backend(config)
@@ -414,6 +423,23 @@ def run_corpus(
         fake_secret=fake_secret,
     )
     proposed = []  # each key's task: its outcome or that outcome's Future
+    cursor = 0  # the proposals before it have been read
+    streak = 0  # consecutive failed calls up to the cursor
+    answered = False  # whether the last call up to the cursor answered
+
+    def read_proposals(until: int) -> None:
+        """Read, in proposal order, every outcome before `until`, waiting on
+        it if need be, and then each that is done, counting failed calls."""
+        nonlocal cursor, streak, answered
+        while cursor < len(proposed) and (cursor < until or proposed[cursor].done()):
+            outcome = proposed[cursor].result()
+            cursor += 1
+            for error in getattr(outcome.value, "backend_errors", ()):
+                answered = error is None
+                streak = 0 if answered else streak + 1
+                if not answered and streak >= config.failure_threshold:
+                    message = f"{streak} consecutive failures, last: {error}"
+                    raise BackendUnhealthy(f"backend {family}: {message}")
 
     def finish(record: CorpusRecord, found: _Outcome, tasks: list) -> _Outcome:
         """The document from its groups and its keys' outcomes, which the
@@ -440,29 +466,26 @@ def run_corpus(
     with _calls(config.parallelism, backend) as submit:
 
         def propose_once(surface: str, key: CacheKey):
+            read_proposals(len(proposed) + 1 - config.parallelism * (4 if answered else 1))
             proposed.append(submit(propose, surface, key))
             return proposed[-1]
 
-        finished = []
-        # documents whose keys are not all decided yet, in record order: the
-        # walk finishes the oldest as soon as their keys are decided, so no
-        # worker ever waits on another's proposal
-        waiting: deque = deque()
+        walked = []
         for record, found in zip(records, detected, strict=True):
             tasks = []
-            for group in found.value or ():
+            for group in found.value if found.error is None else ():
                 key = CacheKey(config.mode, family, group.canonical, group.label)
                 first = partial(propose_once, group.members[0].surface, key)
                 tasks.append(cache.get_or_propose(key, first))
-            waiting.append((record, found, tasks))
-            while waiting and all(task.done() for task in waiting[0][2]):
-                finished.append(finish(*waiting.popleft()))
-        finished.extend(finish(*doc) for doc in waiting)
+            walked.append((record, found, tasks))
+        read_proposals(len(proposed))
+        # every key is decided, so no document waits on a worker
+        finished = [finish(*doc) for doc in walked]
         documents = [outcome.value for outcome in finished]
         timings["splice"] = sum(outcome.seconds for outcome in finished)
         timings["surrogate"] = sum(task.result().seconds for task in proposed)
     return RunResults(
-        run_id=derive_run_id(config, records),
+        run_id=derive_run_id(config, digest),
         config=config,
         documents=documents,
         proposals_made=cache.proposals_made,

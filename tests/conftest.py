@@ -5,7 +5,7 @@ import threading
 import pytest
 
 from piisub.corpus import synth_corpus
-from piisub.pipeline import check_config, detect_corpus, run_corpus
+from piisub.pipeline import check_config, corpus_digest, detect_corpus, run_corpus
 from piisub.pools import builtin_catalog
 
 pytest_plugins = ["pytester"]
@@ -21,12 +21,14 @@ PIISUB_ENV = (
 
 def run_records(records, config, *, fake_secret=b""):
     """`run_corpus` of `records` under `config` with the inputs a command
-    gives it: the pools `check_config` builds and one `detect_corpus` pass."""
+    gives it: the pools `check_config` builds, one `detect_corpus` pass and
+    the `corpus_digest`."""
     catalog = check_config(config)
     return run_corpus(
         records,
         config,
         detected=detect_corpus(records, config),
+        digest=corpus_digest(records),
         catalog=catalog,
         fake_secret=fake_secret,
     )

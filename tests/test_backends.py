@@ -1,19 +1,15 @@
-"""Mock and command backends, prompt parsing, and health accounting."""
+"""Mock and command backends and prompt parsing."""
 
 import json
 import sys
-import threading
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from piisub.backends import (
     BackendInvocationError,
-    BackendUnhealthy,
     CommandBackend,
     MockEchoDemoBackend,
     MockPoolBackend,
-    SlmBackend,
     make_backend,
     parse_prompt,
 )
@@ -179,130 +175,25 @@ class TestCommandBackend:
         with pytest.raises(BackendInvocationError):
             backend.propose(PROMPT)
 
+    def test_a_failed_call_leaves_the_backend_as_it_was(self):
+        # a backend holds no health state: the run judges its calls
+        backend = CommandBackend("/no/such/binary-xyz '{prompt}'")
+        settings = dict(vars(backend))
+        for _ in range(3):
+            with pytest.raises(BackendInvocationError):
+                backend.propose(PROMPT)
+        assert vars(backend) == settings
+        assert vars(MockPoolBackend()) == vars(MockEchoDemoBackend()) == {}
+
     def test_undecodable_reply_is_a_counted_call_failure(self, tmp_path):
         # stdout that is not UTF-8 fails the call like any other bad reply:
-        # the caller can fall back, and the failure counts toward the threshold
+        # the caller can fall back, and the run counts the failure toward the
+        # threshold (test_health.py)
         script = tmp_path / "binary.py"
         script.write_text("import sys; sys.stdout.buffer.write(b'\\377')\n")
-        backend = CommandBackend(
-            f"{sys.executable} {script} '{{prompt}}'", failure_threshold=2
-        )
+        backend = CommandBackend(f"{sys.executable} {script} '{{prompt}}'")
         with pytest.raises(BackendInvocationError, match="can't decode"):
             backend.propose(PROMPT)
-        with pytest.raises(BackendUnhealthy, match="2 consecutive failures"):
-            backend.propose(PROMPT)
-
-
-class FlakyBackend(SlmBackend):
-    id = "flaky"
-
-    def __init__(self, fail_times, **kwargs):
-        super().__init__(**kwargs)
-        self.fail_times = fail_times
-        self.calls = 0
-
-    def _invoke(self, prompt):
-        self.calls += 1
-        if self.calls <= self.fail_times:
-            raise BackendInvocationError("transient")
-        return " ok"
-
-
-class TestHealth:
-    def test_success_resets_failure_count(self):
-        backend = FlakyBackend(fail_times=4, failure_threshold=5)
-        for _ in range(4):
-            with pytest.raises(BackendInvocationError):
-                backend.propose(PROMPT)
-        assert backend.propose(PROMPT) == " ok"
-        # four more failures still do not trip the threshold after a success
-        backend.fail_times = backend.calls + 4
-        for _ in range(4):
-            with pytest.raises(BackendInvocationError):
-                backend.propose(PROMPT)
-        assert backend.propose(PROMPT) == " ok"
-
-    def test_sticky_unhealthy_after_threshold(self):
-        backend = FlakyBackend(fail_times=100, failure_threshold=5)
-        for _ in range(4):
-            with pytest.raises(BackendInvocationError):
-                backend.propose(PROMPT)
-        with pytest.raises(BackendUnhealthy):
-            backend.propose(PROMPT)  # fifth consecutive failure trips it
-        calls_so_far = backend.calls
-        with pytest.raises(BackendUnhealthy):
-            backend.propose(PROMPT)
-        assert backend.calls == calls_so_far  # no further invocations attempted
-
-    def test_calls_started_after_the_trip_do_not_run(self):
-        # three calls in flight at once, as a run at --parallelism 3 makes
-        barrier = threading.Barrier(3, timeout=10)
-        lock = threading.Lock()
-
-        class ConcurrentFailing(FlakyBackend):
-            def _invoke(self, prompt):
-                barrier.wait()
-                with lock:
-                    return super()._invoke(prompt)
-
-        backend = ConcurrentFailing(fail_times=100, failure_threshold=3)
-
-        def call(_):
-            try:
-                backend.propose(PROMPT)
-            except (BackendInvocationError, BackendUnhealthy) as exc:
-                return type(exc)
-
-        with ThreadPoolExecutor(3) as pool:
-            running = list(pool.map(call, range(3)))
-        # the calls already running finish; the third failure trips it
-        assert backend.calls == 3
-        assert sorted(running, key=lambda t: t.__name__) == [
-            BackendInvocationError,
-            BackendInvocationError,
-            BackendUnhealthy,
-        ]
-        with ThreadPoolExecutor(3) as pool:
-            later = list(pool.map(call, range(6)))
-        assert later == [BackendUnhealthy] * 6
-        assert backend.calls == 3
-
-
-    def test_concurrent_failures_are_all_counted(self):
-        # more workers than cores and a short switch interval: a lost update
-        # of the failure count would leave the threshold uncrossed
-        workers, calls_each = 16, 100
-
-        class Failing(SlmBackend):
-            id = "failing"
-
-            def _invoke(self, prompt):
-                raise BackendInvocationError("down")
-
-        backend = Failing(failure_threshold=workers * calls_each)
-
-        def call_repeatedly(_):
-            raised = []
-            for _ in range(calls_each):
-                try:
-                    backend.propose(PROMPT)
-                except (BackendInvocationError, BackendUnhealthy) as exc:
-                    raised.append(exc)
-            return raised
-
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            with ThreadPoolExecutor(workers) as pool:
-                futures = [pool.submit(call_repeatedly, i) for i in range(workers)]
-                raised = [exc for f in futures for exc in f.result(timeout=60)]
-        finally:
-            sys.setswitchinterval(interval)
-        tripped = [exc for exc in raised if isinstance(exc, BackendUnhealthy)]
-        assert len(raised) == workers * calls_each
-        assert [str(exc).split(", last")[0] for exc in tripped] == [
-            f"backend failing: {workers * calls_each} consecutive failures"
-        ]
 
 
 class TestFactory:
@@ -323,8 +214,3 @@ class TestFactory:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown backend"):
             make_backend("gpt-in-a-box")
-
-    @pytest.mark.parametrize("kind", ["mock-pool", "mock-echo-demo", "command"])
-    def test_failure_threshold_must_be_positive(self, kind):
-        with pytest.raises(ValueError, match="failure_threshold must be at least 1"):
-            make_backend(kind, command="runner '{prompt}'", failure_threshold=0)

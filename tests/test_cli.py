@@ -712,6 +712,19 @@ class TestRun:
         assert code == 1
         assert "aborted:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("mode", ["redact", "faker"])
+    def test_a_mode_that_calls_no_model_reads_no_failure_threshold(
+        self, corpus_file, tmp_path, mode
+    ):
+        argv = ["run", "--mode", mode, "--no-ppl", "--corpus", str(corpus_file)]
+        zero = tmp_path / "zero"
+        assert main([*argv, "--failure-threshold", "0", "--out", str(zero)]) == 0
+        assert main([*argv, "--out", str(tmp_path / "default")]) == 0
+        # written as its default, so it does not split the run id either
+        assert [d.name for d in run_dirs(zero)] == [
+            d.name for d in run_dirs(tmp_path / "default")
+        ]
+
 
 class TestDetectionOncePerCommand:
     """Every mode of a command, and the perplexity reference, read one
@@ -780,6 +793,26 @@ class TestDetectionOncePerCommand:
         assert main(argv) == 0
         assert len(run_dirs(tmp_path / "out")) == 3
         assert sorted(seen) == sorted(r.text for r in load_corpus(corpus_file))
+
+    @pytest.mark.parametrize("command", ["run", "ner"])
+    def test_all_modes_hash_the_corpus_once(
+        self, corpus_file, tmp_path, monkeypatch, command
+    ):
+        import piisub.pipeline as pipeline
+
+        hashed = []
+        corpus_fingerprint = pipeline.corpus_fingerprint
+
+        def counted(records):
+            hashed.append(len(records))
+            return corpus_fingerprint(records)
+
+        monkeypatch.setattr(pipeline, "corpus_fingerprint", counted)
+        argv = [command, "--mode", "all", "--corpus", str(corpus_file)]
+        if command == "ner":
+            argv += ["--train-size", "8", "--test-size", "3", "--iterations", "2"]
+        assert main([*argv, "--out", str(tmp_path / "out")]) == 0
+        assert hashed == [12]
 
     def test_ner_detects_each_record_once(self, corpus_file, tmp_path, monkeypatch):
         seen = self.count_oracle(monkeypatch)

@@ -39,6 +39,7 @@ from piisub.pipeline import (
     RunResults,
     _document_json,
     compute_metrics,
+    corpus_digest,
     corpus_fingerprint,
     derive_run_id,
     detect_corpus,
@@ -138,17 +139,18 @@ class TestRunIdentity:
         assert corpus_fingerprint(corpus) == base
 
     def test_run_id_stable_and_config_sensitive(self, corpus):
-        a = derive_run_id(RunConfig(mode=Mode.REDACT), corpus)
-        b = derive_run_id(RunConfig(mode=Mode.REDACT), corpus)
-        c = derive_run_id(RunConfig(mode=Mode.FAKER), corpus)
+        digest = corpus_digest(corpus)
+        a = derive_run_id(RunConfig(mode=Mode.REDACT), digest)
+        b = derive_run_id(RunConfig(mode=Mode.REDACT), corpus_digest(corpus))
+        c = derive_run_id(RunConfig(mode=Mode.FAKER), digest)
         assert a == b
         assert a != c
         assert len(a) == 12
 
     def test_run_id_ignores_execution_settings(self, corpus):
-        base = derive_run_id(RunConfig(mode=Mode.HYBRID), corpus)
+        base = derive_run_id(RunConfig(mode=Mode.HYBRID), corpus_digest(corpus))
         tuned = RunConfig(mode=Mode.HYBRID, parallelism=8)
-        assert derive_run_id(tuned, corpus) == base
+        assert derive_run_id(tuned, corpus_digest(corpus)) == base
         recorded = tuned.to_json_dict()
         assert not EXECUTION_FIELDS & set(recorded)
         assert recorded["mode"] == "hybrid"
@@ -170,8 +172,9 @@ class TestRunIdentity:
         }
         config = RunConfig(mode=Mode.HYBRID, **adapters, **setting)
         assert config.to_json_dict().items() >= setting.items()
-        assert derive_run_id(config, corpus) != derive_run_id(
-            RunConfig(mode=Mode.HYBRID, **adapters), corpus
+        digest = corpus_digest(corpus)
+        assert derive_run_id(config, digest) != derive_run_id(
+            RunConfig(mode=Mode.HYBRID, **adapters), digest
         )
 
     @pytest.mark.parametrize(
@@ -193,7 +196,8 @@ class TestRunIdentity:
         config = RunConfig(mode=mode, **setting)
         plain = RunConfig(mode=mode, detector=config.detector)
         assert config.to_json_dict() == plain.to_json_dict()
-        assert derive_run_id(config, corpus) == derive_run_id(plain, corpus)
+        digest = corpus_digest(corpus)
+        assert derive_run_id(config, digest) == derive_run_id(plain, digest)
 
     def test_every_setting_is_read_by_some_run(self):
         read = set().union(
@@ -234,7 +238,9 @@ class TestRunIdentity:
         assert changed[0] != corpus[0]
         assert corpus_fingerprint(changed) == corpus_fingerprint(corpus)
         config = RunConfig(mode=Mode.FAKER)
-        assert derive_run_id(config, changed) != derive_run_id(config, corpus)
+        assert derive_run_id(config, corpus_digest(changed)) != derive_run_id(
+            config, corpus_digest(corpus)
+        )
 
     def test_run_id_ignores_the_order_of_labels_in_the_ground_truth(self, corpus):
         # every reader of the ground truth walks it in label order
@@ -243,11 +249,13 @@ class TestRunIdentity:
             for r in corpus
         ]
         config = RunConfig(mode=Mode.FAKER)
-        assert derive_run_id(config, reordered) == derive_run_id(config, corpus)
+        assert derive_run_id(config, corpus_digest(reordered)) == derive_run_id(
+            config, corpus_digest(corpus)
+        )
 
     def test_explicit_run_id_wins(self, corpus):
         config = RunConfig(mode=Mode.REDACT, run_id="my-run")
-        assert derive_run_id(config, corpus) == "my-run"
+        assert derive_run_id(config, corpus_digest(corpus)) == "my-run"
 
 
 class TestModes:
