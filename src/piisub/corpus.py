@@ -407,8 +407,9 @@ def _render(
 def largest_remainder(n: int, weights: dict[str, float]) -> dict[str, int]:
     """Split n into whole counts in proportion to the weights: every key gets
     the floor of its share, and the units left over go to the largest
-    remainders, ties broken by key. Keys come out sorted."""
-    total = sum(weights.values())
+    remainders, ties broken by key. Keys come out sorted. The weights are
+    totalled exactly (`math.fsum`), the same on every interpreter."""
+    total = math.fsum(weights.values())
     keys = sorted(weights)
     shares = {key: n * weights[key] / total for key in keys}
     counts = {key: int(shares[key]) for key in keys}

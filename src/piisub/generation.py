@@ -164,6 +164,11 @@ def slm_propose(
     )
 
 
+def calls_model(key: CacheKey) -> bool:
+    """Whether `dispatch` asks the model for the key's surrogate."""
+    return key.mode is Mode.HYBRID and key.label in SLM_LABELS
+
+
 def dispatch(
     surface: str,
     key: CacheKey,
@@ -178,7 +183,7 @@ def dispatch(
     label = key.label
     if key.mode is Mode.REDACT:
         return SurrogateDecision(surrogate=redact_placeholder(label), source=Source.REDACT)
-    if key.mode is Mode.HYBRID and label in SLM_LABELS:
+    if calls_model(key):
         if backend is None or catalog is None:
             raise ValueError("hybrid mode needs a backend and a pool catalog")
         return slm_propose(

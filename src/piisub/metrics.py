@@ -4,7 +4,9 @@ Leak detection reuses the same case-insensitive substring primitive as the
 oracle detector, so "the detector found it" and "it leaked" can never
 disagree about what counts as an occurrence.
 
-Perplexity is exact, from integer counts and `decimal` (`CharNgramScorer`).
+Every sum behind `metrics.json` is exact, so it depends on the set of
+documents and not on their order: means sum with `math.fsum` (`agg_mean`),
+perplexity from integer counts and `decimal` (`CharNgramScorer`).
 Welch's test reports the statistic, standard error and Welch-Satterthwaite
 degrees of freedom; its two-sided p is the normal approximation, libm's
 erfc. At the NER probe's 5 seeds per variant (4-8 degrees of freedom) that
@@ -19,22 +21,20 @@ import statistics
 from collections import Counter
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Context, Decimal, localcontext
-from functools import reduce
+from heapq import nsmallest
 from itertools import chain, repeat
-from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .model import JsonReport, Label, ci_fold, folded_contains
 
 
 def agg_mean(values: Iterable[float | None]) -> float | None:
-    """Unweighted mean over the defined values; None if nothing is defined."""
+    """Unweighted mean over the defined values, from their exact sum rounded
+    once (`math.fsum`) in any order; None if nothing is defined."""
     defined = [v for v in values if v is not None]
     if not defined:
         return None
-    # a left fold from 0.0: sum() compensates float error on 3.12+, and the
-    # mean must not depend on the interpreter
-    return reduce(add, defined, 0.0) / len(defined)
+    return math.fsum(defined) / len(defined)
 
 
 @dataclass(frozen=True)
@@ -57,19 +57,16 @@ def leak_report(items: Iterable[tuple[Sequence[str], str]]) -> LeakReport:
 
     `items` pairs each record's ground-truth values with its output. A value
     counts as leaked if it occurs case-insensitively anywhere in the output.
+    The examples are the 20 smallest leaked values, whatever the record order.
     """
-    leaked = 0
     total = 0
-    examples: list[str] = []
+    leaks: list[str] = []
     for gt_values, output in items:
         folded = ci_fold(output)
-        for value in gt_values:
-            total += 1
-            if folded_contains(value, folded):
-                leaked += 1
-                if len(examples) < 20:
-                    examples.append(value)
-    return LeakReport(leaked=leaked, total=total, leaked_values=tuple(examples))
+        total += len(gt_values)
+        leaks.extend(v for v in gt_values if folded_contains(v, folded))
+    examples = tuple(nsmallest(20, leaks))
+    return LeakReport(leaked=len(leaks), total=total, leaked_values=examples)
 
 
 @dataclass(frozen=True)

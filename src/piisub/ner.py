@@ -13,13 +13,13 @@ strict BIO: an I- tag without a matching open span is dropped rather than
 repaired, so a model that never learned natural entities yields no spans at
 all instead of noise spans.
 
-The tagger runs on integer feature ids end to end. One Lexicon per
-experiment calls features() once per distinct word; the trainer keeps
-integer weights and running integer score sums, and stops once a pass makes
-no mistake, since no later pass could change a weight. The trained model
-holds the averaged float rows by feature id of that lexicon, predicts by
-adding them in features() order, and remembers each (word, previous tag)
-guess, since its rows no longer change.
+The tagger runs on integers end to end. One Lexicon per experiment calls
+features() once per distinct word; the trainer keeps integer weights and
+running integer score sums, and stops once a pass makes no mistake, since
+no later pass could change a weight. The trained model holds each averaged
+weight times the clock, an integer, so its scores are exact in any order
+and exact ties go to the first class by name; it remembers each (word,
+previous tag) guess, since its rows no longer change.
 """
 
 from __future__ import annotations
@@ -133,8 +133,7 @@ class Lexicon:
     """Interned integer feature ids for the words of one experiment.
 
     features() runs once per distinct word. A word id stands for the ids of
-    the word's features in features() order, split around the previous
-    tag's feature: `head[wid]` before it, `tail[wid]` after it. That feature
+    the word's features but the previous tag's, `feats[wid]`; that feature
     is interned apart, one id per tag. A lexicon lives as long as one
     experiment and is shared by every training and prediction in it.
     """
@@ -143,8 +142,7 @@ class Lexicon:
         self.feature_names: list[str] = []
         self._feature_ids: dict[str, int] = {}
         self._word_ids: dict[str, int] = {}
-        self.head: list[tuple[int, ...]] = []
-        self.tail: list[tuple[int, ...]] = []
+        self.feats: list[tuple[int, ...]] = []
 
     def feature_id(self, name: str) -> int:
         fid = self._feature_ids.get(name)
@@ -163,37 +161,31 @@ class Lexicon:
     def _word_id(self, word: str) -> int:
         wid = self._word_ids.get(word)
         if wid is None:
-            wid = self._word_ids[word] = len(self.head)
+            wid = self._word_ids[word] = len(self.feats)
             names = features((word,), 0, "")
-            at = names.index("prevtag=")
-            self.head.append(tuple(map(self.feature_id, names[:at])))
-            self.tail.append(tuple(map(self.feature_id, names[at + 1 :])))
+            names.remove("prevtag=")
+            self.feats.append(tuple(map(self.feature_id, names)))
         return wid
 
 
 class AveragedPerceptron:
     """Multiclass perceptron with averaged weights, as train_tagger leaves it.
 
-    The averaged weights are one float row per feature id of `lexicon`,
-    indexed like the sorted classes; an id means nothing without its
-    lexicon. predict adds rows one feature at a time, in the order given,
-    so the scores do not depend on the layout. predict_tags keeps its tag
-    per (word id, previous tag) in `_tags`, as the rows are final.
+    The averaged weights, times the training clock, are one integer row per
+    feature id of `lexicon`, indexed like the sorted classes; an id means
+    nothing without its lexicon. predict_tags keeps its tag per (word id,
+    previous tag) in `_tags`, as the rows are final.
     """
 
     def __init__(self, classes: Iterable[str], lexicon: Lexicon) -> None:
         self.classes = sorted(set(classes))
         self.lexicon = lexicon
-        self._weights: dict[int, list[float]] = {}
+        self._weights: dict[int, list[int]] = {}
         self._tags: dict[tuple[int, str], str] = {}
 
     def predict(self, ids: Iterable[int]) -> str:
-        acc: Iterable[float] = [0.0] * len(self.classes)
-        for row in map(self._weights.get, ids):
-            if row is not None:
-                # chained lazily, but each class still sums in feature order
-                acc = map(operator.add, acc, row)
-        scores = list(acc)
+        rows = [row for row in map(self._weights.get, ids) if row is not None]
+        scores = [sum(column) for column in zip(*rows)] or [0] * len(self.classes)
         # first maximum over sorted classes: name breaks score ties
         return self.classes[scores.index(max(scores))]
 
@@ -233,17 +225,15 @@ def train_tagger(
     states = len(prev_feature)
     state_scores = [[0] * n_classes for _ in range(states)]
     bias = lexicon.feature_id("bias")
-    # per training word: its features, its score vector, and the groups of
-    # vectors a mistake on it moves: the vectors of the words that hold each
-    # of its features but bias, and every state's through bias
-    word_feats: dict[int, tuple[int, ...]] = {}
+    # per training word: its score vector and the groups of vectors a
+    # mistake on it moves: the vectors of the words that hold each of its
+    # features but bias, and every state's through bias
     word_scores: dict[int, list[int]] = {}
     moved: dict[int, tuple[list[list[int]], ...]] = {}
     holders: dict[int, list[list[int]]] = {}
     for wid in sorted({wid for words, _ in sentences for wid in words}):
-        feats = word_feats[wid] = lexicon.head[wid] + lexicon.tail[wid]
         vector = word_scores[wid] = [0] * n_classes
-        groups = [holders.setdefault(f, []) for f in feats if f != bias]
+        groups = [holders.setdefault(f, []) for f in lexicon.feats[wid] if f != bias]
         for group in groups:
             group.append(vector)
         moved[wid] = (*groups, state_scores)
@@ -273,7 +263,7 @@ def train_tagger(
                     guess = guesses[key] = scores.index(max(scores))
                 if guess != gold:
                     clean = False
-                    for f in (*word_feats[wid], prev_feature[prev]):
+                    for f in (*lexicon.feats[wid], prev_feature[prev]):
                         updated.add(f)
                         weights[gold][f] += 1
                         weights[guess][f] -= 1
@@ -288,29 +278,27 @@ def train_tagger(
         if clean:
             now += (iterations - passes) * sum(len(words) for words, _ in data)
             break
-    # the sum of a weight over the clock is its final value for the whole
-    # clock less each update for the time before it, an exact integer; int
-    # true division rounds once, so this is the float that summing float
-    # weights gives while it is exact
+    # the sum of a weight over the clock, the average times the clock, is
+    # its final value for the whole clock less each update for the time
+    # before it
     for f in updated:
         model._weights[f] = [
-            (now * weights[c][f] - moments[c][f]) / now for c in range(n_classes)
+            now * weights[c][f] - moments[c][f] for c in range(n_classes)
         ]
     return model
 
 
-def predict_tags(model: AveragedPerceptron, tokens: Sequence[Token]) -> list[str]:
-    """Tag tokens left to right, each guess the next token's previous tag;
-    the rows are added in features() order, once per (word, previous tag)
-    of the model."""
+def predict_tags(model: AveragedPerceptron, words: Sequence[int]) -> list[str]:
+    """Tag word ids of the model's lexicon left to right, each guess the next
+    word's previous tag, once per (word, previous tag) of the model."""
     lexicon, memo = model.lexicon, model._tags
     prev = "<s>"
     out: list[str] = []
-    for wid in lexicon.encode(tokens):
+    for wid in words:
         key = (wid, prev)
         tag = memo.get(key)
         if tag is None:
-            ids = (*lexicon.head[wid], lexicon.prevtag_id(prev), *lexicon.tail[wid])
+            ids = (*lexicon.feats[wid], lexicon.prevtag_id(prev))
             tag = memo[key] = model.predict(ids)
         out.append(tag)
         prev = tag
@@ -515,6 +503,7 @@ def run_ner_experiment(
         )
         gaps += sum(annotation_gaps(records[i]) for i in train_idx)
         test_tokens = [tokenize(base[i].text) for i in test_idx]
+        test_words = [lexicon.encode(tokens) for tokens in test_tokens]
         for name, docs in golds.items():
             for i in train_idx:
                 if (name, i) not in annotated:
@@ -532,8 +521,8 @@ def run_ner_experiment(
                 sentences, lexicon, iterations=checked.iterations, seed=seed
             )
             counts = SpanCounts()
-            for tokens, i in zip(test_tokens, test_idx):
-                pred = decode_bio_strict(tokens, predict_tags(model, tokens))
+            for tokens, words, i in zip(test_tokens, test_words, test_idx):
+                pred = decode_bio_strict(tokens, predict_tags(model, words))
                 counts = counts + match_spans(base[i].spans, pred)
             scores[name].precision_by_seed.append(counts.precision)
             scores[name].recall_by_seed.append(counts.recall)

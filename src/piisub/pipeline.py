@@ -14,7 +14,8 @@ out-of-process adapter (a command backend, an external detector, both
 through `model.run_command`) may be in flight; it is written with the
 wall-clock timings to their own file. `_calls` runs the tasks of both
 stages: on a pool of workers (it imports `concurrent.futures`) for such an
-adapter, in place for any other.
+adapter, in place for any other; a key whose proposal calls no model is
+drawn in place either way.
 
 Detection is the costly stage (an on-device model in the paper), so
 `detect_corpus` detects and resolves every record once per command, before
@@ -82,7 +83,7 @@ from .detection import (
     detect_oracle,
     detect_rules,
 )
-from .generation import dispatch, splice
+from .generation import calls_model, dispatch, splice
 from .metrics import (
     CharNgramScorer,
     ConsistencyReport,
@@ -395,10 +396,11 @@ def run_corpus(
 
     The backend is unhealthy at the first key, in proposal order, where
     `config.failure_threshold` consecutive model calls have failed; a key
-    that makes no call leaves the count alone. The walk proposes at most
-    `parallelism` keys past the last outcome it has read, four times as
-    many while the last call read answered: a dead backend makes fewer than
-    threshold + `parallelism` calls, and a slow call holds up no others.
+    that makes no call (`calls_model`) leaves the count alone and runs in
+    place. The walk proposes at most `parallelism` model keys past the last
+    outcome it has read, four times as many while the last call read
+    answered: a dead backend makes fewer than threshold + `parallelism`
+    calls, and a slow call holds up no others.
 
     `detected` is `detect_corpus(records, config)` and `digest` is
     `corpus_digest(records)`, which a command computes once for all its
@@ -422,7 +424,8 @@ def run_corpus(
         blocked=blocked,
         fake_secret=fake_secret,
     )
-    proposed = []  # each key's task: its outcome or that outcome's Future
+    proposed = []  # each model key's task: its outcome or that outcome's Future
+    drawn = []  # the outcome of each key that calls no model
     cursor = 0  # the proposals before it have been read
     streak = 0  # consecutive failed calls up to the cursor
     answered = False  # whether the last call up to the cursor answered
@@ -466,6 +469,9 @@ def run_corpus(
     with _calls(config.parallelism, backend) as submit:
 
         def propose_once(surface: str, key: CacheKey):
+            if not calls_model(key):
+                drawn.append(_attempt(propose, surface, key))
+                return drawn[-1]
             read_proposals(len(proposed) + 1 - config.parallelism * (4 if answered else 1))
             proposed.append(submit(propose, surface, key))
             return proposed[-1]
@@ -483,7 +489,7 @@ def run_corpus(
         finished = [finish(*doc) for doc in walked]
         documents = [outcome.value for outcome in finished]
         timings["splice"] = sum(outcome.seconds for outcome in finished)
-        timings["surrogate"] = sum(task.result().seconds for task in proposed)
+        timings["surrogate"] = sum(t.result().seconds for t in (*proposed, *drawn))
     return RunResults(
         run_id=derive_run_id(config, digest),
         config=config,

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -1189,19 +1190,19 @@ class TestRunArtifactCommands:
 #: equivalence oracle: every supported interpreter writes these bytes.
 RUN_ALL_DIGESTS = {
     "b37838fa9ba3/metrics.json": (
-        "8a9372fc8c8587aa416c9b0d6b34f60bb7049106832c8729d437287415971965"
+        "ac4d0437b06470fadff500649e10bc3faee755cf59ce27c9ee190345d7f5aa04"
     ),
     "b37838fa9ba3/results.json": (
         "d9e3c29767af8bc15381e7911990b856475eed647db115d47a1dfa699fd9bde6"
     ),
     "b81fed7c7151/metrics.json": (
-        "9b7c5c8027718d3b0dd047fb94db277fdc5be49b5f0e430cc6bb4c5d490682c5"
+        "2264860eded08f31f628e88eb7af4b4b02d617799fce6898fc15600cb34f7572"
     ),
     "b81fed7c7151/results.json": (
         "79caf94dbe59f7a9ad019e20356f4be6676a04a29176b60689c68452eb3ba122"
     ),
     "d2bde0b66bfe/metrics.json": (
-        "d2b4e80484e9245f657bc561dd88cbbba9be01196580c4e21ea77bb77d9a8a25"
+        "4c5dcd48f25beeee03639beb562e588df3c1824a0101b8789c901dadbbd5f794"
     ),
     "d2bde0b66bfe/regurgitation.json": (
         "636f3d55643b6ec70ff8f608e8e61910d4ae02ea52445fe6f783b2c98b53076d"
@@ -1226,6 +1227,38 @@ def test_run_all_writes_the_pinned_bytes(tmp_path, monkeypatch):
         if path.name != "timings.json"
     }
     assert digests == RUN_ALL_DIGESTS
+
+
+@pytest.mark.parametrize("guard", [[], ["--no-leak-guard"]], ids=["guard", "no-guard"])
+def test_metrics_depend_on_the_documents_not_their_order(tmp_path, monkeypatch, guard):
+    """Every sum in metrics.json is exact: the records reversed or shuffled
+    give each mode the same bytes. The run ids differ (the corpus digest
+    reads the order), so each run is matched to its mode."""
+    for name in list(os.environ):
+        if name.startswith("PIISUB_"):
+            monkeypatch.delenv(name)
+    records = synth_corpus(240, 1)
+    orders = {"forward": records, "reversed": records[::-1]}
+    for seed in range(3):
+        orders[f"shuffled{seed}"] = random.Random(seed).sample(records, len(records))
+
+    def metrics_by_mode(name, corpus):
+        path = tmp_path / f"{name}.jsonl"
+        save_corpus(corpus, path)
+        out = tmp_path / name
+        argv = ["run", "--mode", "all", "--corpus", str(path), "--out", str(out)]
+        assert main([*argv, *guard]) == 0
+        return {
+            json.loads((run / "results.json").read_bytes())["config"]["mode"]: (
+                run / "metrics.json"
+            ).read_bytes()
+            for run in out.iterdir()
+        }
+
+    forward = metrics_by_mode("forward", records)
+    assert sorted(forward) == ["faker", "hybrid", "redact"]
+    for name, corpus in orders.items():
+        assert metrics_by_mode(name, corpus) == forward, name
 
 
 @pytest.mark.parametrize("step", [math.inf, -math.inf])

@@ -12,6 +12,7 @@ import hashlib
 import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 from conftest import run_records
@@ -23,7 +24,14 @@ import piisub.generation as generation
 from piisub.backends import BackendUnhealthy
 from piisub.corpus import synth_corpus
 from piisub.generation import NoCleanFake, slm_propose
-from piisub.model import CacheKey, CorpusRecord, Label, Mode, RejectionReason
+from piisub.model import (
+    SLM_LABELS,
+    CacheKey,
+    CorpusRecord,
+    Label,
+    Mode,
+    RejectionReason,
+)
 from piisub.pipeline import RunConfig, _document_json, check_config
 from piisub.pools import builtin_catalog
 
@@ -141,6 +149,27 @@ def test_a_failing_backend_ends_a_run_the_same_way_at_any_parallelism(
             seen.append(outcome(records, parallelism=parallelism, threshold=threshold))
     serial = seen[0]
     assert seen[1:] == [serial] * 3
+
+
+def test_only_keys_that_call_the_model_go_to_the_pool(gate_corpus, monkeypatch):
+    # hybrid fakes emails, phones, accounts, URLs and secrets in the walk's
+    # own thread: the pool gets one task per model call, and the run writes
+    # the serial run's bytes
+    records, ranks = gate_corpus
+    submitted = []
+    submit = ThreadPoolExecutor.submit
+
+    def counted(pool, fn, *args, **kwargs):
+        submitted.append(args)
+        return submit(pool, fn, *args, **kwargs)
+
+    monkeypatch.setattr(ThreadPoolExecutor, "submit", counted)
+    Model(monkeypatch, ranks, lambda rank, text: " Robin Vale")
+    serial = outcome(records)
+    assert submitted == []
+    assert outcome(records, parallelism=4) == serial
+    assert len(submitted) == len(ranks) < serial[2]
+    assert {key.label for _, _, key in submitted} <= set(SLM_LABELS)
 
 
 class TestTheWalksRule:

@@ -40,6 +40,19 @@ class TestAggMean:
         assert agg_mean([None, None]) is None
         assert agg_mean([]) is None
 
+    def test_the_sum_is_exact(self):
+        # a left fold sums to 0.0 one way round and to 1.0 the other
+        assert agg_mean([1.0, 1e16, -1e16]) == agg_mean([1e16, -1e16, 1.0]) == 1 / 3
+
+    @given(
+        st.lists(st.floats(0.0, 1.0) | st.none(), max_size=30),
+        st.randoms(use_true_random=False),
+    )
+    def test_any_order_gives_the_same_mean(self, values, rng):
+        shuffled = list(values)
+        rng.shuffle(shuffled)
+        assert agg_mean(shuffled) == agg_mean(values)
+
 
 class TestLeakReport:
     def test_counts_case_insensitive_hits(self):
@@ -59,11 +72,13 @@ class TestLeakReport:
         assert report.total == 0
         assert report.rate is None
 
-    def test_examples_capped_at_twenty(self):
-        items = [([f"value-{i}"], f"has value-{i}") for i in range(30)]
-        report = leak_report(items)
-        assert report.leaked == 30
-        assert len(report.leaked_values) == 20
+    def test_examples_are_the_twenty_smallest(self):
+        items = [([f"value-{i:02}"], f"has value-{i:02}") for i in range(30)]
+        expected = tuple(f"value-{i:02}" for i in range(20))
+        for order in (items, items[::-1]):
+            report = leak_report(order)
+            assert report.leaked == 30
+            assert report.leaked_values == expected
 
     @given(st.lists(st.text(min_size=1, max_size=8), max_size=5), st.text(max_size=40))
     def test_rate_bounds(self, values, output):

@@ -2,11 +2,12 @@
 
 import math
 import random
+from fractions import Fraction
 from types import SimpleNamespace
 
 import pytest
 from conftest import run_records
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from piisub.cli import _written_variant
@@ -170,6 +171,11 @@ def train(sentences, **kwargs):
     return train_tagger(encode(lexicon, sentences), lexicon, **kwargs)
 
 
+def tag(model, tokens):
+    """predict_tags on tokens, as word ids of the model's lexicon."""
+    return predict_tags(model, model.lexicon.encode(tokens))
+
+
 class TestPerceptron:
     def sentences(self):
         text_tags = [
@@ -190,20 +196,20 @@ class TestPerceptron:
     def test_learns_separable_data(self):
         model = train(self.sentences(), iterations=10, seed=3)
         tokens = [Token("Alice", 0, 5), Token("slept", 6, 11)]
-        assert predict_tags(model, tokens) == ["B-PII", "O"]
+        assert tag(model, tokens) == ["B-PII", "O"]
 
     def test_training_is_deterministic(self):
         a = train(self.sentences(), iterations=10, seed=3)
         b = train(self.sentences(), iterations=10, seed=3)
         tokens = [Token(w, i * 6, i * 6 + 5) for i, w in enumerate(["Alice", "stone"])]
-        assert predict_tags(a, tokens) == predict_tags(b, tokens)
+        assert tag(a, tokens) == tag(b, tokens)
         assert a._weights == b._weights
         assert a.lexicon.feature_names == b.lexicon.feature_names
 
     def test_tie_breaks_by_class_name(self):
         lexicon = Lexicon()
         model = AveragedPerceptron(["O", "B-PII"], lexicon)
-        # no training: every score is 0.0, the alphabetically-first class wins
+        # no training: every score is 0, the alphabetically-first class wins
         assert model.predict([lexicon.feature_id("bias")]) == "B-PII"
 
     def test_features_are_token_internal(self):
@@ -240,17 +246,15 @@ def test_lexicon_feature_ids_name_the_features(words, data):
     for i, wid in enumerate(wids):
         prev = data.draw(_PREV_TAGS)
         expected = features(words, i, prev)
-        # the ids predict_tags adds, in features() order
-        ids = [*lexicon.head[wid], lexicon.prevtag_id(prev), *lexicon.tail[wid]]
-        assert [names[f] for f in ids] == expected
-        # the training ids: every feature but prevtag, which is interned apart
-        static = [names[f] for f in lexicon.head[wid] + lexicon.tail[wid]]
+        # the word's ids: every feature but prevtag, which is interned apart
+        static = [names[f] for f in lexicon.feats[wid]]
         assert static == [f for f in expected if not f.startswith("prevtag=")]
         assert names[lexicon.prevtag_id(prev)] == "prevtag=" + prev
 
 
 class ReferencePerceptron:
-    """The dict-of-dicts averaged perceptron the row layout replaced."""
+    """The dict-of-dicts averaged perceptron the row layout replaced, with
+    integer weights and exact averages: each a `Fraction` of the clock."""
 
     def __init__(self, classes):
         self.classes = sorted(set(classes))
@@ -260,7 +264,7 @@ class ReferencePerceptron:
         self._updates = 0
 
     def predict(self, feats):
-        scores = dict.fromkeys(self.classes, 0.0)
+        scores = dict.fromkeys(self.classes, 0)
         for f in feats:
             bucket = self._weights.get(f)
             if not bucket:
@@ -271,9 +275,9 @@ class ReferencePerceptron:
 
     def _bump(self, feature, cls, delta):
         key = (feature, cls)
-        weight = self._weights.setdefault(feature, {}).get(cls, 0.0)
+        weight = self._weights.setdefault(feature, {}).get(cls, 0)
         self._totals[key] = (
-            self._totals.get(key, 0.0)
+            self._totals.get(key, 0)
             + (self._updates - self._tstamps.get(key, 0)) * weight
         )
         self._tstamps[key] = self._updates
@@ -284,16 +288,16 @@ class ReferencePerceptron:
         if truth == guess:
             return
         for f in feats:
-            self._bump(f, truth, 1.0)
-            self._bump(f, guess, -1.0)
+            self._bump(f, truth, 1)
+            self._bump(f, guess, -1)
 
     def average_weights(self):
         for feature, bucket in self._weights.items():
             for cls, weight in bucket.items():
                 key = (feature, cls)
-                total = self._totals.get(key, 0.0)
+                total = self._totals.get(key, 0)
                 total += (self._updates - self._tstamps.get(key, 0)) * weight
-                bucket[cls] = total / self._updates if self._updates else 0.0
+                bucket[cls] = Fraction(total, self._updates)
 
 
 def reference_train(sentences, *, iterations, seed):
@@ -329,12 +333,17 @@ def named_weights(model):
 
 
 def assert_same_weights(model, reference):
+    """The model's rows are the reference's averages times its clock."""
     rows = named_weights(model)
     assert set(rows) == set(reference._weights)
     for feature, row in rows.items():
         bucket = reference._weights[feature]
         for cls, weight in zip(model.classes, row):
-            assert weight == bucket.get(cls, 0.0), (feature, cls)
+            assert type(weight) is int, (feature, cls)
+            assert Fraction(weight, reference._updates) == bucket.get(cls, 0), (
+                feature,
+                cls,
+            )
 
 
 def reference_tags(reference, tokens):
@@ -375,21 +384,23 @@ class TestPerceptronMatchesReference:
             reference = reference_train(sentences, iterations=iterations, seed=seed)
             assert_same_weights(model, reference)
             for tokens, _ in held_out:
-                assert predict_tags(model, tokens) == reference_tags(reference, tokens)
+                assert tag(model, tokens) == reference_tags(reference, tokens)
 
-    def test_rows_add_in_feature_order(self):
-        # 1 + 1e16 rounds back to 1e16, so B scores 0 in this order and 1 in
-        # the reverse one: only a sum taken in feature order matches
-        rows = {"f1": [1.0, 0.0], "f2": [1e16, 0.0], "f3": [-1e16, 0.5]}
-        lexicon = Lexicon()
-        model, reference = AveragedPerceptron("BO", lexicon), ReferencePerceptron("BO")
-        model._weights = {lexicon.feature_id(f): row for f, row in rows.items()}
-        reference._weights = {
-            f: dict(zip(model.classes, row)) for f, row in rows.items()
-        }
-        for feats, expected in ((["f1", "f2", "f3"], "O"), (["f3", "f2", "f1"], "B")):
-            ids = list(map(lexicon.feature_id, feats))
-            assert model.predict(ids) == reference.predict(feats) == expected
+    def test_an_exact_tie_goes_to_the_first_class_by_name(self):
+        # ";" after B-PII scores 5 * 1 - 5 = 0 for B-PII and 5 * -1 + 5 = 0
+        # for O over its six rows; as floats, each row divided by the clock
+        # of 9, the scores read -5.6e-17 and +5.6e-17, and it was tagged O
+        tokens = [Token(w, 2 * i, 2 * i + 1) for i, w in enumerate("a;a")]
+        sentences = [(tokens, ["B-PII", "B-PII", "O"])]
+        model = train(sentences, iterations=3, seed=0)
+        reference = assert_matches_reference(model, sentences, iterations=3, seed=0)
+        lexicon = model.lexicon
+        semicolon = lexicon.encode(tokens[1:2])[0]
+        ids = (*lexicon.feats[semicolon], lexicon.prevtag_id("B-PII"))
+        rows = [model._weights[f] for f in ids]
+        assert [sum(column) for column in zip(*rows)] == [0, 0]
+        assert reference._updates == 9
+        assert tag(model, tokens) == ["B-PII", "B-PII", "O"]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_trained_tagger(self, seed):
@@ -405,7 +416,33 @@ class TestPerceptronMatchesReference:
             for i in range(len(words)):
                 prev = reference.predict(features(words, i, prev))
                 expected.append(prev)
-            assert predict_tags(model, tokens) == expected
+            assert tag(model, tokens) == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(
+        st.lists(st.integers(-(10**18), 10**18), min_size=3, max_size=3),
+        min_size=1,
+        max_size=8,
+    ),
+    data=st.data(),
+)
+# in floats 3 + 2**54 rounds to 2**54 + 4: added in this order, B-PII would
+# tie O at 4 and win the tie; O wins at 4 against the exact 3
+@example(rows=[[3, 0, 4], [2**54, 0, 0], [-(2**54), 0, 0]], data=None)
+def test_any_feature_order_predicts_the_same_tag(rows, data):
+    lexicon = Lexicon()
+    model = AveragedPerceptron(_BIO, lexicon)
+    ids = [lexicon.feature_id(f"f{i}") for i in range(len(rows))]
+    model._weights = dict(zip(ids, rows))
+    sums = [sum(column) for column in zip(*rows)]
+    expected = model.classes[sums.index(max(sums))]
+    orders = [ids, ids[::-1]]
+    if data is not None:
+        orders.append(data.draw(st.permutations(ids)))
+    for order in orders:
+        assert model.predict(order) == expected
 
 
 # a small vocabulary, so that words repeat and guesses come from the memo
@@ -443,8 +480,8 @@ def test_trainer_equals_reference(vocab, data, iterations, seed):
     probe = [Token(w, 0, len(w)) for w in data.draw(st.lists(st.sampled_from(vocab)))]
     for tokens in [*(tokens for tokens, _ in sentences), probe]:
         expected = reference_tags(reference, tokens)
-        assert predict_tags(model, tokens) == expected
-        assert predict_tags(shared, tokens) == expected
+        assert tag(model, tokens) == expected
+        assert tag(shared, tokens) == expected
 
 
 def test_a_mistake_after_a_clean_stretch_renews_the_guess():
@@ -497,7 +534,7 @@ def assert_matches_reference(model, sentences, *, iterations, seed):
     assert model.classes == reference.classes
     assert_same_weights(model, reference)
     for tokens, _ in sentences:
-        assert predict_tags(model, tokens) == reference_tags(reference, tokens)
+        assert tag(model, tokens) == reference_tags(reference, tokens)
     return reference
 
 
@@ -575,19 +612,19 @@ class TestPredictionMemo:
         )
         for tokens, _ in held_out + held_out:
             for model, reference in zip(models, references):
-                assert predict_tags(model, tokens) == reference_tags(reference, tokens)
+                assert tag(model, tokens) == reference_tags(reference, tokens)
 
     def test_a_repeated_call_returns_the_same_tags(self):
         rng = random.Random(11)
         model = train(random_bio_sentences(rng, 12), iterations=5, seed=1)
         for tokens, _ in random_bio_sentences(rng, 10):
-            tags = predict_tags(model, tokens)
-            assert predict_tags(model, tokens) == tags
+            tags = tag(model, tokens)
+            assert tag(model, tokens) == tags
 
 
 def test_frozen_scores_of_a_small_experiment():
-    # a change in the order of the float sums, or in the fake values the
-    # faker variant trains on, would move these values
+    # a change in the tagger's arithmetic, or in the fake values the faker
+    # variant trains on, would move these values
     corpus = synth_corpus(40, seed=4)
     variants = {}
     for mode in (Mode.FAKER, Mode.REDACT):
@@ -771,6 +808,28 @@ class TestExperiment:
         run_ner_experiment(corpus, {"copy": variant}, train_size=8, test_size=3)
         # one detection per original serves its training and every seed's test
         assert seen == corpus
+
+    def test_the_test_cut_is_encoded_once_per_seed(self, monkeypatch):
+        calls = []
+        encode = Lexicon.encode
+
+        def counted(lexicon, tokens):
+            calls.append(tokens)
+            return encode(lexicon, tokens)
+
+        monkeypatch.setattr(Lexicon, "encode", counted)
+        corpus = synth_corpus(12, seed=3)
+        variants = {"copy": copies(corpus), "blank": copies(corpus)}
+        with pytest.warns(UntrainableCorpus):
+            run_ner_experiment(
+                corpus, variants, train_size=8, test_size=3, seeds=(1, 2, 3)
+            )
+        # each training record once per variant, the originals included, and
+        # each seed's test records once for the three models they test
+        trained = {
+            i for seed in (1, 2, 3) for i in stratified_split(corpus, 8, 3, seed)[0]
+        }
+        assert len(calls) == 3 * len(trained) + 3 * 3
 
 
     @pytest.mark.parametrize("seeds", [(), (1,)])
