@@ -282,12 +282,8 @@ def _cmd_run(args: argparse.Namespace) -> int:
     configs = _run_configs(args)
     records = _load_records(args)
     out = _make_out_dir(args)
-    first, _ = configs[0]
-    detected = detect_corpus(records, first)
-    reference = None
-    if not args.no_ppl:
-        oracle = first.detector == "oracle"
-        reference = perplexity_reference(records, detected if oracle else None)
+    detected = detect_corpus(records, configs[0][0])
+    reference = None if args.no_ppl else perplexity_reference(records)
     runs = []
     for results in _runs(records, configs, detected):
         metrics = compute_metrics(results, reference=reference)

@@ -47,59 +47,60 @@ class CorpusFormatError(ValueError):
 
 
 def load_corpus(path: str | Path) -> list[CorpusRecord]:
-    """Read a line-delimited corpus file, validating each record."""
+    """Read a line-delimited corpus file, validating each record. A record
+    ends at a newline only: `save_corpus` writes U+2028, U+2029, U+0085 raw."""
     records: list[CorpusRecord] = []
     seen_ids: set[str] = set()
-    text = Path(path).read_text(encoding="utf-8")
-    for lineno, line in enumerate(text.splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            raw = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise CorpusFormatError(f"record {lineno}: not valid JSON: {exc}") from exc
-        if not isinstance(raw, dict):
-            raise CorpusFormatError(f"record {lineno}: expected an object")
-        for key in ("id", "text", "locale"):
-            if not isinstance(raw.get(key), str) or not raw.get(key):
-                raise CorpusFormatError(f"record {lineno}: missing or empty {key!r}")
-        if raw["id"] in seen_ids:
-            raise CorpusFormatError(f"record {lineno}: duplicate id {raw['id']!r}")
-        seen_ids.add(raw["id"])
-        gt_raw = raw.get("pii_gt", {})
-        if not isinstance(gt_raw, dict):
-            raise CorpusFormatError(f"record {lineno}: pii_gt must be an object")
-        pii_gt: dict[Label, list[str]] = {}
-        for label_name, values in gt_raw.items():
+    with open(path, encoding="utf-8") as lines:
+        for lineno, line in enumerate(lines, start=1):
+            if not line.strip():
+                continue
             try:
-                label = Label.from_name(label_name)
-            except ValueError as exc:
-                raise CorpusFormatError(f"record {lineno}: {exc}") from exc
-            if not isinstance(values, list) or not all(
-                isinstance(v, str) and v for v in values
-            ):
-                raise CorpusFormatError(
-                    f"record {lineno}: {label_name} values must be non-empty strings"
-                )
-            for value in values:
-                if not value.strip():
-                    # it could name no entity: canonicalize refuses it
+                raw = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise CorpusFormatError(f"record {lineno}: not valid JSON: {exc}") from exc
+            if not isinstance(raw, dict):
+                raise CorpusFormatError(f"record {lineno}: expected an object")
+            for key in ("id", "text", "locale"):
+                if not isinstance(raw.get(key), str) or not raw.get(key):
+                    raise CorpusFormatError(f"record {lineno}: missing or empty {key!r}")
+            if raw["id"] in seen_ids:
+                raise CorpusFormatError(f"record {lineno}: duplicate id {raw['id']!r}")
+            seen_ids.add(raw["id"])
+            gt_raw = raw.get("pii_gt", {})
+            if not isinstance(gt_raw, dict):
+                raise CorpusFormatError(f"record {lineno}: pii_gt must be an object")
+            pii_gt: dict[Label, list[str]] = {}
+            for label_name, values in gt_raw.items():
+                try:
+                    label = Label.from_name(label_name)
+                except ValueError as exc:
+                    raise CorpusFormatError(f"record {lineno}: {exc}") from exc
+                if not isinstance(values, list) or not all(
+                    isinstance(v, str) and v for v in values
+                ):
                     raise CorpusFormatError(
-                        f"record {lineno}: {label_name} value {value!r} is whitespace only"
+                        f"record {lineno}: {label_name} values must be non-empty strings"
                     )
-            pii_gt[label] = list(values)
-        template = raw.get("template", "")
-        if not isinstance(template, str):
-            raise CorpusFormatError(f"record {lineno}: template must be a string")
-        records.append(
-            CorpusRecord(
-                id=raw["id"],
-                text=raw["text"],
-                locale=raw["locale"],
-                template=template,
-                pii_gt=pii_gt,
+                for value in values:
+                    if not value.strip():
+                        # it could name no entity: canonicalize refuses it
+                        raise CorpusFormatError(
+                            f"record {lineno}: {label_name} value {value!r} is whitespace only"
+                        )
+                pii_gt[label] = list(values)
+            template = raw.get("template", "")
+            if not isinstance(template, str):
+                raise CorpusFormatError(f"record {lineno}: template must be a string")
+            records.append(
+                CorpusRecord(
+                    id=raw["id"],
+                    text=raw["text"],
+                    locale=raw["locale"],
+                    template=template,
+                    pii_gt=pii_gt,
+                )
             )
-        )
     return records
 
 

@@ -15,7 +15,9 @@ from __future__ import annotations
 
 import json
 import re
+from bisect import bisect_right
 from dataclasses import dataclass
+from operator import attrgetter
 
 from .model import (
     CorpusRecord,
@@ -54,19 +56,24 @@ def validate_spans(text: str, spans: list[PiiSpan]) -> list[PiiSpan]:
 #: Each label's place in `Label`'s order, which breaks ties between spans
 #: and orders the oracle's search.
 _LABEL_ORDER = {label: i for i, label in enumerate(Label)}
+_START = attrgetter("start")
 
 
 def resolve_overlaps(candidates: list[PiiSpan]) -> list[PiiSpan]:
-    """Greedy non-overlap selection: longest first, then leftmost, then label order."""
+    """Greedy non-overlap selection: longest first, then leftmost, then label
+    order, kept in start order. The kept spans are disjoint, so sorted by end
+    too: a candidate is tested against its two kept neighbours only."""
     unique = {(s.start, s.end, s.label): s for s in candidates}
     kept: list[PiiSpan] = []
     for span in sorted(
         unique.values(),
         key=lambda s: (s.start - s.end, s.start, _LABEL_ORDER[s.label]),
     ):
-        if all(span.end <= k.start or k.end <= span.start for k in kept):
-            kept.append(span)
-    kept.sort(key=lambda s: s.start)
+        i = bisect_right(kept, span.start, key=_START)
+        if (i == 0 or kept[i - 1].end <= span.start) and (
+            i == len(kept) or span.end <= kept[i].start
+        ):
+            kept.insert(i, span)
     return kept
 
 
@@ -126,13 +133,13 @@ class ExternalDetector:
     """Adapter for an out-of-process detector.
 
     The document text is sent as UTF-8, either on stdin of ``command`` or as
-    the POST body to ``url``. The response is line-delimited: one JSON object
-    per line with integer ``start``/``end`` character offsets and a ``label``
-    name. Transport failures raise DetectorUnavailable; anything unparseable,
-    out of bounds, or mislabeled raises DetectorProtocolError. A detector
-    that finds nothing must still answer (with no span lines); silence is an
-    error, never an empty result. Called on a record, like `detect_oracle`,
-    it detects in the record's text.
+    the POST body to ``url``. The response is one JSON object per line (a
+    line ends at a newline only) with integer ``start``/``end`` character
+    offsets and a ``label`` name. Transport failures raise
+    DetectorUnavailable; anything unparseable, out of bounds, or mislabeled
+    raises DetectorProtocolError. A detector that finds nothing must still
+    answer (with no span lines); silence is an error, never an empty result.
+    Called on a record, like `detect_oracle`, it detects in the record's text.
     """
 
     command: str | None = None
@@ -188,7 +195,7 @@ class ExternalDetector:
     def detect(self, text: str) -> list[PiiSpan]:
         body = self._transport(text)
         candidates: list[PiiSpan] = []
-        for line_no, line in enumerate(body.splitlines(), start=1):
+        for line_no, line in enumerate(body.split("\n"), start=1):
             if not line.strip():
                 continue
             try:

@@ -6,7 +6,8 @@ disagree about what counts as an occurrence.
 
 Every sum behind `metrics.json` is exact, so it depends on the set of
 documents and not on their order: means sum with `math.fsum` (`agg_mean`),
-perplexity from integer counts and `decimal` (`CharNgramScorer`).
+perplexity from integer counts and `decimal` (`CharNgramScorer`), None
+(null) for a corpus with no non-PII text, as the scorer then learns nothing.
 Welch's test reports the statistic, standard error and Welch-Satterthwaite
 degrees of freedom; its two-sided p is the normal approximation, libm's
 erfc. At the NER probe's 5 seeds per variant (4-8 degrees of freedom) that
@@ -243,40 +244,38 @@ class CharNgramScorer:
     one cell per distinct (count + 1, total + V), and an unseen gram costs
     (1, total + V) of its context, or (1, V). A score is the `Counter` of the
     cells hit, one per character, so scores add and subtract in any order
-    until the next training. `perplexity` sums a score's logs in `decimal`
-    and rounds to float once: text order and libm cannot reach the result.
+    until the next training, which replaces them; with no character learned
+    there are no cells, and every score is empty. `perplexity` sums a score's
+    logs in `decimal` and rounds to float once: text order and libm cannot
+    reach the result.
     """
 
     def __init__(self, order: int = 5) -> None:
         if order < 1:
             raise ValueError("order must be >= 1")
         self.order = order
-        self._counts: Counter[Gram] = Counter()
-        self._vocab: set[str] = set()
-        self._cells: list[tuple[int, int]] = []  # cell id -> (n, d)
-        self._ln: dict[int, Decimal] = {}  # each integer of a cell -> ln
-        self._seen: dict[Gram, int] = {}  # gram -> its cell
-        self._unseen: dict[Gram, int] = {}  # context -> unseen gram's cell
-        self._no_context = 0
+        self.train(())
 
     def train(self, texts: Iterable[str]) -> None:
+        """Learn the cells of the texts, replacing what was learned before."""
+        counts: Counter[Gram] = Counter()
+        vocab: set[str] = set()
         for text in texts:
-            self._vocab.update(text)
-            self._counts.update(self._windows(text, self.order))
-        if not self._vocab:
-            return
+            vocab.update(text)
+            counts.update(self._windows(text, self.order))
         totals: Counter[Gram] = Counter()
-        for gram, count in self._counts.items():
+        for gram, count in counts.items():
             totals[gram[:-1]] += count
-        v = len(self._vocab)
-        seen = {g: (c + 1, totals[g[:-1]] + v) for g, c in self._counts.items()}
+        v = len(vocab)
+        seen = {g: (c + 1, totals[g[:-1]] + v) for g, c in counts.items()}
         unseen = {ctx: (1, total + v) for ctx, total in totals.items()}
-        self._cells = list({*seen.values(), *unseen.values(), (1, v)})
+        # cell id -> (n, d); a gram, or an unseen gram's context -> its cell
+        self._cells = list({*seen.values(), *unseen.values(), (1, v)}) if v else []
         self._ln = {k: Decimal(k).ln(_DECIMAL) for k in set(chain(*self._cells))}
         ids = {pair: i for i, pair in enumerate(self._cells)}
         self._seen = {g: ids[pair] for g, pair in seen.items()}
         self._unseen = {ctx: ids[pair] for ctx, pair in unseen.items()}
-        self._no_context = ids[1, v]
+        self._no_context = ids.get((1, v))
 
     @staticmethod
     def _windows(text: str, width: int) -> Iterator[Gram]:
@@ -288,10 +287,11 @@ class CharNgramScorer:
         )
 
     def count(self, texts: Iterable[str]) -> Counter[int]:
-        """The score of the texts, counted in C."""
-        if not self._vocab:
-            raise ValueError("scorer has not been trained")
+        """The score of the texts, counted in C; empty for a scorer that
+        learned no character."""
         cells: Counter[int] = Counter()
+        if not self._cells:
+            return cells
         for text in texts:
             # each gram's context: (), then the grams one character shorter
             contexts = (

@@ -11,21 +11,23 @@ threshold stay in it: with a slow backend or detector they decide which
 calls fail. The fake-value secret is in neither the run id nor any file.
 `parallelism`, the one execution setting, is how many calls to an
 out-of-process adapter (a command backend, an external detector, both
-through `model.run_command`) may be in flight; it is written with the
-wall-clock timings to their own file. `_calls` runs the tasks of both
-stages: on a pool of workers (it imports `concurrent.futures`) for such an
-adapter, in place for any other; a key whose proposal calls no model is
-drawn in place either way.
+through `model.run_command`) may be in flight. It is written to
+`timings.json` with the stages' `detect`, `surrogate` and `splice`
+seconds, each the sum of its tasks' seconds: busy time, which overlaps
+above a `parallelism` of 1, and so can exceed the command's wall-clock.
+`_calls` runs the tasks of both stages: on a pool of workers (it imports
+`concurrent.futures`) for such an adapter, in place for any other; a key
+whose proposal calls no model is drawn in place either way.
 
 Detection is the costly stage (an on-device model in the paper), so
 `detect_corpus` detects and resolves every record once per command, before
-any mode runs, for every mode's `run_corpus` and, with the oracle detector,
-`perplexity_reference`; a detector that does not answer stops the command
-before any mode has written. `run_corpus` walks the records in order in the
-calling thread, the surrogate cache's only caller, so the first mention in
-record order proposes each key. It reads the proposals' outcomes in the
-order it made them, whatever order they finish in, and stops the run at the
-first key where `failure_threshold` consecutive model calls have failed.
+any mode runs, for every mode's `run_corpus`; a detector that does not
+answer stops the command before any mode has written. `run_corpus` walks
+the records in order in the calling thread, the surrogate cache's only
+caller, so the first mention in record order proposes each key. It reads
+the proposals' outcomes in the order it made them, whatever order they
+finish in, and stops the run at the first key where `failure_threshold`
+consecutive model calls have failed.
 Then it splices the documents, which says where each surrogate landed
 (`GroupResult.starts`) for the consistency metric and the NER gold. Fake
 draws are seeded by the cache key, not by the document. So a serial and a
@@ -38,11 +40,13 @@ came from. Entity substitution itself cannot reintroduce someone else's PII.
 `run_corpus` folds the blocked values into one matcher once per run; a check
 costs time in the candidate's length, not in the number of blocked values.
 
-Perplexity is judged by one reference per corpus: `perplexity_reference`
-trains the scorer on the non-PII portions (by the oracle's spans) of every
-record, and scores every record's original under it, once. Scores are
-integer counts that add in any order: `compute_metrics` takes a mode's
-originals as that score less its failed documents', and scores its outputs.
+Perplexity is judged by one reference per corpus, built from the corpus
+alone: `perplexity_reference` takes the oracle's spans of every record
+itself, whatever the run's detector, trains the scorer on the non-PII
+portions, and scores every record's original under it, once (no score,
+and so None, where the corpus has no non-PII text). Scores are integer
+counts that add in any order: `compute_metrics` takes a mode's originals as
+that score less its failed documents', and scores its outputs.
 
 `persist_run` writes results.json one document at a time: the envelope
 (config, counters, run id, version) goes through `json.dumps`, and each
@@ -531,14 +535,6 @@ def _non_pii_portions(text: str, spans: Iterable[PiiSpan]) -> list[str]:
     return [p for p in pieces if p]
 
 
-def _oracle_spans(record: CorpusRecord, found: _Outcome | None) -> list[PiiSpan]:
-    """The record's oracle spans: its groups' members where its oracle
-    detection succeeded, else the oracle's answer anew."""
-    if found is None or found.error is not None:
-        return detect_oracle(record)
-    return [span for group in found.value for span in group.members]
-
-
 class PerplexityReference(NamedTuple):
     """A corpus's perplexity scorer, its records and its originals' score."""
 
@@ -547,18 +543,15 @@ class PerplexityReference(NamedTuple):
     originals: Counter[int]
 
 
-def perplexity_reference(
-    records: Sequence[CorpusRecord], detected: Sequence[_Outcome] | None = None
-) -> PerplexityReference:
-    """Train the scorer on the non-PII portions of every record, so every
-    mode is scored by one model, and score every original once. `detected`,
-    the oracle's `detect_corpus` of the records, spares detecting again."""
-    found = detected if detected is not None else [None] * len(records)
+def perplexity_reference(records: Sequence[CorpusRecord]) -> PerplexityReference:
+    """Train the scorer on the non-PII portions of every record, by the
+    oracle's spans whatever the run's detector, so every mode is scored by
+    one model, and score every original once. It reads the corpus alone."""
     scorer = CharNgramScorer()
     scorer.train(
         portion
-        for rec, outcome in zip(records, found, strict=True)
-        for portion in _non_pii_portions(rec.text, _oracle_spans(rec, outcome))
+        for rec in records
+        for portion in _non_pii_portions(rec.text, detect_oracle(rec))
     )
     originals = scorer.count(rec.text for rec in records)
     return PerplexityReference(scorer, list(records), originals)

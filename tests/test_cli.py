@@ -728,8 +728,8 @@ class TestRun:
 
 
 class TestDetectionOncePerCommand:
-    """Every mode of a command, and the perplexity reference, read one
-    detection pass over the corpus."""
+    """Every mode of a command reads one detection pass over the corpus;
+    the perplexity reference takes the oracle's spans itself."""
 
     @staticmethod
     def count_oracle(monkeypatch):
@@ -774,14 +774,16 @@ class TestDetectionOncePerCommand:
         monkeypatch.setattr(ExternalDetector, "_transport", transport)
         return seen
 
-    def test_run_all_with_perplexity_detects_each_record_once(
-        self, corpus_file, tmp_path, monkeypatch
+    @pytest.mark.parametrize("ppl, passes", [([], 2), (["--no-ppl"], 1)])
+    def test_run_all_detects_each_record_once_per_pass(
+        self, corpus_file, tmp_path, monkeypatch, ppl, passes
     ):
+        # the modes' one pass, and the perplexity reference's own
         seen = self.count_oracle(monkeypatch)
-        argv = ["run", "--mode", "all", "--corpus", str(corpus_file)]
+        argv = ["run", "--mode", "all", "--corpus", str(corpus_file), *ppl]
         assert main([*argv, "--out", str(tmp_path / "out")]) == 0
         assert len(run_dirs(tmp_path / "out")) == 3
-        assert sorted(seen) == sorted(r.id for r in load_corpus(corpus_file))
+        assert sorted(seen) == sorted(r.id for r in load_corpus(corpus_file) * passes)
 
     @pytest.mark.parametrize("parallelism", ["1", "4"])
     def test_run_all_with_an_external_detector_detects_each_record_once(
@@ -1259,6 +1261,26 @@ def test_metrics_depend_on_the_documents_not_their_order(tmp_path, monkeypatch, 
     assert sorted(forward) == ["faker", "hybrid", "redact"]
     for name, corpus in orders.items():
         assert metrics_by_mode(name, corpus) == forward, name
+
+
+@pytest.mark.parametrize(
+    "records",
+    [
+        [],
+        [CorpusRecord("a", "Ann Lee", "en_US", "", {Label.PERSON: ["Ann Lee"]})],
+    ],
+    ids=["empty", "all-pii"],
+)
+def test_a_corpus_with_no_non_pii_text_has_no_perplexity(tmp_path, records):
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(records, corpus)
+    out = tmp_path / "out"
+    assert main(["run", "--mode", "all", "--corpus", str(corpus), "--out", str(out)]) == 0
+    written = [json.loads(p.read_bytes()) for p in out.glob("*/metrics.json")]
+    assert len(written) == 3
+    for metrics in written:
+        assert metrics["perplexity_original"] is None
+        assert metrics["perplexity_transformed"] is None
 
 
 @pytest.mark.parametrize("step", [math.inf, -math.inf])

@@ -4,6 +4,8 @@ import hashlib
 import json
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from piisub.corpus import (
     DEFAULT_LOCALE_MIX,
@@ -16,7 +18,7 @@ from piisub.corpus import (
 )
 from piisub.detection import detect_oracle
 from piisub.locales import Locale, classify_locale
-from piisub.model import Label, ci_fold, folded_contains, folded_occurrences
+from piisub.model import CorpusRecord, Label, ci_fold, folded_contains, folded_occurrences
 from piisub.pools import builtin_catalog
 
 _LOCALE_TO_SCRIPT = {
@@ -186,6 +188,9 @@ class TestDemoDisjointness:
                     assert not folded_contains(demo.fake, folded), (rec.id, demo.fake)
 
 
+_RECORD_TEXT = st.text(alphabet="ab é\"\\\n\r\u2028\u2029\x85", min_size=1)
+
+
 class TestCorpusIO:
     def test_round_trip(self, tmp_path, small_corpus):
         path = tmp_path / "corpus.jsonl"
@@ -208,6 +213,23 @@ class TestCorpusIO:
         raw = path.read_text(encoding="utf-8")
         assert "市" in raw  # not escaped to \uXXXX
         assert [r.text for r in load_corpus(path)] == [r.text for r in records]
+
+    # save_corpus writes U+2028, U+2029 and U+0085 raw inside a string, and
+    # a record ends at "\n" only
+    @settings(suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(
+        texts=st.lists(_RECORD_TEXT, min_size=1, max_size=4),
+        value=_RECORD_TEXT.filter(str.strip),
+    )
+    @example(texts=["Ann Lee\u2028next line"], value="Ann Lee")
+    def test_line_separators_inside_strings_round_trip(self, tmp_path, texts, value):
+        records = [
+            CorpusRecord(f"r{i}\x85", text, "en_US", "t\u2029", {Label.PERSON: [value]})
+            for i, text in enumerate(texts)
+        ]
+        path = tmp_path / "corpus.jsonl"
+        save_corpus(records, path)
+        assert load_corpus(path) == records
 
     def test_blank_lines_skipped(self, tmp_path):
         path = tmp_path / "gaps.jsonl"

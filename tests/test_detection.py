@@ -4,6 +4,8 @@ import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from piisub.detection import (
     DetectorProtocolError,
@@ -55,6 +57,35 @@ class TestOracle:
         assert [s.surface for s in spans] == ["123456789"]
 
 
+def greedy_reference(candidates):
+    """The selection rule, tested against every kept span: longest first,
+    then leftmost, then label order."""
+    order = {label: i for i, label in enumerate(Label)}
+    kept = []
+    for span in sorted(
+        set(candidates), key=lambda s: (s.start - s.end, s.start, order[s.label])
+    ):
+        if all(span.end <= k.start or k.end <= span.start for k in kept):
+            kept.append(span)
+    return sorted(kept, key=lambda s: s.start)
+
+
+@st.composite
+def span_sets(draw):
+    """Spans over a short text, so nested, equal and touching spans are
+    common; an equal span under another label is one span under two."""
+    spans = []
+    for _ in range(draw(st.integers(0, 14))):
+        start = draw(st.integers(0, 11))
+        end = draw(st.integers(start + 1, 12))
+        spans.append(PiiSpan(start, end, draw(st.sampled_from(Label)), "x" * (end - start)))
+    if spans and draw(st.booleans()):
+        twin = draw(st.sampled_from(spans))
+        label = draw(st.sampled_from([lb for lb in Label if lb is not twin.label]))
+        spans.append(PiiSpan(twin.start, twin.end, label, twin.surface))
+    return draw(st.permutations(spans))
+
+
 class TestResolveOverlaps:
     def test_longest_wins(self):
         a = PiiSpan(0, 10, Label.PERSON, "x" * 10)
@@ -74,6 +105,10 @@ class TestResolveOverlaps:
         a = PiiSpan(8, 12, Label.DATE, "dddd")
         b = PiiSpan(0, 4, Label.PERSON, "pppp")
         assert resolve_overlaps([a, b]) == [b, a]
+
+    @given(span_sets())
+    def test_selects_what_the_all_kept_rule_selects(self, spans):
+        assert resolve_overlaps(spans) == greedy_reference(spans)
 
 
 class TestValidateSpans:
@@ -187,6 +222,13 @@ class TestExternalDetector:
         adapter = ExternalDetector(command="/no/such/binary")
         with pytest.raises(DetectorUnavailable):
             adapter.detect("text")
+
+    def test_reply_lines_end_at_newline_only(self, monkeypatch):
+        # a raw U+2028 in an extra string value is part of its line
+        reply = '{"start": 6, "end": 12, "label": "PERSON", "note": "a\u2028b"}\n'
+        monkeypatch.setattr(ExternalDetector, "_transport", lambda self, text: reply)
+        (span,) = ExternalDetector(command="unused").detect("hello Walter bye")
+        assert (span.start, span.end, span.surface) == (6, 12, "Walter")
 
     @pytest.mark.parametrize(
         "payload,message",

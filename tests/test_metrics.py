@@ -249,19 +249,14 @@ class TestCharNgramScorer:
         assert seen is not None and unseen is not None
         assert seen < unseen
 
-    def test_untrained_raises(self):
-        with pytest.raises(ValueError, match="trained"):
-            CharNgramScorer().corpus_perplexity(["abc"])
-
-    @pytest.mark.parametrize("training", [[], [""], ["", ""]])
-    def test_training_on_no_characters_leaves_it_untrained(self, training):
+    @pytest.mark.parametrize("training", [None, [], [""], ["", ""]])
+    def test_a_scorer_that_learned_no_character_scores_nothing(self, training):
         scorer = CharNgramScorer()
-        scorer.train(training)
+        if training is not None:
+            scorer.train(training)
         for text in ("abc", ""):
-            with pytest.raises(ValueError, match="trained"):
-                scorer.count([text])
-            with pytest.raises(ValueError, match="trained"):
-                scorer.corpus_perplexity([text])
+            assert scorer.count([text]) == Counter()
+            assert scorer.corpus_perplexity([text]) is None
 
     def test_empty_text(self):
         scorer = CharNgramScorer()
@@ -348,21 +343,34 @@ class TestCharNgramScorerIsExact:
     )
     def test_bit_identical(self, order, first, second, scored):
         table = CharNgramScorer(order=order)
+        table.train(first + second)
         exact = ExactReference(order=order)
-        # train twice: the second call adds to the first one's counts
-        for training in (first, second):
-            table.train(training)
-            exact.train(training)
-            if not exact._vocab:
-                continue
-            for text in [*scored, *first, *second, ""]:
-                assert cell_pairs(table, text) == Counter(exact.pairs(text))
-                assert repr(table.corpus_perplexity([text])) == repr(
-                    exact.corpus_perplexity([text])
-                )
-            assert repr(table.corpus_perplexity(scored)) == repr(
-                exact.corpus_perplexity(scored)
+        exact.train(first + second)
+        if not exact._vocab:  # it learned no character, so it scores none
+            assert table.count([*scored, *first, *second]) == Counter()
+            return
+        for text in [*scored, *first, *second, ""]:
+            assert cell_pairs(table, text) == Counter(exact.pairs(text))
+            assert repr(table.corpus_perplexity([text])) == repr(
+                exact.corpus_perplexity([text])
             )
+        assert repr(table.corpus_perplexity(scored)) == repr(
+            exact.corpus_perplexity(scored)
+        )
+
+    @settings(max_examples=100)
+    @given(order=st.integers(1, 5), first=_scorer_texts, second=_scorer_texts)
+    def test_a_training_replaces_what_was_learned(self, order, first, second):
+        retrained = CharNgramScorer(order=order)
+        retrained.train(first)
+        retrained.train(second)
+        fresh = CharNgramScorer(order=order)
+        fresh.train(second)
+        for text in [*first, *second, ""]:
+            assert cell_pairs(retrained, text) == cell_pairs(fresh, text)
+        assert repr(retrained.corpus_perplexity(first)) == repr(
+            fresh.corpus_perplexity(first)
+        )
 
     @settings(max_examples=100)
     @given(

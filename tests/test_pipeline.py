@@ -42,7 +42,6 @@ from piisub.pipeline import (
     corpus_digest,
     corpus_fingerprint,
     derive_run_id,
-    detect_corpus,
     perplexity_reference,
     persist_run,
     regurgitation_for_results,
@@ -1128,23 +1127,6 @@ def test_scorer_trained_on_non_pii_only(corpus):
         joined = " ".join(portions)
         for value in rec.gt_values():
             assert value not in joined
-
-
-def test_a_reference_from_the_shared_detection_equals_its_own(corpus):
-    # the whitespace-only value fails its document's grouping, so the
-    # reference detects that record again
-    blank = CorpusRecord("blank", "Dear  Ada, hi", "en_US", "t", {Label.PERSON: [" "]})
-    records = [*corpus, blank]
-    detected = detect_corpus(records, RunConfig(mode=Mode.REDACT))
-    assert detected[-1].error is not None
-    shared = perplexity_reference(records, detected)
-    own = perplexity_reference(records)
-    assert shared.scorer._counts == own.scorer._counts
-    assert shared.originals == own.originals
-    texts = [rec.text for rec in records]
-    assert repr(shared.scorer.corpus_perplexity(texts)) == repr(
-        own.scorer.corpus_perplexity(texts)
-    )
 
 
 def test_char_ngram_scorer_used_by_metrics_is_order_five():
