@@ -1,14 +1,16 @@
 """Detectors producing non-overlapping PII spans from documents.
 
-Three backends share one output contract (sorted, non-overlapping, in-bounds,
-surface-consistent spans): a ground-truth oracle, a pattern-rule detector for
-high-regularity labels, and an adapter for an external detector process or
-endpoint. A command runs through `model.run_command`, the transport the
-command backend shares, which imports `subprocess` on its first call; a url
-imports `urllib.request` and `http.client` on its first call. So a run with
-the oracle or the rules loads neither. A command that does not split into
-words, and a url that is not http(s), does not parse (`urllib.parse` reads
-its host and port) or names no host, is refused when the adapter is built.
+Three backends, a ground-truth oracle, a pattern-rule detector for
+high-regularity labels and an adapter for an external detector process or
+endpoint, slice candidate spans from the text and return what
+`resolve_overlaps`, the one owner of the span contract (sorted, disjoint, in
+bounds, each surface equal to its text), keeps of them. A command runs through
+`model.run_command`, the transport the command backend shares, which imports
+`subprocess` on its first call; a url imports `urllib.request` and
+`http.client` on its first call. So a run with the oracle or the rules loads
+neither. A command that does not split into words, and a url that is not
+http(s), does not parse (`urllib.parse` reads its host and port) or names no
+host, is refused when the adapter is built.
 """
 
 from __future__ import annotations
@@ -37,20 +39,6 @@ class DetectorUnavailable(RuntimeError):
 
 class DetectorProtocolError(ValueError):
     """The external detector responded outside the span protocol."""
-
-
-def validate_spans(text: str, spans: list[PiiSpan]) -> list[PiiSpan]:
-    """Assert the shared detector post-condition; returns the spans unchanged."""
-    prev_end = 0
-    for span in spans:
-        if span.start < prev_end:
-            raise ValueError(f"spans overlap or are unsorted at {span.start}")
-        if span.end > len(text):
-            raise ValueError(f"span [{span.start}, {span.end}) exceeds document length")
-        if text[span.start:span.end] != span.surface:
-            raise ValueError(f"span surface mismatch at [{span.start}, {span.end})")
-        prev_end = span.end
-    return spans
 
 
 #: Each label's place in `Label`'s order, which breaks ties between spans
@@ -86,7 +74,7 @@ def detect_oracle(record: CorpusRecord) -> list[PiiSpan]:
         for value in record.pii_gt.get(label, ()):
             for start, end in folded_occurrences(value, folded):
                 candidates.append(PiiSpan(start, end, label, text[start:end]))
-    return validate_spans(text, resolve_overlaps(candidates))
+    return resolve_overlaps(candidates)
 
 
 _RULES: list[tuple[Label, re.Pattern[str]]] = [
@@ -125,7 +113,7 @@ def detect_rules(text: str) -> list[PiiSpan]:
                     continue
             if end > start:
                 candidates.append(PiiSpan(start, end, label, text[start:end]))
-    return validate_spans(text, resolve_overlaps(candidates))
+    return resolve_overlaps(candidates)
 
 
 @dataclass
@@ -136,9 +124,11 @@ class ExternalDetector:
     the POST body to ``url``. The response is one JSON object per line (a
     line ends at a newline only) with integer ``start``/``end`` character
     offsets and a ``label`` name. Transport failures raise
-    DetectorUnavailable; anything unparseable, out of bounds, or mislabeled
-    raises DetectorProtocolError. A detector that finds nothing must still
-    answer (with no span lines); silence is an error, never an empty result.
+    DetectorUnavailable; anything unparseable, out of bounds, whitespace
+    only, or mislabeled raises DetectorProtocolError. Span lines may come in
+    any order, repeat or overlap: `resolve_overlaps` selects among them, as
+    for every detector. A detector that finds nothing must still answer
+    (with no span lines); silence is an error, never an empty result.
     Called on a record, like `detect_oracle`, it detects in the record's text.
     """
 
@@ -218,6 +208,10 @@ class ExternalDetector:
                 raise DetectorProtocolError(
                     f"line {line_no}: span [{start}, {end}) out of bounds"
                 )
+            if text[start:end].isspace():
+                raise DetectorProtocolError(
+                    f"line {line_no}: span [{start}, {end}) is whitespace only"
+                )
             candidates.append(PiiSpan(start, end, label, text[start:end]))
-        return validate_spans(text, resolve_overlaps(candidates))
+        return resolve_overlaps(candidates)
 

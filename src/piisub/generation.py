@@ -54,10 +54,6 @@ def _has_digit(text: str) -> bool:
     return any(c.isdigit() for c in text)
 
 
-class SpliceOverlap(ValueError):
-    """Two replacement spans overlap; the splice would be ambiguous."""
-
-
 def redact_placeholder(label: Label) -> str:
     return f"[{label.name}]"
 
@@ -218,7 +214,8 @@ def splice(
     """Apply span replacements left to right in one join, leaving all other
     bytes alone. Also returns, in the order of `replacements`, where each new
     value starts in the output, after the whitespace its span swallowed (a
-    kept whitespace-only surface starts where its span did)."""
+    kept whitespace-only surface starts where its span did). It checks no
+    span: `detection.resolve_overlaps` owns the span contract."""
     positions = [(span.start, span.end) for span, _ in replacements]
     starts = [0] * len(replacements)
     pieces = []
@@ -226,14 +223,6 @@ def splice(
     written = 0  # the length of the output so far
     for i in sorted(range(len(replacements)), key=positions.__getitem__):
         span, new_value = replacements[i]
-        if span.end > len(text):
-            raise ValueError(f"span {span.start}:{span.end} beyond text end")
-        if text[span.start : span.end] != span.surface:
-            raise ValueError(
-                f"span {span.start}:{span.end} surface does not match text"
-            )
-        if span.start < cursor:
-            raise SpliceOverlap(f"span at {span.start} overlaps previous span")
         offset, patched = _with_surface_whitespace(span.surface, new_value)
         starts[i] = written + span.start - cursor + offset
         written += span.start - cursor + len(patched)

@@ -105,26 +105,24 @@ def _shape(word: str) -> str:
     )
 
 
-def features(words: Sequence[str], i: int, prev_tag: str) -> list[str]:
-    """Token-internal features plus the previous predicted tag.
+def features(word: str) -> list[str]:
+    """The word's own features; the previous tag's is `Lexicon.prevtag_id`.
 
     Deliberately no neighbouring-word features: a tagger trained on redacted
     text would otherwise learn the scaffold words around placeholders and
     transfer that onto natural entities it has never seen.
     """
-    w = words[i]
-    lower = w.lower()
+    lower = word.lower()
     feats = [
         "bias",
         f"w={lower}",
-        f"shape={_shape(w)}",
+        f"shape={_shape(word)}",
         f"pre={lower[:3]}",
         f"suf={lower[-3:]}",
-        f"prevtag={prev_tag}",
     ]
-    if any(c.isdigit() for c in w):
+    if any(c.isdigit() for c in word):
         feats.append("hasdigit")
-    if not any(c.isalnum() for c in w):
+    if not any(c.isalnum() for c in word):
         feats.append("punctonly")
     return feats
 
@@ -133,8 +131,8 @@ class Lexicon:
     """Interned integer feature ids for the words of one experiment.
 
     features() runs once per distinct word. A word id stands for the ids of
-    the word's features but the previous tag's, `feats[wid]`; that feature
-    is interned apart, one id per tag. A lexicon lives as long as one
+    the word's features, `feats[wid]`; the previous tag's feature is
+    interned apart, one id per tag. A lexicon lives as long as one
     experiment and is shared by every training and prediction in it.
     """
 
@@ -162,9 +160,7 @@ class Lexicon:
         wid = self._word_ids.get(word)
         if wid is None:
             wid = self._word_ids[word] = len(self.feats)
-            names = features((word,), 0, "")
-            names.remove("prevtag=")
-            self.feats.append(tuple(map(self.feature_id, names)))
+            self.feats.append(tuple(map(self.feature_id, features(word))))
         return wid
 
 

@@ -29,8 +29,10 @@ the proposals' outcomes in the order it made them, whatever order they
 finish in, and stops the run at the first key where `failure_threshold`
 consecutive model calls have failed.
 Then it splices the documents, which says where each surrogate landed
-(`GroupResult.starts`) for the consistency metric and the NER gold. Fake
-draws are seeded by the cache key, not by the document. So a serial and a
+(`GroupResult.starts`) for the consistency metric and the NER gold. It
+splices the spans `detection.resolve_overlaps` kept, and that function owns
+the span contract, so no splice fails a document. Fake draws are seeded by
+the cache key, not by the document. So a serial and a
 parallel run of the same work share one run id and the same bytes, or stop
 at the same key with the same message.
 
@@ -448,24 +450,22 @@ def run_corpus(
                     message = f"{streak} consecutive failures, last: {error}"
                     raise BackendUnhealthy(f"backend {family}: {message}")
 
-    def finish(record: CorpusRecord, found: _Outcome, tasks: list) -> _Outcome:
+    def finish(record: CorpusRecord, found: _Outcome, tasks: list) -> tuple:
         """The document from its groups and its keys' outcomes, which the
-        first error among them fails; the seconds are its splice's."""
+        first error among them fails, and its splice's seconds."""
         decided = [task.result() for task in tasks]
         failed = next((o for o in (found, *decided) if o.error is not None), None)
         if failed is not None:
-            return _Outcome(DocumentResult(record, None, error=failed.error), None, 0.0)
+            return DocumentResult(record, None, error=failed.error), 0.0
         groups = [GroupResult(g, o.value) for g, o in zip(found.value, decided)]
         pairs = [(s, r.decision.surrogate) for r in groups for s in r.group.members]
-        spliced = _attempt(splice, record.text, pairs)
-        if spliced.error is not None:
-            doc = DocumentResult(record, None, error=spliced.error)
-            return _Outcome(doc, None, spliced.seconds)
-        output, starts = spliced.value
+        t0 = time.perf_counter()
+        output, starts = splice(record.text, pairs)
+        seconds = time.perf_counter() - t0
         at = iter(starts)  # in the order of `pairs`: group by group
         for r in groups:
             r.starts = tuple(islice(at, len(r.group.members)))
-        return _Outcome(DocumentResult(record, output, groups), None, spliced.seconds)
+        return DocumentResult(record, output, groups), seconds
 
     # the seconds of the shared pass, the same in every mode that reads it
     detect_s = sum(found.seconds for found in detected)
@@ -491,8 +491,8 @@ def run_corpus(
         read_proposals(len(proposed))
         # every key is decided, so no document waits on a worker
         finished = [finish(*doc) for doc in walked]
-        documents = [outcome.value for outcome in finished]
-        timings["splice"] = sum(outcome.seconds for outcome in finished)
+        documents = [doc for doc, _ in finished]
+        timings["splice"] = sum(seconds for _, seconds in finished)
         timings["surrogate"] = sum(t.result().seconds for t in (*proposed, *drawn))
     return RunResults(
         run_id=derive_run_id(config, digest),

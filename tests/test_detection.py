@@ -1,3 +1,4 @@
+import json
 import socket
 import sys
 import threading
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import piisub.detection as detection
 from piisub.detection import (
     DetectorProtocolError,
     DetectorUnavailable,
@@ -14,7 +16,6 @@ from piisub.detection import (
     detect_oracle,
     detect_rules,
     resolve_overlaps,
-    validate_spans,
 )
 from piisub.model import MAX_TIMEOUT_S, CorpusRecord, Label, PiiSpan
 
@@ -27,6 +28,17 @@ def make_record(text, **gt):
         template="t",
         pii_gt={Label.from_name(k.upper()): v for k, v in gt.items()},
     )
+
+
+def assert_span_contract(text, spans):
+    """The detectors' output contract: sorted and disjoint, in bounds, and
+    each surface the text it covers."""
+    prev_end = 0
+    for span in spans:
+        assert span.start >= prev_end, f"spans overlap or are unsorted at {span.start}"
+        assert span.end <= len(text), f"[{span.start}, {span.end}) exceeds the text"
+        assert text[span.start : span.end] == span.surface, f"surface at {span.start}"
+        prev_end = span.end
 
 
 class TestOracle:
@@ -111,25 +123,6 @@ class TestResolveOverlaps:
         assert resolve_overlaps(spans) == greedy_reference(spans)
 
 
-class TestValidateSpans:
-    def test_overlap_rejected(self):
-        text = "abcdefgh"
-        spans = [
-            PiiSpan(0, 4, Label.PERSON, "abcd"),
-            PiiSpan(3, 6, Label.PERSON, "def"),
-        ]
-        with pytest.raises(ValueError, match="overlap"):
-            validate_spans(text, spans)
-
-    def test_out_of_bounds_rejected(self):
-        with pytest.raises(ValueError, match="exceeds"):
-            validate_spans("ab", [PiiSpan(0, 5, Label.PERSON, "abcde")])
-
-    def test_surface_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="mismatch"):
-            validate_spans("abcd", [PiiSpan(0, 3, Label.PERSON, "xyz")])
-
-
 class TestRules:
     def test_covers_regular_labels(self):
         text = (
@@ -154,7 +147,81 @@ class TestRules:
 
     def test_output_is_valid(self):
         text = "04/12/1975 and 1975-04-12 overlap nothing"
-        validate_spans(text, detect_rules(text))
+        assert_span_contract(text, detect_rules(text))
+
+
+def replying(reply):
+    """An external detector whose command replies `reply` to any text."""
+
+    def detect(text):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(detection, "run_command", lambda *args: reply)
+            return ExternalDetector(command="detector").detect(text)
+
+    return detect
+
+
+def span_lines(spans):
+    return "".join(
+        json.dumps({"start": s.start, "end": s.end, "label": s.label.name}) + "\n"
+        for s in spans
+    )
+
+
+@st.composite
+def oracle_cases(draw):
+    """A record whose values nest, repeat and differ in case from the text,
+    and the oracle's spans over it."""
+    value = st.text("abAB1ßİ", min_size=1, max_size=4)
+    values = draw(st.lists(value, min_size=1, max_size=4))
+    values += [v[1:] for v in values if len(v) > 1]
+    pieces = [
+        draw(st.sampled_from([v, v.upper(), v.lower(), v.swapcase()]))
+        for v in draw(st.lists(st.sampled_from(values), max_size=10))
+    ]
+    text = draw(st.sampled_from(["", " ", ", "])).join(pieces)
+    gt = {}
+    for value in values:
+        gt.setdefault(draw(st.sampled_from(Label)), []).append(value)
+    record = CorpusRecord(id="r", text=text, locale="en_US", template="t", pii_gt=gt)
+    return text, detect_oracle(record)
+
+
+_RULE_PIECES = st.sampled_from(
+    ["https://a.io/x", "a.b@c.de", "+1", "(555)", "233", "-", "/", ".", " "]
+    + ["04", "1975", "-Apr-", "12345678", ")"]
+)
+
+
+@st.composite
+def rules_cases(draw):
+    """Random text, rich in pieces of the rules' patterns, and its spans."""
+    text = "".join(draw(st.lists(_RULE_PIECES | st.text(max_size=3), max_size=16)))
+    return text, detect_rules(text)
+
+
+@st.composite
+def external_replies(draw):
+    """A text, spans over it, and a reply of their span lines shuffled,
+    repeated and overlapping."""
+    text = draw(st.text("ab東京.-1", min_size=1, max_size=12))
+    spans = []
+    for _ in range(draw(st.integers(0, 8))):
+        start = draw(st.integers(0, len(text) - 1))
+        end = draw(st.integers(start + 1, len(text)))
+        spans.append(PiiSpan(start, end, draw(st.sampled_from(Label)), text[start:end]))
+    repeated = draw(st.lists(st.sampled_from(spans), max_size=4)) if spans else []
+    return text, spans, span_lines(draw(st.permutations(spans + repeated)))
+
+
+def external_cases():
+    return external_replies().map(lambda case: (case[0], replying(case[2])(case[0])))
+
+
+@given(oracle_cases() | rules_cases() | external_cases())
+def test_every_detector_hands_over_spans_that_keep_the_contract(case):
+    text, spans = case
+    assert_span_contract(text, spans)
 
 
 @pytest.fixture
@@ -229,6 +296,32 @@ class TestExternalDetector:
         monkeypatch.setattr(ExternalDetector, "_transport", lambda self, text: reply)
         (span,) = ExternalDetector(command="unused").detect("hello Walter bye")
         assert (span.start, span.end, span.surface) == (6, 12, "Walter")
+
+    @given(external_replies())
+    def test_reply_spans_are_resolved_like_every_detectors(self, case):
+        text, spans, reply = case
+        assert replying(reply)(text) == resolve_overlaps(spans)
+
+    def test_a_whitespace_only_span_names_its_reply_line(self):
+        reply = span_lines(
+            [PiiSpan(0, 5, Label.PERSON, "Alice"), PiiSpan(5, 7, Label.PERSON, "  ")]
+        )
+        message = r"line 2: span \[5, 7\) is whitespace only"
+        with pytest.raises(DetectorProtocolError, match=message):
+            replying(reply)("Alice  bye")
+
+    def test_unicode_whitespace_is_whitespace_only_too(self):
+        # canonicalizing strips these as it strips spaces
+        reply = span_lines([PiiSpan(3, 5, Label.PERSON, "\u3000\xa0")])
+        message = r"line 1: span \[3, 5\) is whitespace only"
+        with pytest.raises(DetectorProtocolError, match=message):
+            replying(reply)("Hi,\u3000\xa0bye")
+
+    def test_a_span_with_whitespace_around_its_value_is_kept(self):
+        text = "to  Walter Ames  bye"
+        reply = span_lines([PiiSpan(3, 17, Label.PERSON, text[3:17])])
+        (span,) = replying(reply)(text)
+        assert (span.start, span.end, span.surface) == (3, 17, " Walter Ames  ")
 
     @pytest.mark.parametrize(
         "payload,message",

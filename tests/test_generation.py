@@ -7,9 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from piisub.backends import BackendInvocationError, SlmBackend
+from piisub.detection import resolve_overlaps
 from piisub.fakegen import draw_seed, fake_value
 from piisub.generation import (
-    SpliceOverlap,
     dispatch,
     redact_placeholder,
     slm_propose,
@@ -388,23 +388,6 @@ class TestSplice:
         span = PiiSpan(1, 3, Label.PERSON, "  ")
         assert splice(text, [(span, "XX")]) == ("a  b", [1])
 
-    def test_overlap_rejected(self):
-        text = "abcdef"
-        spans = [
-            (PiiSpan(0, 4, Label.PERSON, "abcd"), "x"),
-            (PiiSpan(3, 6, Label.PERSON, "def"), "y"),
-        ]
-        with pytest.raises(SpliceOverlap):
-            splice(text, spans)
-
-    def test_surface_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="surface"):
-            splice("abcdef", [(PiiSpan(0, 3, Label.PERSON, "xyz"), "q")])
-
-    def test_out_of_bounds_rejected(self):
-        with pytest.raises(ValueError, match="beyond"):
-            splice("abc", [(PiiSpan(1, 9, Label.PERSON, "bcdefghi"), "q")])
-
     def test_empty_replacements(self):
         assert splice("unchanged", []) == ("unchanged", [])
 
@@ -455,6 +438,30 @@ class TestSplice:
             pos = span.end
         expected.append(text[pos:])
         assert result == "".join(expected)
+
+    @given(st.data())
+    def test_spans_resolved_from_any_candidates_splice_as_given(self, data):
+        # the splice checks no span: whatever candidates a detector slices,
+        # resolve_overlaps hands it spans it can splice (no whitespace here,
+        # so every new value replaces its whole surface)
+        text = data.draw(st.text("ab東1.-", min_size=1, max_size=24))
+        candidates = []
+        for _ in range(data.draw(st.integers(0, 8))):
+            start = data.draw(st.integers(0, len(text) - 1))
+            end = data.draw(st.integers(start + 1, len(text)))
+            label = data.draw(st.sampled_from(Label))
+            candidates.append(PiiSpan(start, end, label, text[start:end]))
+        spans = resolve_overlaps(candidates)
+        values = data.draw(
+            st.lists(st.text("XY", max_size=3), min_size=len(spans), max_size=len(spans))
+        )
+        result, starts = splice(text, list(zip(spans, values)))
+        expected, pos = [], 0
+        for span, value in zip(spans, values):
+            expected += [text[pos : span.start], value]
+            pos = span.end
+        assert result == "".join(expected) + text[pos:]
+        assert [result[s : s + len(v)] for s, v in zip(starts, values)] == values
 
 
 def _splice_right_to_left(text, replacements):

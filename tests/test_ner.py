@@ -213,15 +213,13 @@ class TestPerceptron:
         assert model.predict([lexicon.feature_id("bias")]) == "B-PII"
 
     def test_features_are_token_internal(self):
-        left = features(["Alice", "slept"], 0, "<s>")
-        right = features(["Alice", "exploded"], 0, "<s>")
-        assert left == right  # neighbours must not influence the features
+        # one word in, so neither neighbours nor the previous tag can count
+        expected = ["bias", "w=alice", "shape=Xxxxx", "pre=ali", "suf=ice"]
+        assert features("Alice") == expected
 
     def test_feature_flags(self):
-        feats = features(["x9"], 0, "O")
-        assert "hasdigit" in feats
-        feats = features(["?!"], 0, "O")
-        assert "punctonly" in feats
+        assert "hasdigit" in features("x9")
+        assert "punctonly" in features("?!")
 
 
 # Latin, digits, punctuation-only, CJK, and letters whose case mapping
@@ -245,10 +243,8 @@ def test_lexicon_feature_ids_name_the_features(words, data):
     names = lexicon.feature_names
     for i, wid in enumerate(wids):
         prev = data.draw(_PREV_TAGS)
-        expected = features(words, i, prev)
-        # the word's ids: every feature but prevtag, which is interned apart
-        static = [names[f] for f in lexicon.feats[wid]]
-        assert static == [f for f in expected if not f.startswith("prevtag=")]
+        # the word's ids; the previous tag's is interned apart
+        assert [names[f] for f in lexicon.feats[wid]] == features(words[i])
         assert names[lexicon.prevtag_id(prev)] == "prevtag=" + prev
 
 
@@ -300,6 +296,12 @@ class ReferencePerceptron:
                 bucket[cls] = Fraction(total, self._updates)
 
 
+def reference_features(words, i, prev_tag):
+    """What the reference reads of a token: the word's own features and the
+    previous predicted tag."""
+    return [*features(words[i]), f"prevtag={prev_tag}"]
+
+
 def reference_train(sentences, *, iterations, seed):
     """train_tagger as it was: features rebuilt for every token on every pass."""
     classes = {"O"}
@@ -316,7 +318,7 @@ def reference_train(sentences, *, iterations, seed):
             words = [t.text for t in tokens]
             prev = "<s>"
             for i, gold in enumerate(tags):
-                feats = features(words, i, prev)
+                feats = reference_features(words, i, prev)
                 guess = model.predict(feats)
                 model.update(gold, guess, feats)
                 if guess != gold:
@@ -350,7 +352,7 @@ def reference_tags(reference, tokens):
     words = [t.text for t in tokens]
     prev, tags = "<s>", []
     for i in range(len(words)):
-        prev = reference.predict(features(words, i, prev))
+        prev = reference.predict(reference_features(words, i, prev))
         tags.append(prev)
     return tags
 
@@ -414,7 +416,7 @@ class TestPerceptronMatchesReference:
             words = [t.text for t in tokens]
             prev, expected = "<s>", []
             for i in range(len(words)):
-                prev = reference.predict(features(words, i, prev))
+                prev = reference.predict(reference_features(words, i, prev))
                 expected.append(prev)
             assert tag(model, tokens) == expected
 
@@ -495,7 +497,7 @@ def test_a_mistake_after_a_clean_stretch_renews_the_guess():
     reference = ReferencePerceptron(tags)
     prev, steps = "<s>", []
     for i, gold in enumerate(tags):
-        feats = features(words, i, prev)
+        feats = reference_features(words, i, prev)
         guess = reference.predict(feats)
         reference.update(gold, guess, feats)
         steps.append((prev, guess))

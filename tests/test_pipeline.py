@@ -757,19 +757,25 @@ class TestErrorIsolation:
     def test_perplexity_of_a_failed_run_uses_the_corpus_reference(
         self, corpus, monkeypatch
     ):
-        # the failure is raised at the splice, not by the detector, which
-        # the reference calls too
+        # the failure is raised by the proposal of a key only the record
+        # holds, not by the detector, which the reference calls too
         import piisub.pipeline as pipeline
-        from piisub.generation import splice
+        from piisub.generation import dispatch
 
         bad = corpus[3]
+        held = {
+            d.record.id: {g.group.canonical for g in d.groups}
+            for d in run(corpus, Mode.FAKER).documents
+        }
+        holders = Counter(c for keys in held.values() for c in keys)
+        doomed = min(c for c in held[bad.id] if holders[c] == 1)
 
-        def splice_with_one_failure(text, replacements):
-            if text == bad.text:
+        def dispatch_with_one_failure(surface, key, **kwargs):
+            if key.canonical == doomed:
                 raise RuntimeError("induced failure")
-            return splice(text, replacements)
+            return dispatch(surface, key, **kwargs)
 
-        monkeypatch.setattr(pipeline, "splice", splice_with_one_failure)
+        monkeypatch.setattr(pipeline, "dispatch", dispatch_with_one_failure)
         results = run(corpus, Mode.FAKER)
         ok = [d for d in results.documents if d.error is None]
         assert [d.record.id for d in results.failed_documents] == [bad.id]
@@ -823,6 +829,29 @@ class TestDetectors:
             parallelism=4,
         )
         assert [d.error for d in results.documents] == [None] * 4
+
+    def test_external_reply_lines_in_any_order_with_repeats(self, corpus, monkeypatch):
+        # each span line twice, in reverse order, writes what the plain
+        # reply writes: the adapter resolves its reply like every detector
+        by_text = {r.text: r for r in corpus}
+        twice = False
+
+        def transport(self, text):
+            spans = detect_oracle(by_text[text])
+            if twice:
+                spans = [*spans, *spans][::-1]
+            return "".join(
+                json.dumps({"start": s.start, "end": s.end, "label": s.label.name})
+                + "\n"
+                for s in spans
+            )
+
+        monkeypatch.setattr(ExternalDetector, "_transport", transport)
+        external = dict(detector="external", detector_command="unused")
+        plain = run(corpus, Mode.FAKER, **external)
+        twice = True
+        assert written(run(corpus, Mode.FAKER, **external)) == written(plain)
+        assert written(plain) == written(run(corpus, Mode.FAKER))
 
     def test_undecodable_detector_reply_is_a_protocol_error(self, tmp_path):
         script = tmp_path / "binary.py"
