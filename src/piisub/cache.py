@@ -24,9 +24,10 @@ from .model import (
 
 
 def resolve_entities(spans: Iterable[PiiSpan]) -> list[EntityGroup]:
-    """Group spans by (canonical surface, label), ordered by first mention."""
+    """Group spans by (canonical surface, label), ordered by first mention.
+    The spans are sorted and disjoint, as `detection.resolve_overlaps` gives."""
     groups: dict[tuple[str, Label], list[PiiSpan]] = {}
-    for span in sorted(spans, key=lambda s: (s.start, s.end)):
+    for span in spans:
         key = (canonicalize(span.surface), span.label)
         groups.setdefault(key, []).append(span)
     return [

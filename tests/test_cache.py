@@ -35,9 +35,10 @@ class TestResolveEntities:
         assert {g.label for g in groups} == {Label.DATE, Label.ACCOUNT}
 
     def test_order_is_first_mention(self):
-        spans = [span(50, "Beta Person"), span(10, "Alpha Person"), span(90, "beta person")]
+        spans = [span(10, "Beta Person"), span(50, "Alpha Person"), span(90, "beta person")]
         groups = resolve_entities(spans)
-        assert [g.canonical for g in groups] == ["alpha person", "beta person"]
+        assert [g.canonical for g in groups] == ["beta person", "alpha person"]
+        assert [m.start for m in groups[0].members] == [10, 90]
 
     def test_empty(self):
         assert resolve_entities([]) == []

@@ -113,6 +113,19 @@ UNUSABLE_POOL_FILES = {
         "pool person/en must be a list of demos",
     ),
     "missing": (None, "cannot read pool file "),
+    "demo-side-not-a-string": (
+        {
+            "person": {
+                "en": [
+                    {"real": None, "fake": "Hiro Yamamoto"},
+                    {"real": "Aiko Suzuki", "fake": "Mei Kobayashi"},
+                    {"real": "Ren Watanabe", "fake": "Yuna Ito"},
+                    {"real": "Sora Nakamura", "fake": "Kaito Mori"},
+                ]
+            }
+        },
+        "pool person/en entry 0: real and fake must be strings",
+    ),
 }
 
 
@@ -1259,6 +1272,9 @@ def test_metrics_depend_on_the_documents_not_their_order(tmp_path, monkeypatch, 
 
     forward = metrics_by_mode("forward", records)
     assert sorted(forward) == ["faker", "hybrid", "redact"]
+    for data in forward.values():
+        metrics = json.loads(data)
+        assert None not in (metrics["perplexity_original"], metrics["perplexity_transformed"])
     for name, corpus in orders.items():
         assert metrics_by_mode(name, corpus) == forward, name
 
@@ -1338,43 +1354,6 @@ def test_closed_stdout_exits_without_a_traceback(corpus_file, tmp_path):
 
 def piisub_command(*argv):
     return [sys.executable, "-m", "piisub.cli", *argv]
-
-
-#: A locale whose encoding is ASCII, with both of Python's UTF-8 rescues off.
-ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
-
-
-@pytest.mark.parametrize(
-    "model",
-    [
-        "sh -c 'cat >/dev/null; echo Robin Vale'",
-        "sh -c 'echo Robin Vale' {prompt}",
-    ],
-    ids=["stdin", "arg"],
-)
-def test_a_command_backend_writes_the_same_bytes_under_an_ascii_locale(
-    corpus_file, tmp_path, model
-):
-    probe = "import locale; print(locale.getpreferredencoding(False))"
-    encoding = subprocess.run(
-        [sys.executable, "-c", probe], env=child_env(**ASCII_LOCALE),
-        capture_output=True, text=True, check=True, timeout=60,
-    ).stdout.strip()
-    assert encoding != "UTF-8"  # the child really runs under a non-UTF-8 locale
-    assert not all(r.text.isascii() for r in load_corpus(corpus_file))
-    run = ["run", "--mode", "hybrid", "--corpus", str(corpus_file)]
-    run += ["--slm-backend", "command", "--slm-command", model]
-    written = {}
-    for name, locale in [("utf8", {"PYTHONUTF8": "1"}), ("ascii", ASCII_LOCALE)]:
-        command = piisub_command(*run, "--out", str(tmp_path / name))
-        subprocess.run(
-            command, env=child_env(**locale), check=True, capture_output=True, timeout=120
-        )
-        (run_dir,) = run_dirs(tmp_path / name)
-        written[name] = (run_dir / "results.json").read_bytes()
-    assert written["ascii"] == written["utf8"]
-    documents = json.loads(written["utf8"])["documents"]
-    assert [doc["error"] for doc in documents] == [None] * len(documents)
 
 
 def test_an_arg_mode_model_reads_an_empty_stdin(corpus_file, tmp_path):

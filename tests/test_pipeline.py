@@ -930,11 +930,6 @@ class TestComputeMetrics:
         expected = reference.scorer.corpus_perplexity(r.text for r in corpus)
         assert list(map(repr, ppl)) == [repr(expected)] * len(Mode)
 
-    def test_a_reference_scores_only_its_own_records(self, corpus):
-        reference = perplexity_reference(corpus[1:])
-        with pytest.raises(ValueError, match="other records"):
-            compute_metrics(run(corpus, Mode.FAKER), reference=reference)
-
     def test_aggregate_is_mean_of_defined_rates(self, corpus):
         metrics = compute_metrics(run(corpus, Mode.FAKER))
         expected = (
