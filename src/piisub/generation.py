@@ -129,7 +129,7 @@ def slm_propose(
             demos = catalog.pilot[label]
         else:
             pool = catalog.pool_for(label, surface)
-            demos = sample_demos(pool.demos, surface, pool_name=pool.name)
+            demos = sample_demos(pool.demos, surface)
         prompt = build_prompt(demos, surface)
     except (PoolTooSmall, InvalidInput):
         return fallback(RejectionReason.EMPTY)
@@ -175,13 +175,12 @@ def dispatch(
     blocked: Callable[[str], bool] = _NOTHING_BLOCKED,
     fake_secret: bytes = b"",
 ) -> SurrogateDecision:
-    """Produce the surrogate decision for one entity under its key's mode."""
+    """Produce the surrogate decision for one entity under its key's mode;
+    a key that calls the model (`calls_model`) needs `backend` and `catalog`."""
     label = key.label
     if key.mode is Mode.REDACT:
         return SurrogateDecision(surrogate=redact_placeholder(label), source=Source.REDACT)
     if calls_model(key):
-        if backend is None or catalog is None:
-            raise ValueError("hybrid mode needs a backend and a pool catalog")
         return slm_propose(
             surface,
             key,

@@ -6,8 +6,9 @@ disagree about what counts as an occurrence.
 
 Every sum behind `metrics.json` is exact, so it depends on the set of
 documents and not on their order: means sum with `math.fsum` (`agg_mean`),
-perplexity from integer counts and `decimal` (`CharNgramScorer`), None
-(null) for a corpus with no non-PII text, as the scorer then learns nothing.
+perplexity from integer counts and `decimal` (`CharNgramScorer`, whose gram
+length is fixed at 5 characters), None (null) for a corpus with no non-PII
+text, as the scorer then learns nothing.
 Welch's test reports the statistic, standard error and Welch-Satterthwaite
 degrees of freedom; its two-sided p is the normal approximation, libm's
 erfc. At the NER probe's 5 seeds per variant (4-8 degrees of freedom) that
@@ -250,10 +251,9 @@ class CharNgramScorer:
     reach the result.
     """
 
-    def __init__(self, order: int = 5) -> None:
-        if order < 1:
-            raise ValueError("order must be >= 1")
-        self.order = order
+    order = 5  # the gram length, fixed: see README "Metrics"
+
+    def __init__(self) -> None:
         self.train(())
 
     def train(self, texts: Iterable[str]) -> None:
@@ -294,11 +294,7 @@ class CharNgramScorer:
             return cells
         for text in texts:
             # each gram's context: (), then the grams one character shorter
-            contexts = (
-                chain(((),), self._windows(text, self.order - 1))
-                if self.order > 1
-                else repeat(())
-            )
+            contexts = chain(((),), self._windows(text, self.order - 1))
             unseen = map(self._unseen.get, contexts, repeat(self._no_context))
             cells.update(map(self._seen.get, self._windows(text, self.order), unseen))
         return cells

@@ -241,7 +241,8 @@ class SurrogateDecision(JsonReport):
 
     An accepted language-model proposal carries exactly the three
     demonstrations it was prompted with and no rejection reasons; a fallback
-    records why the model's completion was discarded.
+    records the one reason the model's completion was discarded.
+    `generation.dispatch`, the only producer, builds each that way.
 
     `backend_errors` has one entry per model call made, None for an answer
     and the error text for a failure; the run judges the backend by it, and
@@ -255,15 +256,6 @@ class SurrogateDecision(JsonReport):
     demos_used: tuple[str, ...] = ()
     rejection_reasons: tuple[RejectionReason, ...] = ()
     backend_errors: tuple[str | None, ...] = ()
-
-    def __post_init__(self) -> None:
-        if self.source is Source.SLM:
-            if len(self.demos_used) != 3:
-                raise ValueError("an accepted SLM decision must record 3 demos")
-            if self.rejection_reasons:
-                raise ValueError("an accepted SLM decision cannot carry rejections")
-        if self.source is Source.FALLBACK_FAKE and not self.rejection_reasons:
-            raise ValueError("a fallback decision must record why the SLM failed")
 
 
 class CacheKey(NamedTuple):

@@ -525,10 +525,11 @@ class MetricsReport(JsonReport):
 
 
 def _non_pii_portions(text: str, spans: Iterable[PiiSpan]) -> list[str]:
-    """The non-empty stretches of `text` outside its non-overlapping spans."""
+    """The non-empty stretches of `text` outside its spans, which arrive
+    sorted and disjoint, as `detection.resolve_overlaps` gives them."""
     pieces = []
     cursor = 0
-    for span in sorted(spans, key=lambda s: s.start):
+    for span in spans:
         pieces.append(text[cursor : span.start])
         cursor = span.end
     pieces.append(text[cursor:])
@@ -710,7 +711,9 @@ def persist_run(
     metrics_dict = metrics.to_json_dict()
     write_json(run_dir / "metrics.json", metrics_dict)
     regurg_dict = None
-    # Regurgitation only makes sense when a model produced the surrogates.
+    # Regurgitation only makes sense when a model produced the surrogates; a
+    # pinned run id's directory keeps no earlier hybrid run's file.
+    (run_dir / "regurgitation.json").unlink(missing_ok=True)
     if results.config.mode is Mode.HYBRID:
         regurg_dict = regurgitation_for_results(results).to_json_dict()
         write_json(run_dir / "regurgitation.json", regurg_dict)

@@ -40,10 +40,7 @@ class DemoStrategy(str, Enum):
 
 
 class PoolTooSmall(ValueError):
-    def __init__(self, pool_name: str, size: int) -> None:
-        super().__init__(f"pool {pool_name} has {size} demos, need {SAMPLE_SIZE}")
-        self.pool_name = pool_name
-        self.size = size
+    """The pool has fewer than SAMPLE_SIZE demos."""
 
 
 class InvalidInput(ValueError):
@@ -64,16 +61,14 @@ def stable_seed(text: str) -> int:
     return int.from_bytes(hashlib.md5(text.encode("utf-8")).digest()[:8], "big")
 
 
-def sample_demos(
-    demos: Sequence[Demo], input_text: str, *, pool_name: str = "?"
-) -> tuple[Demo, ...]:
+def sample_demos(demos: Sequence[Demo], input_text: str) -> tuple[Demo, ...]:
     """Pick SAMPLE_SIZE distinct demos, deterministically keyed on the input string.
 
     Selection order is preserved: the i-th pick lands at prompt position i.
     """
     n = len(demos)
     if n < SAMPLE_SIZE:
-        raise PoolTooSmall(pool_name, n)
+        raise PoolTooSmall(f"the pool has {n} demos, need {SAMPLE_SIZE}")
     state = stable_seed(input_text)
     order = list(range(n))
     picks: list[int] = []

@@ -37,7 +37,7 @@ class TestParsePrompt:
 
     def test_round_trip_from_builder(self):
         pool = builtin_catalog().pool_for(Label.PERSON, "Edith Goodwin")
-        picked = sample_demos(pool.demos, "Edith Goodwin", pool_name=pool.name)
+        picked = sample_demos(pool.demos, "Edith Goodwin")
         prompt = build_prompt(picked, "Edith Goodwin")
         demos, input_text = parse_prompt(prompt)
         assert demos == [(d.real, d.fake) for d in picked]

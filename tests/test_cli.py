@@ -1121,6 +1121,20 @@ class TestRunArtifactCommands:
         assert printed == (run_dir / "report.txt").read_text(encoding="utf-8")
         assert f"{mode}@{run_dir.name}" in printed
 
+    def test_a_pinned_run_directory_holds_only_its_latest_run(
+        self, corpus_file, tmp_path, capsys
+    ):
+        out = tmp_path / "results"
+        argv = ["run", "--no-ppl", "--corpus", str(corpus_file), "--out", str(out)]
+        for mode in ("hybrid", "faker"):
+            assert main([*argv, "--mode", mode, "--run-id", "x"]) == 0
+        capsys.readouterr()
+        run_dir = out / "x"
+        assert not (run_dir / "regurgitation.json").exists()
+        printed = self.report(capsys, run_dir)
+        assert printed == (run_dir / "report.txt").read_text(encoding="utf-8")
+        assert "faker@x" in printed and "output_copies" not in printed
+
     def test_run_prints_the_report_of_its_runs(self, all_modes, capsys):
         dirs, printed = all_modes
         assert printed == self.report(capsys, *(dirs[mode] for mode in self.MODES))
@@ -1347,7 +1361,8 @@ def test_closed_stdout_exits_without_a_traceback(corpus_file, tmp_path):
         command, stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env()
     )
     proc.stdout.close()  # the reader is gone before the first print
-    stderr = proc.stderr.read().decode()
+    with proc.stderr:
+        stderr = proc.stderr.read().decode()
     assert proc.wait(timeout=120) == 1
     assert "Traceback" not in stderr and "BrokenPipeError" not in stderr
 

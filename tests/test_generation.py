@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from piisub.backends import BackendInvocationError, SlmBackend
+from piisub.backends import (
+    BackendInvocationError,
+    MockEchoDemoBackend,
+    MockPoolBackend,
+    SlmBackend,
+    parse_prompt,
+)
 from piisub.detection import resolve_overlaps
 from piisub.fakegen import draw_seed, fake_value
 from piisub.generation import (
@@ -17,6 +23,7 @@ from piisub.generation import (
 )
 from piisub.locales import DateFormat, Locale, classify_date_format
 from piisub.model import (
+    SLM_LABELS,
     CacheKey,
     Label,
     Mode,
@@ -274,10 +281,6 @@ class TestDispatch:
         assert decision.source is Source.FAKE
         assert backend.prompts == []
 
-    def test_hybrid_requires_backend_and_catalog(self):
-        with pytest.raises(ValueError, match="hybrid"):
-            dispatch("Walter A", key(Label.PERSON, Mode.HYBRID))
-
     def test_fake_draw_avoids_identity_and_guard(self):
         # force the guard to exclude the first draw; the redraw reads on
         # from the same seeded stream
@@ -338,6 +341,81 @@ class TestDispatch:
                 key(Label.PERSON, Mode.FAKER),
                 blocked=ci_any_matcher(["Constant Name"]),
             )
+
+
+class AnsweringBackend(SlmBackend):
+    """Answers each prompt with `answer` of the prompt's input."""
+
+    id = "answering"
+
+    def __init__(self, answer):
+        self.answer = answer
+
+    def _invoke(self, prompt):
+        return self.answer(parse_prompt(prompt)[1])
+
+
+def _fail(_):
+    raise BackendInvocationError("stub: down")
+
+
+#: A value the guard blocks, whoever proposes it.
+BLOCKED = "Quentin Blockworth"
+
+#: The backends a run can meet: the two mocks, and stubs that fail, answer
+#: nothing, echo the input, answer a blocked value, or a non-date for a date.
+DISPATCH_BACKENDS = {
+    "mock-pool": MockPoolBackend(),
+    "mock-echo-demo": MockEchoDemoBackend(),
+    "failing": AnsweringBackend(_fail),
+    "empty": AnsweringBackend(lambda _: ""),
+    "echo": AnsweringBackend(lambda text: " " + text),
+    "blocked": AnsweringBackend(lambda _: " " + BLOCKED),
+    "not-a-date": AnsweringBackend(lambda _: " soon-ish"),
+}
+
+_SURFACES = st.one_of(
+    st.sampled_from(
+        ["Walter Abernathy", "12 Elm Street", "04/12/1975", "山田太郎", "Müller"]
+    ),
+    # a whitespace-only surface has no canonical form, so no key reaches dispatch
+    st.text(max_size=20).filter(str.split),
+)
+
+
+@settings(max_examples=300)
+@given(
+    surface=_SURFACES,
+    mode=st.sampled_from(Mode),
+    label=st.sampled_from(Label),
+    strategy=st.sampled_from(DemoStrategy),
+    backend=st.sampled_from(sorted(DISPATCH_BACKENDS)),
+)
+def test_every_decision_records_what_its_source_needs(
+    surface, mode, label, strategy, backend
+):
+    """An `slm` decision records its 3 demos and no reason, a `fallback_fake`
+    one exactly one reason, and `redact` and `fake` ones neither."""
+    decision = dispatch(
+        surface,
+        key(label, mode),
+        backend=DISPATCH_BACKENDS[backend],
+        catalog=builtin_catalog(),
+        strategy=strategy,
+        blocked=ci_any_matcher([BLOCKED]),
+    )
+    if mode is Mode.REDACT:
+        assert decision.source is Source.REDACT
+    elif mode is Mode.FAKER or label not in SLM_LABELS:
+        assert decision.source is Source.FAKE
+    elif backend in ("failing", "empty", "blocked"):
+        assert decision.source is Source.FALLBACK_FAKE
+    if decision.source is Source.SLM:
+        assert len(decision.demos_used) == 3 and decision.rejection_reasons == ()
+    elif decision.source is Source.FALLBACK_FAKE:
+        assert decision.demos_used == () and len(decision.rejection_reasons) == 1
+    else:
+        assert decision.demos_used == () and decision.rejection_reasons == ()
 
 
 def mk_span(text, start, surface, label=Label.PERSON):

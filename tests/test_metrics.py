@@ -271,10 +271,6 @@ class TestCharNgramScorer:
         assert single is not None and pooled is not None
         assert pooled > 1.0
 
-    def test_bad_order(self):
-        with pytest.raises(ValueError):
-            CharNgramScorer(order=0)
-
 
 class ExactReference:
     """The per-character scorer: counts per context, each character's
@@ -335,16 +331,11 @@ def cell_pairs(scorer: CharNgramScorer, text: str) -> Counter:
 
 class TestCharNgramScorerIsExact:
     @settings(max_examples=200)
-    @given(
-        order=st.integers(1, 5),
-        first=_scorer_texts,
-        second=_scorer_texts,
-        scored=_scorer_texts,
-    )
-    def test_bit_identical(self, order, first, second, scored):
-        table = CharNgramScorer(order=order)
+    @given(first=_scorer_texts, second=_scorer_texts, scored=_scorer_texts)
+    def test_bit_identical(self, first, second, scored):
+        table = CharNgramScorer()
         table.train(first + second)
-        exact = ExactReference(order=order)
+        exact = ExactReference()
         exact.train(first + second)
         if not exact._vocab:  # it learned no character, so it scores none
             assert table.count([*scored, *first, *second]) == Counter()
@@ -359,12 +350,12 @@ class TestCharNgramScorerIsExact:
         )
 
     @settings(max_examples=100)
-    @given(order=st.integers(1, 5), first=_scorer_texts, second=_scorer_texts)
-    def test_a_training_replaces_what_was_learned(self, order, first, second):
-        retrained = CharNgramScorer(order=order)
+    @given(first=_scorer_texts, second=_scorer_texts)
+    def test_a_training_replaces_what_was_learned(self, first, second):
+        retrained = CharNgramScorer()
         retrained.train(first)
         retrained.train(second)
-        fresh = CharNgramScorer(order=order)
+        fresh = CharNgramScorer()
         fresh.train(second)
         for text in [*first, *second, ""]:
             assert cell_pairs(retrained, text) == cell_pairs(fresh, text)
@@ -373,21 +364,16 @@ class TestCharNgramScorerIsExact:
         )
 
     @settings(max_examples=100)
-    @given(
-        order=st.integers(1, 5),
-        training=_scorer_texts.filter(any),
-        scored=_scorer_texts,
-        data=st.data(),
-    )
-    def test_text_order_cannot_change_a_bit(self, order, training, scored, data):
-        table = CharNgramScorer(order=order)
+    @given(training=_scorer_texts.filter(any), scored=_scorer_texts, data=st.data())
+    def test_text_order_cannot_change_a_bit(self, training, scored, data):
+        table = CharNgramScorer()
         table.train(training)
         expected = repr(table.corpus_perplexity(scored))
         assert repr(table.corpus_perplexity(data.draw(st.permutations(scored)))) == (
             expected
         )
         # nor the order of the training texts, which numbers the cells
-        shuffled = CharNgramScorer(order=order)
+        shuffled = CharNgramScorer()
         shuffled.train(data.draw(st.permutations(training)))
         assert repr(shuffled.corpus_perplexity(scored)) == expected
 

@@ -69,23 +69,6 @@ class TestSpans:
 
 
 class TestSurrogateDecision:
-    def test_slm_requires_three_demos(self):
-        with pytest.raises(ValueError):
-            SurrogateDecision("x", Source.SLM, demos_used=("a", "b"))
-
-    def test_slm_rejects_reasons(self):
-        with pytest.raises(ValueError):
-            SurrogateDecision(
-                "x",
-                Source.SLM,
-                demos_used=("a", "b", "c"),
-                rejection_reasons=(RejectionReason.EMPTY,),
-            )
-
-    def test_fallback_requires_reasons(self):
-        with pytest.raises(ValueError):
-            SurrogateDecision("x", Source.FALLBACK_FAKE)
-
     def test_valid_variants(self):
         SurrogateDecision("x", Source.SLM, demos_used=("a", "b", "c"))
         SurrogateDecision(

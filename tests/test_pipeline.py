@@ -1154,4 +1154,4 @@ def test_scorer_trained_on_non_pii_only(corpus):
 
 
 def test_char_ngram_scorer_used_by_metrics_is_order_five():
-    assert CharNgramScorer().order == 5
+    assert CharNgramScorer.order == 5
