@@ -1121,19 +1121,25 @@ class TestRunArtifactCommands:
         assert printed == (run_dir / "report.txt").read_text(encoding="utf-8")
         assert f"{mode}@{run_dir.name}" in printed
 
+    @pytest.mark.parametrize("first, latest", [
+        ("hybrid", "faker"),
+        ("hybrid", "redact"),
+        ("faker", "hybrid"),
+    ])
     def test_a_pinned_run_directory_holds_only_its_latest_run(
-        self, corpus_file, tmp_path, capsys
+        self, corpus_file, tmp_path, capsys, first, latest
     ):
         out = tmp_path / "results"
         argv = ["run", "--no-ppl", "--corpus", str(corpus_file), "--out", str(out)]
-        for mode in ("hybrid", "faker"):
+        for mode in (first, latest):
             assert main([*argv, "--mode", mode, "--run-id", "x"]) == 0
         capsys.readouterr()
         run_dir = out / "x"
-        assert not (run_dir / "regurgitation.json").exists()
+        hybrid = latest == "hybrid"
+        assert (run_dir / "regurgitation.json").exists() == hybrid
         printed = self.report(capsys, run_dir)
         assert printed == (run_dir / "report.txt").read_text(encoding="utf-8")
-        assert "faker@x" in printed and "output_copies" not in printed
+        assert f"{latest}@x" in printed and ("output_copies" in printed) == hybrid
 
     def test_run_prints_the_report_of_its_runs(self, all_modes, capsys):
         dirs, printed = all_modes

@@ -180,6 +180,20 @@ class TestSlmPropose:
         assert decision.source is Source.SLM
         assert decision.surrogate == completion
 
+    def test_a_pool_too_small_to_sample_falls_back_without_a_backend_call(self):
+        # the shipped pool of unknown-format dates holds fewer than 3 demos
+        backend = ScriptedBackend([])
+        decision = slm_propose(
+            "Spring 1999",
+            key(Label.DATE),
+            backend=backend,
+            catalog=builtin_catalog(),
+            strategy=DemoStrategy.ROTATING_LOCALE,
+        )
+        assert decision.source is Source.FALLBACK_FAKE
+        assert decision.rejection_reasons == (RejectionReason.EMPTY,)
+        assert backend.prompts == []
+
     def test_backend_invocation_error_falls_back(self):
         backend = ScriptedBackend([BackendInvocationError("boom")])
         decision = slm_propose(
@@ -378,8 +392,10 @@ _SURFACES = st.one_of(
     st.sampled_from(
         ["Walter Abernathy", "12 Elm Street", "04/12/1975", "山田太郎", "Müller"]
     ),
-    # a whitespace-only surface has no canonical form, so no key reaches dispatch
-    st.text(max_size=20).filter(str.split),
+    # a whitespace-only surface has no canonical form, so no key reaches dispatch;
+    # a lambda, since hypothesis rewrites `.filter(str.split)` into a filter
+    # that lets whitespace-only strings through
+    st.text(max_size=20).filter(lambda text: text.split()),
 )
 
 
