@@ -336,7 +336,7 @@ def _cmd_ner(args: argparse.Namespace) -> int:
             settings.check_corpus(len(records))
         except ValueError as exc:
             raise SystemExit(f"piisub ner: {exc} once the failed ones are dropped")
-    report = run_ner_experiment(records, variants, **experiment)
+    report = run_ner_experiment(records, variants, settings)
     payload = report.to_json_dict()
     out_file = out_dir / "ner.json"
     write_json(out_file, payload)

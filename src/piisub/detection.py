@@ -105,14 +105,14 @@ def detect_rules(text: str) -> list[PiiSpan]:
         for m in pattern.finditer(text):
             start, end = m.span()
             if label is Label.URL:
-                while end > start and text[end - 1] in _URL_TRAIL:
+                # stops at the "/" of "http://": every rule's span is non-empty
+                while text[end - 1] in _URL_TRAIL:
                     end -= 1
             if label is Label.PHONE:
                 digits = sum(c.isdigit() for c in m.group())
                 if not 7 <= digits <= 15:
                     continue
-            if end > start:
-                candidates.append(PiiSpan(start, end, label, text[start:end]))
+            candidates.append(PiiSpan(start, end, label, text[start:end]))
     return resolve_overlaps(candidates)
 
 

@@ -136,8 +136,7 @@ def _fake_person(rng: random.Random, locale: Locale) -> str:
         return rng.choice(_JA_FAMILY) + rng.choice(_JA_GIVEN)
     if locale is Locale.ZH:
         return rng.choice(_ZH_FAMILY) + rng.choice(_ZH_GIVEN)
-    pool = locale if locale in _FIRST else Locale.EN
-    return f"{rng.choice(_FIRST[pool])} {rng.choice(_LAST[pool])}"
+    return f"{rng.choice(_FIRST[locale])} {rng.choice(_LAST[locale])}"
 
 
 def _fake_address(rng: random.Random, locale: Locale) -> str:
@@ -212,6 +211,5 @@ def fake_value(
             f"https://{rng.choice(_DOMAINS)}/{rng.choice(_URL_PATHS)}/"
             f"{rng.randrange(100, 10000)}"
         )
-    if label is Label.SECRET:
-        return "sk_" + "".join(rng.choices("0123456789abcdef", k=20))
-    raise ValueError(f"no fake generator for label {label!r}")
+    # Label.SECRET, the last label
+    return "sk_" + "".join(rng.choices("0123456789abcdef", k=20))

@@ -216,9 +216,8 @@ def welch_from_stats(
 
 
 def welch_from_samples(xs: Sequence[float], ys: Sequence[float]) -> WelchResult:
-    """Welch's test from raw samples, using sample (n-1) SDs."""
-    if len(xs) < 2 or len(ys) < 2:
-        raise ValueError("need at least 2 observations per group")
+    """Welch's test from raw samples, using sample (n-1) SDs. A group of
+    fewer than two raises ValueError (`statistics.stdev` refuses it)."""
     return welch_from_stats(
         statistics.fmean(xs),
         statistics.stdev(xs),

@@ -132,9 +132,11 @@ def check_timeout(what: str, timeout: float) -> None:
 
 def split_command(what: str, template: str) -> list[str]:
     """A command template's words, split as a POSIX shell splits them; an
-    unclosed quote or no words at all is refused, naming the command."""
+    unclosed quote, a NUL or no words at all is refused, naming the command."""
     import shlex
 
+    if "\0" in template:
+        raise ValueError(f"{what} command {template!r}: holds a NUL")
     try:
         argv = shlex.split(template)
     except ValueError as exc:
@@ -146,9 +148,9 @@ def split_command(what: str, template: str) -> list[str]:
 
 def run_command(argv: list[str], data: str, timeout: float) -> str:
     """Run `argv` once with `data` on a stdin pipe of its own and return its
-    stdout, all UTF-8 whatever the locale. A command that cannot start,
-    times out or exits non-zero raises OSError (with its first stderr line);
-    stdout that is not UTF-8 raises UnicodeDecodeError."""
+    stdout, all UTF-8 whatever the locale. A command that cannot start (or
+    has a NUL in an argument), times out or exits non-zero raises OSError
+    (with its first stderr line); stdout not UTF-8 raises UnicodeDecodeError."""
     import subprocess
 
     try:
@@ -162,6 +164,8 @@ def run_command(argv: list[str], data: str, timeout: float) -> str:
         raise OSError(f"timed out after {timeout} s") from None
     except OSError as exc:
         raise OSError(f"cannot run {argv[0]}: {exc.strerror}") from None
+    except ValueError as exc:
+        raise OSError(f"cannot run {argv[0]}: {exc}") from None
     if proc.returncode != 0:
         detail = proc.stderr.decode("utf-8", "replace").strip().splitlines()
         raise OSError(f"exit {proc.returncode}" + (f": {detail[0]}" if detail else ""))

@@ -413,20 +413,11 @@ def check_seeds(seeds: Sequence[int]) -> None:
         )
 
 
-def check_split(n_records: int, train_size: int, test_size: int) -> None:
-    """A split draws its train and test cuts from one corpus, disjointly."""
-    if train_size + test_size > n_records:
-        raise ValueError(
-            f"train size {train_size} + test size {test_size} need "
-            f"{train_size + test_size} records, corpus has {n_records}"
-        )
-
-
 @dataclass(frozen=True)
 class NerSettings:
-    """The experiment's settings and their defaults, checked when built:
-    `run_ner_experiment` takes them as keywords, and a caller can build them
-    first to refuse a setting before any work."""
+    """The experiment's settings and their defaults, checked when built, so
+    that a caller refuses a bad setting before any work and hands the checked
+    object to `run_ner_experiment`."""
 
     train_size: int = 160
     test_size: int = 40
@@ -441,14 +432,19 @@ class NerSettings:
                 raise ValueError(f"{name} must be at least 1, got {value}")
 
     def check_corpus(self, n_records: int) -> None:
-        check_split(n_records, self.train_size, self.test_size)
+        """A split draws its train and test cuts from one corpus, disjointly."""
+        if self.train_size + self.test_size > n_records:
+            raise ValueError(
+                f"train size {self.train_size} + test size {self.test_size} need "
+                f"{self.train_size + self.test_size} records, corpus has {n_records}"
+            )
 
 
 def stratified_split(
     records: Sequence[CorpusRecord], train_size: int, test_size: int, seed: int
 ) -> tuple[list[int], list[int]]:
-    """Locale-stratified test selection; remainder shuffled into the train cut."""
-    check_split(len(records), train_size, test_size)
+    """Locale-stratified test selection; remainder shuffled into the train cut.
+    The caller has checked the split (`NerSettings.check_corpus`)."""
     rng = random.Random(seed)
     by_locale: dict[str, list[int]] = {}
     for idx, rec in enumerate(records):
@@ -469,19 +465,17 @@ def stratified_split(
 
 
 def run_ner_experiment(
-    records: Sequence[CorpusRecord], variants: dict[str, Sequence[Gold]], **settings
+    records: Sequence[CorpusRecord], variants: dict[str, Sequence[Gold]], settings: NerSettings
 ) -> NerReport:
     """Train on the original records and on each variant of them, test on
-    held-out originals, per seed. `settings` are the fields of
-    `NerSettings`; the rest keep its defaults. Every setting is checked
-    before any training."""
+    held-out originals, per seed, under the checked `settings`; the variants
+    and the split's fit in the corpus are checked before any training."""
     if "original" in variants:
         raise ValueError("'original' names the records, not a variant")
     for name, docs in variants.items():
         if [doc.id for doc in docs] != [rec.id for rec in records]:
             raise ValueError(f"variant {name!r} is not parallel to the records")
-    checked = NerSettings(**settings)
-    checked.check_corpus(len(records))
+    settings.check_corpus(len(records))
     base = [
         Gold(rec.id, rec.text, [(s.start, s.end) for s in detect_oracle(rec)])
         for rec in records
@@ -493,9 +487,9 @@ def run_ner_experiment(
     # a record's annotation does not depend on the seed: project it once,
     # and keep its word ids and tags rather than its tokens
     annotated: dict[tuple[str, int], tuple[tuple[int, ...], list[str]]] = {}
-    for seed in checked.seeds:
+    for seed in settings.seeds:
         train_idx, test_idx = stratified_split(
-            records, checked.train_size, checked.test_size, seed
+            records, settings.train_size, settings.test_size, seed
         )
         gaps += sum(annotation_gaps(records[i]) for i in train_idx)
         test_tokens = [tokenize(base[i].text) for i in test_idx]
@@ -514,7 +508,7 @@ def run_ner_experiment(
                     stacklevel=2,
                 )
             model = train_tagger(
-                sentences, lexicon, iterations=checked.iterations, seed=seed
+                sentences, lexicon, iterations=settings.iterations, seed=seed
             )
             counts = SpanCounts()
             for tokens, words, i in zip(test_tokens, test_words, test_idx):
@@ -537,7 +531,7 @@ def run_ner_experiment(
         scores=scores,
         comparisons=comparisons,
         annotation_gaps=gaps,
-        train_size=checked.train_size,
-        test_size=checked.test_size,
-        seeds=list(checked.seeds),
+        train_size=settings.train_size,
+        test_size=settings.test_size,
+        seeds=list(settings.seeds),
     )

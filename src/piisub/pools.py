@@ -267,9 +267,9 @@ class PoolCatalog:
     pilot: dict[Label, tuple[Demo, ...]]
 
     def pool_for(self, label: Label, surface: str) -> DemoPool:
-        """Route an entity surface to its demonstration pool."""
-        if label not in self.pools:
-            raise ValueError(f"no demonstration pools for label {label.name}")
+        """Route an entity surface of a model label (`SLM_LABELS`) to its
+        demonstration pool. Both catalog builders fill every model label
+        with a pool for every key, so the lookup cannot miss."""
         return self.pools[label][pool_key(label, surface)]
 
     def iter_named_demo_sets(self) -> Iterator[tuple[str, tuple[Demo, ...]]]:

@@ -83,14 +83,11 @@ def sample_demos(demos: Sequence[Demo], input_text: str) -> tuple[Demo, ...]:
 def build_prompt(demos: Sequence[Demo], input_text: str) -> str:
     """Render the substitution prompt. Byte-exact: callers may cache on it.
 
-    Demos are line-free by construction (`Demo` refuses a line break), so
-    only the input is checked here.
+    Only a line break in the input is refused: the demos are `SAMPLE_SIZE`
+    line-free ones (`sample_demos` or a built-in pilot; `Demo` refuses a
+    line break), and `canonicalize` refuses a blank surface upstream.
     """
-    if len(demos) != SAMPLE_SIZE:
-        raise InvalidInput(f"expected {SAMPLE_SIZE} demos, got {len(demos)}")
     trimmed = input_text.strip()
-    if not trimmed:
-        raise InvalidInput("input is empty after trimming")
     if "\n" in trimmed or "\r" in trimmed:
         raise InvalidInput("input contains a line break")
     parts = [f"Real: {d.real}\nFake: {d.fake}\n" for d in demos]

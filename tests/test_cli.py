@@ -82,6 +82,15 @@ REJECTED_SETTINGS = {
         {"slm_backend": "command", "slm_command": "echo '{prompt}"},
         "backend command \"echo '{prompt}\": No closing quotation",
     ),
+    # no OS argument can hold a NUL
+    "nul-in-slm-command": (
+        {"slm_backend": "command", "slm_command": "echo a\0b {prompt}"},
+        "backend command 'echo a\\x00b {prompt}': holds a NUL",
+    ),
+    "nul-in-detector-command": (
+        {"detector": "external", "detector_command": "cat\0"},
+        "detector command 'cat\\x00': holds a NUL",
+    ),
     "blank-detector-command": (
         {"detector": "external", "detector_command": "   "},
         "empty detector command",
@@ -1436,6 +1445,44 @@ def test_the_template_decides_the_prompt_transport(
     decisions = [group["decision"] for doc in documents for group in doc["groups"]]
     assert any(d["source"] == "slm" and d["surrogate"] == answer for d in decisions)
     assert all(d["rejection_reasons"] != ["empty"] for d in decisions)
+
+
+@pytest.mark.parametrize("threshold, code", [(5, 0), (1, 1)])
+def test_a_prompt_no_os_argument_can_hold_is_a_failed_call(
+    tmp_path, capsys, threshold, code
+):
+    """A NUL in a prompt that goes in an argument keeps the model from
+    starting: the call fails, falls back and counts toward the failure
+    threshold, and the document is ok."""
+    (rec,) = synth_corpus(1, seed=1)
+    (person,) = rec.pii_gt[Label.PERSON]
+    corpus = tmp_path / "corpus.jsonl"
+    save_corpus(
+        [
+            dataclasses.replace(
+                rec,
+                text=rec.text.replace(person, "Ann\0Lee"),
+                pii_gt={**rec.pii_gt, Label.PERSON: ("Ann\0Lee",)},
+            )
+        ],
+        corpus,
+    )
+    out = tmp_path / "out"
+    argv = ["run", "--mode", "hybrid", "--no-ppl", "--corpus", str(corpus)]
+    argv += ["--slm-backend", "command", "--slm-command", "echo {prompt}"]
+    argv += ["--failure-threshold", str(threshold), "--out", str(out)]
+    assert main(argv) == code
+    if code:
+        assert (
+            "1 consecutive failures, last: command:echo: cannot run echo: "
+            "embedded null byte"
+        ) in capsys.readouterr().err
+        return
+    (doc,) = only_results(out)["documents"]
+    assert doc["error"] is None
+    (group,) = [g for g in doc["groups"] if g["label"] == "PERSON"]
+    assert group["decision"]["source"] == "fallback_fake"
+    assert group["decision"]["rejection_reasons"] == ["empty"]
 
 
 def test_a_detector_endpoint_outside_http_aborts_without_a_traceback(

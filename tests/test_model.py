@@ -12,9 +12,6 @@ from piisub.model import (
     Label,
     Mode,
     PiiSpan,
-    RejectionReason,
-    Source,
-    SurrogateDecision,
     canonicalize,
     ci_any_matcher,
     ci_fold,
@@ -66,16 +63,6 @@ class TestSpans:
     def test_empty_group_rejected(self):
         with pytest.raises(ValueError):
             EntityGroup(canonical="x", label=Label.PERSON, members=())
-
-
-class TestSurrogateDecision:
-    def test_valid_variants(self):
-        SurrogateDecision("x", Source.SLM, demos_used=("a", "b", "c"))
-        SurrogateDecision(
-            "x", Source.FALLBACK_FAKE, rejection_reasons=(RejectionReason.IDENTITY,)
-        )
-        SurrogateDecision("[PERSON]", Source.REDACT)
-        SurrogateDecision("x", Source.FAKE)
 
 
 def re_spans(needle, haystack):
@@ -278,6 +265,7 @@ class TestSplitCommand:
         [
             ("echo '{prompt}", "backend command \"echo '{prompt}\": No closing quotation"),
             ("  ", "empty backend command"),
+            ("echo a\0b", "backend command 'echo a\\x00b': holds a NUL"),
         ],
     )
     def test_a_template_without_words_is_refused(self, template, message):
@@ -304,9 +292,17 @@ class TestRunCommand:
         with pytest.raises(OSError, match="^exit 3: model exploded$"):
             run_command([*self.PYTHON, script], "", 10)
 
-    def test_a_command_that_cannot_start_raises(self):
-        with pytest.raises(OSError, match="cannot run /no/such/binary"):
-            run_command(["/no/such/binary"], "", 10)
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["/no/such/binary"], "cannot run /no/such/binary"),
+            # no OS argument can hold a NUL
+            (["echo", "a\0b"], "cannot run echo: embedded null byte"),
+        ],
+    )
+    def test_a_command_that_cannot_start_raises(self, argv, message):
+        with pytest.raises(OSError, match=message):
+            run_command(argv, "", 10)
 
     def test_a_timeout_raises(self):
         with pytest.raises(OSError, match="timed out after 0.2 s"):

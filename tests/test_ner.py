@@ -17,6 +17,7 @@ from piisub.ner import (
     AveragedPerceptron,
     Gold,
     Lexicon,
+    NerSettings,
     SpanCounts,
     Token,
     UntrainableCorpus,
@@ -633,7 +634,9 @@ def test_frozen_scores_of_a_small_experiment():
         results = run_records(corpus, RunConfig(mode=mode))
         variants[mode.value] = _written_variant(results)
     report = run_ner_experiment(
-        corpus, variants, train_size=32, test_size=8, seeds=(11, 12, 13), iterations=5
+        corpus,
+        variants,
+        NerSettings(train_size=32, test_size=8, seeds=(11, 12, 13), iterations=5),
     )
     frozen = {
         "original": (
@@ -690,8 +693,9 @@ class TestStratifiedSplit:
         )
 
     def test_too_large_request(self):
-        with pytest.raises(ValueError, match="corpus has"):
-            stratified_split(self.mixed_records(), 28, 6, seed=0)
+        # the split's caller checks it once, not on every seed
+        with pytest.raises(ValueError, match="need 34 records, corpus has 30"):
+            NerSettings(train_size=28, test_size=6).check_corpus(len(self.mixed_records()))
 
     def test_outputs_sorted(self):
         train, test = stratified_split(self.mixed_records(), 20, 6, seed=2)
@@ -731,10 +735,7 @@ def tiny_report():
         return run_ner_experiment(
             corpus,
             {"blank": blank},
-            train_size=24,
-            test_size=6,
-            seeds=(1, 2),
-            iterations=5,
+            NerSettings(train_size=24, test_size=6, seeds=(1, 2), iterations=5),
         )
 
 
@@ -772,7 +773,7 @@ class TestExperiment:
         corpus = synth_corpus(10, seed=3)
         with pytest.raises(ValueError, match="original"):
             run_ner_experiment(
-                corpus, {"original": copies(corpus)}, train_size=6, test_size=2
+                corpus, {"original": copies(corpus)}, NerSettings(train_size=6, test_size=2)
             )
 
     def test_rejects_non_parallel_variants(self):
@@ -781,17 +782,13 @@ class TestExperiment:
             run_ner_experiment(
                 corpus,
                 {"shuffled": copies(reversed(corpus))},
-                train_size=6,
-                test_size=2,
-                seeds=(1,),
+                NerSettings(train_size=6, test_size=2),
             )
         with pytest.raises(ValueError, match="parallel"):
             run_ner_experiment(
                 corpus,
                 {"short": copies(corpus[:-1])},
-                train_size=6,
-                test_size=2,
-                seeds=(1,),
+                NerSettings(train_size=6, test_size=2),
             )
 
     def test_the_oracle_reads_each_original_once_and_no_variant(self, monkeypatch):
@@ -807,7 +804,7 @@ class TestExperiment:
         monkeypatch.setattr(ner, "detect_oracle", counted)
         corpus = synth_corpus(12, seed=3)
         variant = [Gold(r.id, "Written " + r.text, [(0, 7)]) for r in corpus]
-        run_ner_experiment(corpus, {"copy": variant}, train_size=8, test_size=3)
+        run_ner_experiment(corpus, {"copy": variant}, NerSettings(train_size=8, test_size=3))
         # one detection per original serves its training and every seed's test
         assert seen == corpus
 
@@ -824,7 +821,7 @@ class TestExperiment:
         variants = {"copy": copies(corpus), "blank": copies(corpus)}
         with pytest.warns(UntrainableCorpus):
             run_ner_experiment(
-                corpus, variants, train_size=8, test_size=3, seeds=(1, 2, 3)
+                corpus, variants, NerSettings(train_size=8, test_size=3, seeds=(1, 2, 3))
             )
         # each training record once per variant, the originals included, and
         # each seed's test records once for the three models they test
@@ -847,9 +844,7 @@ class TestExperiment:
             run_ner_experiment(
                 corpus,
                 {"copy": copies(corpus)},
-                train_size=6,
-                test_size=2,
-                seeds=seeds,
+                NerSettings(train_size=6, test_size=2, seeds=seeds),
             )
 
     @pytest.mark.parametrize(
@@ -860,8 +855,16 @@ class TestExperiment:
             ({"iterations": -2}, "iterations must be at least 1"),
             ({"seeds": (11, 11)}, "each given once"),
             ({"seeds": (11, 12, 11)}, "each given once"),
+            ({"train_size": 9}, "need 11 records, corpus has 10"),
         ],
-        ids=["train-size", "test-size", "iterations", "seed-twice", "seed-repeats"],
+        ids=[
+            "train-size",
+            "test-size",
+            "iterations",
+            "seed-twice",
+            "seed-repeats",
+            "split-too-large",
+        ],
     )
     def test_rejects_settings_that_mis_measure_before_training(
         self, setting, message, monkeypatch
@@ -875,7 +878,7 @@ class TestExperiment:
         corpus = synth_corpus(10, seed=3)
         experiment = {"train_size": 6, "test_size": 2, "seeds": (1, 2), **setting}
         with pytest.raises(ValueError, match=message):
-            run_ner_experiment(corpus, {"copy": copies(corpus)}, **experiment)
+            run_ner_experiment(corpus, {"copy": copies(corpus)}, NerSettings(**experiment))
 
 
 def test_variant_scores_sd_definitions():

@@ -15,6 +15,7 @@ from piisub.pools import (
     pool_key,
     validate_pool,
 )
+from piisub.prompting import SAMPLE_SIZE
 
 
 def test_every_builtin_demo_classifies_to_its_own_pool(catalog):
@@ -56,18 +57,31 @@ def test_pool_for_routes_by_surface(catalog):
     assert catalog.pool_for(Label.DATE, "yesterday").key is DateFormat.UNKNOWN
 
 
-def test_pool_for_rejects_non_slm_labels(catalog):
-    with pytest.raises(ValueError):
-        catalog.pool_for(Label.EMAIL, "a@b.com")
-
-
-def test_catalog_is_keyed_by_the_model_labels(catalog):
+@pytest.mark.parametrize("from_file", [False, True], ids=["builtin", "pool-file"])
+def test_catalog_is_keyed_by_the_model_labels(catalog, tmp_path, from_file):
+    """Whichever builder made it, a catalog has a pool for every key of every
+    model label and a pilot of SAMPLE_SIZE demos per label: `pool_for` and
+    `build_prompt` take both as given."""
+    if from_file:
+        # each family's first pool, sides swapped, which keeps closure
+        payload = {
+            label.name.lower(): {
+                pool.key.value: [{"real": d.fake, "fake": d.real} for d in pool.demos]
+            }
+            for label, pools in catalog.pools.items()
+            for pool in list(pools.values())[:1]
+        }
+        path = tmp_path / "pools.json"
+        path.write_text(json.dumps(payload, ensure_ascii=False), encoding="utf-8")
+        catalog = load_pool_file(path)
     assert tuple(catalog.pools) == SLM_LABELS
     assert tuple(catalog.pilot) == SLM_LABELS
     for label, pools in catalog.pools.items():
+        assert list(pools) == list(DateFormat if label is Label.DATE else Locale)
         for key, pool in pools.items():
             assert pool.label is label and pool.key is key
             assert pool.name == f"{label.name.lower()}/{key.value}"
+        assert len(catalog.pilot[label]) == SAMPLE_SIZE
 
 
 def test_pool_key_reads_locale_or_date_format():

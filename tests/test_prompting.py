@@ -130,11 +130,7 @@ class TestBuildPrompt:
         demos = _pool(3)
         assert build_prompt(demos, "  x  ").endswith("Real: x\nFake:")
 
-    def test_wrong_demo_count(self):
-        with pytest.raises(InvalidInput):
-            build_prompt(_pool(2), "x")
-
-    @pytest.mark.parametrize("bad", ["", "   ", "a\nb", "a\rb"])
+    @pytest.mark.parametrize("bad", ["a\nb", "a\rb"])
     def test_unrenderable_input(self, bad):
         with pytest.raises(InvalidInput):
             build_prompt(_pool(3), bad)
